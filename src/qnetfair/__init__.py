@@ -21,6 +21,7 @@ from .model import (
 from .routing import (
     EmptyEligibleSet,
     NoPath,
+    build_flows,
     eligible_workers,
     path_edges,
     path_fidelity,
@@ -33,7 +34,6 @@ from .fairshare import (
     assign_exhaustive,
     assign_greedy,
     assign_random,
-    assignment_score,
     jain_index,
     maxmin_rates,
     predicted_app_rates,
@@ -45,6 +45,7 @@ from .scheduling import (
     SchedulerState,
     SlotGrants,
     enqueue_arrivals,
+    policy_problems,
     schedule_slot,
     select_flow,
 )
@@ -55,7 +56,6 @@ from .engine import (
     Metrics,
     ReplicationSummary,
     SlotLedger,
-    build_flows,
     poisson_sample,
     replicate,
     replication_runs,

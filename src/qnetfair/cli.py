@@ -18,20 +18,13 @@ from typing import Any, Optional, Sequence
 from .engine import (
     Metrics,
     aggregate_metrics,
-    replication_seed,
-    run,
+    replication_runs,
+    resolve_assignment,
     stream_rng,
 )
-from .fairshare import (
-    SearchSpaceTooLarge,
-    assign_exhaustive,
-    assign_greedy,
-    assign_random,
-    jain_index,
-    predicted_app_rates,
-)
-from .model import Policy, Scenario, SimConfig
-from .scenario_io import SchemaError, parse_scenario
+from .fairshare import SearchSpaceTooLarge, jain_index, predicted_app_rates
+from .model import AssignmentSource, Policy, Scenario, SimConfig
+from .scenario_io import SchemaError, load_scenario_file, parse_scenario
 from .scheduling import ConfigError
 from .validate import ValidationError, validate_scenario
 
@@ -84,12 +77,10 @@ def _write_csv(path: Path, columns: Sequence[str], rows: Sequence[dict]) -> None
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _load(path: str, args: argparse.Namespace) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    graph, apps, config, given = parse_scenario(data)
-    config = _apply_overrides(config, args)
-    return validate_scenario(graph, apps, config, given)
+def _scenario(parsed, args: argparse.Namespace) -> Scenario:
+    """Validate a parsed scenario after applying the command-line overrides."""
+    graph, apps, config, given = parsed
+    return validate_scenario(graph, apps, _apply_overrides(config, args), given)
 
 
 def _apply_overrides(config: SimConfig, args: argparse.Namespace) -> SimConfig:
@@ -186,20 +177,6 @@ def _trace_rows(metrics: Metrics) -> list[dict]:
     return rows
 
 
-def _run_all_replications(scenario: Scenario, trace: bool) -> list[Metrics]:
-    cfg = scenario.config
-    if cfg.replications == 1:
-        return [run(scenario, cfg, collect_trace=trace)]
-    return [
-        run(
-            scenario,
-            dataclasses.replace(cfg, seed=replication_seed(cfg.seed, i)),
-            collect_trace=trace,
-        )
-        for i in range(cfg.replications)
-    ]
-
-
 def _print_run_summary(scenario: Scenario, runs: list[Metrics]) -> None:
     cfg = scenario.config
     print(
@@ -233,14 +210,16 @@ def _print_run_summary(scenario: Scenario, runs: list[Metrics]) -> None:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    _load(args.config, args)
+    _scenario(load_scenario_file(args.config), args)
     print("OK")
     return EXIT_OK
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    scenario = _load(args.config, args)
-    runs = _run_all_replications(scenario, trace=args.trace)
+    scenario = _scenario(load_scenario_file(args.config), args)
+    runs = replication_runs(
+        scenario, n_replications=scenario.config.replications, collect_trace=args.trace
+    )
     out_dir = _output_dir(args)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -274,18 +253,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_assign(args: argparse.Namespace) -> int:
-    scenario = _load(args.config, args)
-    cfg = scenario.config
-    if args.solver == "greedy":
-        assignment = assign_greedy(scenario.graph, scenario.apps)
-    elif args.solver == "random":
-        assignment = assign_random(
-            scenario.graph, scenario.apps, stream_rng(cfg.seed, "assignment")
-        )
-    else:
-        assignment = assign_exhaustive(
-            scenario.graph, scenario.apps, cfg.exhaustive_limit
-        )
+    scenario = _scenario(load_scenario_file(args.config), args)
+    cfg = dataclasses.replace(scenario.config, assignment=AssignmentSource(args.solver))
+    assignment = resolve_assignment(scenario, cfg, stream_rng(cfg.seed, "assignment"))
     pred = predicted_app_rates(scenario.graph, scenario.apps, assignment)
     weighted = [pred[a.id].weighted for a in scenario.apps]
     min_weighted = min(weighted)
@@ -369,10 +339,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for raw_value in values:
         data = json.loads(json.dumps(base_data))  # fresh copy per point
         value = _set_sweep_value(data, args.param, raw_value)
-        graph, apps, config, given = parse_scenario(data)
-        config = _apply_overrides(config, args)
-        scenario = validate_scenario(graph, apps, config, given)
-        runs = _run_all_replications(scenario, trace=False)
+        scenario = _scenario(parse_scenario(data), args)
+        runs = replication_runs(scenario, n_replications=scenario.config.replications)
         if global_cols is None:
             global_cols = ["sweep_value"] + _global_columns(scenario)
         for m in runs:

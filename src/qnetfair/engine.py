@@ -25,14 +25,11 @@ from .fairshare import (
 )
 from .model import (
     AppId,
-    Application,
     Assignment,
     AssignmentSource,
     CapacityMode,
-    CostMode,
     EdgeId,
     Flow,
-    NetworkGraph,
     NodeId,
     Policy,
     QuantumLink,
@@ -40,7 +37,7 @@ from .model import (
     SimConfig,
     Traffic,
 )
-from .routing import path_edges, path_fidelity, path_swap_prob, shortest_path
+from .routing import build_flows
 from .scheduling import (
     ConfigError,
     SchedulerState,
@@ -112,33 +109,6 @@ def resolve_successes(
             continue
         successes[flow] = sum(1 for _ in range(count) if rng.random() < flow.swap_prob)
     return successes
-
-
-def build_flows(
-    graph: NetworkGraph,
-    apps: Sequence[Application],
-    assignment: Assignment,
-    cost_mode,
-) -> dict[AppId, list[Flow]]:
-    """One flow per (app, assigned worker) over the shortest path."""
-    flows: dict[AppId, list[Flow]] = {}
-    for app in sorted(apps, key=lambda a: a.id):
-        flows[app.id] = []
-        for worker in sorted(assignment[app.id]):
-            path = shortest_path(graph, app.host, worker)
-            edges = path_edges(graph, path)
-            cost = 1 if cost_mode is CostMode.UNIT else len(edges)
-            flows[app.id].append(
-                Flow(
-                    app=app.id,
-                    path=path,
-                    edges=edges,
-                    swap_prob=path_swap_prob(path, graph),
-                    e2e_fidelity=path_fidelity(path, graph),
-                    cost=cost,
-                )
-            )
-    return flows
 
 
 def resolve_assignment(
@@ -221,6 +191,12 @@ def _verify_slot(
     return consumed
 
 
+def _by_worker(counts: Mapping[Flow, int]) -> dict[tuple[AppId, NodeId], int]:
+    """Per-flow counts keyed (app, worker), in (app, path) order."""
+    ordered = sorted(counts.items(), key=lambda kv: (kv[0].app, kv[0].path))
+    return {(f.app, f.worker): c for f, c in ordered}
+
+
 def run(
     scenario: Scenario,
     config: Optional[SimConfig] = None,
@@ -282,18 +258,8 @@ def run(
                     slot=slot,
                     sampled=sampled,
                     residual=dict(result.residual),
-                    grants={
-                        (f.app, f.worker): c
-                        for f, c in sorted(
-                            result.per_flow.items(), key=lambda kv: (kv[0].app, kv[0].path)
-                        )
-                    },
-                    successes={
-                        (f.app, f.worker): c
-                        for f, c in sorted(
-                            successes.items(), key=lambda kv: (kv[0].app, kv[0].path)
-                        )
-                    },
+                    grants=_by_worker(result.per_flow),
+                    successes=_by_worker(successes),
                 )
             )
 
@@ -349,14 +315,29 @@ class ReplicationSummary:
 
 
 def replication_runs(
-    scenario: Scenario, config: Optional[SimConfig] = None, n_replications: int = 1
+    scenario: Scenario,
+    config: Optional[SimConfig] = None,
+    n_replications: int = 1,
+    *,
+    collect_trace: bool = False,
 ) -> list[Metrics]:
-    """Independent runs with per-replication derived seeds, in index order."""
+    """Independent runs in index order.
+
+    A single replication runs with the config's own seed, so it equals
+    ``run(scenario, config)``; the CLI outputs for ``replications == 1``
+    depend on this. With more, replication i uses replication_seed(seed, i).
+    """
     cfg = config if config is not None else scenario.config
     if n_replications < 1:
         raise ValueError("n_replications must be >= 1")
+    if n_replications == 1:
+        return [run(scenario, cfg, collect_trace=collect_trace)]
     return [
-        run(scenario, dataclasses.replace(cfg, seed=replication_seed(cfg.seed, i)))
+        run(
+            scenario,
+            dataclasses.replace(cfg, seed=replication_seed(cfg.seed, i)),
+            collect_trace=collect_trace,
+        )
         for i in range(n_replications)
     ]
 
@@ -397,7 +378,7 @@ def replicate(
 ) -> ReplicationSummary:
     """Run n independent replications and aggregate their metrics.
 
-    Replication i uses seed replication_seed(master, i); results never
-    depend on execution order or thread count.
+    Seeds are as in ``replication_runs``; results never depend on
+    execution order or thread count.
     """
     return aggregate_metrics(replication_runs(scenario, config, n_replications))

@@ -13,8 +13,8 @@ import random
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .model import Application, Assignment, NetworkGraph
-from .routing import eligible_workers, path_edges, path_swap_prob, shortest_path
+from .model import AppId, Application, Assignment, CostMode, Flow, NetworkGraph
+from .routing import build_flows, eligible_flows, eligible_workers
 
 FlowKey = Hashable
 
@@ -157,33 +157,32 @@ def predicted_app_rates(
     aggregate entitlement. Grants contend in the max-min fluid model;
     deliveries discount each flow by its swap success probability.
     """
+    return _flow_rates(graph, apps, build_flows(graph, apps, assignment, CostMode.UNIT))
+
+
+def _flow_rates(
+    graph: NetworkGraph,
+    apps: Sequence[Application],
+    flows: Mapping[AppId, Sequence[Flow]],
+) -> dict[int, AppRatePrediction]:
+    """``predicted_app_rates`` over already built flows, each app's flows
+    in ascending worker order."""
+    # keyed by (app, worker): hashing a Flow would hash all of its fields
     flow_edges: dict[tuple[int, int], tuple[int, ...]] = {}
     weights: dict[tuple[int, int], float] = {}
-    swap: dict[tuple[int, int], float] = {}
     for app in sorted(apps, key=lambda a: a.id):
-        for worker in sorted(assignment[app.id]):
-            path = shortest_path(graph, app.host, worker)
-            key = (app.id, worker)
-            flow_edges[key] = path_edges(graph, path)
+        for flow in flows[app.id]:
+            key = (app.id, flow.worker)
+            flow_edges[key] = flow.edges
             weights[key] = app.weight / app.workers_needed
-            swap[key] = path_swap_prob(path, graph)
     rates = maxmin_rates(flow_edges, graph.effective_capacities(), weights)
     out: dict[int, AppRatePrediction] = {}
     for app in sorted(apps, key=lambda a: a.id):
-        keys = [(app.id, w) for w in sorted(assignment[app.id])]
-        granted = math.fsum(rates[k] for k in keys)
-        delivered = math.fsum(rates[k] * swap[k] for k in keys)
+        app_rates = [(rates[(app.id, f.worker)], f.swap_prob) for f in flows[app.id]]
+        granted = math.fsum(r for r, _ in app_rates)
+        delivered = math.fsum(r * swap for r, swap in app_rates)
         out[app.id] = AppRatePrediction(granted, delivered, delivered / app.weight)
     return out
-
-
-def assignment_score(
-    graph: NetworkGraph, apps: Sequence[Application], assignment: Assignment
-) -> tuple[float, ...]:
-    """Ascending-sorted weighted delivered rates; compare tuples to rank
-    assignments lexicographically (max-min first, then second-min, ...)."""
-    pred = predicted_app_rates(graph, apps, assignment)
-    return tuple(sorted(p.weighted for p in pred.values()))
 
 
 def assign_random(
@@ -215,16 +214,13 @@ def assign_greedy(graph: NetworkGraph, apps: Sequence[Application]) -> Assignmen
     load = {e: 0.0 for e in edge_ids}
     out: Assignment = {}
     for app in sorted(apps, key=lambda a: (-a.weight, a.id)):
-        eligible = sorted(eligible_workers(graph, app))
+        cand_edges = {f.worker: f.edges for f in eligible_flows(graph, app)}
         phi = app.weight / app.workers_needed
-        cand_edges = {
-            c: path_edges(graph, shortest_path(graph, app.host, c)) for c in eligible
-        }
         picked: list[int] = []
         for _ in range(app.workers_needed):
             best = None
             best_vec = None
-            for cand in eligible:
+            for cand in cand_edges:
                 if cand in picked:
                     continue
                 trial = dict(load)
@@ -251,21 +247,19 @@ def assign_exhaustive(
     product of per-app subset counts exceeds ``limit``.
     """
     ordered = sorted(apps, key=lambda a: a.id)
-    options: list[list[frozenset[int]]] = []
-    for app in ordered:
-        eligible = sorted(eligible_workers(graph, app))
-        options.append(
-            [frozenset(c) for c in itertools.combinations(eligible, app.workers_needed)]
-        )
+    options = [
+        list(itertools.combinations(eligible_flows(graph, app), app.workers_needed))
+        for app in ordered
+    ]
     size = math.prod(len(o) for o in options)
     if size > limit:
         raise SearchSpaceTooLarge(size, limit)
-    best: Assignment | None = None
+    best: tuple[Sequence[Flow], ...] | None = None
     best_score: tuple[float, ...] | None = None
     for combo in itertools.product(*options):
-        assignment = {app.id: pool for app, pool in zip(ordered, combo)}
-        score = assignment_score(graph, ordered, assignment)
+        pred = _flow_rates(graph, ordered, dict(zip((a.id for a in ordered), combo)))
+        score = tuple(sorted(p.weighted for p in pred.values()))
         if best_score is None or score > best_score:
-            best, best_score = assignment, score
+            best, best_score = combo, score
     assert best is not None, "every app has at least one eligible pool"
-    return best
+    return {app.id: frozenset(f.worker for f in pool) for app, pool in zip(ordered, best)}

@@ -183,9 +183,3 @@ class Scenario:
     config: SimConfig
     eligible: Mapping[AppId, frozenset[NodeId]]
     given_assignment: Optional[Mapping[AppId, frozenset[NodeId]]] = None
-
-    def app(self, app_id: AppId) -> Application:
-        for a in self.apps:
-            if a.id == app_id:
-                return a
-        raise KeyError(app_id)

@@ -1,14 +1,17 @@
-"""Hop-count routing and per-path entanglement metrics.
+"""Hop-count routing, per-path entanglement metrics and flow building.
 
 Every flow uses a single fixed path chosen by minimum hop count, with a
 deterministic tie-break toward the lexicographically smallest node-id
-sequence. All functions are pure over an immutable graph.
+sequence. ``host_flows`` routes all of an app's workers with one search
+and builds the ``Flow`` objects every other module reads. All functions
+are pure over an immutable graph.
 """
 from __future__ import annotations
 
 from collections import deque
+from typing import Iterable, Sequence
 
-from .model import Application, EdgeId, NetworkGraph, NodeId
+from .model import AppId, Application, Assignment, CostMode, EdgeId, Flow, NetworkGraph, NodeId
 
 
 class NoPath(Exception):
@@ -27,34 +30,50 @@ class EmptyEligibleSet(Exception):
         )
 
 
-def shortest_path(graph: NetworkGraph, src: NodeId, dst: NodeId) -> tuple[NodeId, ...]:
-    """Minimum-hop path from src to dst as a node-id tuple.
+def _routes(
+    graph: NetworkGraph, src: NodeId, dsts: Sequence[NodeId]
+) -> dict[NodeId, tuple[tuple[NodeId, ...], tuple[EdgeId, ...]]]:
+    """Minimum-hop (path, edges) from src to every reachable destination.
 
     Breadth-first search expanding neighbors in ascending id order, never
     reparenting a node once discovered; among equal-hop paths this yields
-    the lexicographically smallest node sequence.
+    the lexicographically smallest node sequence. The search stops once
+    every destination is discovered; unreachable ones are left out.
     """
-    if src == dst:
+    pending = set(dsts)
+    if src in pending:
         raise ValueError("src and dst must differ")
-    if not graph.has_node(src) or not graph.has_node(dst):
-        raise ValueError(f"unknown node in ({src}, {dst})")
-    parent: dict[NodeId, NodeId | None] = {src: None}
+    if not graph.has_node(src) or not all(map(graph.has_node, pending)):
+        raise ValueError(f"unknown node in ({src}, {sorted(pending)})")
+    # node -> (parent, edge to the parent); the source has none
+    parent: dict[NodeId, tuple[NodeId, EdgeId] | None] = {src: None}
     queue: deque[NodeId] = deque([src])
-    while queue:
+    while queue and pending:
         u = queue.popleft()
-        if u == dst:
-            break
-        for v, _edge in graph.neighbors(u):
+        for v, edge in graph.neighbors(u):
             if v not in parent:
-                parent[v] = u
+                parent[v] = (u, edge)
                 queue.append(v)
-    if dst not in parent:
+                pending.discard(v)
+    routes = {}
+    for dst in dsts:
+        if dst not in parent:
+            continue
+        path, edges = [dst], []
+        while parent[path[-1]] is not None:
+            u, edge = parent[path[-1]]
+            path.append(u)
+            edges.append(edge)
+        routes[dst] = (tuple(path[::-1]), tuple(edges[::-1]))
+    return routes
+
+
+def shortest_path(graph: NetworkGraph, src: NodeId, dst: NodeId) -> tuple[NodeId, ...]:
+    """Minimum-hop path from src to dst as a node-id tuple (see ``_routes``)."""
+    routes = _routes(graph, src, (dst,))
+    if dst not in routes:
         raise NoPath(f"no path from {src} to {dst}")
-    path = [dst]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])  # type: ignore[arg-type]
-    path.reverse()
-    return tuple(path)
+    return routes[dst][0]
 
 
 def path_edges(graph: NetworkGraph, path: tuple[NodeId, ...]) -> tuple[EdgeId, ...]:
@@ -80,6 +99,14 @@ def path_swap_prob(path: tuple[NodeId, ...], graph: NetworkGraph) -> float:
     return prob
 
 
+def _edges_fidelity(graph: NetworkGraph, edges: tuple[EdgeId, ...]) -> float:
+    fid = graph.link(edges[0]).fidelity
+    for edge_id in edges[1:]:
+        fe = graph.link(edge_id).fidelity
+        fid = fid * fe + (1.0 - fid) * (1.0 - fe) / 3.0
+    return fid
+
+
 def path_fidelity(path: tuple[NodeId, ...], graph: NetworkGraph) -> float:
     """End-to-end Werner fidelity of the pair delivered over the path.
 
@@ -88,29 +115,56 @@ def path_fidelity(path: tuple[NodeId, ...], graph: NetworkGraph) -> float:
     starting from the first link's fidelity. Closed on [0.25, 1], with
     0.25 (fully mixed) as a fixed point.
     """
-    edges = path_edges(graph, path)
-    fid = graph.link(edges[0]).fidelity
-    for edge_id in edges[1:]:
-        fe = graph.link(edge_id).fidelity
-        fid = fid * fe + (1.0 - fid) * (1.0 - fe) / 3.0
-    return fid
+    return _edges_fidelity(graph, path_edges(graph, path))
+
+
+def host_flows(
+    graph: NetworkGraph, app: Application, workers: Iterable[NodeId], cost_mode: CostMode
+) -> list[Flow]:
+    """Flows from the app's host to each reachable worker, in ascending
+    worker order, from one breadth-first search; unreachable workers are
+    left out."""
+    routes = _routes(graph, app.host, sorted(workers))
+    return [
+        Flow(
+            app=app.id,
+            path=path,
+            edges=edges,
+            swap_prob=path_swap_prob(path, graph),
+            e2e_fidelity=_edges_fidelity(graph, edges),
+            cost=1 if cost_mode is CostMode.UNIT else len(edges),
+        )
+        for path, edges in routes.values()
+    ]
+
+
+def eligible_flows(graph: NetworkGraph, app: Application) -> list[Flow]:
+    """Flows to the reachable candidates whose end-to-end fidelity meets
+    the app's threshold, in ascending worker order. Raises EmptyEligibleSet
+    when fewer than workers_needed candidates survive the filter."""
+    flows = host_flows(graph, app, app.candidates, CostMode.UNIT)
+    flows = [f for f in flows if f.e2e_fidelity >= app.min_fidelity]
+    if len(flows) < app.workers_needed:
+        raise EmptyEligibleSet(app.id, (f.worker for f in flows), app.workers_needed)
+    return flows
 
 
 def eligible_workers(graph: NetworkGraph, app: Application) -> frozenset[NodeId]:
-    """Candidates reachable from the host whose shortest-path fidelity
-    meets the application's threshold.
+    """Worker ids of ``eligible_flows``; raises EmptyEligibleSet likewise."""
+    return frozenset(f.worker for f in eligible_flows(graph, app))
 
-    Raises EmptyEligibleSet when fewer than workers_needed candidates
-    survive the filter.
-    """
-    eligible = set()
-    for cand in sorted(app.candidates):
-        try:
-            path = shortest_path(graph, app.host, cand)
-        except NoPath:
-            continue
-        if path_fidelity(path, graph) >= app.min_fidelity:
-            eligible.add(cand)
-    if len(eligible) < app.workers_needed:
-        raise EmptyEligibleSet(app.id, eligible, app.workers_needed)
-    return frozenset(eligible)
+
+def build_flows(
+    graph: NetworkGraph,
+    apps: Sequence[Application],
+    assignment: Assignment,
+    cost_mode: CostMode,
+) -> dict[AppId, list[Flow]]:
+    """One flow per (app, assigned worker) over the shortest path; raises
+    NoPath when an assigned worker is unreachable from its host."""
+    flows: dict[AppId, list[Flow]] = {}
+    for app in sorted(apps, key=lambda a: a.id):
+        flows[app.id] = host_flows(graph, app, assignment[app.id], cost_mode)
+        if len(flows[app.id]) < len(assignment[app.id]):
+            raise NoPath(f"app {app.id}: an assigned worker is unreachable from {app.host}")
+    return flows

@@ -59,6 +59,31 @@ class SlotGrants:
         return out
 
 
+def policy_problems(
+    policy: Policy, apps: Sequence[Application], traffic: Traffic, quantum_base: int
+) -> list[str]:
+    """What the discipline cannot honor, one diagnostic per violation.
+
+    Validation reports these lines; SchedulerState refuses to start with
+    any of them. WRR lines locate apps by their index in ``apps``.
+    """
+    problems = []
+    if policy is Policy.WRR:
+        problems += [
+            f"apps[{i}].weight: WRR needs integer weights, got {app.weight}"
+            for i, app in enumerate(apps)
+            if not float(app.weight).is_integer()
+        ]
+    if not isinstance(quantum_base, int) or quantum_base < 1:
+        problems.append(f"sim.quantum_base: must be >= 1, got {quantum_base}")
+    if policy is Policy.FCFS and traffic is Traffic.BACKLOGGED:
+        problems.append(
+            "sim.policy: FCFS is rejected with backlogged traffic "
+            "(always-full queues have no arrival order)"
+        )
+    return problems
+
+
 class SchedulerState:
     """Mutable scheduler state, owned by a single engine run.
 
@@ -76,18 +101,9 @@ class SchedulerState:
         traffic: Traffic,
         quantum_base: int = 1,
     ):
-        if policy is Policy.FCFS and traffic is Traffic.BACKLOGGED:
-            raise ConfigError(
-                "FCFS needs Poisson traffic: backlogged queues have no arrival order"
-            )
-        if policy is Policy.WRR:
-            for app in apps:
-                if not float(app.weight).is_integer():
-                    raise ConfigError(
-                        f"WRR needs integer weights, app {app.id} has {app.weight}"
-                    )
-        if not isinstance(quantum_base, int) or quantum_base < 1:
-            raise ConfigError(f"quantum_base must be a positive integer, got {quantum_base}")
+        problems = policy_problems(policy, apps, traffic, quantum_base)
+        if problems:
+            raise ConfigError("; ".join(problems))
 
         self.policy = policy
         self.traffic = traffic

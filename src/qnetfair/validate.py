@@ -16,13 +16,13 @@ from .model import (
     CapacityMode,
     NetworkGraph,
     NodeKind,
-    Policy,
     Scenario,
     SimConfig,
     Traffic,
     WERNER_FLOOR,
 )
 from .routing import EmptyEligibleSet, eligible_workers
+from .scheduling import policy_problems
 
 # exact Poisson sampling stays numerically safe up to this rate
 MAX_ARRIVAL_RATE = 30.0
@@ -97,10 +97,6 @@ def _check_structure(
             diags.append(f"apps[{i}].host: node {app.host} is a repeater")
         if app.weight <= 0:
             diags.append(f"apps[{i}].weight: must be > 0, got {app.weight}")
-        if config.policy is Policy.WRR and not float(app.weight).is_integer():
-            diags.append(
-                f"apps[{i}].weight: WRR needs integer weights, got {app.weight}"
-            )
         if app.workers_needed < 1:
             diags.append(f"apps[{i}].workers_needed: must be >= 1, got {app.workers_needed}")
         if app.workers_needed > len(app.candidates):
@@ -133,17 +129,11 @@ def _check_structure(
         diags.append(
             f"sim.warmup: must satisfy 0 <= warmup < slots, got {config.warmup_slots}"
         )
-    if config.quantum_base < 1:
-        diags.append(f"sim.quantum_base: must be >= 1, got {config.quantum_base}")
     if config.exhaustive_limit < 1:
         diags.append(f"sim.exhaustive_limit: must be >= 1, got {config.exhaustive_limit}")
     if config.replications < 1:
         diags.append(f"sim.replications: must be >= 1, got {config.replications}")
-    if config.policy is Policy.FCFS and config.traffic is Traffic.BACKLOGGED:
-        diags.append(
-            "sim.policy: FCFS is rejected with backlogged traffic "
-            "(always-full queues have no arrival order)"
-        )
+    diags += policy_problems(config.policy, apps, config.traffic, config.quantum_base)
 
 
 def validate_scenario(

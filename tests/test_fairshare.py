@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import random
 
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import line_graph, shared_link_apps, shared_link_graph
-from gen import dumbbell_instance, random_maxmin_instance
+from gen import dumbbell_instance, random_assignment_instance, random_maxmin_instance
 from qnetfair import (
     Application,
     NetworkGraph,
@@ -16,6 +18,7 @@ from qnetfair import (
     assign_exhaustive,
     assign_greedy,
     assign_random,
+    eligible_workers,
     jain_index,
     maxmin_rates,
     predicted_app_rates,
@@ -304,6 +307,44 @@ class TestAssignExhaustive:
             )
             assert exh >= grd - 1e-9
             assert grd >= 0.0
+
+
+class TestExhaustiveOracle:
+    """assign_exhaustive against the plain enumerator: every assignment,
+    each scored by the sorted weighted rates of predicted_app_rates."""
+
+    @staticmethod
+    def enumerate_best(graph, apps):
+        ordered = sorted(apps, key=lambda a: a.id)
+        pools = [
+            [
+                frozenset(c)
+                for c in itertools.combinations(
+                    sorted(eligible_workers(graph, a)), a.workers_needed
+                )
+            ]
+            for a in ordered
+        ]
+        best, best_score = None, None
+        for combo in itertools.product(*pools):
+            assignment = {a.id: pool for a, pool in zip(ordered, combo)}
+            pred = predicted_app_rates(graph, ordered, assignment)
+            score = tuple(sorted(p.weighted for p in pred.values()))
+            if best_score is None or score > best_score:
+                best, best_score = assignment, score
+        return best
+
+    def test_matches_plain_enumeration(self):
+        for seed in range(60):
+            rng = random.Random(seed)
+            make = dumbbell_instance if seed % 2 else random_assignment_instance
+            graph, apps = make(rng)
+            if seed % 3 == 0:  # larger pools, so combinations have several workers
+                apps = [
+                    dataclasses.replace(a, workers_needed=2) if len(a.candidates) > 2 else a
+                    for a in apps
+                ]
+            assert assign_exhaustive(graph, apps) == self.enumerate_best(graph, apps)
 
 
 class TestAssignmentValidity:

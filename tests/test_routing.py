@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -7,12 +8,17 @@ from conftest import line_graph
 from gen import random_connected_graph
 from qnetfair import (
     Application,
+    CostMode,
+    EmptyEligibleSet,
+    Flow,
     NetworkGraph,
     Node,
     NodeKind,
     NoPath,
     QuantumLink,
+    build_flows,
     eligible_workers,
+    path_edges,
     path_fidelity,
     path_swap_prob,
     shortest_path,
@@ -212,3 +218,80 @@ class TestEligibleWorkers:
         app = Application(0, 0, 1.0, 2, frozenset({1, 3}))
         with pytest.raises(EmptyEligibleSet):
             eligible_workers(g, app)
+
+
+class TestRouteTable:
+    """Flows built from one search per host equal the per-pair rule:
+    shortest_path, then path_edges, path_swap_prob and path_fidelity."""
+
+    @staticmethod
+    def graphs():
+        for seed in range(25):
+            rng = random.Random(seed)
+            g = random_connected_graph(rng, rng.randint(4, 12), extra_edges=rng.randint(0, 8))
+            # per-link fidelities and per-node swap probabilities, so the
+            # order of the fidelity fold and the chosen path both matter
+            nodes = [
+                dataclasses.replace(n, swap_success_prob=rng.choice([1.0, 0.9, 0.7]))
+                for n in g.nodes
+            ]
+            links = [
+                dataclasses.replace(l, fidelity=rng.choice([1.0, 0.97, 0.9, 0.8]))
+                for l in g.links
+            ]
+            yield rng, NetworkGraph(nodes, links)
+        rng = random.Random(99)
+        tree = random_connected_graph(rng, 10, extra_edges=0)
+        # a tree minus one of its links falls apart into two components
+        yield rng, NetworkGraph(tree.nodes, tree.links[1:])
+
+    @staticmethod
+    def per_pair_flow(graph, app, worker, cost_mode):
+        path = shortest_path(graph, app.host, worker)
+        edges = path_edges(graph, path)
+        return Flow(
+            app=app.id,
+            path=path,
+            edges=edges,
+            swap_prob=path_swap_prob(path, graph),
+            e2e_fidelity=path_fidelity(path, graph),
+            cost=1 if cost_mode is CostMode.UNIT else len(edges),
+        )
+
+    def test_flows_and_eligibility_match_per_pair_rule(self):
+        unreachable_seen = 0
+        for rng, g in self.graphs():
+            n = len(g.nodes)
+            for app_id in range(3):
+                host = rng.randrange(n)
+                others = [x for x in range(n) if x != host]
+                app = Application(
+                    app_id,
+                    host,
+                    1.0,
+                    rng.randint(1, 2),
+                    frozenset(rng.sample(others, rng.randint(2, len(others)))),
+                    min_fidelity=rng.choice([0.25, 0.85, 0.9, 0.95, 1.0]),
+                )
+                expected = {}
+                for cand in sorted(app.candidates):
+                    try:
+                        expected[cand] = self.per_pair_flow(g, app, cand, CostMode.HOPS)
+                    except NoPath:
+                        unreachable_seen += 1
+                if len(expected) < len(app.candidates):
+                    with pytest.raises(NoPath):
+                        build_flows(g, [app], {app_id: app.candidates}, CostMode.HOPS)
+                for cost_mode in CostMode:
+                    flows = build_flows(g, [app], {app_id: frozenset(expected)}, cost_mode)
+                    assert flows[app_id] == [
+                        self.per_pair_flow(g, app, w, cost_mode) for w in sorted(expected)
+                    ]
+                keep = {w for w, f in expected.items() if f.e2e_fidelity >= app.min_fidelity}
+                if len(keep) >= app.workers_needed:
+                    assert eligible_workers(g, app) == keep
+                else:
+                    with pytest.raises(EmptyEligibleSet) as exc:
+                        eligible_workers(g, app)
+                    assert exc.value.eligible == keep
+        assert unreachable_seen > 0

@@ -1,0 +1,97 @@
+"""Golden hashes: the sha256 of every CLI output on the bundled scenarios.
+
+Each ``run`` case runs one scenario under one applicable policy with
+``sim.replications`` 1 or 3 and ``--trace``, and hashes per_app.csv,
+global.csv and trace.csv. Each ``assign`` case hashes the
+``assign --format csv`` output of one solver. A change that alters any
+output byte fails here. A change that alters outputs on purpose (new RNG
+draws, new formatting) regenerates the file and says why:
+
+    PYTHONPATH=src python tests/test_goldens.py
+"""
+import hashlib
+import io
+import json
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from qnetfair import Policy
+from qnetfair.cli import main
+from qnetfair.scenario_io import parse_scenario
+from qnetfair.scheduling import policy_problems
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+GOLDENS_PATH = Path(__file__).with_name("goldens.json")
+SLOTS = 400  # above mesh_poisson's 200 warmup slots, small enough for Tier-1
+REPLICATIONS = (1, 3)
+SOLVERS = ("greedy", "random", "exhaustive")
+RUN_FILES = ("per_app.csv", "global.csv", "trace.csv")
+
+
+def _cases() -> list[str]:
+    cases = []
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        _, apps, config, _ = parse_scenario(json.loads(path.read_text()))
+        for policy in Policy:
+            if not policy_problems(policy, apps, config.traffic, config.quantum_base):
+                cases += [f"run/{path.stem}/{policy.value}/r{n}" for n in REPLICATIONS]
+        cases += [f"assign/{path.stem}/{solver}" for solver in SOLVERS]
+    return cases
+
+
+CASES = _cases()
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def compute(case: str, tmp: Path) -> dict[str, str]:
+    """Run one case in-process and hash its outputs."""
+    kind, stem, variant, *rest = case.split("/")
+    scenario = SCENARIO_DIR / f"{stem}.json"
+    stdout = io.StringIO()
+    if kind == "assign":
+        with redirect_stdout(stdout):
+            code = main(["assign", "--config", str(scenario), "--solver", variant,
+                         "--format", "csv"])
+        assert code == 0
+        return {"stdout": _sha256(stdout.getvalue().encode())}
+
+    data = json.loads(scenario.read_text())
+    data["sim"]["replications"] = int(rest[0][1:])
+    config = tmp / "scenario.json"
+    config.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp / "out"
+    with redirect_stdout(stdout):
+        code = main(["run", "--config", str(config), "--slots", str(SLOTS),
+                     "--policy", variant, "--trace", "--output-dir", str(out)])
+    assert code == 0
+    return {name: _sha256((out / name).read_bytes()) for name in RUN_FILES}
+
+
+def _goldens() -> dict[str, dict[str, str]]:
+    return json.loads(GOLDENS_PATH.read_text())
+
+
+def test_goldens_cover_every_case():
+    assert sorted(_goldens()) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_outputs_match_goldens(case, tmp_path):
+    assert compute(case, tmp_path) == _goldens()[case]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        goldens = {}
+        for i, case in enumerate(CASES):
+            case_dir = Path(tmp) / str(i)
+            case_dir.mkdir()
+            goldens[case] = compute(case, case_dir)
+    GOLDENS_PATH.write_text(json.dumps(goldens, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(goldens)} cases to {GOLDENS_PATH}")

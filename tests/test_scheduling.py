@@ -302,6 +302,45 @@ class TestPointerPersistence:
         schedule_slot(state, {0: 5})
         assert state.active == [] and state.head is None
 
+    def test_second_pass_starts_after_drained_head(self):
+        state, _ = single_link_state(Policy.RR, [1.0, 1.0, 1.0], 1, Traffic.POISSON)
+        enqueue_arrivals(state, 0, {0: 3, 1: 1, 2: 2})
+        schedule_slot(state, {0: 1})  # grants app 0
+        assert state.head == 1
+        # pass 1 runs 1, 2, 0 and drains app 1, the head; pass 2 starts at 2
+        result = schedule_slot(state, {0: 4})
+        order = [(r.app, r.seq) for r in result.granted_requests]
+        assert order == [(1, 0), (2, 0), (0, 1), (2, 1)]
+        # app 2 drained on the last grant; the head moves past it, wrapping
+        assert state.active == [0]
+        assert state.head == 0
+
+    def test_head_skips_last_granted_app_that_drains(self):
+        state, _ = single_link_state(Policy.RR, [1.0, 1.0, 1.0], 3, Traffic.POISSON)
+        enqueue_arrivals(state, 0, {0: 2, 1: 2, 2: 1})
+        result = schedule_slot(state, {0: 3})
+        assert [r.app for r in result.granted_requests] == [0, 1, 2]
+        assert state.active == [0, 1]
+        assert state.head == 0
+
+    def test_head_stays_on_last_granted_app_when_it_is_the_only_one_left(self):
+        state, _ = single_link_state(Policy.RR, [1.0, 1.0, 1.0], 4, Traffic.POISSON)
+        enqueue_arrivals(state, 0, {0: 1, 1: 3, 2: 1})
+        result = schedule_slot(state, {0: 4})
+        assert [r.app for r in result.granted_requests] == [0, 1, 2, 1]
+        assert state.active == [1]
+        assert state.head == 1
+
+    def test_fcfs_ring_matches_rr_after_drain(self):
+        rings = {}
+        for policy in (Policy.FCFS, Policy.RR):
+            state, _ = single_link_state(policy, [1.0, 1.0, 1.0], 2, Traffic.POISSON)
+            enqueue_arrivals(state, 0, {0: 1, 1: 2, 2: 1})
+            result = schedule_slot(state, {0: 2})
+            assert [r.app for r in result.granted_requests] == [0, 1]
+            rings[policy] = (state.active, state.head)
+        assert rings[Policy.FCFS] == rings[Policy.RR] == ([1, 2], 2)
+
 
 class TestInvariants:
     def _random_multiflow_state(self, policy, rng):

@@ -13,11 +13,13 @@ disciplines are supported:
   deficit. A deficit blocked by capacity persists across slots, capped at
   quantum + the app's largest flow cost; an emptied queue resets it to 0.
 
-Passes repeat while some active app still has a flow with residual
+Passes repeat while some backlogged app still has a flow with residual
 capacity on every edge, which keeps the slot work-conserving and, for
 DRR, lets an app accumulate credit across fruitless passes until it can
-afford an expensive flow. The head pointer persists across slots: after
-any slot with grants it moves to the successor of the last app granted.
+afford an expensive flow. The ring and its head change only between
+slots: each pass starts at the head and skips apps drained in the slot;
+after a slot with grants the head moves to the first still-backlogged
+app after the last app granted, round the ring, and drained apps leave.
 """
 from __future__ import annotations
 
@@ -90,7 +92,7 @@ class SchedulerState:
     In backlogged mode every app always has a synthetic pending request
     (queues are conceptually infinite) and the active ring is fixed; in
     Poisson mode apps join the ring when they become backlogged and leave
-    it when their queue drains.
+    it at the end of the slot in which their queue drains.
     """
 
     def __init__(
@@ -121,10 +123,7 @@ class SchedulerState:
         self.quantum = {a: quantum_base * app.weight for a, app in self.apps.items()}
         self.max_cost = {a: max(f.cost for f in self.flows[a]) for a in self.apps}
         self._next_seq: dict[AppId, int] = dict.fromkeys(self.apps, 0)
-        if traffic is Traffic.BACKLOGGED:
-            self.active: list[AppId] = list(self.apps)
-        else:
-            self.active = []
+        self.active: list[AppId] = list(self.apps) if traffic is Traffic.BACKLOGGED else []
         self.head: Optional[AppId] = self.active[0] if self.active else None
 
     def backlogged(self, app_id: AppId) -> bool:
@@ -157,22 +156,28 @@ def enqueue_arrivals(
             if state.head is None:
                 state.head = app_id
 
+
+def _fits(flow: Flow, residual: Mapping[EdgeId, int]) -> bool:
+    """A grant needs one pair of residual capacity on every path edge."""
+    return all(residual[e] >= 1 for e in flow.edges)
+
+
 def select_flow(
     state: SchedulerState, app_id: AppId, residual: Mapping[EdgeId, int]
 ) -> Optional[Flow]:
     """Next feasible flow of the app, rotating over its flows.
 
     Starting at the app's cursor, each flow is tried once in cyclic
-    order; the first whose every path edge has residual >= 1 is returned
-    and the cursor advances past it. Returns None (blocked) with the
-    cursor unchanged when no flow fits.
+    order; the first that fits the residual capacities is returned and
+    the cursor advances past it. Returns None (blocked) with the cursor
+    unchanged when no flow fits.
     """
     flows = state.flows[app_id]
     start = state.cursor[app_id]
     for k in range(len(flows)):
         i = (start + k) % len(flows)
         flow = flows[i]
-        if all(residual[e] >= 1 for e in flow.edges):
+        if _fits(flow, residual):
             state.cursor[app_id] = (i + 1) % len(flows)
             return flow
     return None
@@ -184,12 +189,6 @@ class _SlotCtx:
     grants: dict[Flow, int] = field(default_factory=dict)
     granted_requests: list[Request] = field(default_factory=list)
     last_granted: Optional[AppId] = None
-    next_head: Optional[AppId] = None
-
-
-def _successor(state: SchedulerState, app_id: AppId) -> Optional[AppId]:
-    idx = state.active.index(app_id)
-    return state.active[(idx + 1) % len(state.active)]
 
 
 def _grant(state: SchedulerState, ctx: _SlotCtx, app_id: AppId, flow: Flow) -> None:
@@ -199,31 +198,21 @@ def _grant(state: SchedulerState, ctx: _SlotCtx, app_id: AppId, flow: Flow) -> N
     if state.traffic is Traffic.POISSON:
         ctx.granted_requests.append(state.queues[app_id].popleft())
     ctx.last_granted = app_id
-    ctx.next_head = _successor(state, app_id)
 
 
-def _leave_active(state: SchedulerState, ctx: _SlotCtx, app_id: AppId) -> None:
-    idx = state.active.index(app_id)
-    state.active.pop(idx)
-    nxt = state.active[idx % len(state.active)] if state.active else None
-    if state.head == app_id:
-        state.head = nxt
-    if ctx.next_head == app_id:
-        ctx.next_head = nxt
-
-
-def _any_capacity_feasible(state: SchedulerState, residual: Mapping[EdgeId, int]) -> bool:
-    for app_id in state.active:
-        for flow in state.flows[app_id]:
-            if all(residual[e] >= 1 for e in flow.edges):
-                return True
+def _any_capacity_feasible(
+    state: SchedulerState, ring: Sequence[AppId], residual: Mapping[EdgeId, int]
+) -> bool:
+    for app_id in ring:
+        if state.backlogged(app_id):
+            for flow in state.flows[app_id]:
+                if _fits(flow, residual):
+                    return True
     return False
 
 
 def _rotation(state: SchedulerState) -> list[AppId]:
-    if state.head is None or state.head not in state.active:
-        return list(state.active)
-    i = state.active.index(state.head)
+    i = state.active.index(state.head) if state.active else 0
     return state.active[i:] + state.active[:i]
 
 
@@ -232,31 +221,25 @@ def _visit_budgeted(
 ) -> int:
     """RR/WRR visit: up to ``budget`` grants through the flow cursor."""
     made = 0
-    for _ in range(budget):
-        if not state.backlogged(app_id):
-            break
+    while made < budget and state.backlogged(app_id):
         flow = select_flow(state, app_id, ctx.residual)
         if flow is None:
             break
         _grant(state, ctx, app_id, flow)
         made += 1
-        if not state.backlogged(app_id):
-            _leave_active(state, ctx, app_id)
-            break
     return made
 
 
 def _visit_drr(state: SchedulerState, ctx: _SlotCtx, app_id: AppId) -> int:
     """DRR visit: credit one quantum, then serve while the deficit and the
     residual capacities allow. Capacity blocking caps and keeps the
-    deficit; an emptied queue resets it and drops the app from the ring."""
+    deficit; an emptied queue resets it."""
     deficit = state.deficit[app_id] + state.quantum[app_id]
     made = 0
-    blocked = False
-    while state.backlogged(app_id):
+    while True:
         flow = select_flow(state, app_id, ctx.residual)
         if flow is None:
-            blocked = True
+            deficit = min(deficit, state.deficit_cap(app_id))
             break
         if deficit < flow.cost - _DEFICIT_EPS:
             break
@@ -265,19 +248,16 @@ def _visit_drr(state: SchedulerState, ctx: _SlotCtx, app_id: AppId) -> int:
         deficit -= flow.cost
         if not state.backlogged(app_id):
             deficit = 0.0
-            _leave_active(state, ctx, app_id)
             break
-    if blocked:
-        deficit = min(deficit, state.deficit_cap(app_id))
     state.deficit[app_id] = deficit
     return made
 
 
-def _one_pass(state: SchedulerState, ctx: _SlotCtx) -> int:
+def _one_pass(state: SchedulerState, ctx: _SlotCtx, ring: Sequence[AppId]) -> int:
     made = 0
-    for app_id in _rotation(state):
-        if app_id not in state.active:
-            continue  # queue drained earlier in this pass
+    for app_id in ring:
+        if not state.backlogged(app_id):
+            continue  # queue drained earlier in this slot
         if state.policy is Policy.RR:
             made += _visit_budgeted(state, ctx, app_id, 1)
         elif state.policy is Policy.WRR:
@@ -294,9 +274,10 @@ def _round_robin_slot(state: SchedulerState, ctx: _SlotCtx) -> None:
         (math.ceil(state.max_cost[a] / state.quantum[a]) for a in state.apps),
         default=0,
     )
+    ring = _rotation(state)
     fruitless = 0
-    while state.active and _any_capacity_feasible(state, ctx.residual):
-        made = _one_pass(state, ctx)
+    while _any_capacity_feasible(state, ring, ctx.residual):
+        made = _one_pass(state, ctx, ring)
         if made == 0:
             if state.policy is not Policy.DRR:
                 break  # RR/WRR passes are side-effect free when nothing fits
@@ -319,11 +300,8 @@ def _fcfs_slot(state: SchedulerState, ctx: _SlotCtx) -> None:
             # only shrink within the slot, so this one is blocked too
             continue
         flow = select_flow(state, req.app, ctx.residual)
-        if flow is None:
-            continue
-        _grant(state, ctx, req.app, flow)  # pops req, the queue head
-        if not queue:
-            _leave_active(state, ctx, req.app)
+        if flow is not None:
+            _grant(state, ctx, req.app, flow)  # pops req, the queue head
 
 
 def schedule_slot(
@@ -340,13 +318,16 @@ def schedule_slot(
         if cap < 0 or int(cap) != cap:
             raise ValueError(f"sampled capacity of edge {e} must be a non-negative integer")
         residual[e] = int(cap)
-    ctx = _SlotCtx(residual=residual, next_head=state.head)
+    ctx = _SlotCtx(residual=residual)
     if state.policy is Policy.FCFS:
         _fcfs_slot(state, ctx)
     else:
         _round_robin_slot(state, ctx)
     if ctx.last_granted is not None:
-        state.head = ctx.next_head
+        ring = state.active
+        i = ring.index(ctx.last_granted) + 1
+        state.head = next((a for a in ring[i:] + ring[:i] if state.backlogged(a)), None)
+        state.active = [a for a in ring if state.backlogged(a)]
     return SlotGrants(
         per_flow=ctx.grants,
         granted_requests=tuple(ctx.granted_requests),

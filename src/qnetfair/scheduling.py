@@ -123,7 +123,10 @@ class SchedulerState:
         self.quantum = {a: quantum_base * app.weight for a, app in self.apps.items()}
         self.max_cost = {a: max(f.cost for f in self.flows[a]) for a in self.apps}
         self._next_seq: dict[AppId, int] = dict.fromkeys(self.apps, 0)
-        self.active: list[AppId] = list(self.apps) if traffic is Traffic.BACKLOGGED else []
+        if traffic is Traffic.BACKLOGGED:
+            self.active: list[AppId] = list(self.apps)
+        else:
+            self.active = []
         self.head: Optional[AppId] = self.active[0] if self.active else None
 
     def backlogged(self, app_id: AppId) -> bool:
@@ -159,7 +162,10 @@ def enqueue_arrivals(
 
 def _fits(flow: Flow, residual: Mapping[EdgeId, int]) -> bool:
     """A grant needs one pair of residual capacity on every path edge."""
-    return all(residual[e] >= 1 for e in flow.edges)
+    for e in flow.edges:
+        if residual[e] < 1:
+            return False
+    return True
 
 
 def select_flow(
@@ -209,11 +215,6 @@ def _any_capacity_feasible(
                 if _fits(flow, residual):
                     return True
     return False
-
-
-def _rotation(state: SchedulerState) -> list[AppId]:
-    i = state.active.index(state.head) if state.active else 0
-    return state.active[i:] + state.active[:i]
 
 
 def _visit_budgeted(
@@ -274,7 +275,8 @@ def _round_robin_slot(state: SchedulerState, ctx: _SlotCtx) -> None:
         (math.ceil(state.max_cost[a] / state.quantum[a]) for a in state.apps),
         default=0,
     )
-    ring = _rotation(state)
+    i = state.active.index(state.head) if state.active else 0
+    ring = state.active[i:] + state.active[:i]  # passes start at the head
     fruitless = 0
     while _any_capacity_feasible(state, ring, ctx.residual):
         made = _one_pass(state, ctx, ring)

@@ -26,6 +26,8 @@ from .scheduling import policy_problems
 
 # exact Poisson sampling stays numerically safe up to this rate
 MAX_ARRIVAL_RATE = 30.0
+# stochastic sampling draws one trial per unit of capacity per link per slot
+MAX_CAPACITY = 1000
 
 _CAPACITY_INT_TOL = 1e-9
 
@@ -72,6 +74,10 @@ def _check_structure(
         seen_pairs.add(pair)
         if link.capacity_max < 1:
             diags.append(f"links[{i}].capacity_max: must be >= 1, got {link.capacity_max}")
+        elif link.capacity_max > MAX_CAPACITY:
+            diags.append(
+                f"links[{i}].capacity_max: must be <= {MAX_CAPACITY}, got {link.capacity_max}"
+            )
         if not 0.0 < link.gen_success_prob <= 1.0:
             diags.append(
                 f"links[{i}].gen_success_prob: must be in (0, 1], got {link.gen_success_prob}"
@@ -151,7 +157,7 @@ def validate_scenario(
         raise ValidationError(diags)
 
     eligible: dict[int, frozenset[int]] = {}
-    for i, app in enumerate(sorted(apps, key=lambda a: a.id)):
+    for i, app in enumerate(apps):
         try:
             eligible[app.id] = eligible_workers(graph, app)
         except EmptyEligibleSet as err:
@@ -164,7 +170,7 @@ def validate_scenario(
         if given_assignment is None:
             diags.append("sim.assignment: 'given' requires a workers list on every app")
         else:
-            for i, app in enumerate(sorted(apps, key=lambda a: a.id)):
+            for i, app in enumerate(apps):
                 workers = given_assignment.get(app.id)
                 if workers is None:
                     diags.append(f"apps[{i}].workers: required when sim.assignment is 'given'")

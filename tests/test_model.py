@@ -17,6 +17,7 @@ from qnetfair import (
     ValidationError,
     validate_scenario,
 )
+from qnetfair.validate import MAX_CAPACITY
 
 
 def minimal_graph():
@@ -74,6 +75,18 @@ class TestStructuralDiagnostics:
         )
         diags = diags_of(graph, minimal_apps(), minimal_config())
         assert any("below Werner floor 0.25" in d and d.startswith("links[0]") for d in diags)
+
+    def test_capacity_max_bounded(self):
+        def graph(capacity):
+            return NetworkGraph(
+                [Node(0, NodeKind.COMPUTATION), Node(1, NodeKind.COMPUTATION)],
+                [QuantumLink(0, (0, 1), capacity, 0.5, 1.0)],
+            )
+
+        config = minimal_config(capacity_mode=CapacityMode.STOCHASTIC)
+        validate_scenario(graph(MAX_CAPACITY), minimal_apps(), config)
+        diags = diags_of(graph(MAX_CAPACITY + 1), minimal_apps(), config)
+        assert diags == [f"links[0].capacity_max: must be <= 1000, got {MAX_CAPACITY + 1}"]
 
     def test_repeater_candidate_flagged_with_locator(self):
         graph = NetworkGraph(
@@ -205,6 +218,26 @@ class TestEligibilityDiagnostics:
         apps = [Application(0, 0, 1.0, 2, frozenset({1, 2}))]
         diags = diags_of(graph, apps, minimal_config())
         assert any("eligible workers" in d for d in diags)
+
+    def test_locators_use_file_position_not_app_id(self):
+        # apps listed as [id 1, id 0]; node 2 is unreachable from host 0
+        graph = NetworkGraph(
+            [Node(i, NodeKind.COMPUTATION) for i in range(3)],
+            [QuantumLink(0, (0, 1), 1)],
+        )
+        reachable = Application(1, 0, 1.0, 1, frozenset({1}))
+        stranded = Application(0, 0, 1.0, 1, frozenset({2}))
+        diags = diags_of(graph, [reachable, stranded], minimal_config())
+        assert diags == [
+            "apps[1]: only 0 eligible workers (reachable with fidelity >= 0.25), needs 1"
+        ]
+
+        config = minimal_config(assignment=AssignmentSource.GIVEN)
+        apps = [reachable, Application(0, 0, 1.0, 1, frozenset({1}))]
+        diags = diags_of(graph, apps, config, {1: frozenset({1})})
+        assert diags == ["apps[1].workers: required when sim.assignment is 'given'"]
+        scenario = validate_scenario(graph, apps, minimal_config())
+        assert scenario.eligible == {0: frozenset({1}), 1: frozenset({1})}
 
     def test_given_assignment_checked(self):
         config = minimal_config(assignment=AssignmentSource.GIVEN)

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Compare the four scheduling disciplines on the bundled Poisson mesh.
 
-Runs each policy over the same seeds, prints a per-app throughput table
-plus Jain's index over weighted rates, and leaves CSVs under out/ for
-plotting. Usage: python scripts/compare_policies.py [--slots N] [--reps R]
+Runs each policy over the same seeds and prints a per-app throughput
+table plus Jain's index over weighted rates and the mean latency.
+Usage: python scripts/compare_policies.py [--slots N] [--reps R]
 """
 import argparse
 import dataclasses
@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from qnetfair import Policy, load_scenario, replication_runs
+from qnetfair.engine import window_problems
 
 SCENARIO = Path(__file__).parent.parent / "scenarios" / "mesh_poisson.json"
 
@@ -24,6 +25,9 @@ def main() -> int:
     args = parser.parse_args()
 
     scenario = load_scenario(args.scenario)
+    problems = window_problems(args.slots, scenario.config.warmup_slots)
+    if problems:
+        parser.error("; ".join(problems))
     print(f"scenario: {args.scenario}")
     print(f"slots={args.slots} warmup={scenario.config.warmup_slots} reps={args.reps}")
     header = ["policy"]

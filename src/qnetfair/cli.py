@@ -282,11 +282,15 @@ def cmd_assign(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_SWEEP_SHORTHAND = {"policy": "sim.policy", "seed": "sim.seed", "quantum_base": "sim.quantum_base"}
+# sweep's override flags and the scenario field each one replaces
+_SWEEP_OVERRIDES = {"seed": "sim.seed", "slots": "sim.slots", "policy": "sim.policy"}
+
+
 def _set_sweep_value(data: dict, param: str, raw: str) -> Any:
     """Apply one sweep value to the raw scenario document; returns the
     parsed value used for row tagging."""
-    shorthand = {"policy": "sim.policy", "seed": "sim.seed", "quantum_base": "sim.quantum_base"}
-    dotted = shorthand.get(param, param)
+    dotted = _SWEEP_SHORTHAND.get(param, param)
     parts = dotted.split(".")
     target: Any = data
     for part in parts[:-1]:
@@ -332,6 +336,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip() != ""]
     if not values:
         raise SweepParamError("no sweep values given")
+    dotted = _SWEEP_SHORTHAND.get(args.param, args.param)
+    for flag, field in _SWEEP_OVERRIDES.items():
+        if field == dotted and getattr(args, flag) is not None:
+            raise SweepParamError(
+                f"--{flag} conflicts with --param {args.param}: "
+                f"it would replace every swept value of {field}"
+            )
 
     per_app_rows: list[dict] = []
     global_rows: list[dict] = []

@@ -65,6 +65,18 @@ def replication_seed(master_seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def window_problems(slots: int, warmup_slots: int) -> list[str]:
+    """What keeps (slots, warmup) from leaving a non-empty measured window,
+    one diagnostic per violation. Validation reports these lines; ``run``
+    refuses to start with any of them."""
+    problems = []
+    if slots < 1:
+        problems.append(f"sim.slots: must be >= 1, got {slots}")
+    if not 0 <= warmup_slots < max(slots, 1):
+        problems.append(f"sim.warmup: must satisfy 0 <= warmup < slots, got {warmup_slots}")
+    return problems
+
+
 def sample_capacity(link: QuantumLink, mode: CapacityMode, rng: random.Random) -> int:
     """Pairs available on a link this slot.
 
@@ -211,6 +223,9 @@ def run(
     config) always produces identical Metrics.
     """
     cfg = config if config is not None else scenario.config
+    problems = window_problems(cfg.slots, cfg.warmup_slots)
+    if problems:
+        raise ConfigError("; ".join(problems))
     rng_capacity = stream_rng(cfg.seed, "capacity")
     rng_arrival = stream_rng(cfg.seed, "arrival")
     rng_success = stream_rng(cfg.seed, "success")

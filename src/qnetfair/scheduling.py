@@ -4,8 +4,9 @@ A grant reserves one EPR pair on every edge of the flow's path within the
 current slot, so contention is network-wide rather than per link. Four
 disciplines are supported:
 
-* FCFS: all pending requests ordered by (arrival_slot, app id, seq) and
-  scanned once per slot; requires Poisson traffic.
+* FCFS: pending requests granted in (arrival_slot, app id, seq) order,
+  taken from a heap of the queue heads; an app whose head is blocked is
+  dropped for the rest of the slot. Requires Poisson traffic.
 * RR: repeated passes over the active-app ring, one grant per app per pass.
 * WRR: as RR with up to ``weight`` grants per app per pass (integer weights).
 * DRR: classic deficit round robin; each pass credits every visited app
@@ -23,6 +24,7 @@ app after the last app granted, round the ring, and drained apps leave.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -291,19 +293,21 @@ def _round_robin_slot(state: SchedulerState, ctx: _SlotCtx) -> None:
 
 
 def _fcfs_slot(state: SchedulerState, ctx: _SlotCtx) -> None:
-    pending = sorted(
-        (r for q in state.queues.values() for r in q),
-        key=lambda r: (r.arrival_slot, r.app, r.seq),
-    )
-    for req in pending:
-        queue = state.queues[req.app]
-        if not queue or queue[0] is not req:
-            # an earlier request of this app already blocked; residuals
-            # only shrink within the slot, so this one is blocked too
+    # only a queue head can be granted, so a heap of heads keyed
+    # (arrival_slot, app, seq) yields the global FCFS order
+    heads = [(q[0].arrival_slot, a, q[0].seq) for a, q in state.queues.items() if q]
+    heapq.heapify(heads)
+    while heads:
+        _, app_id, _ = heapq.heappop(heads)
+        flow = select_flow(state, app_id, ctx.residual)
+        if flow is None:
+            # residuals only shrink within the slot, so the app's later
+            # requests are blocked too: it leaves the heap for this slot
             continue
-        flow = select_flow(state, req.app, ctx.residual)
-        if flow is not None:
-            _grant(state, ctx, req.app, flow)  # pops req, the queue head
+        _grant(state, ctx, app_id, flow)  # pops the queue head
+        queue = state.queues[app_id]
+        if queue:
+            heapq.heappush(heads, (queue[0].arrival_slot, app_id, queue[0].seq))
 
 
 def schedule_slot(

@@ -21,6 +21,7 @@ from .model import (
     Traffic,
     WERNER_FLOOR,
 )
+from .engine import window_problems
 from .routing import EmptyEligibleSet, eligible_workers
 from .scheduling import policy_problems
 
@@ -129,12 +130,7 @@ def _check_structure(
                 f"rate <= {MAX_ARRIVAL_RATE}, got {app.arrival_rate}"
             )
 
-    if config.slots < 1:
-        diags.append(f"sim.slots: must be >= 1, got {config.slots}")
-    if not 0 <= config.warmup_slots < max(config.slots, 1):
-        diags.append(
-            f"sim.warmup: must satisfy 0 <= warmup < slots, got {config.warmup_slots}"
-        )
+    diags += window_problems(config.slots, config.warmup_slots)
     if config.exhaustive_limit < 1:
         diags.append(f"sim.exhaustive_limit: must be >= 1, got {config.exhaustive_limit}")
     if config.replications < 1:

@@ -253,6 +253,31 @@ class TestSweepCommand:
         for r in grows:
             assert float(r["jain_weighted"]) == pytest.approx(1.0, abs=0.01)
 
+    @pytest.mark.parametrize(
+        "param,values,override",
+        [
+            ("policy", "FCFS,RR", ["--policy", "DRR"]),
+            ("seed", "1,2", ["--seed", "7"]),
+            ("sim.slots", "50,60", ["--slots", "40"]),
+        ],
+    )
+    def test_override_of_swept_field_rejected(
+        self, write_scenario, tmp_path, capsys, param, values, override
+    ):
+        data = scenario_dict(traffic="poisson", policy="FCFS", slots=80)
+        data["apps"][0]["arrival_rate"] = 0.5
+        path = write_scenario(data)
+        out = tmp_path / "out"
+        assert main(
+            ["sweep", "--config", path, "--param", param, "--values", values,
+             "--output-dir", str(out), *override]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"{override[0]} conflicts with --param {param}" in captured.err
+        assert not out.exists()
+
     def test_unknown_parameter_path_exits_two(self, write_scenario, tmp_path, capsys):
         path = write_scenario(scenario_dict())
         assert main(

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 
 import pytest
 
@@ -9,6 +10,7 @@ from qnetfair import (
     Application,
     AssignmentSource,
     CapacityMode,
+    ConfigError,
     Flow,
     NetworkGraph,
     Node,
@@ -17,6 +19,7 @@ from qnetfair import (
     QuantumLink,
     SimConfig,
     Traffic,
+    ValidationError,
     poisson_sample,
     replicate,
     replication_runs,
@@ -137,6 +140,21 @@ class TestRun:
     def test_zero_warmup_reproduces_whole_run_average(self):
         m0 = run(unit_pipe_scenario(warmup_slots=0))
         assert m0.per_app[0].delivered == m0.slots * m0.per_app[0].delivered_rate
+
+    @pytest.mark.parametrize("warmup", [100, 150])
+    def test_replaced_config_with_empty_window_rejected(self, warmup):
+        # the warmup of a dataclasses.replace'd config is checked by run
+        # itself, with validation's wording, not met as a zero division
+        scenario = unit_pipe_scenario(warmup_slots=50)
+        cfg = dataclasses.replace(scenario.config, warmup_slots=warmup)
+        want = f"sim.warmup: must satisfy 0 <= warmup < slots, got {warmup}"
+        with pytest.raises(ConfigError, match=re.escape(want)):
+            run(scenario, cfg)
+        with pytest.raises(ConfigError, match=re.escape(want)):
+            replication_runs(scenario, cfg, 3)
+        with pytest.raises(ValidationError) as err:
+            validate_scenario(scenario.graph, list(scenario.apps), cfg)
+        assert want in err.value.diagnostics
 
     def test_drr_converges_to_weighted_maxmin(self):
         scenario = make_scenario(

@@ -1,8 +1,10 @@
 import random
+from unittest import mock
 
 import pytest
 
 from conftest import line_graph, parking_lot, shared_link_apps, shared_link_graph
+from gen import random_connected_graph
 from qnetfair import (
     Application,
     ConfigError,
@@ -16,9 +18,11 @@ from qnetfair import (
     Traffic,
     build_flows,
     enqueue_arrivals,
+    poisson_sample,
     schedule_slot,
     select_flow,
 )
+from qnetfair import scheduling
 
 
 def make_state(policy, graph, apps, assignment, traffic=Traffic.BACKLOGGED,
@@ -273,6 +277,90 @@ class TestFCFS:
             (1, 0),
             (1, 1),
         ]
+
+
+def _sorted_fcfs_slot(state, ctx):
+    """Reference FCFS: sort every pending request, then scan them once."""
+    pending = sorted(
+        (r for q in state.queues.values() for r in q),
+        key=lambda r: (r.arrival_slot, r.app, r.seq),
+    )
+    for req in pending:
+        queue = state.queues[req.app]
+        if not queue or queue[0] is not req:
+            continue  # an earlier request of this app was blocked
+        flow = scheduling.select_flow(state, req.app, ctx.residual)
+        if flow is not None:
+            scheduling._grant(state, ctx, req.app, flow)
+
+
+class TestFCFSOracle:
+    """The heap of queue heads grants exactly what the sorted scan grants."""
+
+    def _instance(self, rng):
+        n = rng.randint(5, 10)
+        graph = random_connected_graph(rng, n, extra_edges=rng.randint(0, 3), cap_range=(1, 4))
+        overloaded = rng.random() < 0.5
+        apps, assignment = [], {}
+        for i in range(rng.randint(2, 5)):
+            host = rng.randrange(n)
+            others = [x for x in range(n) if x != host]
+            workers = frozenset(rng.sample(others, rng.randint(1, 3)))
+            rate = rng.uniform(1.5, 4.0) if overloaded else rng.uniform(0.1, 1.0)
+            apps.append(Application(i, host, 1.0, len(workers), workers, arrival_rate=rate))
+            assignment[i] = workers
+        flows = build_flows(graph, apps, assignment, CostMode.UNIT)
+        return graph, apps, flows
+
+    @staticmethod
+    def _recording_select_flow(log):
+        select = scheduling.select_flow
+
+        def wrapped(state, app_id, residual):
+            flow = select(state, app_id, residual)
+            log.append((app_id, flow))
+            return flow
+        return wrapped
+
+    def test_matches_sorted_scan_every_slot(self):
+        multi_hop = 0
+        for seed in range(120):
+            rng = random.Random(7000 + seed)
+            graph, apps, flows = self._instance(rng)
+            multi_hop += any(f.hop_count > 1 for fs in flows.values() for f in fs)
+            states = [
+                SchedulerState(Policy.FCFS, apps, flows, Traffic.POISSON) for _ in range(2)
+            ]
+            calls = ([], [])
+            for slot in range(60):
+                # arrivals pause for slots 25..39 so backlogs drain and rejoin
+                arrivals = {
+                    a.id: 0 if 25 <= slot < 40 else poisson_sample(a.arrival_rate, rng)
+                    for a in apps
+                }
+                sampled = {l.id: rng.randint(0, l.capacity_max) for l in graph.links}
+                results = []
+                for state, log, fcfs in zip(
+                    states, calls, (scheduling._fcfs_slot, _sorted_fcfs_slot)
+                ):
+                    enqueue_arrivals(state, slot, arrivals)
+                    select = self._recording_select_flow(log)
+                    with mock.patch.object(scheduling, "_fcfs_slot", fcfs), \
+                            mock.patch.object(scheduling, "select_flow", select):
+                        results.append(schedule_slot(state, dict(sampled)))
+                heap, ref = results
+                where = f"seed {seed}, slot {slot}"
+                assert heap.granted_requests == ref.granted_requests, where
+                assert list(heap.per_flow.items()) == list(ref.per_flow.items()), where
+                assert heap.residual == ref.residual, where
+                assert calls[0] == calls[1], where
+                a, b = states
+                assert a.cursor == b.cursor, where
+                assert {k: list(q) for k, q in a.queues.items()} == {
+                    k: list(q) for k, q in b.queues.items()
+                }, where
+                assert (a.active, a.head) == (b.active, b.head), where
+        assert multi_hop >= 100
 
 
 class TestPointerPersistence:

@@ -61,6 +61,8 @@ def main() -> int:
     parser.add_argument("--instances", type=int, default=200)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
+    if args.instances < 2:
+        parser.error(f"--instances: quartiles need at least 2 instances, got {args.instances}")
 
     rng = random.Random(args.seed)
     greedy_ratio, random_ratio = [], []

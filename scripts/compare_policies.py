@@ -24,6 +24,8 @@ def main() -> int:
     parser.add_argument("--reps", type=int, default=5)
     args = parser.parse_args()
 
+    if args.reps < 1:
+        parser.error(f"--reps: must be >= 1, got {args.reps}")
     scenario = load_scenario(args.scenario)
     problems = window_problems(args.slots, scenario.config.warmup_slots)
     if problems:

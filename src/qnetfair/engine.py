@@ -6,6 +6,13 @@ toggling one stochastic dimension never perturbs the draws of another.
 A single run is strictly single-threaded; replications are independent
 runs whose seeds derive from the master seed and the replication index,
 aggregated in index order.
+
+Each slot's link capacities come from one sampler built per run. In
+stochastic mode it holds a flat list with every link's gen_success_prob
+repeated capacity_max times, in link-id order, draws the whole list in
+one pass and sums each link's span: the same draws, in the same order,
+as sample_capacity called link by link. In deterministic mode it hands
+each slot a copy of one precomputed map.
 """
 from __future__ import annotations
 
@@ -15,7 +22,8 @@ import math
 import random
 import statistics
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from itertools import accumulate
+from typing import Callable, Mapping, Optional, Sequence
 
 from .fairshare import (
     assign_exhaustive,
@@ -89,6 +97,30 @@ def sample_capacity(link: QuantumLink, mode: CapacityMode, rng: random.Random) -
     return sum(
         1 for _ in range(link.capacity_max) if rng.random() < link.gen_success_prob
     )
+
+
+def capacity_sampler(
+    links: Sequence[QuantumLink], mode: CapacityMode, rng: random.Random
+) -> Callable[[], dict[EdgeId, int]]:
+    """Per-slot sampler of every link's capacity, keyed by link id in the
+    order of ``links``.
+
+    Each call returns a new dict equal to sample_capacity of each link in
+    turn, with the same draws from ``rng`` in the same order.
+    """
+    if mode is CapacityMode.DETERMINISTIC:
+        fixed = {l.id: sample_capacity(l, mode, rng) for l in links}
+        return lambda: dict(fixed)  # a trace keeps each slot's dict
+    thresholds = [l.gen_success_prob for l in links for _ in range(l.capacity_max)]
+    ends = list(accumulate(l.capacity_max for l in links))
+    spans = [(l.id, end - l.capacity_max, end) for l, end in zip(links, ends)]
+    draw = rng.random
+
+    def sample() -> dict[EdgeId, int]:
+        hits = list(accumulate([draw() < p for p in thresholds], initial=0))
+        return {e: hits[end] - hits[start] for e, start, end in spans}
+
+    return sample
 
 
 def poisson_sample(lam: float, rng: random.Random) -> int:
@@ -245,11 +277,10 @@ def run(
     latencies: dict[AppId, list[int]] = {a.id: [] for a in apps}
     grants_by_edge = dict.fromkeys((l.id for l in links), 0)
     trace: list[SlotLedger] = []
+    sample_slot = capacity_sampler(links, cfg.capacity_mode, rng_capacity)
 
     for slot in range(cfg.slots):
-        sampled = {
-            l.id: sample_capacity(l, cfg.capacity_mode, rng_capacity) for l in links
-        }
+        sampled = sample_slot()
         if cfg.traffic is Traffic.POISSON:
             arrivals = {a.id: poisson_sample(a.arrival_rate, rng_arrival) for a in apps}
             enqueue_arrivals(state, slot, arrivals)

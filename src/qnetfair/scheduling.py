@@ -17,10 +17,14 @@ disciplines are supported:
 Passes repeat while some backlogged app still has a flow with residual
 capacity on every edge, which keeps the slot work-conserving and, for
 DRR, lets an app accumulate credit across fruitless passes until it can
-afford an expensive flow. The ring and its head change only between
-slots: each pass starts at the head and skips apps drained in the slot;
-after a slot with grants the head moves to the first still-backlogged
-app after the last app granted, round the ring, and drained apps leave.
+afford an expensive flow. Residuals only shrink within a slot, so an app
+whose flows are all capacity-blocked sits out the rest of the slot; for
+DRR the quantum credits of the passes it sat out are replayed, capped
+after each one, when the slot ends. The ring and its head change only
+between slots: each pass starts at the head and skips apps drained or
+blocked in the slot; after a slot with grants the head moves to the
+first still-backlogged app after the last app granted, round the ring,
+and drained apps leave.
 """
 from __future__ import annotations
 
@@ -124,6 +128,12 @@ class SchedulerState:
         self.deficit: dict[AppId, float] = dict.fromkeys(self.apps, 0.0)
         self.quantum = {a: quantum_base * app.weight for a, app in self.apps.items()}
         self.max_cost = {a: max(f.cost for f in self.flows[a]) for a in self.apps}
+        # a DRR pass can legitimately grant nothing while deficits build up
+        # toward an expensive flow, but never more often than this
+        self.stall_guard = 2 + max(
+            (math.ceil(self.max_cost[a] / self.quantum[a]) for a in self.apps),
+            default=0,
+        )
         self._next_seq: dict[AppId, int] = dict.fromkeys(self.apps, 0)
         if traffic is Traffic.BACKLOGGED:
             self.active: list[AppId] = list(self.apps)
@@ -197,6 +207,10 @@ class _SlotCtx:
     grants: dict[Flow, int] = field(default_factory=dict)
     granted_requests: list[Request] = field(default_factory=list)
     last_granted: Optional[AppId] = None
+    passes: int = 0  # round-robin passes started in this slot
+    # capacity-blocked app -> the pass in which select_flow returned None;
+    # residuals only shrink, so it sits out every later pass of the slot
+    blocked: dict[AppId, int] = field(default_factory=dict)
 
 
 def _grant(state: SchedulerState, ctx: _SlotCtx, app_id: AppId, flow: Flow) -> None:
@@ -212,10 +226,9 @@ def _any_capacity_feasible(
     state: SchedulerState, ring: Sequence[AppId], residual: Mapping[EdgeId, int]
 ) -> bool:
     for app_id in ring:
-        if state.backlogged(app_id):
-            for flow in state.flows[app_id]:
-                if _fits(flow, residual):
-                    return True
+        for flow in state.flows[app_id]:
+            if _fits(flow, residual):
+                return True
     return False
 
 
@@ -227,6 +240,7 @@ def _visit_budgeted(
     while made < budget and state.backlogged(app_id):
         flow = select_flow(state, app_id, ctx.residual)
         if flow is None:
+            ctx.blocked[app_id] = ctx.passes
             break
         _grant(state, ctx, app_id, flow)
         made += 1
@@ -243,6 +257,7 @@ def _visit_drr(state: SchedulerState, ctx: _SlotCtx, app_id: AppId) -> int:
         flow = select_flow(state, app_id, ctx.residual)
         if flow is None:
             deficit = min(deficit, state.deficit_cap(app_id))
+            ctx.blocked[app_id] = ctx.passes
             break
         if deficit < flow.cost - _DEFICIT_EPS:
             break
@@ -259,8 +274,6 @@ def _visit_drr(state: SchedulerState, ctx: _SlotCtx, app_id: AppId) -> int:
 def _one_pass(state: SchedulerState, ctx: _SlotCtx, ring: Sequence[AppId]) -> int:
     made = 0
     for app_id in ring:
-        if not state.backlogged(app_id):
-            continue  # queue drained earlier in this slot
         if state.policy is Policy.RR:
             made += _visit_budgeted(state, ctx, app_id, 1)
         elif state.policy is Policy.WRR:
@@ -271,25 +284,32 @@ def _one_pass(state: SchedulerState, ctx: _SlotCtx, ring: Sequence[AppId]) -> in
 
 
 def _round_robin_slot(state: SchedulerState, ctx: _SlotCtx) -> None:
-    # a DRR pass can legitimately grant nothing while deficits build up
-    # toward an expensive flow, but never more often than this
-    stall_guard = 2 + max(
-        (math.ceil(state.max_cost[a] / state.quantum[a]) for a in state.apps),
-        default=0,
-    )
+    # every active app is backlogged when the slot starts; passes start
+    # at the head and visit only apps that can still be granted
     i = state.active.index(state.head) if state.active else 0
-    ring = state.active[i:] + state.active[:i]  # passes start at the head
+    ring = state.active[i:] + state.active[:i]
     fruitless = 0
     while _any_capacity_feasible(state, ring, ctx.residual):
+        ctx.passes += 1
         made = _one_pass(state, ctx, ring)
         if made == 0:
             if state.policy is not Policy.DRR:
                 break  # RR/WRR passes are side-effect free when nothing fits
             fruitless += 1
-            if fruitless > stall_guard:  # pragma: no cover - internal invariant
+            if fruitless > state.stall_guard:  # pragma: no cover - internal invariant
                 raise RuntimeError("scheduler stalled with feasible capacity")
         else:
             fruitless = 0
+        # blocked and drained apps sit out the rest of the slot
+        ring = [a for a in ring if a not in ctx.blocked and state.backlogged(a)]
+    if state.policy is Policy.DRR:
+        # each pass a blocked app sat out would have credited one quantum
+        # and capped it again; replay those steps in the same float order
+        for app_id, blocked_in in ctx.blocked.items():
+            deficit = state.deficit[app_id]
+            for _ in range(ctx.passes - blocked_in):
+                deficit = min(deficit + state.quantum[app_id], state.deficit_cap(app_id))
+            state.deficit[app_id] = deficit
 
 
 def _fcfs_slot(state: SchedulerState, ctx: _SlotCtx) -> None:

@@ -30,6 +30,8 @@ from qnetfair import (
     stream_seed,
     validate_scenario,
 )
+from qnetfair import validate
+from qnetfair.engine import capacity_sampler
 
 
 def make_scenario(graph, apps, **config_overrides):
@@ -82,6 +84,45 @@ class TestSampleCapacity:
         mean = sum(draws) / n
         sigma = math.sqrt(4 * 0.5 * 0.5 / n)
         assert abs(mean - 2.0) <= 3 * sigma
+
+
+class TestCapacitySampler:
+    """The per-run flat sampler is sample_capacity link by link, draw for draw."""
+
+    @pytest.mark.parametrize("mode", list(CapacityMode))
+    def test_matches_sample_capacity_per_link(self, mode):
+        for seed in range(20):
+            rng = random.Random(seed)
+            ids = rng.sample(range(100), rng.randint(1, 8))
+            links = [
+                QuantumLink(
+                    e,
+                    (i, i + 1),
+                    rng.choice([1, 2, 3, 7, rng.randint(1, validate.MAX_CAPACITY)]),
+                    rng.choice([1.0, 0.5, rng.uniform(0.01, 1.0)]),
+                    1.0,
+                )
+                for i, e in enumerate(ids)
+            ]
+            fast, ref = random.Random(seed), random.Random(seed)
+            sample = capacity_sampler(links, mode, fast)
+            for slot in range(200):
+                expected = [(l.id, sample_capacity(l, mode, ref)) for l in links]
+                assert list(sample().items()) == expected, (seed, slot)
+            assert fast.getstate() == ref.getstate(), seed
+
+    def test_capacity_max_bound_drawn_in_full(self):
+        link = QuantumLink(0, (0, 1), validate.MAX_CAPACITY, 1.0, 1.0)
+        sample = capacity_sampler([link], CapacityMode.STOCHASTIC, random.Random(0))
+        assert sample() == {0: validate.MAX_CAPACITY}
+
+    def test_each_slot_gets_its_own_dict(self):
+        link = QuantumLink(0, (0, 1), 4, 0.5, 1.0)
+        for mode in CapacityMode:
+            sample = capacity_sampler([link], mode, random.Random(0))
+            first = sample()
+            first[0] = -1
+            assert sample() is not first and sample()[0] >= 0
 
 
 class TestPoissonSample:

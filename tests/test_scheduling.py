@@ -1,4 +1,7 @@
+import functools
+import math
 import random
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -361,6 +364,124 @@ class TestFCFSOracle:
                 }, where
                 assert (a.active, a.head) == (b.active, b.head), where
         assert multi_hop >= 100
+
+
+def _visit_every_app_slot(state, ctx, skipped):
+    """Reference round robin: every pass visits every backlogged app of the
+    ring, including apps whose flows were capacity-blocked in an earlier
+    pass, and rescans all of them for a feasible flow. ``skipped`` counts,
+    per policy, the visits the scheduler under test leaves out."""
+    stall_guard = 2 + max(math.ceil(state.max_cost[a] / state.quantum[a]) for a in state.apps)
+    i = state.active.index(state.head) if state.active else 0
+    ring = state.active[i:] + state.active[:i]
+
+    def feasible():
+        return any(
+            scheduling._fits(flow, ctx.residual)
+            for a in ring
+            if state.backlogged(a)
+            for flow in state.flows[a]
+        )
+
+    fruitless = 0
+    while feasible():
+        made = 0
+        for app_id in ring:
+            if not state.backlogged(app_id):
+                continue
+            skipped[state.policy] += app_id in ctx.blocked
+            if state.policy is Policy.RR:
+                made += scheduling._visit_budgeted(state, ctx, app_id, 1)
+            elif state.policy is Policy.WRR:
+                budget = int(state.apps[app_id].weight)
+                made += scheduling._visit_budgeted(state, ctx, app_id, budget)
+            else:
+                made += scheduling._visit_drr(state, ctx, app_id)
+        if made == 0:
+            if state.policy is not Policy.DRR:
+                break
+            fruitless += 1
+            assert fruitless <= stall_guard
+        else:
+            fruitless = 0
+
+
+class TestRoundRobinOracle:
+    """Skipping capacity-blocked apps, with the DRR credits replayed at the
+    end of the slot, leaves every slot as visiting every app would."""
+
+    POLICIES = (Policy.RR, Policy.WRR, Policy.DRR)
+
+    def _instance(self, rng):
+        n = rng.randint(5, 9)
+        graph = random_connected_graph(rng, n, extra_edges=rng.randint(0, 3), cap_range=(1, 4))
+        overloaded = rng.random() < 0.5
+        apps = {policy: [] for policy in self.POLICIES}
+        assignment = {}
+        for i in range(rng.randint(2, 4)):
+            host = rng.randrange(n)
+            others = [x for x in range(n) if x != host]
+            workers = frozenset(rng.sample(others, rng.randint(1, 3)))
+            rate = rng.uniform(1.5, 4.0) if overloaded else rng.uniform(0.1, 1.0)
+            # small non-integer quanta keep replayed DRR credits below the cap,
+            # where repeated float addition and a product round differently
+            real = rng.choice([0.3, 0.7, 1.0, 1.3, 2.5])
+            for policy in self.POLICIES:
+                weight = float(rng.randint(1, 3)) if policy is Policy.WRR else real
+                apps[policy].append(
+                    Application(i, host, weight, len(workers), workers, arrival_rate=rate)
+                )
+            assignment[i] = workers
+        return graph, apps, assignment
+
+    def test_matches_visit_every_app_every_slot(self):
+        skipped = Counter()
+        reference = functools.partial(_visit_every_app_slot, skipped=skipped)
+        rejoined = 0
+        for seed in range(120):
+            rng = random.Random(9100 + seed)
+            graph, apps_by_policy, assignment = self._instance(rng)
+            for policy in self.POLICIES:
+                apps = apps_by_policy[policy]
+                for cost_mode in (CostMode.UNIT, CostMode.HOPS):
+                    flows = build_flows(graph, apps, assignment, cost_mode)
+                    for traffic in (Traffic.BACKLOGGED, Traffic.POISSON):
+                        states = [
+                            SchedulerState(policy, apps, flows, traffic) for _ in range(2)
+                        ]
+                        inactive = set()
+                        for slot in range(24):
+                            sampled = {l.id: rng.randint(0, l.capacity_max) for l in graph.links}
+                            # arrivals pause for slots 8..15 so backlogs drain and rejoin
+                            arrivals = {
+                                a.id: 0 if 8 <= slot < 16 else poisson_sample(a.arrival_rate, rng)
+                                for a in apps
+                            }
+                            results = []
+                            for state, rr in zip(
+                                states, (scheduling._round_robin_slot, reference)
+                            ):
+                                if traffic is Traffic.POISSON:
+                                    enqueue_arrivals(state, slot, arrivals)
+                                with mock.patch.object(scheduling, "_round_robin_slot", rr):
+                                    results.append(schedule_slot(state, dict(sampled)))
+                            fast, ref = results
+                            where = f"seed {seed}, {policy}, {cost_mode}, {traffic}, slot {slot}"
+                            assert list(fast.per_flow.items()) == list(ref.per_flow.items()), where
+                            assert fast.granted_requests == ref.granted_requests, where
+                            assert fast.residual == ref.residual, where
+                            a, b = states
+                            assert a.deficit == b.deficit, where
+                            assert a.cursor == b.cursor, where
+                            assert {k: list(q) for k, q in a.queues.items()} == {
+                                k: list(q) for k, q in b.queues.items()
+                            }, where
+                            assert (a.active, a.head) == (b.active, b.head), where
+                            rejoined += len(inactive.intersection(a.active))
+                            inactive = set(a.apps).difference(a.active)
+        assert rejoined >= 500
+        # the skip is exercised under every policy
+        assert min(skipped[p] for p in self.POLICIES) >= 1000, skipped
 
 
 class TestPointerPersistence:

@@ -12,7 +12,11 @@ stochastic mode it holds a flat list with every link's gen_success_prob
 repeated capacity_max times, in link-id order, draws the whole list in
 one pass and sums each link's span: the same draws, in the same order,
 as sample_capacity called link by link. In deterministic mode it hands
-each slot a copy of one precomputed map.
+each slot a copy of one precomputed list.
+
+The slot loop reads the scheduler's index form: lists by dense link id
+and counts by (app, flow index). (app, worker)-keyed dicts are built
+only for a trace's SlotLedgers.
 """
 from __future__ import annotations
 
@@ -23,7 +27,8 @@ import random
 import statistics
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Mapping, Optional, Sequence
+from operator import add, gt, sub
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .fairshare import (
     assign_exhaustive,
@@ -37,7 +42,6 @@ from .model import (
     AssignmentSource,
     CapacityMode,
     EdgeId,
-    Flow,
     NodeId,
     Policy,
     QuantumLink,
@@ -49,12 +53,14 @@ from .routing import build_flows
 from .scheduling import (
     ConfigError,
     SchedulerState,
-    SlotGrants,
+    _SlotCtx,
     enqueue_arrivals,
     schedule_slot,
 )
 
 STREAM_LABELS = ("capacity", "arrival", "success", "assignment")
+
+FlowKey = tuple[AppId, int]  # (app, flow index) in the scheduler's worker order
 
 
 def stream_seed(master_seed: int, label: str) -> int:
@@ -101,24 +107,26 @@ def sample_capacity(link: QuantumLink, mode: CapacityMode, rng: random.Random) -
 
 def capacity_sampler(
     links: Sequence[QuantumLink], mode: CapacityMode, rng: random.Random
-) -> Callable[[], dict[EdgeId, int]]:
-    """Per-slot sampler of every link's capacity, keyed by link id in the
-    order of ``links``.
+) -> Callable[[], list[int]]:
+    """Per-slot sampler of every link's capacity, listed in the order of
+    ``links``.
 
-    Each call returns a new dict equal to sample_capacity of each link in
+    Each call returns a new list equal to sample_capacity of each link in
     turn, with the same draws from ``rng`` in the same order.
     """
     if mode is CapacityMode.DETERMINISTIC:
-        fixed = {l.id: sample_capacity(l, mode, rng) for l in links}
-        return lambda: dict(fixed)  # a trace keeps each slot's dict
+        fixed = [sample_capacity(l, mode, rng) for l in links]
+        return fixed.copy
     thresholds = [l.gen_success_prob for l in links for _ in range(l.capacity_max)]
     ends = list(accumulate(l.capacity_max for l in links))
-    spans = [(l.id, end - l.capacity_max, end) for l, end in zip(links, ends)]
+    spans = [(end - l.capacity_max, end) for l, end in zip(links, ends)]
     draw = rng.random
 
-    def sample() -> dict[EdgeId, int]:
-        hits = list(accumulate([draw() < p for p in thresholds], initial=0))
-        return {e: hits[end] - hits[start] for e, start, end in spans}
+    def sample() -> list[int]:
+        # p > draw() is draw() < p; iter(draw, 2.0) never ends, but map
+        # stops at the last threshold: one draw per threshold
+        hits = list(accumulate(map(gt, thresholds, iter(draw, 2.0)), initial=0))
+        return [hits[end] - hits[start] for start, end in spans]
 
     return sample
 
@@ -138,20 +146,24 @@ def poisson_sample(lam: float, rng: random.Random) -> int:
 
 
 def resolve_successes(
-    grants: Mapping[Flow, int], rng: random.Random
-) -> dict[Flow, int]:
+    grants: Mapping[Any, int],
+    rng: random.Random,
+    order: Optional[Mapping[Any, tuple[Any, float]]] = None,
+) -> dict[Any, int]:
     """Sample end-to-end swap success per granted attempt.
 
     Attempts are resolved flow by flow in (app, path) order so draws do
-    not depend on the scheduler's internal grant sequence.
+    not depend on the scheduler's internal grant sequence. ``grants`` is
+    keyed by Flow, or by any key that ``order`` maps to its flow's
+    (rank in (app, path) order, swap_prob).
     """
-    successes: dict[Flow, int] = {}
-    for flow in sorted(grants, key=lambda f: (f.app, f.path)):
-        count = grants[flow]
-        if flow.swap_prob >= 1.0:
-            successes[flow] = count
-            continue
-        successes[flow] = sum(1 for _ in range(count) if rng.random() < flow.swap_prob)
+    if order is None:
+        order = {f: ((f.app, f.path), f.swap_prob) for f in grants}
+    successes = {}
+    for key in sorted(grants, key=order.__getitem__):
+        count = grants[key]
+        p = order[key][1]
+        successes[key] = count if p >= 1.0 else sum(1 for _ in range(count) if rng.random() < p)
     return successes
 
 
@@ -213,32 +225,30 @@ class Metrics:
 
 def _verify_slot(
     slot: int,
-    sampled: Mapping[EdgeId, int],
-    result: SlotGrants,
-    successes: Mapping[Flow, int],
-) -> dict[EdgeId, int]:
-    """Always-on conservation check; returns per-edge consumed pairs."""
-    consumed = {e: 0 for e in sampled}
-    for flow, count in result.per_flow.items():
+    sampled: list[int],
+    result: _SlotCtx,
+    successes: Mapping[FlowKey, int],
+    state: SchedulerState,
+) -> None:
+    """Always-on conservation check of one slot in the scheduler's index
+    form: the grants, path by path, must account for every pair the
+    residual is short of the sample."""
+    grants, residual = result.per_flow, result.residual
+    left = sampled.copy()
+    for (app_id, i), count in grants.items():
         if count < 0:
             raise RuntimeError(f"slot {slot}: negative grant count")
-        for e in flow.edges:
-            consumed[e] += count
-    for e in sampled:
-        if result.residual[e] < 0 or consumed[e] != sampled[e] - result.residual[e]:
-            raise RuntimeError(f"slot {slot}: capacity conservation violated on edge {e}")
-        if consumed[e] > sampled[e]:
-            raise RuntimeError(f"slot {slot}: edge {e} over-granted")
-    for flow, done in successes.items():
-        if done > result.per_flow.get(flow, 0):
-            raise RuntimeError(f"slot {slot}: successes exceed grants for app {flow.app}")
-    return consumed
-
-
-def _by_worker(counts: Mapping[Flow, int]) -> dict[tuple[AppId, NodeId], int]:
-    """Per-flow counts keyed (app, worker), in (app, path) order."""
-    ordered = sorted(counts.items(), key=lambda kv: (kv[0].app, kv[0].path))
-    return {(f.app, f.worker): c for f, c in ordered}
+        for e in state.edges[app_id][i]:
+            left[e] -= count
+    if min(residual, default=0) < 0 or left != residual:
+        e = next(e for e, r in enumerate(residual) if r < 0 or left[e] != r)
+        raise RuntimeError(f"slot {slot}: capacity conservation violated on edge {e}")
+    if min(left, default=0) < 0:
+        e = next(e for e, n in enumerate(left) if n < 0)
+        raise RuntimeError(f"slot {slot}: edge {e} over-granted")
+    for key, done in successes.items():
+        if done > grants.get(key, 0):
+            raise RuntimeError(f"slot {slot}: successes exceed grants for app {key[0]}")
 
 
 def run(
@@ -268,16 +278,26 @@ def run(
     state = SchedulerState(
         cfg.policy, scenario.apps, flows_by_app, cfg.traffic, cfg.quantum_base
     )
-    links = sorted(scenario.graph.links, key=lambda l: l.id)
+    links = sorted(scenario.graph.links, key=lambda l: l.id)  # dense ids: list index
     apps = sorted(scenario.apps, key=lambda a: a.id)
+    # (app, flow index) -> (rank in (app, path) order, swap_prob); path
+    # order is not the scheduler's worker order in general
+    ranked = sorted(
+        (f.app, f.path, i, f.swap_prob) for fs in state.flows.values() for i, f in enumerate(fs)
+    )
+    order = {(a, i): (rank, p) for rank, (a, _, i, p) in enumerate(ranked)}
 
     grants_by_app = dict.fromkeys((a.id for a in apps), 0)
     delivered_by_app = dict.fromkeys((a.id for a in apps), 0)
     attempts_by_app = dict.fromkeys((a.id for a in apps), 0)
     latencies: dict[AppId, list[int]] = {a.id: [] for a in apps}
-    grants_by_edge = dict.fromkeys((l.id for l in links), 0)
+    grants_by_edge = [0] * len(links)
     trace: list[SlotLedger] = []
     sample_slot = capacity_sampler(links, cfg.capacity_mode, rng_capacity)
+
+    def by_worker(counts: Mapping[FlowKey, int]) -> dict[tuple[AppId, NodeId], int]:
+        ordered = sorted(counts.items(), key=lambda kv: order[kv[0]])
+        return {(a, state.flows[a][i].worker): c for (a, i), c in ordered}
 
     for slot in range(cfg.slots):
         sampled = sample_slot()
@@ -285,27 +305,28 @@ def run(
             arrivals = {a.id: poisson_sample(a.arrival_rate, rng_arrival) for a in apps}
             enqueue_arrivals(state, slot, arrivals)
         result = schedule_slot(state, sampled)
-        successes = resolve_successes(result.per_flow, rng_success)
-        consumed = _verify_slot(slot, sampled, result, successes)
+        grants = result.per_flow
+        successes = resolve_successes(grants, rng_success, order)
+        _verify_slot(slot, sampled, result, successes, state)
 
         if slot >= cfg.warmup_slots:
-            for flow, count in result.per_flow.items():
-                grants_by_app[flow.app] += count
-                attempts_by_app[flow.app] += count * flow.hop_count
-            for flow, done in successes.items():
-                delivered_by_app[flow.app] += done
-            for e, used in consumed.items():
-                grants_by_edge[e] += used
+            for (app_id, i), count in grants.items():
+                grants_by_app[app_id] += count
+                attempts_by_app[app_id] += count * len(state.edges[app_id][i])
+            for (app_id, _), done in successes.items():
+                delivered_by_app[app_id] += done
+            # _verify_slot has checked that the grants consumed exactly this
+            grants_by_edge = list(map(add, grants_by_edge, map(sub, sampled, result.residual)))
             for req in result.granted_requests:
                 latencies[req.app].append(slot - req.arrival_slot)
         if collect_trace:
             trace.append(
                 SlotLedger(
                     slot=slot,
-                    sampled=sampled,
-                    residual=dict(result.residual),
-                    grants=_by_worker(result.per_flow),
-                    successes=_by_worker(successes),
+                    sampled=dict(enumerate(sampled)),
+                    residual=dict(enumerate(result.residual)),
+                    grants=by_worker(grants),
+                    successes=by_worker(successes),
                 )
             )
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -210,8 +211,10 @@ def assign_greedy(graph: NetworkGraph, apps: Sequence[Application]) -> Assignmen
     smallest worker id.
     """
     caps = graph.effective_capacities()
-    edge_ids = sorted(caps)
-    load = {e: 0.0 for e in edge_ids}
+    load = dict.fromkeys(caps, 0.0)
+    # the same loads, kept sorted: a candidate changes only its own edges,
+    # so its vector is a copy of this list with those values replaced
+    ascending = [0.0] * len(caps)
     out: Assignment = {}
     for app in sorted(apps, key=lambda a: (-a.weight, a.id)):
         cand_edges = {f.worker: f.edges for f in eligible_flows(graph, app)}
@@ -223,16 +226,19 @@ def assign_greedy(graph: NetworkGraph, apps: Sequence[Application]) -> Assignmen
             for cand in cand_edges:
                 if cand in picked:
                     continue
-                trial = dict(load)
+                vec = ascending.copy()
                 for e in cand_edges[cand]:
-                    trial[e] += phi / caps[e]
-                vec = sorted(trial.values(), reverse=True)
+                    del vec[bisect_left(vec, load[e])]
+                    insort(vec, load[e] + phi / caps[e])
+                vec.reverse()
                 if best_vec is None or vec < best_vec:
                     best, best_vec = cand, vec
             assert best is not None
             picked.append(best)
             for e in cand_edges[best]:
+                del ascending[bisect_left(ascending, load[e])]
                 load[e] += phi / caps[e]
+                insort(ascending, load[e])
         out[app.id] = frozenset(picked)
     return out
 

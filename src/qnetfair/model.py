@@ -133,6 +133,8 @@ class NetworkGraph:
             pair[(min(u, v), max(u, v))] = link.id
         self._adj = {u: tuple(sorted(nbrs)) for u, nbrs in adj.items()}
         self._pair = pair
+        # routing's memo: src -> dst -> (path, edges), None if unreachable
+        self.routes: dict[NodeId, dict] = {}
 
     def node(self, node_id: NodeId) -> Node:
         return self._nodes[node_id]

@@ -4,7 +4,9 @@ Every flow uses a single fixed path chosen by minimum hop count, with a
 deterministic tie-break toward the lexicographically smallest node-id
 sequence. ``host_flows`` routes all of an app's workers with one search
 and builds the ``Flow`` objects every other module reads. All functions
-are pure over an immutable graph.
+are pure over an immutable graph; each graph keeps the routes found on
+it, so validation, the assignment solvers and the engine search each
+(host, worker) route once.
 """
 from __future__ import annotations
 
@@ -38,13 +40,18 @@ def _routes(
     Breadth-first search expanding neighbors in ascending id order, never
     reparenting a node once discovered; among equal-hop paths this yields
     the lexicographically smallest node sequence. The search stops once
-    every destination is discovered; unreachable ones are left out.
+    every destination is discovered; unreachable ones are left out. The
+    graph keeps each route found, since a later search would find the same
+    one, so later calls search only for new destinations.
     """
-    pending = set(dsts)
-    if src in pending:
+    known = graph.routes.setdefault(src, {})
+    new = {d for d in dsts if d not in known}
+    if src in new:
         raise ValueError("src and dst must differ")
-    if not graph.has_node(src) or not all(map(graph.has_node, pending)):
-        raise ValueError(f"unknown node in ({src}, {sorted(pending)})")
+    if not graph.has_node(src) or not all(map(graph.has_node, new)):
+        raise ValueError(f"unknown node in ({src}, {sorted(new)})")
+    known.update(dict.fromkeys(new))  # None: unreachable, unless found below
+    pending = set(new)
     # node -> (parent, edge to the parent); the source has none
     parent: dict[NodeId, tuple[NodeId, EdgeId] | None] = {src: None}
     queue: deque[NodeId] = deque([src])
@@ -55,8 +62,7 @@ def _routes(
                 parent[v] = (u, edge)
                 queue.append(v)
                 pending.discard(v)
-    routes = {}
-    for dst in dsts:
+    for dst in new:
         if dst not in parent:
             continue
         path, edges = [dst], []
@@ -64,8 +70,8 @@ def _routes(
             u, edge = parent[path[-1]]
             path.append(u)
             edges.append(edge)
-        routes[dst] = (tuple(path[::-1]), tuple(edges[::-1]))
-    return routes
+        known[dst] = (tuple(path[::-1]), tuple(edges[::-1]))
+    return {d: known[d] for d in dsts if known[d] is not None}
 
 
 def shortest_path(graph: NetworkGraph, src: NodeId, dst: NodeId) -> tuple[NodeId, ...]:

@@ -24,7 +24,12 @@ after each one, when the slot ends. The ring and its head change only
 between slots: each pass starts at the head and skips apps drained or
 blocked in the slot; after a slot with grants the head moves to the
 first still-backlogged app after the last app granted, round the ring,
-and drained apps leave.
+and drained apps leave. A pick moves the app's flow cursor past the
+picked flow before DRR compares its cost with the deficit, so a flow the
+app cannot yet afford still advances the cursor.
+
+The slot runs on integer indices: the residual is a list by dense link
+id and grants are counted by (app, flow index) in worker order.
 """
 from __future__ import annotations
 
@@ -123,6 +128,8 @@ class SchedulerState:
             if not flows:
                 raise ConfigError(f"app {app_id} has no flows")
             self.flows[app_id] = flows
+        # the slot loop reads each flow by (app, flow index) in this order
+        self.edges = {a: tuple(f.edges for f in fs) for a, fs in self.flows.items()}
         self.queues: dict[AppId, deque[Request]] = {a: deque() for a in self.apps}
         self.cursor: dict[AppId, int] = dict.fromkeys(self.apps, 0)
         self.deficit: dict[AppId, float] = dict.fromkeys(self.apps, 0.0)
@@ -172,7 +179,7 @@ def enqueue_arrivals(
                 state.head = app_id
 
 
-def _fits(flow: Flow, residual: Mapping[EdgeId, int]) -> bool:
+def _fits(flow: Flow, residual: Sequence[int] | Mapping[EdgeId, int]) -> bool:
     """A grant needs one pair of residual capacity on every path edge."""
     for e in flow.edges:
         if residual[e] < 1:
@@ -181,30 +188,35 @@ def _fits(flow: Flow, residual: Mapping[EdgeId, int]) -> bool:
 
 
 def select_flow(
-    state: SchedulerState, app_id: AppId, residual: Mapping[EdgeId, int]
+    state: SchedulerState, app_id: AppId, residual: Sequence[int] | Mapping[EdgeId, int]
 ) -> Optional[Flow]:
     """Next feasible flow of the app, rotating over its flows.
 
     Starting at the app's cursor, each flow is tried once in cyclic
     order; the first that fits the residual capacities is returned and
-    the cursor advances past it. Returns None (blocked) with the cursor
-    unchanged when no flow fits.
+    the cursor advances past it, whether or not the caller then grants
+    it: DRR checks the deficit only after the pick. Returns None
+    (blocked) with the cursor unchanged when no flow fits.
     """
-    flows = state.flows[app_id]
+    edges = state.edges[app_id]
+    n = len(edges)
     start = state.cursor[app_id]
-    for k in range(len(flows)):
-        i = (start + k) % len(flows)
-        flow = flows[i]
-        if _fits(flow, residual):
-            state.cursor[app_id] = (i + 1) % len(flows)
-            return flow
+    for i in range(start, start + n):
+        if i >= n:
+            i -= n
+        for e in edges[i]:  # _fits, inlined on the hot path
+            if residual[e] < 1:
+                break
+        else:
+            state.cursor[app_id] = i + 1 if i + 1 < n else 0
+            return state.flows[app_id][i]
     return None
 
 
 @dataclass
 class _SlotCtx:
-    residual: dict[EdgeId, int]
-    grants: dict[Flow, int] = field(default_factory=dict)
+    residual: list[int]  # by dense link id
+    per_flow: dict[tuple[AppId, int], int] = field(default_factory=dict)  # (app, flow index)
     granted_requests: list[Request] = field(default_factory=list)
     last_granted: Optional[AppId] = None
     passes: int = 0  # round-robin passes started in this slot
@@ -214,22 +226,16 @@ class _SlotCtx:
 
 
 def _grant(state: SchedulerState, ctx: _SlotCtx, app_id: AppId, flow: Flow) -> None:
+    """Grant ``flow``, which select_flow has just picked for the app, so
+    it is the flow just behind the app's cursor: that is its index."""
+    residual = ctx.residual
     for e in flow.edges:
-        ctx.residual[e] -= 1
-    ctx.grants[flow] = ctx.grants.get(flow, 0) + 1
+        residual[e] -= 1
+    key = (app_id, (state.cursor[app_id] or len(state.edges[app_id])) - 1)
+    ctx.per_flow[key] = ctx.per_flow.get(key, 0) + 1
     if state.traffic is Traffic.POISSON:
         ctx.granted_requests.append(state.queues[app_id].popleft())
     ctx.last_granted = app_id
-
-
-def _any_capacity_feasible(
-    state: SchedulerState, ring: Sequence[AppId], residual: Mapping[EdgeId, int]
-) -> bool:
-    for app_id in ring:
-        for flow in state.flows[app_id]:
-            if _fits(flow, residual):
-                return True
-    return False
 
 
 def _visit_budgeted(
@@ -271,27 +277,22 @@ def _visit_drr(state: SchedulerState, ctx: _SlotCtx, app_id: AppId) -> int:
     return made
 
 
-def _one_pass(state: SchedulerState, ctx: _SlotCtx, ring: Sequence[AppId]) -> int:
-    made = 0
-    for app_id in ring:
-        if state.policy is Policy.RR:
-            made += _visit_budgeted(state, ctx, app_id, 1)
-        elif state.policy is Policy.WRR:
-            made += _visit_budgeted(state, ctx, app_id, int(state.apps[app_id].weight))
-        else:
-            made += _visit_drr(state, ctx, app_id)
-    return made
-
-
 def _round_robin_slot(state: SchedulerState, ctx: _SlotCtx) -> None:
     # every active app is backlogged when the slot starts; passes start
     # at the head and visit only apps that can still be granted
     i = state.active.index(state.head) if state.active else 0
     ring = state.active[i:] + state.active[:i]
     fruitless = 0
-    while _any_capacity_feasible(state, ring, ctx.residual):
+    while any(_fits(flow, ctx.residual) for a in ring for flow in state.flows[a]):
         ctx.passes += 1
-        made = _one_pass(state, ctx, ring)
+        made = 0
+        for app_id in ring:
+            if state.policy is Policy.RR:
+                made += _visit_budgeted(state, ctx, app_id, 1)
+            elif state.policy is Policy.WRR:
+                made += _visit_budgeted(state, ctx, app_id, int(state.apps[app_id].weight))
+            else:
+                made += _visit_drr(state, ctx, app_id)
         if made == 0:
             if state.policy is not Policy.DRR:
                 break  # RR/WRR passes are side-effect free when nothing fits
@@ -306,9 +307,13 @@ def _round_robin_slot(state: SchedulerState, ctx: _SlotCtx) -> None:
         # each pass a blocked app sat out would have credited one quantum
         # and capped it again; replay those steps in the same float order
         for app_id, blocked_in in ctx.blocked.items():
-            deficit = state.deficit[app_id]
+            deficit, cap = state.deficit[app_id], state.deficit_cap(app_id)
+            if deficit == cap:
+                continue  # a capped deficit stays capped
             for _ in range(ctx.passes - blocked_in):
-                deficit = min(deficit + state.quantum[app_id], state.deficit_cap(app_id))
+                deficit = min(deficit + state.quantum[app_id], cap)
+                if deficit == cap:
+                    break
             state.deficit[app_id] = deficit
 
 
@@ -331,19 +336,29 @@ def _fcfs_slot(state: SchedulerState, ctx: _SlotCtx) -> None:
 
 
 def schedule_slot(
-    state: SchedulerState, sampled_capacities: Mapping[EdgeId, int]
-) -> SlotGrants:
+    state: SchedulerState, sampled_capacities: Mapping[EdgeId, int] | list[int]
+) -> SlotGrants | _SlotCtx:
     """Arbitrate one slot's grants against the sampled edge capacities.
 
     Every grant decrements the residual of each edge on the granted
     flow's path and consumes one pending request. On return no further
     grant is capacity-feasible for any backlogged app.
+
+    A mapping by dense link id is checked and answered with Flow-keyed
+    SlotGrants. A list is the engine's own sample of non-negative ints,
+    taken unchecked and left unchanged, and answered with the slot's
+    index form: ``per_flow`` by (app, flow index), the residual a list.
     """
-    residual: dict[EdgeId, int] = {}
-    for e, cap in sampled_capacities.items():
-        if cap < 0 or int(cap) != cap:
-            raise ValueError(f"sampled capacity of edge {e} must be a non-negative integer")
-        residual[e] = int(cap)
+    trusted = isinstance(sampled_capacities, list)
+    if trusted:
+        residual = sampled_capacities.copy()
+    else:
+        residual = []
+        for e in range(len(sampled_capacities)):
+            cap = sampled_capacities[e]
+            if cap < 0 or int(cap) != cap:
+                raise ValueError(f"sampled capacity of edge {e} must be a non-negative integer")
+            residual.append(int(cap))
     ctx = _SlotCtx(residual=residual)
     if state.policy is Policy.FCFS:
         _fcfs_slot(state, ctx)
@@ -354,8 +369,10 @@ def schedule_slot(
         i = ring.index(ctx.last_granted) + 1
         state.head = next((a for a in ring[i:] + ring[:i] if state.backlogged(a)), None)
         state.active = [a for a in ring if state.backlogged(a)]
+    if trusted:
+        return ctx
     return SlotGrants(
-        per_flow=ctx.grants,
+        per_flow={state.flows[a][i]: n for (a, i), n in ctx.per_flow.items()},
         granted_requests=tuple(ctx.granted_requests),
-        residual=residual,
+        residual=dict(enumerate(residual)),
     )

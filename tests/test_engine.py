@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import re
+from unittest import mock
 
 import pytest
 
@@ -30,7 +31,7 @@ from qnetfair import (
     stream_seed,
     validate_scenario,
 )
-from qnetfair import validate
+from qnetfair import engine, validate
 from qnetfair.engine import capacity_sampler
 
 
@@ -107,16 +108,16 @@ class TestCapacitySampler:
             fast, ref = random.Random(seed), random.Random(seed)
             sample = capacity_sampler(links, mode, fast)
             for slot in range(200):
-                expected = [(l.id, sample_capacity(l, mode, ref)) for l in links]
-                assert list(sample().items()) == expected, (seed, slot)
+                expected = [sample_capacity(l, mode, ref) for l in links]
+                assert sample() == expected, (seed, slot)
             assert fast.getstate() == ref.getstate(), seed
 
     def test_capacity_max_bound_drawn_in_full(self):
         link = QuantumLink(0, (0, 1), validate.MAX_CAPACITY, 1.0, 1.0)
         sample = capacity_sampler([link], CapacityMode.STOCHASTIC, random.Random(0))
-        assert sample() == {0: validate.MAX_CAPACITY}
+        assert sample() == [validate.MAX_CAPACITY]
 
-    def test_each_slot_gets_its_own_dict(self):
+    def test_each_slot_gets_its_own_list(self):
         link = QuantumLink(0, (0, 1), 4, 0.5, 1.0)
         for mode in CapacityMode:
             sample = capacity_sampler([link], mode, random.Random(0))
@@ -163,6 +164,66 @@ class TestResolveSuccesses:
         flow = self._flow(0.3)
         for seed in range(20):
             assert resolve_successes({flow: 50}, random.Random(seed))[flow] <= 50
+
+
+class TestVerifySlot:
+    """engine.run checks every slot's grants against its sampled capacities."""
+
+    @staticmethod
+    def _run_tampered(slot_hook=None, success_hook=None):
+        # two unit-capacity links in a line: the app's 2-hop flow takes one
+        # pair of each every slot, with certain swaps
+        scenario = make_scenario(
+            line_graph([1.0, 1.0]), [Application(0, 0, 1.0, 1, frozenset({2}))]
+        )
+        schedule_slot, resolve_successes = engine.schedule_slot, engine.resolve_successes
+
+        def kernel(state, sampled):
+            result = schedule_slot(state, sampled)
+            if slot_hook is not None:
+                slot_hook(result)
+            return result
+
+        def successes(grants, rng, order):
+            done = resolve_successes(grants, rng, order)
+            if success_hook is not None:
+                success_hook(done)
+            return done
+
+        with mock.patch.object(engine, "schedule_slot", kernel), \
+                mock.patch.object(engine, "resolve_successes", successes):
+            return run(scenario)
+
+    def test_untampered_run_passes(self):
+        assert self._run_tampered().per_app[0].delivered == 100
+
+    def test_extra_grant_breaks_conservation(self):
+        def extra_grant(result):
+            result.per_flow[(0, 0)] += 1
+
+        with pytest.raises(RuntimeError, match="slot 0: capacity conservation violated on edge 0"):
+            self._run_tampered(slot_hook=extra_grant)
+
+    def test_residual_off_by_one_breaks_conservation(self):
+        def off_by_one(result):
+            result.residual[1] += 1
+
+        with pytest.raises(RuntimeError, match="slot 0: capacity conservation violated on edge 1"):
+            self._run_tampered(slot_hook=off_by_one)
+
+    def test_negative_grant_count(self):
+        def negative(result):
+            result.per_flow[(0, 0)] = -1
+
+        with pytest.raises(RuntimeError, match="slot 0: negative grant count"):
+            self._run_tampered(slot_hook=negative)
+
+    def test_successes_exceed_grants(self):
+        def extra_success(done):
+            done[(0, 0)] += 1
+
+        with pytest.raises(RuntimeError, match="slot 0: successes exceed grants for app 0"):
+            self._run_tampered(success_hook=extra_success)
 
 
 class TestRun:

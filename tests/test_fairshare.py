@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import line_graph, shared_link_apps, shared_link_graph
-from gen import dumbbell_instance, random_assignment_instance, random_maxmin_instance
+from gen import (
+    dumbbell_instance,
+    random_assignment_instance,
+    random_connected_graph,
+    random_maxmin_instance,
+)
 from qnetfair import (
     Application,
     NetworkGraph,
@@ -21,7 +26,9 @@ from qnetfair import (
     eligible_workers,
     jain_index,
     maxmin_rates,
+    path_edges,
     predicted_app_rates,
+    shortest_path,
     verify_bottleneck,
 )
 
@@ -345,6 +352,57 @@ class TestExhaustiveOracle:
                     for a in apps
                 ]
             assert assign_exhaustive(graph, apps) == self.enumerate_best(graph, apps)
+
+
+def _greedy_full_sort(graph, apps):
+    """Reference greedy: every candidate copies the whole load map and
+    sorts all of it."""
+    caps = graph.effective_capacities()
+    load = {e: 0.0 for e in sorted(caps)}
+    out = {}
+    for app in sorted(apps, key=lambda a: (-a.weight, a.id)):
+        cand_edges = {w: path_edges(graph, shortest_path(graph, app.host, w))
+                      for w in sorted(eligible_workers(graph, app))}
+        phi = app.weight / app.workers_needed
+        picked = []
+        for _ in range(app.workers_needed):
+            best, best_vec = None, None
+            for cand in cand_edges:
+                if cand in picked:
+                    continue
+                trial = dict(load)
+                for e in cand_edges[cand]:
+                    trial[e] += phi / caps[e]
+                vec = sorted(trial.values(), reverse=True)
+                if best_vec is None or vec < best_vec:
+                    best, best_vec = cand, vec
+            picked.append(best)
+            for e in cand_edges[best]:
+                load[e] += phi / caps[e]
+        out[app.id] = frozenset(picked)
+    return out
+
+
+class TestGreedyOracle:
+    """assign_greedy, which edits one sorted copy of the loads per
+    candidate, picks what sorting every candidate's full load map picks."""
+
+    def test_matches_full_sort(self):
+        for seed in range(150):
+            rng = random.Random(4200 + seed)
+            n = rng.randint(4, 14)
+            # few capacity values and weights, so many loads tie exactly
+            graph = random_connected_graph(
+                rng, n, extra_edges=rng.randint(0, 10), cap_range=(1, 3), pgen_choices=(0.5, 1.0)
+            )
+            apps = []
+            for i in range(rng.randint(1, 8)):
+                host = rng.randrange(n)
+                others = [x for x in range(n) if x != host]
+                cands = frozenset(rng.sample(others, rng.randint(1, min(5, len(others)))))
+                weight = rng.choice([1.0, 1.0, 2.0, 3.0, 0.5])
+                apps.append(Application(i, host, weight, rng.randint(1, len(cands)), cands))
+            assert assign_greedy(graph, apps) == _greedy_full_sort(graph, apps), seed
 
 
 class TestAssignmentValidity:

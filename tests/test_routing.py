@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -295,3 +296,35 @@ class TestRouteTable:
                         eligible_workers(g, app)
                     assert exc.value.eligible == keep
         assert unreachable_seen > 0
+
+
+class TestRouteReuse:
+    """A graph routes each (host, destination) once; a route taken from an
+    earlier search for other destinations equals a fresh search's."""
+
+    def test_known_destinations_are_not_searched_again(self):
+        g = line_graph([1.0] * 4)
+        app = Application(0, 0, 1.0, 2, frozenset({2, 4}))
+        with mock.patch.object(g, "neighbors", wraps=g.neighbors) as neighbors:
+            eligible_workers(g, app)
+            searched = neighbors.call_count
+            assert searched > 0
+            build_flows(g, [app], {0: frozenset({2, 4})}, CostMode.HOPS)
+            eligible_workers(g, app)
+            assert neighbors.call_count == searched
+            assert shortest_path(g, 0, 3) == (0, 1, 2, 3)  # a new destination
+            assert neighbors.call_count > searched
+
+    def test_routes_match_fresh_single_searches(self):
+        for seed in range(30):
+            rng = random.Random(seed)
+            g = random_connected_graph(rng, rng.randint(4, 12), extra_edges=rng.randint(0, 8))
+            n = len(g.nodes)
+            for app_id in range(6):
+                host = rng.randrange(n)
+                dsts = rng.sample([x for x in range(n) if x != host], rng.randint(1, n - 1))
+                app = Application(app_id, host, 1.0, len(dsts), frozenset(dsts))
+                flows = build_flows(g, [app], {app_id: app.candidates}, CostMode.UNIT)
+                for flow in flows[app_id]:
+                    fresh = NetworkGraph(g.nodes, g.links)
+                    assert flow.path == shortest_path(fresh, host, flow.worker)

@@ -72,6 +72,12 @@ class TestConfigGuards:
         with pytest.raises(ConfigError):
             single_link_state(Policy.DRR, [1.0], 1, quantum_base=0)
 
+    @pytest.mark.parametrize("capacity", [-1, 1.5])
+    def test_sampled_capacity_must_be_non_negative_integer(self, capacity):
+        state, _ = single_link_state(Policy.RR, [1.0], 1)
+        with pytest.raises(ValueError, match="edge 0"):
+            schedule_slot(state, {0: capacity})
+
 
 class TestEnqueueArrivals:
     def test_first_arrival_activates_app(self):
@@ -203,6 +209,28 @@ class TestDRR:
         sampled = {0: 1, 1: 1, 2: 1}
         for _ in range(5):
             assert schedule_slot(state, sampled).per_app() == {0: 1}
+
+    def test_unaffordable_flow_still_advances_cursor(self):
+        # app 0 reaches worker 1 over edge 0 (cost 1) and worker 3 over
+        # edges 1, 2 (cost 2). With the cursor on the 2-hop flow, the first
+        # visit picks it but cannot afford it; the cursor moves past it all
+        # the same, so the next pass starts at worker 1.
+        nodes = [Node(i, NodeKind.COMPUTATION) for i in range(4)]
+        links = [
+            QuantumLink(0, (0, 1), 1, 1.0, 1.0),
+            QuantumLink(1, (0, 2), 1, 1.0, 1.0),
+            QuantumLink(2, (2, 3), 1, 1.0, 1.0),
+        ]
+        apps = [Application(0, 0, 1.0, 2, frozenset({1, 3}))]
+        state = make_state(
+            Policy.DRR, NetworkGraph(nodes, links), apps, {0: frozenset({1, 3})},
+            cost_mode=CostMode.HOPS,
+        )
+        state.cursor[0] = 1
+        result = schedule_slot(state, {0: 1, 1: 1, 2: 1})
+        assert [f.worker for f in result.per_flow] == [1, 3]
+        assert state.cursor[0] == 0
+        assert state.deficit[0] == 0.0
 
 
 class TestRR:

@@ -24,7 +24,7 @@ from .engine import (
 )
 from .fairshare import SearchSpaceTooLarge, jain_index, predicted_app_rates
 from .model import AssignmentSource, Policy, Scenario, SimConfig
-from .scenario_io import SchemaError, load_scenario_file, parse_scenario
+from .scenario_io import INT_KEYS, SchemaError, load_scenario_file, parse_scenario
 from .scheduling import ConfigError
 from .validate import ValidationError, validate_scenario
 
@@ -70,11 +70,26 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, columns: Sequence[str], rows: Sequence[dict]) -> None:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(col)) for col in columns))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_tables(out_dir: Path, tables: list[tuple[str, Sequence[str], Sequence[dict]]]) -> str:
+    """Write each (file name, columns, rows) table as a CSV in ``out_dir``
+    and return the line that reports them. If a write fails, the files
+    this call wrote are removed before the error propagates, so a failed
+    command leaves no partial set of outputs."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
+    try:
+        for name, columns, rows in tables:
+            path = out_dir / name
+            written.append(path)
+            lines = [",".join(columns)]
+            for row in rows:
+                lines.append(",".join(_fmt(row.get(col)) for col in columns))
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    except BaseException:
+        for p in written:
+            p.unlink(missing_ok=True)
+        raise
+    return f"wrote {', '.join(str(p) for p in written)}"
 
 
 def _scenario(parsed, args: argparse.Namespace) -> Scenario:
@@ -220,35 +235,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     runs = replication_runs(
         scenario, n_replications=scenario.config.replications, collect_trace=args.trace
     )
-    out_dir = _output_dir(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    try:
-        per_app_path = out_dir / "per_app.csv"
-        rows = [row for m in runs for row in _per_app_rows(scenario, m)]
-        written.append(per_app_path)
-        _write_csv(per_app_path, PER_APP_COLUMNS, rows)
-
-        global_path = out_dir / "global.csv"
-        written.append(global_path)
-        _write_csv(
-            global_path,
-            _global_columns(scenario),
-            [_global_row(scenario, m) for m in runs],
-        )
-
-        if args.trace:
-            trace_path = out_dir / "trace.csv"
-            written.append(trace_path)
-            _write_csv(
-                trace_path, TRACE_COLUMNS, [r for m in runs for r in _trace_rows(m)]
-            )
-    except BaseException:
-        for p in written:
-            p.unlink(missing_ok=True)
-        raise
+    per_app_rows = [row for m in runs for row in _per_app_rows(scenario, m)]
+    tables = [
+        ("per_app.csv", PER_APP_COLUMNS, per_app_rows),
+        ("global.csv", _global_columns(scenario), [_global_row(scenario, m) for m in runs]),
+    ]
+    if args.trace:
+        tables.append(("trace.csv", TRACE_COLUMNS, [r for m in runs for r in _trace_rows(m)]))
+    wrote = _write_tables(_output_dir(args), tables)
     _print_run_summary(scenario, runs)
-    print(f"wrote {', '.join(str(p) for p in written)}")
+    print(wrote)
     return EXIT_OK
 
 
@@ -303,8 +299,6 @@ def _set_sweep_value(data: dict, param: str, raw: str) -> Any:
         else:
             raise SweepParamError(f"unknown parameter path: {dotted}")
     leaf = parts[-1]
-    if isinstance(target, list):
-        raise SweepParamError(f"unknown parameter path: {dotted}")
     if not isinstance(target, dict) or leaf not in target:
         # allow setting optional sim keys that the file omitted
         if not (isinstance(target, dict) and parts[0] == "sim" and len(parts) == 2):
@@ -314,12 +308,12 @@ def _set_sweep_value(data: dict, param: str, raw: str) -> Any:
         value: Any = raw
     elif isinstance(current, bool):
         raise SweepParamError(f"{dotted}: cannot sweep a boolean field")
-    elif isinstance(current, int) or leaf in ("seed", "quantum_base", "slots", "warmup"):
+    elif leaf in INT_KEYS:
         try:
             value = int(raw)
         except ValueError as exc:
             raise SweepParamError(f"{dotted}: expected integer value, got {raw!r}") from exc
-    elif isinstance(current, float):
+    elif isinstance(current, (int, float)):
         try:
             value = float(raw)
         except ValueError as exc:
@@ -359,23 +353,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 per_app_rows.append({"sweep_value": value, **row})
             global_rows.append({"sweep_value": value, **_global_row(scenario, m)})
 
-    out_dir = _output_dir(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    try:
-        pa = out_dir / "sweep_per_app.csv"
-        written.append(pa)
-        _write_csv(pa, ["sweep_value"] + PER_APP_COLUMNS, per_app_rows)
-        gl = out_dir / "sweep_global.csv"
-        written.append(gl)
-        assert global_cols is not None
-        _write_csv(gl, global_cols, global_rows)
-    except BaseException:
-        for p in written:
-            p.unlink(missing_ok=True)
-        raise
+    assert global_cols is not None
+    wrote = _write_tables(
+        _output_dir(args),
+        [
+            ("sweep_per_app.csv", ["sweep_value"] + PER_APP_COLUMNS, per_app_rows),
+            ("sweep_global.csv", global_cols, global_rows),
+        ],
+    )
     print(f"swept {args.param} over {len(values)} values")
-    print(f"wrote {', '.join(str(p) for p in written)}")
+    print(wrote)
     return EXIT_OK
 
 

@@ -14,9 +14,9 @@ one pass and sums each link's span: the same draws, in the same order,
 as sample_capacity called link by link. In deterministic mode it hands
 each slot a copy of one precomputed list.
 
-The slot loop reads the scheduler's index form: lists by dense link id
-and counts by (app, flow index). (app, worker)-keyed dicts are built
-only for a trace's SlotLedgers.
+The slot loop reads SlotGrants as schedule_slot returns them: lists by
+dense link id and counts by (app, flow index). (app, worker)-keyed dicts
+are built only for a trace's SlotLedgers.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ import statistics
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, gt, sub
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .fairshare import (
     assign_exhaustive,
@@ -52,15 +52,14 @@ from .model import (
 from .routing import build_flows
 from .scheduling import (
     ConfigError,
+    FlowKey,
     SchedulerState,
-    _SlotCtx,
+    SlotGrants,
     enqueue_arrivals,
     schedule_slot,
 )
 
 STREAM_LABELS = ("capacity", "arrival", "success", "assignment")
-
-FlowKey = tuple[AppId, int]  # (app, flow index) in the scheduler's worker order
 
 
 def stream_seed(master_seed: int, label: str) -> int:
@@ -146,19 +145,17 @@ def poisson_sample(lam: float, rng: random.Random) -> int:
 
 
 def resolve_successes(
-    grants: Mapping[Any, int],
+    grants: Mapping[FlowKey, int],
     rng: random.Random,
-    order: Optional[Mapping[Any, tuple[Any, float]]] = None,
-) -> dict[Any, int]:
+    order: Mapping[FlowKey, tuple[int, float]],
+) -> dict[FlowKey, int]:
     """Sample end-to-end swap success per granted attempt.
 
     Attempts are resolved flow by flow in (app, path) order so draws do
-    not depend on the scheduler's internal grant sequence. ``grants`` is
-    keyed by Flow, or by any key that ``order`` maps to its flow's
-    (rank in (app, path) order, swap_prob).
+    not depend on the scheduler's internal grant sequence. ``order`` maps
+    each key of ``grants`` to its flow's (rank in (app, path) order,
+    swap_prob).
     """
-    if order is None:
-        order = {f: ((f.app, f.path), f.swap_prob) for f in grants}
     successes = {}
     for key in sorted(grants, key=order.__getitem__):
         count = grants[key]
@@ -226,13 +223,13 @@ class Metrics:
 def _verify_slot(
     slot: int,
     sampled: list[int],
-    result: _SlotCtx,
+    result: SlotGrants,
     successes: Mapping[FlowKey, int],
     state: SchedulerState,
 ) -> None:
-    """Always-on conservation check of one slot in the scheduler's index
-    form: the grants, path by path, must account for every pair the
-    residual is short of the sample."""
+    """Always-on conservation check of one slot: the grants, path by
+    path, must account for every pair the residual is short of the
+    sample."""
     grants, residual = result.per_flow, result.residual
     left = sampled.copy()
     for (app_id, i), count in grants.items():

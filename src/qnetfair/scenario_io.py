@@ -61,6 +61,13 @@ _SIM_KEYS = {
     "replications",
 }
 
+# The schema's integer-valued keys; every other number it reads is a
+# real. ``sweep`` parses a swept value by the same set.
+INT_KEYS = frozenset({
+    "id", "host", "workers_needed", "capacity_max",
+    "slots", "warmup", "seed", "quantum_base", "exhaustive_limit", "replications",
+})
+
 _MISSING = object()
 
 
@@ -79,37 +86,33 @@ class _Reader:
             if key not in allowed:
                 self.diags.append(f"{path}.{key}: unknown key")
 
-    def get_int(self, obj: dict, key: str, path: str, default: Any = _MISSING) -> int:
-        value = obj.get(key, _MISSING)
+    def lookup(self, obj: dict, key: str, path: str, default: Any) -> Any:
+        """``obj[key]``, or ``default`` when the key is absent; the getters
+        check a default as they check a given value. An absent key without
+        a default is reported and reads as _MISSING."""
+        value = obj.get(key, default)
         if value is _MISSING:
-            if default is _MISSING:
-                self.diags.append(f"{path}.{key}: missing required key")
-                return 0
-            return default
-        if isinstance(value, bool) or not isinstance(value, int):
-            self.diags.append(f"{path}.{key}: expected integer, got {value!r}")
-            return 0
+            self.diags.append(f"{path}.{key}: missing required key")
         return value
 
-    def get_num(self, obj: dict, key: str, path: str, default: Any = _MISSING) -> float:
-        value = obj.get(key, _MISSING)
+    def get_number(self, obj: dict, key: str, path: str, default: Any = _MISSING) -> Any:
+        """An int for the keys in INT_KEYS, a float for every other key."""
+        if key in INT_KEYS:
+            kind, accepted, cast = "integer", int, int
+        else:
+            kind, accepted, cast = "number", (int, float), float
+        value = self.lookup(obj, key, path, default)
         if value is _MISSING:
-            if default is _MISSING:
-                self.diags.append(f"{path}.{key}: missing required key")
-                return 0.0
-            return default
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.diags.append(f"{path}.{key}: expected number, got {value!r}")
-            return 0.0
-        return float(value)
+            return cast(0)
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            self.diags.append(f"{path}.{key}: expected {kind}, got {value!r}")
+            return cast(0)
+        return cast(value)
 
     def get_enum(self, obj: dict, key: str, path: str, enum, default: Any = _MISSING):
-        value = obj.get(key, _MISSING)
+        value = self.lookup(obj, key, path, default)
         if value is _MISSING:
-            if default is _MISSING:
-                self.diags.append(f"{path}.{key}: missing required key")
-                return None
-            return default
+            return None
         try:
             return enum(value)
         except ValueError:
@@ -117,13 +120,10 @@ class _Reader:
             self.diags.append(f"{path}.{key}: expected one of {valid}, got {value!r}")
             return None
 
-    def get_id_list(self, obj: dict, key: str, path: str, default: Any = _MISSING):
-        value = obj.get(key, _MISSING)
+    def get_id_list(self, obj: dict, key: str, path: str):
+        value = self.lookup(obj, key, path, _MISSING)
         if value is _MISSING:
-            if default is _MISSING:
-                self.diags.append(f"{path}.{key}: missing required key")
-                return []
-            return default
+            return []
         if not isinstance(value, list):
             self.diags.append(f"{path}.{key}: expected list of node ids, got {value!r}")
             return []
@@ -167,9 +167,9 @@ def parse_scenario(
         r.reject_unknown(raw, _NODE_KEYS, path)
         nodes.append(
             Node(
-                id=r.get_int(raw, "id", path),
+                id=r.get_number(raw, "id", path),
                 kind=r.get_enum(raw, "kind", path, NodeKind) or NodeKind.COMPUTATION,
-                swap_success_prob=r.get_num(raw, "swap_success_prob", path, 1.0),
+                swap_success_prob=r.get_number(raw, "swap_success_prob", path, 1.0),
             )
         )
 
@@ -190,11 +190,11 @@ def parse_scenario(
             endpoints = [0, 0]
         links.append(
             QuantumLink(
-                id=r.get_int(raw, "id", path),
+                id=r.get_number(raw, "id", path),
                 endpoints=(endpoints[0], endpoints[1]),
-                capacity_max=r.get_int(raw, "capacity_max", path),
-                gen_success_prob=r.get_num(raw, "gen_success_prob", path, 1.0),
-                fidelity=r.get_num(raw, "fidelity", path, 1.0),
+                capacity_max=r.get_number(raw, "capacity_max", path),
+                gen_success_prob=r.get_number(raw, "gen_success_prob", path, 1.0),
+                fidelity=r.get_number(raw, "fidelity", path, 1.0),
             )
         )
 
@@ -207,13 +207,13 @@ def parse_scenario(
             continue
         r.reject_unknown(raw, _APP_KEYS, path)
         app = Application(
-            id=r.get_int(raw, "id", path),
-            host=r.get_int(raw, "host", path),
-            weight=r.get_num(raw, "weight", path),
-            workers_needed=r.get_int(raw, "workers_needed", path),
+            id=r.get_number(raw, "id", path),
+            host=r.get_number(raw, "host", path),
+            weight=r.get_number(raw, "weight", path),
+            workers_needed=r.get_number(raw, "workers_needed", path),
             candidates=frozenset(r.get_id_list(raw, "candidates", path)),
-            min_fidelity=r.get_num(raw, "min_fidelity", path, 0.25),
-            arrival_rate=r.get_num(raw, "arrival_rate", path, 0.0),
+            min_fidelity=r.get_number(raw, "min_fidelity", path, 0.25),
+            arrival_rate=r.get_number(raw, "arrival_rate", path, 0.0),
         )
         apps.append(app)
         if "workers" in raw:
@@ -222,21 +222,21 @@ def parse_scenario(
     sim = data["sim"]
     r.reject_unknown(sim, _SIM_KEYS, "sim")
     config = SimConfig(
-        slots=r.get_int(sim, "slots", "sim"),
-        seed=r.get_int(sim, "seed", "sim"),
+        slots=r.get_number(sim, "slots", "sim"),
+        seed=r.get_number(sim, "seed", "sim"),
         policy=r.get_enum(sim, "policy", "sim", Policy) or Policy.RR,
-        warmup_slots=r.get_int(sim, "warmup", "sim", 0),
+        warmup_slots=r.get_number(sim, "warmup", "sim", 0),
         traffic=r.get_enum(sim, "traffic", "sim", Traffic, Traffic.BACKLOGGED),
         capacity_mode=r.get_enum(
             sim, "capacity_mode", "sim", CapacityMode, CapacityMode.STOCHASTIC
         ),
         cost_mode=r.get_enum(sim, "cost_mode", "sim", CostMode, CostMode.UNIT),
-        quantum_base=r.get_int(sim, "quantum_base", "sim", 1),
+        quantum_base=r.get_number(sim, "quantum_base", "sim", 1),
         assignment=r.get_enum(
             sim, "assignment", "sim", AssignmentSource, AssignmentSource.GREEDY
         ),
-        exhaustive_limit=r.get_int(sim, "exhaustive_limit", "sim", 1_000_000),
-        replications=r.get_int(sim, "replications", "sim", 1),
+        exhaustive_limit=r.get_number(sim, "exhaustive_limit", "sim", 1_000_000),
+        replications=r.get_number(sim, "replications", "sim", 1),
     )
 
     if r.diags:

@@ -28,8 +28,10 @@ and drained apps leave. A pick moves the app's flow cursor past the
 picked flow before DRR compares its cost with the deficit, so a flow the
 app cannot yet afford still advances the cursor.
 
-The slot runs on integer indices: the residual is a list by dense link
-id and grants are counted by (app, flow index) in worker order.
+The slot runs on integer indices. ``schedule_slot`` takes the sampled
+capacities as a list by dense link id, checks that each is a
+non-negative int, and returns SlotGrants whose residual is a list by link
+id and whose grants are counted by (app, flow index) in worker order.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from .model import AppId, Application, EdgeId, Flow, Policy, Traffic
+from .model import AppId, Application, Flow, Policy, Traffic
 
 # slack for deficit-vs-cost comparisons; deficits are floats because
 # weights are reals, costs are small integers
@@ -57,18 +59,26 @@ class Request:
     seq: int  # per-app monotone counter; (app, seq) is unique
 
 
+FlowKey = tuple[AppId, int]  # (app, flow index) in the scheduler's worker order
+
+
 @dataclass
 class SlotGrants:
-    """Outcome of one scheduling slot."""
+    """Outcome of one scheduling slot, in index form."""
 
-    per_flow: dict[Flow, int]
-    granted_requests: tuple[Request, ...]  # empty in backlogged mode
-    residual: dict[EdgeId, int]
+    residual: list[int]  # by dense link id
+    per_flow: dict[FlowKey, int] = field(default_factory=dict)
+    granted_requests: list[Request] = field(default_factory=list)  # empty in backlogged mode
+    last_granted: Optional[AppId] = None
+    passes: int = 0  # round-robin passes started in this slot
+    # capacity-blocked app -> the pass in which select_flow returned None;
+    # residuals only shrink, so it sits out every later pass of the slot
+    blocked: dict[AppId, int] = field(default_factory=dict)
 
     def per_app(self) -> dict[AppId, int]:
         out: dict[AppId, int] = {}
-        for flow, count in self.per_flow.items():
-            out[flow.app] = out.get(flow.app, 0) + count
+        for (app_id, _), count in self.per_flow.items():
+            out[app_id] = out.get(app_id, 0) + count
         return out
 
 
@@ -179,7 +189,7 @@ def enqueue_arrivals(
                 state.head = app_id
 
 
-def _fits(flow: Flow, residual: Sequence[int] | Mapping[EdgeId, int]) -> bool:
+def _fits(flow: Flow, residual: list[int]) -> bool:
     """A grant needs one pair of residual capacity on every path edge."""
     for e in flow.edges:
         if residual[e] < 1:
@@ -187,9 +197,7 @@ def _fits(flow: Flow, residual: Sequence[int] | Mapping[EdgeId, int]) -> bool:
     return True
 
 
-def select_flow(
-    state: SchedulerState, app_id: AppId, residual: Sequence[int] | Mapping[EdgeId, int]
-) -> Optional[Flow]:
+def select_flow(state: SchedulerState, app_id: AppId, residual: list[int]) -> Optional[Flow]:
     """Next feasible flow of the app, rotating over its flows.
 
     Starting at the app's cursor, each flow is tried once in cyclic
@@ -213,19 +221,7 @@ def select_flow(
     return None
 
 
-@dataclass
-class _SlotCtx:
-    residual: list[int]  # by dense link id
-    per_flow: dict[tuple[AppId, int], int] = field(default_factory=dict)  # (app, flow index)
-    granted_requests: list[Request] = field(default_factory=list)
-    last_granted: Optional[AppId] = None
-    passes: int = 0  # round-robin passes started in this slot
-    # capacity-blocked app -> the pass in which select_flow returned None;
-    # residuals only shrink, so it sits out every later pass of the slot
-    blocked: dict[AppId, int] = field(default_factory=dict)
-
-
-def _grant(state: SchedulerState, ctx: _SlotCtx, app_id: AppId, flow: Flow) -> None:
+def _grant(state: SchedulerState, ctx: SlotGrants, app_id: AppId, flow: Flow) -> None:
     """Grant ``flow``, which select_flow has just picked for the app, so
     it is the flow just behind the app's cursor: that is its index."""
     residual = ctx.residual
@@ -239,7 +235,7 @@ def _grant(state: SchedulerState, ctx: _SlotCtx, app_id: AppId, flow: Flow) -> N
 
 
 def _visit_budgeted(
-    state: SchedulerState, ctx: _SlotCtx, app_id: AppId, budget: int
+    state: SchedulerState, ctx: SlotGrants, app_id: AppId, budget: int
 ) -> int:
     """RR/WRR visit: up to ``budget`` grants through the flow cursor."""
     made = 0
@@ -253,7 +249,7 @@ def _visit_budgeted(
     return made
 
 
-def _visit_drr(state: SchedulerState, ctx: _SlotCtx, app_id: AppId) -> int:
+def _visit_drr(state: SchedulerState, ctx: SlotGrants, app_id: AppId) -> int:
     """DRR visit: credit one quantum, then serve while the deficit and the
     residual capacities allow. Capacity blocking caps and keeps the
     deficit; an emptied queue resets it."""
@@ -277,7 +273,7 @@ def _visit_drr(state: SchedulerState, ctx: _SlotCtx, app_id: AppId) -> int:
     return made
 
 
-def _round_robin_slot(state: SchedulerState, ctx: _SlotCtx) -> None:
+def _round_robin_slot(state: SchedulerState, ctx: SlotGrants) -> None:
     # every active app is backlogged when the slot starts; passes start
     # at the head and visit only apps that can still be granted
     i = state.active.index(state.head) if state.active else 0
@@ -317,7 +313,7 @@ def _round_robin_slot(state: SchedulerState, ctx: _SlotCtx) -> None:
             state.deficit[app_id] = deficit
 
 
-def _fcfs_slot(state: SchedulerState, ctx: _SlotCtx) -> None:
+def _fcfs_slot(state: SchedulerState, ctx: SlotGrants) -> None:
     # only a queue head can be granted, so a heap of heads keyed
     # (arrival_slot, app, seq) yields the global FCFS order
     heads = [(q[0].arrival_slot, a, q[0].seq) for a, q in state.queues.items() if q]
@@ -335,31 +331,21 @@ def _fcfs_slot(state: SchedulerState, ctx: _SlotCtx) -> None:
             heapq.heappush(heads, (queue[0].arrival_slot, app_id, queue[0].seq))
 
 
-def schedule_slot(
-    state: SchedulerState, sampled_capacities: Mapping[EdgeId, int] | list[int]
-) -> SlotGrants | _SlotCtx:
-    """Arbitrate one slot's grants against the sampled edge capacities.
+def schedule_slot(state: SchedulerState, capacities: list[int]) -> SlotGrants:
+    """Arbitrate one slot's grants against the sampled edge capacities,
+    listed by dense link id; the list itself is left unchanged.
 
     Every grant decrements the residual of each edge on the granted
     flow's path and consumes one pending request. On return no further
     grant is capacity-feasible for any backlogged app.
-
-    A mapping by dense link id is checked and answered with Flow-keyed
-    SlotGrants. A list is the engine's own sample of non-negative ints,
-    taken unchecked and left unchanged, and answered with the slot's
-    index form: ``per_flow`` by (app, flow index), the residual a list.
     """
-    trusted = isinstance(sampled_capacities, list)
-    if trusted:
-        residual = sampled_capacities.copy()
-    else:
-        residual = []
-        for e in range(len(sampled_capacities)):
-            cap = sampled_capacities[e]
-            if cap < 0 or int(cap) != cap:
-                raise ValueError(f"sampled capacity of edge {e} must be a non-negative integer")
-            residual.append(int(cap))
-    ctx = _SlotCtx(residual=residual)
+    if not isinstance(capacities, list):
+        raise TypeError(f"capacities must be a list by link id, got {type(capacities).__name__}")
+    # C-level scans; the generator only runs to name the offending edge
+    if not all(map(int.__instancecheck__, capacities)) or min(capacities, default=0) < 0:
+        e = next(e for e, c in enumerate(capacities) if not isinstance(c, int) or c < 0)
+        raise ValueError(f"sampled capacity of edge {e} must be a non-negative integer")
+    ctx = SlotGrants(residual=capacities.copy())
     if state.policy is Policy.FCFS:
         _fcfs_slot(state, ctx)
     else:
@@ -369,10 +355,4 @@ def schedule_slot(
         i = ring.index(ctx.last_granted) + 1
         state.head = next((a for a in ring[i:] + ring[:i] if state.backlogged(a)), None)
         state.active = [a for a in ring if state.backlogged(a)]
-    if trusted:
-        return ctx
-    return SlotGrants(
-        per_flow={state.flows[a][i]: n for (a, i), n in ctx.per_flow.items()},
-        granted_requests=tuple(ctx.granted_requests),
-        residual=dict(enumerate(residual)),
-    )
+    return ctx

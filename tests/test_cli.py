@@ -142,6 +142,15 @@ class TestRunCommand:
         assert not (out / "per_app.csv").exists()
         assert not (out / "global.csv").exists()
 
+    def test_failed_write_removes_written_csvs(self, write_scenario, tmp_path, capsys):
+        # per_app.csv is written, then global.csv cannot be: a directory is in the way
+        path = write_scenario(scenario_dict())
+        out = tmp_path / "out"
+        (out / "global.csv").mkdir(parents=True)
+        assert main(["run", "--config", path, "--output-dir", str(out)]) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["global.csv"]
+        assert "wrote" not in capsys.readouterr().out
+
 
 class TestAssignCommand:
     def _forced_choice(self, write_scenario):
@@ -285,3 +294,61 @@ class TestSweepCommand:
              "--output-dir", str(tmp_path)]
         ) == 2
         assert "unknown parameter path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "param,values,tags",
+        [
+            ("apps.0.weight", "1,1.5", ["1", "1.5"]),
+            ("links.0.gen_success_prob", "1,0.5", ["1", "0.5"]),
+        ],
+    )
+    def test_real_field_written_as_integer_takes_real_values(
+        self, write_scenario, tmp_path, param, values, tags
+    ):
+        data = scenario_dict(capacity_mode="stochastic")
+        data["apps"][0]["weight"] = 1
+        data["links"][0]["gen_success_prob"] = 1
+        path = write_scenario(data)
+        out = tmp_path / "out"
+        assert main(
+            ["sweep", "--config", path, "--param", param, "--values", values,
+             "--output-dir", str(out)]
+        ) == 0
+        _, rows = read_csv(out / "sweep_per_app.csv")
+        assert [r["sweep_value"] for r in rows] == tags
+
+    @pytest.mark.parametrize(
+        "param,values,n_rows",
+        [("sim.exhaustive_limit", "10,100", 2), ("sim.replications", "1,2", 3)],
+    )
+    def test_omitted_sim_key_can_be_swept(self, write_scenario, tmp_path, param, values, n_rows):
+        data = scenario_dict()
+        data["sim"].pop("replications")
+        path = write_scenario(data)
+        out = tmp_path / "out"
+        assert main(
+            ["sweep", "--config", path, "--param", param, "--values", values,
+             "--output-dir", str(out)]
+        ) == 0
+        _, rows = read_csv(out / "sweep_per_app.csv")
+        assert len(rows) == n_rows
+
+    def test_integer_field_rejects_fraction(self, write_scenario, tmp_path, capsys):
+        path = write_scenario(scenario_dict())
+        assert main(
+            ["sweep", "--config", path, "--param", "links.0.capacity_max",
+             "--values", "1,1.5", "--output-dir", str(tmp_path / "out")]
+        ) == 2
+        assert "links.0.capacity_max: expected integer value, got '1.5'" in capsys.readouterr().err
+
+    def test_failed_write_removes_written_csvs(self, write_scenario, tmp_path, capsys):
+        # sweep_per_app.csv is written, then sweep_global.csv cannot be
+        path = write_scenario(scenario_dict())
+        out = tmp_path / "out"
+        (out / "sweep_global.csv").mkdir(parents=True)
+        assert main(
+            ["sweep", "--config", path, "--param", "seed", "--values", "1,2",
+             "--output-dir", str(out)]
+        ) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["sweep_global.csv"]
+        assert "wrote" not in capsys.readouterr().out

@@ -12,7 +12,6 @@ from qnetfair import (
     AssignmentSource,
     CapacityMode,
     ConfigError,
-    Flow,
     NetworkGraph,
     Node,
     NodeKind,
@@ -142,28 +141,31 @@ class TestPoissonSample:
 
 
 class TestResolveSuccesses:
-    def _flow(self, swap_prob):
-        return Flow(0, (0, 1, 2), (0, 1), swap_prob, 1.0, 1)
+    KEY = (0, 0)  # (app, flow index)
+
+    def _order(self, swap_prob):
+        return {self.KEY: (0, swap_prob)}  # (rank in (app, path) order, swap_prob)
 
     def test_certain_swap(self):
-        flow = self._flow(1.0)
-        assert resolve_successes({flow: 17}, random.Random(0)) == {flow: 17}
+        assert resolve_successes({self.KEY: 17}, random.Random(0), self._order(1.0)) == {
+            self.KEY: 17
+        }
 
     def test_zero_grants(self):
-        flow = self._flow(0.5)
-        assert resolve_successes({flow: 0}, random.Random(0)) == {flow: 0}
+        assert resolve_successes({self.KEY: 0}, random.Random(0), self._order(0.5)) == {
+            self.KEY: 0
+        }
 
     def test_bernoulli_rate(self):
-        flow = self._flow(0.81)
         n = 10_000
-        done = resolve_successes({flow: n}, random.Random(77))[flow]
+        done = resolve_successes({self.KEY: n}, random.Random(77), self._order(0.81))[self.KEY]
         sigma = math.sqrt(0.81 * 0.19 / n)
         assert abs(done / n - 0.81) <= 3 * sigma
 
     def test_never_exceeds_grants(self):
-        flow = self._flow(0.3)
         for seed in range(20):
-            assert resolve_successes({flow: 50}, random.Random(seed))[flow] <= 50
+            done = resolve_successes({self.KEY: 50}, random.Random(seed), self._order(0.3))
+            assert done[self.KEY] <= 50
 
 
 class TestVerifySlot:

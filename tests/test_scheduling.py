@@ -42,11 +42,11 @@ def single_link_state(policy, weights, capacity, traffic=Traffic.BACKLOGGED, **k
 
 
 def assert_conserved(sampled, result, flows_by_app):
-    consumed = {e: 0 for e in sampled}
-    for flow, count in result.per_flow.items():
-        for e in flow.edges:
+    consumed = [0] * len(sampled)
+    for (app_id, i), count in result.per_flow.items():
+        for e in flows_by_app[app_id][i].edges:
             consumed[e] += count
-    for e in sampled:
+    for e in range(len(sampled)):
         assert consumed[e] <= sampled[e]
         assert result.residual[e] == sampled[e] - consumed[e]
         assert result.residual[e] >= 0
@@ -76,7 +76,12 @@ class TestConfigGuards:
     def test_sampled_capacity_must_be_non_negative_integer(self, capacity):
         state, _ = single_link_state(Policy.RR, [1.0], 1)
         with pytest.raises(ValueError, match="edge 0"):
-            schedule_slot(state, {0: capacity})
+            schedule_slot(state, [capacity])
+
+    def test_capacities_must_be_a_list(self):
+        state, _ = single_link_state(Policy.RR, [1.0], 1)
+        with pytest.raises(TypeError, match="list by link id"):
+            schedule_slot(state, {0: 1})
 
 
 class TestEnqueueArrivals:
@@ -117,25 +122,25 @@ class TestSelectFlow:
 
     def test_single_feasible_flow(self):
         state, _ = single_link_state(Policy.RR, [1.0], 1)
-        flow = select_flow(state, 0, {0: 1})
+        flow = select_flow(state, 0, [1])
         assert flow is not None and flow.worker == 1
 
     def test_skips_infeasible_first_flow(self):
         state = self._two_flow_state()
-        flow = select_flow(state, 0, {0: 0, 1: 1})
+        flow = select_flow(state, 0, [0, 1])
         assert flow is not None and flow.worker == 2
         assert state.cursor[0] == 0  # advanced past flow index 1, wrapped
 
     def test_blocked_leaves_cursor(self):
         state = self._two_flow_state()
         state.cursor[0] = 1
-        assert select_flow(state, 0, {0: 0, 1: 0}) is None
+        assert select_flow(state, 0, [0, 0]) is None
         assert state.cursor[0] == 1
 
     def test_cursor_rotates_between_grants(self):
         state = self._two_flow_state()
-        first = select_flow(state, 0, {0: 5, 1: 5})
-        second = select_flow(state, 0, {0: 5, 1: 5})
+        first = select_flow(state, 0, [5, 5])
+        second = select_flow(state, 0, [5, 5])
         assert {first.worker, second.worker} == {1, 2}
 
 
@@ -143,7 +148,7 @@ class TestDRR:
     def test_single_bottleneck_grants_match_weights_every_slot(self):
         state, _ = single_link_state(Policy.DRR, [1.0, 2.0, 3.0], 6)
         for _ in range(50):
-            result = schedule_slot(state, {0: 6})
+            result = schedule_slot(state, [6])
             assert result.per_app() == {0: 1, 1: 2, 2: 3}
             for app_id, deficit in state.deficit.items():
                 assert 0.0 <= deficit <= state.deficit_cap(app_id)
@@ -154,7 +159,7 @@ class TestDRR:
         pattern = []
         totals = {0: 0, 1: 0, 2: 0}
         for _ in range(10):
-            per_app = schedule_slot(state, {0: 1, 1: 1}).per_app()
+            per_app = schedule_slot(state, [1, 1]).per_app()
             pattern.append(set(per_app))
             for a, c in per_app.items():
                 totals[a] += c
@@ -164,7 +169,7 @@ class TestDRR:
     def test_deficit_zeroed_when_queue_drains(self):
         state, _ = single_link_state(Policy.DRR, [4.0], 10, Traffic.POISSON)
         enqueue_arrivals(state, 0, {0: 2})
-        result = schedule_slot(state, {0: 10})
+        result = schedule_slot(state, [10])
         assert result.per_app() == {0: 2}
         assert state.deficit[0] == 0.0
         assert state.active == []
@@ -173,7 +178,7 @@ class TestDRR:
     def test_blocked_deficit_capped(self):
         state, _ = single_link_state(Policy.DRR, [5.0], 1)
         for _ in range(10):
-            schedule_slot(state, {0: 1})
+            schedule_slot(state, [1])
             assert state.deficit[0] <= state.deficit_cap(0)
 
     def test_hops_cost_charges_by_path_length(self):
@@ -194,7 +199,7 @@ class TestDRR:
         )
         totals = {0: 0, 1: 0}
         for _ in range(40):
-            for a, c in schedule_slot(state, {0: 3, 1: 5}).per_app().items():
+            for a, c in schedule_slot(state, [3, 5]).per_app().items():
                 totals[a] += c
         assert totals[0] == pytest.approx(2 * totals[1], abs=2)
 
@@ -206,7 +211,7 @@ class TestDRR:
         state = make_state(
             Policy.DRR, g, apps, {0: frozenset({3})}, cost_mode=CostMode.HOPS
         )
-        sampled = {0: 1, 1: 1, 2: 1}
+        sampled = [1, 1, 1]
         for _ in range(5):
             assert schedule_slot(state, sampled).per_app() == {0: 1}
 
@@ -227,8 +232,8 @@ class TestDRR:
             cost_mode=CostMode.HOPS,
         )
         state.cursor[0] = 1
-        result = schedule_slot(state, {0: 1, 1: 1, 2: 1})
-        assert [f.worker for f in result.per_flow] == [1, 3]
+        result = schedule_slot(state, [1, 1, 1])
+        assert [state.flows[a][i].worker for a, i in result.per_flow] == [1, 3]
         assert state.cursor[0] == 0
         assert state.deficit[0] == 0.0
 
@@ -238,7 +243,7 @@ class TestRR:
         state, _ = single_link_state(Policy.RR, [1.0, 1.0], 1)
         grants = []
         for _ in range(6):
-            per_app = schedule_slot(state, {0: 1}).per_app()
+            per_app = schedule_slot(state, [1]).per_app()
             grants.append(next(iter(per_app)))
         assert grants == [0, 1, 0, 1, 0, 1]
 
@@ -247,13 +252,13 @@ class TestRR:
             state, _ = single_link_state(Policy.RR, [1.0] * n, 1)
             cum = dict.fromkeys(range(n), 0)
             for _ in range(200):
-                for a, c in schedule_slot(state, {0: 1}).per_app().items():
+                for a, c in schedule_slot(state, [1]).per_app().items():
                     cum[a] += c
                 assert max(cum.values()) - min(cum.values()) <= 1
 
     def test_weights_ignored(self):
         state, _ = single_link_state(Policy.RR, [1.0, 5.0], 4)
-        result = schedule_slot(state, {0: 4})
+        result = schedule_slot(state, [4])
         assert result.per_app() == {0: 2, 1: 2}
 
 
@@ -261,14 +266,14 @@ class TestWRR:
     def test_grants_proportional_each_slot(self):
         state, _ = single_link_state(Policy.WRR, [1.0, 2.0, 3.0], 6)
         for _ in range(20):
-            assert schedule_slot(state, {0: 6}).per_app() == {0: 1, 1: 2, 2: 3}
+            assert schedule_slot(state, [6]).per_app() == {0: 1, 1: 2, 2: 3}
 
     def test_cumulative_deviation_bounded_by_max_weight(self):
         weights = [1.0, 2.0, 3.0]
         state, _ = single_link_state(Policy.WRR, weights, 6)
         cum = {0: 0, 1: 0, 2: 0}
         for _ in range(200):
-            for a, c in schedule_slot(state, {0: 6}).per_app().items():
+            for a, c in schedule_slot(state, [6]).per_app().items():
                 cum[a] += c
             total = sum(cum.values())
             for a, w in enumerate(weights):
@@ -283,26 +288,26 @@ class TestFCFS:
         state, _ = self._poisson_state([1.0, 1.0], 10)
         enqueue_arrivals(state, 0, {1: 2})
         enqueue_arrivals(state, 1, {0: 1})
-        result = schedule_slot(state, {0: 10})
+        result = schedule_slot(state, [10])
         order = [(r.arrival_slot, r.app, r.seq) for r in result.granted_requests]
         assert order == [(0, 1, 0), (0, 1, 1), (1, 0, 0)]
 
     def test_same_slot_same_app_served_in_seq_order(self):
         state, _ = self._poisson_state([1.0], 10)
         enqueue_arrivals(state, 0, {0: 3})
-        result = schedule_slot(state, {0: 10})
+        result = schedule_slot(state, [10])
         assert [r.seq for r in result.granted_requests] == [0, 1, 2]
 
     def test_infeasible_requests_stay_queued(self):
         state, _ = self._poisson_state([1.0, 1.0], 10)
         enqueue_arrivals(state, 0, {0: 3, 1: 2})
-        result = schedule_slot(state, {0: 2})
+        result = schedule_slot(state, [2])
         assert len(result.granted_requests) == 2
         assert len(state.queues[0]) + len(state.queues[1]) == 3
         # global (arrival, app, seq) order puts app 0's requests first
         assert [(r.app, r.seq) for r in result.granted_requests] == [(0, 0), (0, 1)]
         # next slot continues in order with the leftover capacity
-        result = schedule_slot(state, {0: 3})
+        result = schedule_slot(state, [3])
         assert [(r.app, r.seq) for r in result.granted_requests] == [
             (0, 2),
             (1, 0),
@@ -369,7 +374,7 @@ class TestFCFSOracle:
                     a.id: 0 if 25 <= slot < 40 else poisson_sample(a.arrival_rate, rng)
                     for a in apps
                 }
-                sampled = {l.id: rng.randint(0, l.capacity_max) for l in graph.links}
+                sampled = [rng.randint(0, l.capacity_max) for l in graph.links]
                 results = []
                 for state, log, fcfs in zip(
                     states, calls, (scheduling._fcfs_slot, _sorted_fcfs_slot)
@@ -378,7 +383,7 @@ class TestFCFSOracle:
                     select = self._recording_select_flow(log)
                     with mock.patch.object(scheduling, "_fcfs_slot", fcfs), \
                             mock.patch.object(scheduling, "select_flow", select):
-                        results.append(schedule_slot(state, dict(sampled)))
+                        results.append(schedule_slot(state, sampled))
                 heap, ref = results
                 where = f"seed {seed}, slot {slot}"
                 assert heap.granted_requests == ref.granted_requests, where
@@ -479,7 +484,7 @@ class TestRoundRobinOracle:
                         ]
                         inactive = set()
                         for slot in range(24):
-                            sampled = {l.id: rng.randint(0, l.capacity_max) for l in graph.links}
+                            sampled = [rng.randint(0, l.capacity_max) for l in graph.links]
                             # arrivals pause for slots 8..15 so backlogs drain and rejoin
                             arrivals = {
                                 a.id: 0 if 8 <= slot < 16 else poisson_sample(a.arrival_rate, rng)
@@ -492,7 +497,7 @@ class TestRoundRobinOracle:
                                 if traffic is Traffic.POISSON:
                                     enqueue_arrivals(state, slot, arrivals)
                                 with mock.patch.object(scheduling, "_round_robin_slot", rr):
-                                    results.append(schedule_slot(state, dict(sampled)))
+                                    results.append(schedule_slot(state, sampled))
                             fast, ref = results
                             where = f"seed {seed}, {policy}, {cost_mode}, {traffic}, slot {slot}"
                             assert list(fast.per_flow.items()) == list(ref.per_flow.items()), where
@@ -516,36 +521,36 @@ class TestPointerPersistence:
     def test_head_moves_to_successor_of_last_granted(self):
         state, _ = single_link_state(Policy.RR, [1.0, 1.0, 1.0], 1)
         assert state.head == 0
-        schedule_slot(state, {0: 1})  # grants app 0
+        schedule_slot(state, [1])  # grants app 0
         assert state.head == 1
-        schedule_slot(state, {0: 1})  # grants app 1
+        schedule_slot(state, [1])  # grants app 1
         assert state.head == 2
-        schedule_slot(state, {0: 1})  # grants app 2, wraps
+        schedule_slot(state, [1])  # grants app 2, wraps
         assert state.head == 0
 
     def test_head_unchanged_without_grants(self):
         state, _ = single_link_state(Policy.RR, [1.0, 1.0], 1)
-        schedule_slot(state, {0: 0})
+        schedule_slot(state, [0])
         assert state.head == 0
 
     def test_head_valid_after_drained_app_leaves(self):
         state, _ = single_link_state(Policy.RR, [1.0, 1.0], 3, Traffic.POISSON)
         enqueue_arrivals(state, 0, {0: 1, 1: 3})
-        result = schedule_slot(state, {0: 3})
+        result = schedule_slot(state, [3])
         # app 0 drained and left; head must reference a live app or None
         assert result.per_app() == {0: 1, 1: 2}
         assert state.active == [1]
         assert state.head == 1
-        schedule_slot(state, {0: 5})
+        schedule_slot(state, [5])
         assert state.active == [] and state.head is None
 
     def test_second_pass_starts_after_drained_head(self):
         state, _ = single_link_state(Policy.RR, [1.0, 1.0, 1.0], 1, Traffic.POISSON)
         enqueue_arrivals(state, 0, {0: 3, 1: 1, 2: 2})
-        schedule_slot(state, {0: 1})  # grants app 0
+        schedule_slot(state, [1])  # grants app 0
         assert state.head == 1
         # pass 1 runs 1, 2, 0 and drains app 1, the head; pass 2 starts at 2
-        result = schedule_slot(state, {0: 4})
+        result = schedule_slot(state, [4])
         order = [(r.app, r.seq) for r in result.granted_requests]
         assert order == [(1, 0), (2, 0), (0, 1), (2, 1)]
         # app 2 drained on the last grant; the head moves past it, wrapping
@@ -555,7 +560,7 @@ class TestPointerPersistence:
     def test_head_skips_last_granted_app_that_drains(self):
         state, _ = single_link_state(Policy.RR, [1.0, 1.0, 1.0], 3, Traffic.POISSON)
         enqueue_arrivals(state, 0, {0: 2, 1: 2, 2: 1})
-        result = schedule_slot(state, {0: 3})
+        result = schedule_slot(state, [3])
         assert [r.app for r in result.granted_requests] == [0, 1, 2]
         assert state.active == [0, 1]
         assert state.head == 0
@@ -563,7 +568,7 @@ class TestPointerPersistence:
     def test_head_stays_on_last_granted_app_when_it_is_the_only_one_left(self):
         state, _ = single_link_state(Policy.RR, [1.0, 1.0, 1.0], 4, Traffic.POISSON)
         enqueue_arrivals(state, 0, {0: 1, 1: 3, 2: 1})
-        result = schedule_slot(state, {0: 4})
+        result = schedule_slot(state, [4])
         assert [r.app for r in result.granted_requests] == [0, 1, 2, 1]
         assert state.active == [1]
         assert state.head == 1
@@ -573,7 +578,7 @@ class TestPointerPersistence:
         for policy in (Policy.FCFS, Policy.RR):
             state, _ = single_link_state(policy, [1.0, 1.0, 1.0], 2, Traffic.POISSON)
             enqueue_arrivals(state, 0, {0: 1, 1: 2, 2: 1})
-            result = schedule_slot(state, {0: 2})
+            result = schedule_slot(state, [2])
             assert [r.app for r in result.granted_requests] == [0, 1]
             rings[policy] = (state.active, state.head)
         assert rings[Policy.FCFS] == rings[Policy.RR] == ([1, 2], 2)
@@ -602,7 +607,7 @@ class TestInvariants:
         rng = random.Random(1000 + hash(policy.value) % 97)
         state, g = self._random_multiflow_state(policy, rng)
         for _ in range(100):
-            sampled = {e: rng.randint(0, 3) for e in range(4)}
+            sampled = [rng.randint(0, 3) for _ in range(4)]
             result = schedule_slot(state, sampled)
             assert_conserved(sampled, result, state.flows)
             assert_work_conserving(state, result.residual)
@@ -613,9 +618,11 @@ class TestInvariants:
             state, _ = self._random_multiflow_state(Policy.DRR, random.Random(9))
             out = []
             for _ in range(50):
-                sampled = {e: rng.randint(0, 3) for e in range(4)}
+                sampled = [rng.randint(0, 3) for _ in range(4)]
                 result = schedule_slot(state, sampled)
-                out.append(sorted((f.app, f.worker, c) for f, c in result.per_flow.items()))
+                out.append(sorted(
+                    (a, state.flows[a][i].worker, c) for (a, i), c in result.per_flow.items()
+                ))
             return out
 
         assert run_once() == run_once()
@@ -632,7 +639,7 @@ class TestDRRBoundedLag:
         state, _ = single_link_state(Policy.DRR, weights, capacity)
         served = {0: 0, 1: 0, 2: 0}
         for slot in range(1, 101):
-            for a, c in schedule_slot(state, {0: capacity}).per_app().items():
+            for a, c in schedule_slot(state, [capacity]).per_app().items():
                 served[a] += c
             passes = slot * passes_per_slot
             for a in served:

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .engine import (
     Metrics,
@@ -70,21 +70,21 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _write_tables(out_dir: Path, tables: list[tuple[str, Sequence[str], Sequence[dict]]]) -> str:
+def _write_tables(out_dir: Path, tables: list[tuple[str, list[str], Iterable[Sequence]]]) -> str:
     """Write each (file name, columns, rows) table as a CSV in ``out_dir``
-    and return the line that reports them. If a write fails, the files
-    this call wrote are removed before the error propagates, so a failed
-    command leaves no partial set of outputs."""
+    and return the line that reports them. A row is a sequence in the
+    columns' order, written as soon as it is formatted. If a write fails,
+    the files this call wrote are removed before the error propagates, so
+    a failed command leaves no partial set of outputs."""
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
         for name, columns, rows in tables:
             path = out_dir / name
-            written.append(path)
-            lines = [",".join(columns)]
-            for row in rows:
-                lines.append(",".join(_fmt(row.get(col)) for col in columns))
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            with open(path, "w", encoding="utf-8") as fh:
+                written.append(path)
+                fh.write(",".join(columns) + "\n")
+                fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
     except BaseException:
         for p in written:
             p.unlink(missing_ok=True)
@@ -118,24 +118,20 @@ def _output_dir(args: argparse.Namespace) -> Path:
     return Path(env) if env else Path(".")
 
 
-def _per_app_rows(scenario: Scenario, metrics: Metrics) -> list[dict]:
-    rows = []
+def _per_app_rows(scenario: Scenario, metrics: Metrics) -> Iterator[tuple]:
     for app in scenario.apps:
         am = metrics.per_app[app.id]
-        rows.append(
-            {
-                "app_id": app.id,
-                "policy": metrics.policy.value,
-                "seed": metrics.seed,
-                "slots": metrics.slots,
-                "grants": am.grants,
-                "delivered": am.delivered,
-                "rate_per_slot": am.delivered_rate,
-                "weighted_rate": am.weighted_rate,
-                "mean_latency_slots": am.mean_latency,
-            }
+        yield (
+            app.id,
+            metrics.policy.value,
+            metrics.seed,
+            metrics.slots,
+            am.grants,
+            am.delivered,
+            am.delivered_rate,
+            am.weighted_rate,
+            am.mean_latency,
         )
-    return rows
 
 
 def _global_columns(scenario: Scenario) -> list[str]:
@@ -144,52 +140,26 @@ def _global_columns(scenario: Scenario) -> list[str]:
     return cols
 
 
-def _global_row(scenario: Scenario, metrics: Metrics) -> dict:
-    row = {
-        "policy": metrics.policy.value,
-        "seed": metrics.seed,
-        "slots": metrics.slots,
-        "jain_weighted": metrics.jain_weighted,
-        "total_delivered": metrics.total_delivered,
-    }
-    for l in scenario.graph.links:
-        row[f"edge_{l.id}_util"] = metrics.per_edge[l.id].utilization
-    return row
+def _global_row(metrics: Metrics) -> list:
+    # utilisations in link-id order, as _global_columns heads them, not in the file's order
+    return [
+        metrics.policy.value,
+        metrics.seed,
+        metrics.slots,
+        metrics.jain_weighted,
+        metrics.total_delivered,
+    ] + [em.utilization for _, em in sorted(metrics.per_edge.items())]
 
 
-def _trace_rows(metrics: Metrics) -> list[dict]:
-    rows: list[dict] = []
-    if not metrics.trace:
-        return rows
+def _trace_rows(metrics: Metrics) -> Iterator[tuple]:
+    seed = metrics.seed
     for ledger in metrics.trace:
-        for edge_id in sorted(ledger.sampled):
-            rows.append(
-                {
-                    "seed": metrics.seed,
-                    "slot": ledger.slot,
-                    "kind": "edge",
-                    "id": edge_id,
-                    "sampled": ledger.sampled[edge_id],
-                    "granted": ledger.sampled[edge_id] - ledger.residual[edge_id],
-                    "delivered": None,
-                    "residual": ledger.residual[edge_id],
-                }
-            )
-        for key in sorted(ledger.grants):
-            app_id, worker = key
-            rows.append(
-                {
-                    "seed": metrics.seed,
-                    "slot": ledger.slot,
-                    "kind": "flow",
-                    "id": f"{app_id}-{worker}",
-                    "sampled": None,
-                    "granted": ledger.grants[key],
-                    "delivered": ledger.successes.get(key, 0),
-                    "residual": None,
-                }
-            )
-    return rows
+        slot = ledger.slot
+        for e, (sampled, residual) in enumerate(zip(ledger.sampled, ledger.residual)):
+            yield seed, slot, "edge", e, sampled, sampled - residual, None, residual
+        for (app_id, worker), granted in sorted(ledger.grants.items()):
+            done = ledger.successes.get((app_id, worker), 0)
+            yield seed, slot, "flow", f"{app_id}-{worker}", None, granted, done, None
 
 
 def _print_run_summary(scenario: Scenario, runs: list[Metrics]) -> None:
@@ -235,13 +205,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     runs = replication_runs(
         scenario, n_replications=scenario.config.replications, collect_trace=args.trace
     )
-    per_app_rows = [row for m in runs for row in _per_app_rows(scenario, m)]
     tables = [
-        ("per_app.csv", PER_APP_COLUMNS, per_app_rows),
-        ("global.csv", _global_columns(scenario), [_global_row(scenario, m) for m in runs]),
+        ("per_app.csv", PER_APP_COLUMNS, (r for m in runs for r in _per_app_rows(scenario, m))),
+        ("global.csv", _global_columns(scenario), map(_global_row, runs)),
     ]
     if args.trace:
-        tables.append(("trace.csv", TRACE_COLUMNS, [r for m in runs for r in _trace_rows(m)]))
+        tables.append(("trace.csv", TRACE_COLUMNS, (r for m in runs for r in _trace_rows(m))))
     wrote = _write_tables(_output_dir(args), tables)
     _print_run_summary(scenario, runs)
     print(wrote)
@@ -338,27 +307,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 f"it would replace every swept value of {field}"
             )
 
-    per_app_rows: list[dict] = []
-    global_rows: list[dict] = []
-    global_cols: list[str] | None = None
+    points = []  # every point runs before any write: a failing one leaves no files
     for raw_value in values:
         data = json.loads(json.dumps(base_data))  # fresh copy per point
         value = _set_sweep_value(data, args.param, raw_value)
         scenario = _scenario(parse_scenario(data), args)
         runs = replication_runs(scenario, n_replications=scenario.config.replications)
-        if global_cols is None:
-            global_cols = ["sweep_value"] + _global_columns(scenario)
-        for m in runs:
-            for row in _per_app_rows(scenario, m):
-                per_app_rows.append({"sweep_value": value, **row})
-            global_rows.append({"sweep_value": value, **_global_row(scenario, m)})
+        points.append((value, scenario, runs))
 
-    assert global_cols is not None
+    per_app_rows = ((v, *r) for v, sc, runs in points for m in runs for r in _per_app_rows(sc, m))
+    global_rows = ((v, *_global_row(m)) for v, _, runs in points for m in runs)
     wrote = _write_tables(
         _output_dir(args),
         [
             ("sweep_per_app.csv", ["sweep_value"] + PER_APP_COLUMNS, per_app_rows),
-            ("sweep_global.csv", global_cols, global_rows),
+            ("sweep_global.csv", ["sweep_value"] + _global_columns(points[0][1]), global_rows),
         ],
     )
     print(f"swept {args.param} over {len(values)} values")

@@ -15,8 +15,9 @@ as sample_capacity called link by link. In deterministic mode it hands
 each slot a copy of one precomputed list.
 
 The slot loop reads SlotGrants as schedule_slot returns them: lists by
-dense link id and counts by (app, flow index). (app, worker)-keyed dicts
-are built only for a trace's SlotLedgers.
+dense link id and counts by (app, flow index). A trace's SlotLedger keeps
+the slot's sampled and residual lists as they are, both fresh each slot,
+and only its counts are re-keyed by (app, worker).
 """
 from __future__ import annotations
 
@@ -184,8 +185,8 @@ class SlotLedger:
     """Per-slot record kept when tracing is enabled."""
 
     slot: int
-    sampled: dict[EdgeId, int]
-    residual: dict[EdgeId, int]
+    sampled: list[int]  # by dense link id
+    residual: list[int]  # by dense link id
     grants: dict[tuple[AppId, NodeId], int]  # (app, worker) -> granted attempts
     successes: dict[tuple[AppId, NodeId], int]
 
@@ -293,8 +294,7 @@ def run(
     sample_slot = capacity_sampler(links, cfg.capacity_mode, rng_capacity)
 
     def by_worker(counts: Mapping[FlowKey, int]) -> dict[tuple[AppId, NodeId], int]:
-        ordered = sorted(counts.items(), key=lambda kv: order[kv[0]])
-        return {(a, state.flows[a][i].worker): c for (a, i), c in ordered}
+        return {(a, state.flows[a][i].worker): c for (a, i), c in counts.items()}
 
     for slot in range(cfg.slots):
         sampled = sample_slot()
@@ -320,8 +320,8 @@ def run(
             trace.append(
                 SlotLedger(
                     slot=slot,
-                    sampled=dict(enumerate(sampled)),
-                    residual=dict(enumerate(result.residual)),
+                    sampled=sampled,
+                    residual=result.residual,
                     grants=by_worker(grants),
                     successes=by_worker(successes),
                 )

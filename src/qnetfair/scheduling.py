@@ -30,8 +30,9 @@ app cannot yet afford still advances the cursor.
 
 The slot runs on integer indices. ``schedule_slot`` takes the sampled
 capacities as a list by dense link id, checks that each is a
-non-negative int, and returns SlotGrants whose residual is a list by link
-id and whose grants are counted by (app, flow index) in worker order.
+non-negative int and that the list reaches every edge a flow crosses,
+and returns SlotGrants whose residual is a list by link id and whose
+grants are counted by (app, flow index) in worker order.
 """
 from __future__ import annotations
 
@@ -140,6 +141,9 @@ class SchedulerState:
             self.flows[app_id] = flows
         # the slot loop reads each flow by (app, flow index) in this order
         self.edges = {a: tuple(f.edges for f in fs) for a, fs in self.flows.items()}
+        # schedule_slot rejects a capacity list that ends before an edge a flow crosses
+        crossed = [e for paths in self.edges.values() for path in paths for e in path]
+        self.links_needed = 1 + max(crossed, default=-1)
         self.queues: dict[AppId, deque[Request]] = {a: deque() for a in self.apps}
         self.cursor: dict[AppId, int] = dict.fromkeys(self.apps, 0)
         self.deficit: dict[AppId, float] = dict.fromkeys(self.apps, 0.0)
@@ -345,6 +349,8 @@ def schedule_slot(state: SchedulerState, capacities: list[int]) -> SlotGrants:
     if not all(map(int.__instancecheck__, capacities)) or min(capacities, default=0) < 0:
         e = next(e for e, c in enumerate(capacities) if not isinstance(c, int) or c < 0)
         raise ValueError(f"sampled capacity of edge {e} must be a non-negative integer")
+    if len(capacities) < state.links_needed:
+        raise ValueError(f"capacity list too short: {len(capacities)} < {state.links_needed} links")
     ctx = SlotGrants(residual=capacities.copy())
     if state.policy is Policy.FCFS:
         _fcfs_slot(state, ctx)

@@ -8,6 +8,7 @@ only once the structure is sound, since they need resolvable paths.
 """
 from __future__ import annotations
 
+from math import inf
 from typing import Mapping, Optional, Sequence
 
 from .model import (
@@ -102,8 +103,11 @@ def _check_structure(
             diags.append(f"apps[{i}].host: node {app.host} does not exist")
         elif graph.node(app.host).kind is not NodeKind.COMPUTATION:
             diags.append(f"apps[{i}].host: node {app.host} is a repeater")
-        if app.weight <= 0:
+        # JSON input may carry NaN or Infinity; NaN fails every comparison
+        if not app.weight > 0:
             diags.append(f"apps[{i}].weight: must be > 0, got {app.weight}")
+        elif app.weight == inf:
+            diags.append(f"apps[{i}].weight: must be finite, got {app.weight}")
         if app.workers_needed < 1:
             diags.append(f"apps[{i}].workers_needed: must be >= 1, got {app.workers_needed}")
         if app.workers_needed > len(app.candidates):
@@ -122,9 +126,11 @@ def _check_structure(
             diags.append(
                 f"apps[{i}].min_fidelity: must be in [{WERNER_FLOOR}, 1], got {app.min_fidelity}"
             )
-        if app.arrival_rate < 0:
+        if not app.arrival_rate >= 0:
             diags.append(f"apps[{i}].arrival_rate: must be >= 0, got {app.arrival_rate}")
-        if config.traffic is Traffic.POISSON and app.arrival_rate > MAX_ARRIVAL_RATE:
+        elif app.arrival_rate == inf:
+            diags.append(f"apps[{i}].arrival_rate: must be finite, got {app.arrival_rate}")
+        elif config.traffic is Traffic.POISSON and app.arrival_rate > MAX_ARRIVAL_RATE:
             diags.append(
                 f"apps[{i}].arrival_rate: exact Poisson sampling requires "
                 f"rate <= {MAX_ARRIVAL_RATE}, got {app.arrival_rate}"

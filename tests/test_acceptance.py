@@ -312,11 +312,13 @@ def test_c11_conservation_across_representative_runs():
         nonlocal violations, slots_checked
         for ledger in metrics.trace:
             slots_checked += 1
-            used = {e: 0 for e in ledger.sampled}
+            used = [0] * len(ledger.sampled)  # by link id, as the ledger's lists
             for key, count in ledger.grants.items():
                 for e in flow_edges[key]:
                     used[e] += count
-            for e, sampled in ledger.sampled.items():
+            if len(ledger.residual) != len(ledger.sampled):
+                violations += 1
+            for e, sampled in enumerate(ledger.sampled):
                 if used[e] > sampled or ledger.residual[e] != sampled - used[e]:
                     violations += 1
             for key, done in ledger.successes.items():

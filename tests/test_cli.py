@@ -1,8 +1,10 @@
+import math
 from pathlib import Path
 
 import pytest
 
 from conftest import scenario_dict
+from qnetfair import load_scenario, run
 from qnetfair.cli import main
 
 
@@ -40,6 +42,23 @@ class TestValidateCommand:
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 1
+
+    @pytest.mark.parametrize(
+        "field, value, token",
+        [
+            ("weight", math.nan, "NaN"),
+            ("weight", math.inf, "Infinity"),
+            ("arrival_rate", math.nan, "NaN"),
+            ("arrival_rate", math.inf, "Infinity"),
+        ],
+    )
+    def test_non_finite_number_exits_two(self, write_scenario, capsys, field, value, token):
+        data = scenario_dict()
+        data["apps"][0][field] = value
+        path = write_scenario(data)
+        assert f'"{field}": {token}' in Path(path).read_text()  # Python's json reads it back
+        assert main(["validate", "--config", path]) == 2
+        assert capsys.readouterr().out.startswith(f"apps[0].{field}: must be")
 
 
 class TestRunCommand:
@@ -127,6 +146,33 @@ class TestRunCommand:
         monkeypatch.setenv("QNETFAIR_OUTPUT_DIR", str(target))
         assert main(["run", "--config", path]) == 0
         assert (target / "per_app.csv").exists()
+
+    def test_global_columns_follow_link_ids_not_file_order(self, write_scenario, tmp_path):
+        # line 0-1-2-3 whose links, by id, have capacities 4, 2 and 1, listed
+        # in the file as ids 2, 0, 1; the one app crosses all three, so the
+        # utilisations 1/4, 1/2 and 1 tell the columns apart
+        def link(i, capacity):
+            return {"id": i, "endpoints": [i, i + 1], "capacity_max": capacity,
+                    "gen_success_prob": 1.0, "fidelity": 1.0}
+
+        data = scenario_dict(slots=20)
+        data["nodes"] = [{"id": i, "kind": "computation"} for i in range(4)]
+        data["links"] = [link(2, 1), link(0, 4), link(1, 2)]
+        data["apps"][0]["candidates"] = [3]
+        path = write_scenario(data)
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--output-dir", str(out), "--trace"]) == 0
+
+        metrics = run(load_scenario(path))
+        header, rows = read_csv(out / "global.csv")
+        assert header[5:] == ["edge_0_util", "edge_1_util", "edge_2_util"]
+        cells = [rows[0][f"edge_{e}_util"] for e in range(3)]
+        assert cells == [format(metrics.per_edge[e].utilization, ".6g") for e in range(3)]
+        assert cells == ["0.25", "0.5", "1"]
+        _, trace = read_csv(out / "trace.csv")
+        edges = [(r["slot"], r["id"], r["sampled"]) for r in trace if r["kind"] == "edge"]
+        by_id = [("0", "4"), ("1", "2"), ("2", "1")]
+        assert edges == [(str(t), e, c) for t in range(20) for e, c in by_id]
 
     def test_failed_run_leaves_no_partial_files(self, write_scenario, tmp_path):
         # exhaustive source over a tiny limit fails before any write

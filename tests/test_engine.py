@@ -245,6 +245,21 @@ class TestRun:
         m0 = run(unit_pipe_scenario(warmup_slots=0))
         assert m0.per_app[0].delivered == m0.slots * m0.per_app[0].delivered_rate
 
+    def test_trace_ledgers_hold_lists_by_link_id(self):
+        # links listed as ids 2, 0, 1 with capacities 1, 4, 2; the one app
+        # crosses all three, so each slot grants one pair on each
+        nodes = [Node(i, NodeKind.COMPUTATION) for i in range(4)]
+        links = [QuantumLink(i, (i, i + 1), c, 1.0, 1.0) for i, c in [(2, 1), (0, 4), (1, 2)]]
+        apps = [Application(0, 0, 1.0, 1, frozenset({3}))]
+        metrics = run(make_scenario(NetworkGraph(nodes, links), apps, slots=5), collect_trace=True)
+        for slot, ledger in enumerate(metrics.trace):
+            assert ledger.slot == slot
+            assert ledger.sampled == [4, 2, 1] and ledger.residual == [3, 1, 0]
+            assert ledger.grants == ledger.successes == {(0, 3): 1}
+        # every slot holds lists of its own
+        assert len({id(l.sampled) for l in metrics.trace}) == len(metrics.trace)
+        assert len({id(l.residual) for l in metrics.trace}) == len(metrics.trace)
+
     @pytest.mark.parametrize("warmup", [100, 150])
     def test_replaced_config_with_empty_window_rejected(self, warmup):
         # the warmup of a dataclasses.replace'd config is checked by run

@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import math
 import random
 
 import pytest
@@ -196,6 +198,34 @@ class TestConfigDiagnostics:
             minimal_graph(), apps, minimal_config(traffic=Traffic.POISSON)
         )
         assert any("arrival_rate" in d for d in diags)
+
+    @pytest.mark.parametrize(
+        "field, value, text",
+        [
+            ("weight", math.nan, "apps[0].weight: must be > 0, got nan"),
+            ("weight", math.inf, "apps[0].weight: must be finite, got inf"),
+            ("weight", -math.inf, "apps[0].weight: must be > 0, got -inf"),
+            ("arrival_rate", math.nan, "apps[0].arrival_rate: must be >= 0, got nan"),
+            ("arrival_rate", math.inf, "apps[0].arrival_rate: must be finite, got inf"),
+            ("arrival_rate", -math.inf, "apps[0].arrival_rate: must be >= 0, got -inf"),
+        ],
+    )
+    @pytest.mark.parametrize("traffic", [Traffic.BACKLOGGED, Traffic.POISSON])
+    def test_non_finite_weight_and_rate_rejected(self, field, value, text, traffic):
+        apps = [dataclasses.replace(minimal_apps()[0], **{field: value})]
+        diags = diags_of(minimal_graph(), apps, minimal_config(traffic=traffic))
+        assert diags == [text]  # one diagnostic, not also the Poisson rate bound
+
+    def test_finite_weight_and_rate_texts_unchanged(self):
+        apps = [Application(0, 0, -1.0, 1, frozenset({1}), arrival_rate=-0.5)]
+        assert diags_of(minimal_graph(), apps, minimal_config()) == [
+            "apps[0].weight: must be > 0, got -1.0",
+            "apps[0].arrival_rate: must be >= 0, got -0.5",
+        ]
+        apps = [Application(0, 0, 1.0, 1, frozenset({1}), arrival_rate=31.0)]
+        assert diags_of(minimal_graph(), apps, minimal_config(traffic=Traffic.POISSON)) == [
+            "apps[0].arrival_rate: exact Poisson sampling requires rate <= 30.0, got 31.0"
+        ]
 
     def test_warmup_must_be_below_slots(self):
         diags = diags_of(

@@ -83,6 +83,26 @@ class TestConfigGuards:
         with pytest.raises(TypeError, match="list by link id"):
             schedule_slot(state, {0: 1})
 
+    @pytest.mark.parametrize("policy", [Policy.FCFS, Policy.RR])
+    def test_short_capacity_list_rejected_before_any_grant(self, policy):
+        # line 0-1-2: app 0 crosses edge 0 only, app 1 edge 1 only, so a
+        # one-entry list would let app 0 be granted before app 1's pick fails
+        graph = line_graph([1.0, 1.0])
+        apps = [
+            Application(0, 0, 1.0, 1, frozenset({1})),
+            Application(1, 1, 1.0, 1, frozenset({2})),
+        ]
+        assignment = {0: frozenset({1}), 1: frozenset({2})}
+        state = make_state(policy, graph, apps, assignment, Traffic.POISSON)
+        enqueue_arrivals(state, 0, {0: 1, 1: 1})
+        queues = {a: list(q) for a, q in state.queues.items()}
+        before = (dict(state.cursor), list(state.active), state.head)
+        with pytest.raises(ValueError, match="too short: 1 < 2 links"):
+            schedule_slot(state, [2])
+        assert {a: list(q) for a, q in state.queues.items()} == queues
+        assert (dict(state.cursor), list(state.active), state.head) == before
+        assert len(schedule_slot(state, [2, 2]).granted_requests) == 2
+
 
 class TestEnqueueArrivals:
     def test_first_arrival_activates_app(self):

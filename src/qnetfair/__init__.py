@@ -22,11 +22,10 @@ from .routing import (
     EmptyEligibleSet,
     NoPath,
     build_flows,
+    edges_fidelity,
     eligible_workers,
-    path_edges,
-    path_fidelity,
+    host_flows,
     path_swap_prob,
-    shortest_path,
 )
 from .fairshare import (
     AppRatePrediction,
@@ -41,7 +40,6 @@ from .fairshare import (
 )
 from .scheduling import (
     ConfigError,
-    Request,
     SchedulerState,
     SlotGrants,
     enqueue_arrivals,

@@ -55,6 +55,12 @@ TRACE_COLUMNS = [
     "delivered",
     "residual",
 ]
+# how each command that runs a solver can shrink an exhaustive search
+_TOO_LARGE_HINT = {
+    "run": "raise --limit or set sim.assignment to greedy or random",
+    "assign": "raise --limit or use --solver greedy/random",
+    "sweep": "raise sim.exhaustive_limit or set sim.assignment to greedy or random",
+}
 
 
 class SweepParamError(Exception):
@@ -223,7 +229,7 @@ def cmd_assign(args: argparse.Namespace) -> int:
     assignment = resolve_assignment(scenario, cfg, stream_rng(cfg.seed, "assignment"))
     pred = predicted_app_rates(scenario.graph, scenario.apps, assignment)
     weighted = [pred[a.id].weighted for a in scenario.apps]
-    min_weighted = min(weighted)
+    min_weighted = min(weighted, default=None)  # NA without apps, as in run
     jain = jain_index(weighted) if any(v > 0 for v in weighted) else None
 
     if args.format == "csv":
@@ -392,15 +398,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return EXIT_IO
+    except UnicodeDecodeError as err:
+        print(f"parse error: byte {err.start}: {err.reason} (not UTF-8)", file=sys.stderr)
+        return EXIT_IO
     except (SchemaError, ValidationError) as err:
         for diag in err.diagnostics:
             print(diag)
         return EXIT_INVALID
     except SearchSpaceTooLarge as err:
-        print(
-            f"error: {err} (raise --limit or use --solver greedy/random)",
-            file=sys.stderr,
-        )
+        print(f"error: {err} ({_TOO_LARGE_HINT[args.command]})", file=sys.stderr)
         return EXIT_INVALID
     except (ConfigError, SweepParamError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -60,9 +60,6 @@ from .scheduling import (
     schedule_slot,
 )
 
-STREAM_LABELS = ("capacity", "arrival", "success", "assignment")
-
-
 def stream_seed(master_seed: int, label: str) -> int:
     """64-bit sub-seed for a named stream: sha256 of 'label:master'."""
     digest = hashlib.sha256(f"{label}:{master_seed}".encode()).digest()
@@ -96,7 +93,9 @@ def sample_capacity(link: QuantumLink, mode: CapacityMode, rng: random.Random) -
 
     Deterministic mode returns round(capacity * gen_success_prob), which
     validation requires to be integral; stochastic mode draws capacity
-    independent Bernoulli trials (an exact binomial sample).
+    independent Bernoulli trials (an exact binomial sample). The slot loop
+    samples through capacity_sampler, which calls this in deterministic
+    mode and is tested against its stochastic branch, link by link.
     """
     if mode is CapacityMode.DETERMINISTIC:
         return round(link.capacity_max * link.gen_success_prob)
@@ -288,7 +287,7 @@ def run(
     grants_by_app = dict.fromkeys((a.id for a in apps), 0)
     delivered_by_app = dict.fromkeys((a.id for a in apps), 0)
     attempts_by_app = dict.fromkeys((a.id for a in apps), 0)
-    latencies: dict[AppId, list[int]] = {a.id: [] for a in apps}
+    wait_by_app = dict.fromkeys((a.id for a in apps), 0)  # sum of slots from arrival to grant
     grants_by_edge = [0] * len(links)
     trace: list[SlotLedger] = []
     sample_slot = capacity_sampler(links, cfg.capacity_mode, rng_capacity)
@@ -314,8 +313,8 @@ def run(
                 delivered_by_app[app_id] += done
             # _verify_slot has checked that the grants consumed exactly this
             grants_by_edge = list(map(add, grants_by_edge, map(sub, sampled, result.residual)))
-            for req in result.granted_requests:
-                latencies[req.app].append(slot - req.arrival_slot)
+            for app_id, arrival_slot in result.granted_requests:
+                wait_by_app[app_id] += slot - arrival_slot
         if collect_trace:
             trace.append(
                 SlotLedger(
@@ -331,15 +330,16 @@ def run(
     per_app: dict[AppId, AppMetrics] = {}
     for app in apps:
         rate = delivered_by_app[app.id] / measured
-        lat = latencies[app.id]
         per_app[app.id] = AppMetrics(
             grants=grants_by_app[app.id],
             delivered=delivered_by_app[app.id],
             attempts=attempts_by_app[app.id],
             delivered_rate=rate,
             weighted_rate=rate / app.weight,
-            mean_latency=(statistics.fmean(lat) if lat else None)
-            if cfg.traffic is Traffic.POISSON
+            # a Poisson grant serves one request; int / int rounds once,
+            # as statistics.fmean of the waits would
+            mean_latency=wait_by_app[app.id] / grants_by_app[app.id]
+            if cfg.traffic is Traffic.POISSON and grants_by_app[app.id]
             else None,
         )
     per_edge = {

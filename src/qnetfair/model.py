@@ -103,10 +103,6 @@ class Flow:
     cost: int  # scheduler cost: 1 (unit mode) or hop count (hops mode)
 
     @property
-    def hop_count(self) -> int:
-        return len(self.edges)
-
-    @property
     def worker(self) -> NodeId:
         return self.path[-1]
 
@@ -125,14 +121,11 @@ class NetworkGraph:
         self._nodes = {n.id: n for n in self.nodes}
         self._links = {l.id: l for l in self.links}
         adj: dict[NodeId, list[tuple[NodeId, EdgeId]]] = {n.id: [] for n in self.nodes}
-        pair: dict[tuple[NodeId, NodeId], EdgeId] = {}
         for link in self.links:
             u, v = link.endpoints
             adj.setdefault(u, []).append((v, link.id))
             adj.setdefault(v, []).append((u, link.id))
-            pair[(min(u, v), max(u, v))] = link.id
         self._adj = {u: tuple(sorted(nbrs)) for u, nbrs in adj.items()}
-        self._pair = pair
         # routing's memo: src -> dst -> (path, edges), None if unreachable
         self.routes: dict[NodeId, dict] = {}
 
@@ -148,10 +141,6 @@ class NetworkGraph:
     def neighbors(self, node_id: NodeId) -> tuple[tuple[NodeId, EdgeId], ...]:
         """Adjacent (node, edge) pairs in ascending neighbor-id order."""
         return self._adj.get(node_id, ())
-
-    def link_between(self, u: NodeId, v: NodeId) -> Optional[QuantumLink]:
-        edge_id = self._pair.get((min(u, v), max(u, v)))
-        return None if edge_id is None else self._links[edge_id]
 
     def effective_capacities(self) -> dict[EdgeId, float]:
         return {l.id: l.effective_capacity for l in self.links}
@@ -183,5 +172,4 @@ class Scenario:
     graph: NetworkGraph
     apps: tuple[Application, ...]
     config: SimConfig
-    eligible: Mapping[AppId, frozenset[NodeId]]
     given_assignment: Optional[Mapping[AppId, frozenset[NodeId]]] = None

@@ -2,11 +2,11 @@
 
 Every flow uses a single fixed path chosen by minimum hop count, with a
 deterministic tie-break toward the lexicographically smallest node-id
-sequence. ``host_flows`` routes all of an app's workers with one search
-and builds the ``Flow`` objects every other module reads. All functions
-are pure over an immutable graph; each graph keeps the routes found on
-it, so validation, the assignment solvers and the engine search each
-(host, worker) route once.
+sequence. ``host_flows``, the one public form of a route, searches all
+of an app's workers at once and builds the ``Flow`` objects every other
+module reads. All functions are pure over an immutable graph; each graph
+keeps the routes found on it, so validation, the assignment solvers and
+the engine search each (host, worker) route once.
 """
 from __future__ import annotations
 
@@ -74,25 +74,6 @@ def _routes(
     return {d: known[d] for d in dsts if known[d] is not None}
 
 
-def shortest_path(graph: NetworkGraph, src: NodeId, dst: NodeId) -> tuple[NodeId, ...]:
-    """Minimum-hop path from src to dst as a node-id tuple (see ``_routes``)."""
-    routes = _routes(graph, src, (dst,))
-    if dst not in routes:
-        raise NoPath(f"no path from {src} to {dst}")
-    return routes[dst][0]
-
-
-def path_edges(graph: NetworkGraph, path: tuple[NodeId, ...]) -> tuple[EdgeId, ...]:
-    """Edge ids along a node sequence; consecutive nodes must be adjacent."""
-    edges = []
-    for u, v in zip(path, path[1:]):
-        link = graph.link_between(u, v)
-        if link is None:
-            raise ValueError(f"nodes {u} and {v} are not adjacent")
-        edges.append(link.id)
-    return tuple(edges)
-
-
 def path_swap_prob(path: tuple[NodeId, ...], graph: NetworkGraph) -> float:
     """Probability that all swaps along the path succeed.
 
@@ -105,23 +86,19 @@ def path_swap_prob(path: tuple[NodeId, ...], graph: NetworkGraph) -> float:
     return prob
 
 
-def _edges_fidelity(graph: NetworkGraph, edges: tuple[EdgeId, ...]) -> float:
-    fid = graph.link(edges[0]).fidelity
-    for edge_id in edges[1:]:
-        fe = graph.link(edge_id).fidelity
-        fid = fid * fe + (1.0 - fid) * (1.0 - fe) / 3.0
-    return fid
-
-
-def path_fidelity(path: tuple[NodeId, ...], graph: NetworkGraph) -> float:
-    """End-to-end Werner fidelity of the pair delivered over the path.
+def edges_fidelity(graph: NetworkGraph, edges: Sequence[EdgeId]) -> float:
+    """End-to-end Werner fidelity of the pair delivered over the edges.
 
     Left fold over the path's links of
         F <- F*Fe + (1 - F)*(1 - Fe)/3
     starting from the first link's fidelity. Closed on [0.25, 1], with
     0.25 (fully mixed) as a fixed point.
     """
-    return _edges_fidelity(graph, path_edges(graph, path))
+    fid = graph.link(edges[0]).fidelity
+    for edge_id in edges[1:]:
+        fe = graph.link(edge_id).fidelity
+        fid = fid * fe + (1.0 - fid) * (1.0 - fe) / 3.0
+    return fid
 
 
 def host_flows(
@@ -137,7 +114,7 @@ def host_flows(
             path=path,
             edges=edges,
             swap_prob=path_swap_prob(path, graph),
-            e2e_fidelity=_edges_fidelity(graph, edges),
+            e2e_fidelity=edges_fidelity(graph, edges),
             cost=1 if cost_mode is CostMode.UNIT else len(edges),
         )
         for path, edges in routes.values()

@@ -4,7 +4,7 @@ A grant reserves one EPR pair on every edge of the flow's path within the
 current slot, so contention is network-wide rather than per link. Four
 disciplines are supported:
 
-* FCFS: pending requests granted in (arrival_slot, app id, seq) order,
+* FCFS: pending requests granted in (arrival_slot, app id) order,
   taken from a heap of the queue heads; an app whose head is blocked is
   dropped for the rest of the slot. Requires Poisson traffic.
 * RR: repeated passes over the active-app ring, one grant per app per pass.
@@ -32,7 +32,9 @@ The slot runs on integer indices. ``schedule_slot`` takes the sampled
 capacities as a list by dense link id, checks that each is a
 non-negative int and that the list reaches every edge a flow crosses,
 and returns SlotGrants whose residual is a list by link id and whose
-grants are counted by (app, flow index) in worker order.
+grants are counted by (app, flow index) in worker order; ``select_flow``
+returns the index of the flow it picks. A pending request is its arrival
+slot, queued FIFO per app, and a granted one is (app, arrival_slot).
 """
 from __future__ import annotations
 
@@ -53,13 +55,6 @@ class ConfigError(Exception):
     """Scheduler configuration the discipline cannot honor."""
 
 
-@dataclass(frozen=True)
-class Request:
-    app: AppId
-    arrival_slot: int
-    seq: int  # per-app monotone counter; (app, seq) is unique
-
-
 FlowKey = tuple[AppId, int]  # (app, flow index) in the scheduler's worker order
 
 
@@ -69,7 +64,8 @@ class SlotGrants:
 
     residual: list[int]  # by dense link id
     per_flow: dict[FlowKey, int] = field(default_factory=dict)
-    granted_requests: list[Request] = field(default_factory=list)  # empty in backlogged mode
+    # (app, arrival_slot) per granted request; empty in backlogged mode
+    granted_requests: list[tuple[AppId, int]] = field(default_factory=list)
     last_granted: Optional[AppId] = None
     passes: int = 0  # round-robin passes started in this slot
     # capacity-blocked app -> the pass in which select_flow returned None;
@@ -131,7 +127,6 @@ class SchedulerState:
 
         self.policy = policy
         self.traffic = traffic
-        self.quantum_base = quantum_base
         self.apps = {a.id: a for a in sorted(apps, key=lambda a: a.id)}
         self.flows: dict[AppId, tuple[Flow, ...]] = {}
         for app_id in self.apps:
@@ -144,7 +139,7 @@ class SchedulerState:
         # schedule_slot rejects a capacity list that ends before an edge a flow crosses
         crossed = [e for paths in self.edges.values() for path in paths for e in path]
         self.links_needed = 1 + max(crossed, default=-1)
-        self.queues: dict[AppId, deque[Request]] = {a: deque() for a in self.apps}
+        self.queues: dict[AppId, deque[int]] = {a: deque() for a in self.apps}  # arrival slots
         self.cursor: dict[AppId, int] = dict.fromkeys(self.apps, 0)
         self.deficit: dict[AppId, float] = dict.fromkeys(self.apps, 0.0)
         self.quantum = {a: quantum_base * app.weight for a, app in self.apps.items()}
@@ -155,7 +150,6 @@ class SchedulerState:
             (math.ceil(self.max_cost[a] / self.quantum[a]) for a in self.apps),
             default=0,
         )
-        self._next_seq: dict[AppId, int] = dict.fromkeys(self.apps, 0)
         if traffic is Traffic.BACKLOGGED:
             self.active: list[AppId] = list(self.apps)
         else:
@@ -184,9 +178,7 @@ def enqueue_arrivals(
             continue
         queue = state.queues[app_id]
         newly_backlogged = not queue
-        for _ in range(count):
-            queue.append(Request(app_id, slot, state._next_seq[app_id]))
-            state._next_seq[app_id] += 1
+        queue.extend([slot] * count)
         if newly_backlogged:
             state.active.append(app_id)
             if state.head is None:
@@ -201,14 +193,14 @@ def _fits(flow: Flow, residual: list[int]) -> bool:
     return True
 
 
-def select_flow(state: SchedulerState, app_id: AppId, residual: list[int]) -> Optional[Flow]:
-    """Next feasible flow of the app, rotating over its flows.
+def select_flow(state: SchedulerState, app_id: AppId, residual: list[int]) -> Optional[int]:
+    """Index of the app's next feasible flow, rotating over its flows.
 
     Starting at the app's cursor, each flow is tried once in cyclic
-    order; the first that fits the residual capacities is returned and
-    the cursor advances past it, whether or not the caller then grants
-    it: DRR checks the deficit only after the pick. Returns None
-    (blocked) with the cursor unchanged when no flow fits.
+    order; the index of the first that fits the residual capacities is
+    returned and the cursor advances past it, whether or not the caller
+    then grants it: DRR checks the deficit only after the pick. Returns
+    None (blocked) with the cursor unchanged when no flow fits.
     """
     edges = state.edges[app_id]
     n = len(edges)
@@ -221,20 +213,19 @@ def select_flow(state: SchedulerState, app_id: AppId, residual: list[int]) -> Op
                 break
         else:
             state.cursor[app_id] = i + 1 if i + 1 < n else 0
-            return state.flows[app_id][i]
+            return i
     return None
 
 
-def _grant(state: SchedulerState, ctx: SlotGrants, app_id: AppId, flow: Flow) -> None:
-    """Grant ``flow``, which select_flow has just picked for the app, so
-    it is the flow just behind the app's cursor: that is its index."""
+def _grant(state: SchedulerState, ctx: SlotGrants, app_id: AppId, i: int) -> None:
+    """Grant the app's flow ``i``, as select_flow has just picked it."""
     residual = ctx.residual
-    for e in flow.edges:
+    for e in state.edges[app_id][i]:
         residual[e] -= 1
-    key = (app_id, (state.cursor[app_id] or len(state.edges[app_id])) - 1)
+    key = (app_id, i)
     ctx.per_flow[key] = ctx.per_flow.get(key, 0) + 1
     if state.traffic is Traffic.POISSON:
-        ctx.granted_requests.append(state.queues[app_id].popleft())
+        ctx.granted_requests.append((app_id, state.queues[app_id].popleft()))
     ctx.last_granted = app_id
 
 
@@ -244,11 +235,11 @@ def _visit_budgeted(
     """RR/WRR visit: up to ``budget`` grants through the flow cursor."""
     made = 0
     while made < budget and state.backlogged(app_id):
-        flow = select_flow(state, app_id, ctx.residual)
-        if flow is None:
+        i = select_flow(state, app_id, ctx.residual)
+        if i is None:
             ctx.blocked[app_id] = ctx.passes
             break
-        _grant(state, ctx, app_id, flow)
+        _grant(state, ctx, app_id, i)
         made += 1
     return made
 
@@ -260,16 +251,17 @@ def _visit_drr(state: SchedulerState, ctx: SlotGrants, app_id: AppId) -> int:
     deficit = state.deficit[app_id] + state.quantum[app_id]
     made = 0
     while True:
-        flow = select_flow(state, app_id, ctx.residual)
-        if flow is None:
+        i = select_flow(state, app_id, ctx.residual)
+        if i is None:
             deficit = min(deficit, state.deficit_cap(app_id))
             ctx.blocked[app_id] = ctx.passes
             break
-        if deficit < flow.cost - _DEFICIT_EPS:
+        cost = state.flows[app_id][i].cost
+        if deficit < cost - _DEFICIT_EPS:
             break
-        _grant(state, ctx, app_id, flow)
+        _grant(state, ctx, app_id, i)
         made += 1
-        deficit -= flow.cost
+        deficit -= cost
         if not state.backlogged(app_id):
             deficit = 0.0
             break
@@ -319,20 +311,20 @@ def _round_robin_slot(state: SchedulerState, ctx: SlotGrants) -> None:
 
 def _fcfs_slot(state: SchedulerState, ctx: SlotGrants) -> None:
     # only a queue head can be granted, so a heap of heads keyed
-    # (arrival_slot, app, seq) yields the global FCFS order
-    heads = [(q[0].arrival_slot, a, q[0].seq) for a, q in state.queues.items() if q]
+    # (arrival_slot, app) yields the global FCFS order
+    heads = [(q[0], a) for a, q in state.queues.items() if q]
     heapq.heapify(heads)
     while heads:
-        _, app_id, _ = heapq.heappop(heads)
-        flow = select_flow(state, app_id, ctx.residual)
-        if flow is None:
+        _, app_id = heapq.heappop(heads)
+        i = select_flow(state, app_id, ctx.residual)
+        if i is None:
             # residuals only shrink within the slot, so the app's later
             # requests are blocked too: it leaves the heap for this slot
             continue
-        _grant(state, ctx, app_id, flow)  # pops the queue head
+        _grant(state, ctx, app_id, i)  # pops the queue head
         queue = state.queues[app_id]
         if queue:
-            heapq.heappush(heads, (queue[0].arrival_slot, app_id, queue[0].seq))
+            heapq.heappush(heads, (queue[0], app_id))
 
 
 def schedule_slot(state: SchedulerState, capacities: list[int]) -> SlotGrants:

@@ -4,7 +4,8 @@ Validation is pure (same input, same diagnostics, no mutation) and
 reports one diagnostic per violation with a path-like locator such as
 ``apps[2].candidates: node 7 is a repeater``. Structural problems are
 reported first; derived checks (worker eligibility, given pools) run
-only once the structure is sound, since they need resolvable paths.
+only once the structure is sound, since they need resolvable paths. The
+Scenario keeps no eligibility: the solvers ask routing for it.
 """
 from __future__ import annotations
 
@@ -151,8 +152,7 @@ def validate_scenario(
     given_assignment: Optional[Mapping[int, frozenset[int]]] = None,
 ) -> Scenario:
     """Check every invariant and cross-reference; raise ValidationError
-    with one diagnostic per violation, or return the validated Scenario
-    (with per-app eligible worker sets precomputed)."""
+    with one diagnostic per violation, or return the validated Scenario."""
     diags: list[str] = []
     _check_structure(graph, apps, config, diags)
     if diags:
@@ -201,7 +201,6 @@ def validate_scenario(
         graph=graph,
         apps=tuple(sorted(apps, key=lambda a: a.id)),
         config=config,
-        eligible=eligible,
         given_assignment=(
             {a: frozenset(w) for a, w in given_assignment.items()}
             if given_assignment is not None

@@ -33,6 +33,12 @@ def line_graph(fidelities, capacity=1, gen_prob=1.0, swap_q=1.0, kinds=None):
     return NetworkGraph(nodes, links)
 
 
+def edges_along(graph, path):
+    """Edge ids along a node sequence, read from the links' endpoints."""
+    by_pair = {frozenset(link.endpoints): link.id for link in graph.links}
+    return tuple(by_pair[frozenset(uv)] for uv in zip(path, path[1:]))
+
+
 def shared_link_graph(capacity, gen_prob=1.0):
     """Two computation nodes joined by a single link."""
     nodes = [Node(0, NodeKind.COMPUTATION), Node(1, NodeKind.COMPUTATION)]

@@ -238,11 +238,12 @@ def test_c07_assignment_solver_ordering():
 
 def test_c08_fidelity_composition_values():
     from conftest import line_graph
-    from qnetfair import path_fidelity
+    from qnetfair import edges_fidelity
 
-    perfect = path_fidelity((0, 1, 2, 3), line_graph([1.0, 1.0, 1.0]))
-    mixed = path_fidelity((0, 1, 2), line_graph([0.25, 0.25]))
-    nine = path_fidelity((0, 1, 2), line_graph([0.9, 0.9]))
+    # line_graph's link i joins nodes i and i+1, so links 0..k-1 form the path
+    perfect = edges_fidelity(line_graph([1.0, 1.0, 1.0]), (0, 1, 2))
+    mixed = edges_fidelity(line_graph([0.25, 0.25]), (0, 1))
+    nine = edges_fidelity(line_graph([0.9, 0.9]), (0, 1))
     ok = perfect == 1.0 and mixed == 0.25 and abs(nine - 0.813333) <= 1e-6
     _report(
         "fidelity composition: 1.0 exact, 0.25 fixed point, 0.813333 +/- 1e-6",

@@ -1,11 +1,15 @@
 import math
+import re
 from pathlib import Path
 
 import pytest
 
 from conftest import scenario_dict
 from qnetfair import load_scenario, run
-from qnetfair.cli import main
+from qnetfair.cli import build_parser, main
+
+# a UTF-16 byte-order mark and text: not UTF-8 from the first byte
+NOT_UTF8 = b"\xff\xfe" + "{}".encode("utf-16-le")
 
 
 def read_csv(path):
@@ -42,6 +46,14 @@ class TestValidateCommand:
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 1
+
+    def test_non_utf8_file_exits_one_with_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(NOT_UTF8)
+        assert main(["validate", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["parse error: byte 0: invalid start byte (not UTF-8)"]
 
     @pytest.mark.parametrize(
         "field, value, token",
@@ -241,6 +253,52 @@ class TestAssignCommand:
         err = capsys.readouterr().err
         assert "3 assignments" in err and "--limit" in err
 
+    def test_empty_apps_report_na(self, write_scenario, capsys):
+        data = scenario_dict()
+        data["apps"] = []
+        path = write_scenario(data)
+        assert main(["assign", "--config", path]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["solver=greedy", "min_weighted_rate=NA jain_weighted=NA"]
+        assert main(["assign", "--config", path, "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "app_id,workers,rate,weighted_rate,min_weighted_rate,jain_weighted"
+        ]
+
+
+class TestSearchSpaceHint:
+    """Each command's hint for an oversized exhaustive search names only
+    flags that the command itself accepts."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run"],
+            ["assign", "--solver", "exhaustive"],
+            ["sweep", "--param", "seed", "--values", "1,2"],
+        ],
+    )
+    def test_hint_flags_parse_for_the_command(self, write_scenario, tmp_path, capsys, argv):
+        data = scenario_dict(assignment="exhaustive", exhaustive_limit=2)
+        data["nodes"] += [{"id": 2, "kind": "computation"}, {"id": 3, "kind": "computation"}]
+        data["links"] += [
+            {"id": 1, "endpoints": [0, 2], "capacity_max": 1, "gen_success_prob": 1.0, "fidelity": 1.0},
+            {"id": 2, "endpoints": [0, 3], "capacity_max": 1, "gen_success_prob": 1.0, "fidelity": 1.0},
+        ]
+        data["apps"][0]["candidates"] = [1, 2, 3]
+        argv = argv + ["--config", write_scenario(data)]
+        if argv[0] != "assign":
+            argv += ["--output-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "3 assignments" in err
+        hint = err[err.rindex("(") + 1:err.rindex(")")]
+        values = {"--limit": "3", "--solver": "greedy"}
+        for flag in re.findall(r"--[a-z][a-z-]*", hint):
+            build_parser().parse_args(argv + [flag, values.get(flag, "1")])
+        if argv[0] != "assign":
+            assert "sim.assignment" in hint
+
 
 class TestSweepCommand:
     def test_policy_sweep_produces_row_groups(self, write_scenario, tmp_path):
@@ -386,6 +444,18 @@ class TestSweepCommand:
              "--values", "1,1.5", "--output-dir", str(tmp_path / "out")]
         ) == 2
         assert "links.0.capacity_max: expected integer value, got '1.5'" in capsys.readouterr().err
+
+    def test_non_utf8_file_exits_one_with_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(NOT_UTF8)
+        assert main(
+            ["sweep", "--config", str(path), "--param", "seed", "--values", "1",
+             "--output-dir", str(tmp_path / "out")]
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["parse error: byte 0: invalid start byte (not UTF-8)"]
+        assert not (tmp_path / "out").exists()
 
     def test_failed_write_removes_written_csvs(self, write_scenario, tmp_path, capsys):
         # sweep_per_app.csv is written, then sweep_global.csv cannot be

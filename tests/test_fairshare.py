@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import line_graph, shared_link_apps, shared_link_graph
+from conftest import edges_along, line_graph, shared_link_apps, shared_link_graph
 from gen import (
     dumbbell_instance,
     random_assignment_instance,
@@ -15,6 +15,7 @@ from gen import (
 )
 from qnetfair import (
     Application,
+    CostMode,
     NetworkGraph,
     Node,
     NodeKind,
@@ -24,11 +25,10 @@ from qnetfair import (
     assign_greedy,
     assign_random,
     eligible_workers,
+    host_flows,
     jain_index,
     maxmin_rates,
-    path_edges,
     predicted_app_rates,
-    shortest_path,
     verify_bottleneck,
 )
 
@@ -361,8 +361,9 @@ def _greedy_full_sort(graph, apps):
     load = {e: 0.0 for e in sorted(caps)}
     out = {}
     for app in sorted(apps, key=lambda a: (-a.weight, a.id)):
-        cand_edges = {w: path_edges(graph, shortest_path(graph, app.host, w))
-                      for w in sorted(eligible_workers(graph, app))}
+        workers = eligible_workers(graph, app)
+        cand_edges = {f.worker: edges_along(graph, f.path)
+                      for f in host_flows(graph, app, workers, CostMode.UNIT)}
         phi = app.weight / app.workers_needed
         picked = []
         for _ in range(app.workers_needed):

@@ -17,6 +17,7 @@ from qnetfair import (
     SimConfig,
     Traffic,
     ValidationError,
+    eligible_workers,
     validate_scenario,
 )
 from qnetfair.validate import MAX_CAPACITY
@@ -48,7 +49,7 @@ def diags_of(graph, apps, config, given=None):
 class TestValidScenarios:
     def test_minimal_scenario_validates(self):
         scenario = validate_scenario(minimal_graph(), minimal_apps(), minimal_config())
-        assert scenario.eligible[0] == frozenset({1})
+        assert eligible_workers(scenario.graph, scenario.apps[0]) == frozenset({1})
 
     def test_validation_is_pure(self):
         graph, apps, config = minimal_graph(), minimal_apps(), minimal_config()
@@ -267,7 +268,10 @@ class TestEligibilityDiagnostics:
         diags = diags_of(graph, apps, config, {1: frozenset({1})})
         assert diags == ["apps[1].workers: required when sim.assignment is 'given'"]
         scenario = validate_scenario(graph, apps, minimal_config())
-        assert scenario.eligible == {0: frozenset({1}), 1: frozenset({1})}
+        assert {a.id: eligible_workers(graph, a) for a in scenario.apps} == {
+            0: frozenset({1}),
+            1: frozenset({1}),
+        }
 
     def test_given_assignment_checked(self):
         config = minimal_config(assignment=AssignmentSource.GIVEN)
@@ -353,4 +357,4 @@ class TestFuzzedScenarios:
                 assert app.weight > 0
                 assert app.workers_needed <= len(app.candidates)
                 assert app.host not in app.candidates
-                assert len(scenario.eligible[app.id]) >= app.workers_needed
+                assert len(eligible_workers(scenario.graph, app)) >= app.workers_needed

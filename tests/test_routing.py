@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import line_graph
+from conftest import edges_along, line_graph
 from gen import random_connected_graph
 from qnetfair import (
     Application,
@@ -18,11 +18,10 @@ from qnetfair import (
     NoPath,
     QuantumLink,
     build_flows,
+    edges_fidelity,
     eligible_workers,
-    path_edges,
-    path_fidelity,
+    host_flows,
     path_swap_prob,
-    shortest_path,
 )
 
 
@@ -32,24 +31,34 @@ def _graph_from_edges(n, edges):
     return NetworkGraph(nodes, links)
 
 
+def route(graph, src, dst):
+    """Path of the flow host_flows builds from src to dst alone."""
+    flows = host_flows(graph, Application(0, src, 1.0, 1, frozenset({dst})), [dst], CostMode.UNIT)
+    if not flows:
+        raise NoPath(f"no path from {src} to {dst}")
+    return flows[0].path
+
+
 class TestShortestPath:
     def test_line(self):
         g = _graph_from_edges(3, [(0, 1), (1, 2)])
-        assert shortest_path(g, 0, 2) == (0, 1, 2)
+        assert route(g, 0, 2) == (0, 1, 2)
 
     def test_square_lexicographic_tie_break(self):
         g = _graph_from_edges(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
-        assert shortest_path(g, 0, 3) == (0, 1, 3)
+        assert route(g, 0, 3) == (0, 1, 3)
 
     def test_disconnected_raises(self):
         g = _graph_from_edges(4, [(0, 1), (2, 3)])
+        app = Application(0, 0, 1.0, 1, frozenset({1, 3}))
+        assert [f.worker for f in host_flows(g, app, app.candidates, CostMode.UNIT)] == [1]
         with pytest.raises(NoPath):
-            shortest_path(g, 0, 3)
+            build_flows(g, [app], {0: app.candidates}, CostMode.UNIT)
 
     def test_same_endpoints_rejected(self):
         g = _graph_from_edges(2, [(0, 1)])
         with pytest.raises(ValueError):
-            shortest_path(g, 1, 1)
+            route(g, 1, 1)
 
     def test_matches_exhaustive_enumeration_on_small_graphs(self):
         # brute force: the minimum-hop, lexicographically smallest simple path
@@ -79,14 +88,14 @@ class TestShortestPath:
             src, dst = rng.sample(range(n), 2)
             paths = all_simple_paths(g, src, dst)
             expected = min(paths, key=lambda p: (len(p), p))
-            assert shortest_path(g, src, dst) == expected
+            assert route(g, src, dst) == expected
             checked += 1
         assert checked == 60
 
     def test_repeated_calls_identical(self):
         rng = random.Random(5)
         g = random_connected_graph(rng, 7, extra_edges=3)
-        assert shortest_path(g, 0, 6) == shortest_path(g, 0, 6)
+        assert route(g, 0, 6) == route(g, 0, 6)
 
 
 class TestSwapProb:
@@ -132,27 +141,29 @@ class TestSwapProb:
 
 
 class TestPathFidelity:
+    """edges_fidelity over a line graph, whose link i joins nodes i and i+1."""
+
     def test_perfect_links_compose_perfectly(self):
         g = line_graph([1.0, 1.0, 1.0])
-        assert path_fidelity((0, 1, 2, 3), g) == 1.0
+        assert edges_fidelity(g, (0, 1, 2)) == 1.0
 
     def test_fully_mixed_fixed_point(self):
         g = line_graph([0.25, 0.25])
-        assert path_fidelity((0, 1, 2), g) == 0.25
+        assert edges_fidelity(g, (0, 1)) == 0.25
 
     def test_two_point_nine_links(self):
         # 0.9*0.9 + 0.1*0.1/3
         g = line_graph([0.9, 0.9])
-        assert path_fidelity((0, 1, 2), g) == pytest.approx(0.81 + 0.01 / 3, abs=1e-12)
+        assert edges_fidelity(g, (0, 1)) == pytest.approx(0.81 + 0.01 / 3, abs=1e-12)
 
     def test_single_link_is_its_fidelity(self):
         g = line_graph([0.6])
-        assert path_fidelity((0, 1), g) == 0.6
+        assert edges_fidelity(g, (0,)) == 0.6
 
     @given(st.lists(st.floats(0.2500001, 1.0), min_size=1, max_size=6))
     def test_stays_in_werner_range(self, fids):
         g = line_graph(fids)
-        f = path_fidelity(tuple(range(len(fids) + 1)), g)
+        f = edges_fidelity(g, tuple(range(len(fids))))
         assert 0.25 <= f <= 1.0 + 1e-12
 
     @given(
@@ -161,15 +172,15 @@ class TestPathFidelity:
     )
     def test_extension_by_imperfect_link_never_increases(self, fids, extra):
         g = line_graph(fids + [extra])
-        base = path_fidelity(tuple(range(len(fids) + 1)), g)
-        extended = path_fidelity(tuple(range(len(fids) + 2)), g)
+        base = edges_fidelity(g, tuple(range(len(fids))))
+        extended = edges_fidelity(g, tuple(range(len(fids) + 1)))
         assert extended <= base + 1e-12
 
     @given(st.lists(st.floats(0.2500001, 1.0), min_size=1, max_size=5))
     def test_extension_by_perfect_link_is_invariant(self, fids):
         g = line_graph(fids + [1.0])
-        base = path_fidelity(tuple(range(len(fids) + 1)), g)
-        extended = path_fidelity(tuple(range(len(fids) + 2)), g)
+        base = edges_fidelity(g, tuple(range(len(fids))))
+        extended = edges_fidelity(g, tuple(range(len(fids) + 1)))
         assert extended == base
 
 
@@ -202,9 +213,11 @@ class TestEligibleWorkers:
             QuantumLink(3, (4, 2), 1, 1.0, 0.9),
         ]
         g = NetworkGraph(nodes, links)
-        assert path_fidelity(shortest_path(g, 0, 1), g) == pytest.approx(0.813333, abs=1e-6)
-        assert path_fidelity(shortest_path(g, 0, 2), g) == pytest.approx(0.738222, abs=1e-6)
         app = Application(0, 0, 1.0, 1, frozenset({1, 2}), min_fidelity=0.78)
+        flows = host_flows(g, app, app.candidates, CostMode.UNIT)
+        assert [f.worker for f in flows] == [1, 2]
+        assert flows[0].e2e_fidelity == pytest.approx(0.813333, abs=1e-6)
+        assert flows[1].e2e_fidelity == pytest.approx(0.738222, abs=1e-6)
         assert eligible_workers(g, app) == frozenset({1})
 
     def test_unreachable_candidates_are_dropped(self):
@@ -222,8 +235,9 @@ class TestEligibleWorkers:
 
 
 class TestRouteTable:
-    """Flows built from one search per host equal the per-pair rule:
-    shortest_path, then path_edges, path_swap_prob and path_fidelity."""
+    """Flows built from one search per host equal the per-pair rule: each
+    worker routed alone on a fresh graph, its edges read from the links'
+    endpoints, then path_swap_prob and edges_fidelity."""
 
     @staticmethod
     def graphs():
@@ -248,14 +262,14 @@ class TestRouteTable:
 
     @staticmethod
     def per_pair_flow(graph, app, worker, cost_mode):
-        path = shortest_path(graph, app.host, worker)
-        edges = path_edges(graph, path)
+        path = route(NetworkGraph(graph.nodes, graph.links), app.host, worker)
+        edges = edges_along(graph, path)
         return Flow(
             app=app.id,
             path=path,
             edges=edges,
             swap_prob=path_swap_prob(path, graph),
-            e2e_fidelity=path_fidelity(path, graph),
+            e2e_fidelity=edges_fidelity(graph, edges),
             cost=1 if cost_mode is CostMode.UNIT else len(edges),
         )
 
@@ -312,7 +326,7 @@ class TestRouteReuse:
             build_flows(g, [app], {0: frozenset({2, 4})}, CostMode.HOPS)
             eligible_workers(g, app)
             assert neighbors.call_count == searched
-            assert shortest_path(g, 0, 3) == (0, 1, 2, 3)  # a new destination
+            assert route(g, 0, 3) == (0, 1, 2, 3)  # a new destination
             assert neighbors.call_count > searched
 
     def test_routes_match_fresh_single_searches(self):
@@ -327,4 +341,4 @@ class TestRouteReuse:
                 flows = build_flows(g, [app], {app_id: app.candidates}, CostMode.UNIT)
                 for flow in flows[app_id]:
                     fresh = NetworkGraph(g.nodes, g.links)
-                    assert flow.path == shortest_path(fresh, host, flow.worker)
+                    assert flow.path == route(fresh, host, flow.worker)

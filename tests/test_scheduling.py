@@ -113,12 +113,11 @@ class TestEnqueueArrivals:
         assert state.head == 0
         assert len(state.queues[0]) == 1
 
-    def test_fifo_sequence_numbers(self):
+    def test_fifo_arrival_slots(self):
         state, _ = single_link_state(Policy.RR, [1.0], 1, Traffic.POISSON)
         enqueue_arrivals(state, 0, {0: 2})
         enqueue_arrivals(state, 3, {0: 1})
-        seqs = [(r.arrival_slot, r.seq) for r in state.queues[0]]
-        assert seqs == [(0, 0), (0, 1), (3, 2)]
+        assert list(state.queues[0]) == [0, 0, 3]
 
     def test_rejected_in_backlogged_mode(self):
         state, _ = single_link_state(Policy.RR, [1.0], 1)
@@ -142,13 +141,13 @@ class TestSelectFlow:
 
     def test_single_feasible_flow(self):
         state, _ = single_link_state(Policy.RR, [1.0], 1)
-        flow = select_flow(state, 0, [1])
-        assert flow is not None and flow.worker == 1
+        assert select_flow(state, 0, [1]) == 0
+        assert state.flows[0][0].worker == 1
 
     def test_skips_infeasible_first_flow(self):
         state = self._two_flow_state()
-        flow = select_flow(state, 0, [0, 1])
-        assert flow is not None and flow.worker == 2
+        assert select_flow(state, 0, [0, 1]) == 1
+        assert state.flows[0][1].worker == 2
         assert state.cursor[0] == 0  # advanced past flow index 1, wrapped
 
     def test_blocked_leaves_cursor(self):
@@ -161,7 +160,8 @@ class TestSelectFlow:
         state = self._two_flow_state()
         first = select_flow(state, 0, [5, 5])
         second = select_flow(state, 0, [5, 5])
-        assert {first.worker, second.worker} == {1, 2}
+        assert (first, second) == (0, 1)
+        assert {state.flows[0][first].worker, state.flows[0][second].worker} == {1, 2}
 
 
 class TestDRR:
@@ -309,14 +309,15 @@ class TestFCFS:
         enqueue_arrivals(state, 0, {1: 2})
         enqueue_arrivals(state, 1, {0: 1})
         result = schedule_slot(state, [10])
-        order = [(r.arrival_slot, r.app, r.seq) for r in result.granted_requests]
-        assert order == [(0, 1, 0), (0, 1, 1), (1, 0, 0)]
+        assert result.granted_requests == [(1, 0), (1, 0), (0, 1)]
 
-    def test_same_slot_same_app_served_in_seq_order(self):
+    def test_same_app_served_in_arrival_order(self):
         state, _ = self._poisson_state([1.0], 10)
-        enqueue_arrivals(state, 0, {0: 3})
-        result = schedule_slot(state, [10])
-        assert [r.seq for r in result.granted_requests] == [0, 1, 2]
+        enqueue_arrivals(state, 0, {0: 2})
+        enqueue_arrivals(state, 1, {0: 1})
+        assert schedule_slot(state, [2]).granted_requests == [(0, 0), (0, 0)]
+        assert list(state.queues[0]) == [1]
+        assert schedule_slot(state, [10]).granted_requests == [(0, 1)]
 
     def test_infeasible_requests_stay_queued(self):
         state, _ = self._poisson_state([1.0, 1.0], 10)
@@ -324,30 +325,32 @@ class TestFCFS:
         result = schedule_slot(state, [2])
         assert len(result.granted_requests) == 2
         assert len(state.queues[0]) + len(state.queues[1]) == 3
-        # global (arrival, app, seq) order puts app 0's requests first
-        assert [(r.app, r.seq) for r in result.granted_requests] == [(0, 0), (0, 1)]
+        # global (arrival_slot, app) order puts app 0's requests first
+        assert result.granted_requests == [(0, 0), (0, 0)]
+        assert {a: list(q) for a, q in state.queues.items()} == {0: [0], 1: [0, 0]}
         # next slot continues in order with the leftover capacity
         result = schedule_slot(state, [3])
-        assert [(r.app, r.seq) for r in result.granted_requests] == [
-            (0, 2),
-            (1, 0),
-            (1, 1),
-        ]
+        assert result.granted_requests == [(0, 0), (1, 0), (1, 0)]
 
 
 def _sorted_fcfs_slot(state, ctx):
-    """Reference FCFS: sort every pending request, then scan them once."""
+    """Reference FCFS: sort every pending request, keyed by (arrival_slot,
+    app, position in the app's queue), then scan them once."""
     pending = sorted(
-        (r for q in state.queues.values() for r in q),
-        key=lambda r: (r.arrival_slot, r.app, r.seq),
+        (arrival_slot, app_id, pos)
+        for app_id, queue in state.queues.items()
+        for pos, arrival_slot in enumerate(queue)
     )
-    for req in pending:
-        queue = state.queues[req.app]
-        if not queue or queue[0] is not req:
+    blocked = set()
+    for arrival_slot, app_id, _ in pending:
+        if app_id in blocked:
             continue  # an earlier request of this app was blocked
-        flow = scheduling.select_flow(state, req.app, ctx.residual)
-        if flow is not None:
-            scheduling._grant(state, ctx, req.app, flow)
+        i = scheduling.select_flow(state, app_id, ctx.residual)
+        if i is None:
+            blocked.add(app_id)
+        else:
+            scheduling._grant(state, ctx, app_id, i)
+            assert ctx.granted_requests[-1] == (app_id, arrival_slot)
 
 
 class TestFCFSOracle:
@@ -373,9 +376,9 @@ class TestFCFSOracle:
         select = scheduling.select_flow
 
         def wrapped(state, app_id, residual):
-            flow = select(state, app_id, residual)
-            log.append((app_id, flow))
-            return flow
+            i = select(state, app_id, residual)
+            log.append((app_id, i))
+            return i
         return wrapped
 
     def test_matches_sorted_scan_every_slot(self):
@@ -383,7 +386,7 @@ class TestFCFSOracle:
         for seed in range(120):
             rng = random.Random(7000 + seed)
             graph, apps, flows = self._instance(rng)
-            multi_hop += any(f.hop_count > 1 for fs in flows.values() for f in fs)
+            multi_hop += any(len(f.edges) > 1 for fs in flows.values() for f in fs)
             states = [
                 SchedulerState(Policy.FCFS, apps, flows, Traffic.POISSON) for _ in range(2)
             ]
@@ -571,8 +574,7 @@ class TestPointerPersistence:
         assert state.head == 1
         # pass 1 runs 1, 2, 0 and drains app 1, the head; pass 2 starts at 2
         result = schedule_slot(state, [4])
-        order = [(r.app, r.seq) for r in result.granted_requests]
-        assert order == [(1, 0), (2, 0), (0, 1), (2, 1)]
+        assert result.granted_requests == [(1, 0), (2, 0), (0, 0), (2, 0)]
         # app 2 drained on the last grant; the head moves past it, wrapping
         assert state.active == [0]
         assert state.head == 0
@@ -581,7 +583,7 @@ class TestPointerPersistence:
         state, _ = single_link_state(Policy.RR, [1.0, 1.0, 1.0], 3, Traffic.POISSON)
         enqueue_arrivals(state, 0, {0: 2, 1: 2, 2: 1})
         result = schedule_slot(state, [3])
-        assert [r.app for r in result.granted_requests] == [0, 1, 2]
+        assert [app for app, _ in result.granted_requests] == [0, 1, 2]
         assert state.active == [0, 1]
         assert state.head == 0
 
@@ -589,7 +591,7 @@ class TestPointerPersistence:
         state, _ = single_link_state(Policy.RR, [1.0, 1.0, 1.0], 4, Traffic.POISSON)
         enqueue_arrivals(state, 0, {0: 1, 1: 3, 2: 1})
         result = schedule_slot(state, [4])
-        assert [r.app for r in result.granted_requests] == [0, 1, 2, 1]
+        assert [app for app, _ in result.granted_requests] == [0, 1, 2, 1]
         assert state.active == [1]
         assert state.head == 1
 
@@ -599,7 +601,7 @@ class TestPointerPersistence:
             state, _ = single_link_state(policy, [1.0, 1.0, 1.0], 2, Traffic.POISSON)
             enqueue_arrivals(state, 0, {0: 1, 1: 2, 2: 1})
             result = schedule_slot(state, [2])
-            assert [r.app for r in result.granted_requests] == [0, 1]
+            assert [app for app, _ in result.granted_requests] == [0, 1]
             rings[policy] = (state.active, state.head)
         assert rings[Policy.FCFS] == rings[Policy.RR] == ([1, 2], 2)
 

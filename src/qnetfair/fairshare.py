@@ -3,7 +3,9 @@
 The weighted max-min rate vector (computed by progressive filling over a
 fluid model of the network) serves both as the oracle that scheduling
 disciplines are compared against and as the objective for choosing which
-computation nodes join each application's worker pool.
+computation nodes join each application's worker pool. One kernel on flow
+indices, ``progressive_fill``, does all filling; ``maxmin_rates`` is its
+keyed, checked form, and ``assign_exhaustive`` calls the kernel directly.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .model import AppId, Application, Assignment, CostMode, Flow, NetworkGraph
+from .model import Application, Assignment, CostMode, NetworkGraph
 from .routing import build_flows, eligible_flows, eligible_workers
 
 FlowKey = Hashable
@@ -39,46 +41,67 @@ def maxmin_rates(
     All unfrozen flows grow at rate weight*t for a common scalar t; when
     an edge saturates, the flows crossing it freeze at their current
     rate, and filling continues with the rest. The result satisfies the
-    bottleneck property (see ``verify_bottleneck``).
+    bottleneck property (see ``verify_bottleneck``). This keyed form
+    checks its input, then ``progressive_fill`` fills with the flows
+    numbered in iteration order.
     """
-    flows = list(flow_edges)
-    edge_sets: dict[FlowKey, frozenset[int]] = {}
-    for f in flows:
-        edges = frozenset(flow_edges[f])
+    edge_sets = {f: frozenset(edges) for f, edges in flow_edges.items()}
+    for f, edges in edge_sets.items():
         if not edges:
             raise ValueError(f"flow {f!r} crosses no edge")
-        if flow_weights[f] <= 0:
+        if not flow_weights[f] > 0:  # NaN too: it would never saturate an edge
             raise ValueError(f"flow {f!r} has non-positive weight")
-        edge_sets[f] = edges
-    flows_on_edge: dict[int, list[FlowKey]] = {}
-    for f in flows:
-        for e in edge_sets[f]:
-            if capacities[e] <= 0:
+    for edges in edge_sets.values():
+        for e in edges:
+            if not capacities[e] > 0:
                 raise ValueError(f"edge {e} has non-positive capacity")
-            flows_on_edge.setdefault(e, []).append(f)
+    rates = progressive_fill([flow_weights[f] for f in edge_sets], edge_sets.values(), capacities)
+    return dict(zip(edge_sets, rates))
 
-    rates: dict[FlowKey, float] = {}
-    unfrozen = set(flows)
-    while unfrozen:
-        fill_limits: dict[int, float] = {}
-        for e, on_edge in flows_on_edge.items():
-            live_weight = sum(flow_weights[f] for f in on_edge if f in unfrozen)
-            if live_weight == 0.0:
+
+def progressive_fill(
+    weights: Sequence[float], flow_edges: Iterable[Iterable[int]], capacities: Mapping[int, float]
+) -> list[float]:
+    """``maxmin_rates`` on flows 0..n-1, unchecked: every weight and every
+    crossed edge's capacity must be positive, and no flow may list an edge
+    twice. An edge's fill limit sums its live weights and frozen rates in
+    flow order, so the rates are the same floats whatever the caller's keys."""
+    on_edge: dict[int, list[int]] = {}
+    for i, edges in enumerate(flow_edges):
+        for e in edges:
+            on_edge.setdefault(e, []).append(i)
+    # of edges crossed by the same flows, only the least capacity can bind
+    tightest: dict[tuple[int, ...], float] = {}
+    for e, on in on_edge.items():
+        key = tuple(on)
+        if capacities[e] < tightest.get(key, math.inf):
+            tightest[key] = capacities[e]
+    rates: list = [None] * len(weights)  # None while the flow is unfrozen
+    # (fill limit, capacity, flows) of each edge with an unfrozen flow
+    limits = [(cap / sum([weights[f] for f in on]), cap, on) for on, cap in tightest.items()]
+    while limits:
+        t_star = max(min([t for t, _, _ in limits]), 0.0)
+        cut = t_star + 1e-12 * max(t_star, 1.0)
+        newly_frozen = set()
+        unsaturated = []
+        for limit in limits:
+            if limit[0] > cut:
+                unsaturated.append(limit)
                 continue
-            frozen_load = sum(rates[f] for f in on_edge if f not in unfrozen)
-            fill_limits[e] = (capacities[e] - frozen_load) / live_weight
-        # every unfrozen flow crosses some edge, so fill_limits is non-empty
-        t_star = max(min(fill_limits.values()), 0.0)
-        saturated = [
-            e for e, t in fill_limits.items() if t <= t_star + 1e-12 * max(t_star, 1.0)
-        ]
-        newly_frozen = {
-            f for e in saturated for f in flows_on_edge[e] if f in unfrozen
-        }
-        for f in newly_frozen:
-            rates[f] = flow_weights[f] * t_star
-        unfrozen -= newly_frozen
-    return {f: rates.get(f, 0.0) for f in flows}
+            for f in limit[2]:
+                if rates[f] is None:
+                    rates[f] = weights[f] * t_star
+                    newly_frozen.add(f)
+        limits = []
+        for t, cap, on in unsaturated:
+            if newly_frozen.isdisjoint(on):  # the same sums, so the same limit
+                limits.append((t, cap, on))
+                continue
+            live_weights = [weights[f] for f in on if rates[f] is None]
+            if live_weights:
+                frozen_load = sum([r for f in on if (r := rates[f]) is not None])
+                limits.append(((cap - frozen_load) / sum(live_weights), cap, on))
+    return rates
 
 
 def verify_bottleneck(
@@ -158,27 +181,14 @@ def predicted_app_rates(
     aggregate entitlement. Grants contend in the max-min fluid model;
     deliveries discount each flow by its swap success probability.
     """
-    return _flow_rates(graph, apps, build_flows(graph, apps, assignment, CostMode.UNIT))
-
-
-def _flow_rates(
-    graph: NetworkGraph,
-    apps: Sequence[Application],
-    flows: Mapping[AppId, Sequence[Flow]],
-) -> dict[int, AppRatePrediction]:
-    """``predicted_app_rates`` over already built flows, each app's flows
-    in ascending worker order."""
+    flows = build_flows(graph, apps, assignment, CostMode.UNIT)
+    ordered = sorted(apps, key=lambda a: a.id)
     # keyed by (app, worker): hashing a Flow would hash all of its fields
-    flow_edges: dict[tuple[int, int], tuple[int, ...]] = {}
-    weights: dict[tuple[int, int], float] = {}
-    for app in sorted(apps, key=lambda a: a.id):
-        for flow in flows[app.id]:
-            key = (app.id, flow.worker)
-            flow_edges[key] = flow.edges
-            weights[key] = app.weight / app.workers_needed
+    flow_edges = {(a.id, f.worker): f.edges for a in ordered for f in flows[a.id]}
+    weights = {(a.id, f.worker): a.weight / a.workers_needed for a in ordered for f in flows[a.id]}
     rates = maxmin_rates(flow_edges, graph.effective_capacities(), weights)
     out: dict[int, AppRatePrediction] = {}
-    for app in sorted(apps, key=lambda a: a.id):
+    for app in ordered:
         app_rates = [(rates[(app.id, f.worker)], f.swap_prob) for f in flows[app.id]]
         granted = math.fsum(r for r, _ in app_rates)
         delivered = math.fsum(r * swap for r, swap in app_rates)
@@ -247,24 +257,34 @@ def assign_exhaustive(
     graph: NetworkGraph, apps: Sequence[Application], limit: int = 1_000_000
 ) -> Assignment:
     """Exact solver: enumerate every assignment and keep the lexicographic
-    maximum of the ascending-sorted weighted delivered rates.
+    maximum of the ascending-sorted weighted delivered rates (those of
+    ``predicted_app_rates``); among equals, the first one enumerated.
 
-    Raises SearchSpaceTooLarge (reporting the assignment count) when the
-    product of per-app subset counts exceeds ``limit``.
+    Raises SearchSpaceTooLarge (with the assignment count) before building
+    any pool when the product of per-app subset counts exceeds ``limit``.
     """
     ordered = sorted(apps, key=lambda a: a.id)
-    options = [
-        list(itertools.combinations(eligible_flows(graph, app), app.workers_needed))
-        for app in ordered
-    ]
-    size = math.prod(len(o) for o in options)
+    eligible = [eligible_flows(graph, app) for app in ordered]
+    size = math.prod(math.comb(len(f), a.workers_needed) for a, f in zip(ordered, eligible))
     if size > limit:
         raise SearchSpaceTooLarge(size, limit)
-    best: tuple[Sequence[Flow], ...] | None = None
+    caps = graph.effective_capacities()
+    for app, flows in zip(ordered, eligible):  # maxmin_rates checks each candidate once
+        flow_edges = {(app.id, f.worker): f.edges for f in flows}
+        # a flow's weight, app.weight / workers_needed, has the sign of app.weight
+        maxmin_rates(flow_edges, caps, dict.fromkeys(flow_edges, app.weight))
+    # every assignment has the same flow weights: apps in id order, pools in worker order
+    weights = [a.weight / a.workers_needed for a in ordered for _ in range(a.workers_needed)]
+    options = [itertools.combinations(f, a.workers_needed) for a, f in zip(ordered, eligible)]
+    best: tuple | None = None
     best_score: tuple[float, ...] | None = None
     for combo in itertools.product(*options):
-        pred = _flow_rates(graph, ordered, dict(zip((a.id for a in ordered), combo)))
-        score = tuple(sorted(p.weighted for p in pred.values()))
+        flows = [f for pool in combo for f in pool]
+        rates = progressive_fill(weights, [f.edges for f in flows], caps)
+        delivered = iter([r * f.swap_prob for r, f in zip(rates, flows)])
+        score = tuple(sorted(
+            math.fsum(itertools.islice(delivered, a.workers_needed)) / a.weight for a in ordered
+        ))
         if best_score is None or score > best_score:
             best, best_score = combo, score
     assert best is not None, "every app has at least one eligible pool"

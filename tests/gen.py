@@ -39,12 +39,13 @@ def random_connected_graph(
     return NetworkGraph(nodes, links)
 
 
-def random_assignment_instance(rng: random.Random):
+def random_assignment_instance(rng: random.Random, n_apps: int | None = None):
     """Small contended instance where every candidate is eligible and the
-    exhaustive search space stays tiny."""
+    exhaustive search space stays tiny; 2 or 3 apps unless ``n_apps``."""
     n = rng.randint(4, 7)
     graph = random_connected_graph(rng, n, extra_edges=rng.randint(0, 2))
-    n_apps = rng.randint(2, 3)
+    if n_apps is None:
+        n_apps = rng.randint(2, 3)
     apps = []
     for i in range(n_apps):
         host = rng.randrange(n)

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +32,71 @@ from qnetfair import (
     predicted_app_rates,
     verify_bottleneck,
 )
+from qnetfair.fairshare import FlowKey
+from qnetfair.routing import eligible_flows
+
+
+def reference_maxmin(flow_edges, capacities, flow_weights):
+    """The dict-keyed progressive filling that ``maxmin_rates`` replaced,
+    kept unchanged as the exact-equality oracle for its index-form kernel."""
+    flows = list(flow_edges)
+    edge_sets: dict[FlowKey, frozenset[int]] = {}
+    for f in flows:
+        edges = frozenset(flow_edges[f])
+        if not edges:
+            raise ValueError(f"flow {f!r} crosses no edge")
+        if flow_weights[f] <= 0:
+            raise ValueError(f"flow {f!r} has non-positive weight")
+        edge_sets[f] = edges
+    flows_on_edge: dict[int, list[FlowKey]] = {}
+    for f in flows:
+        for e in edge_sets[f]:
+            if capacities[e] <= 0:
+                raise ValueError(f"edge {e} has non-positive capacity")
+            flows_on_edge.setdefault(e, []).append(f)
+
+    rates: dict[FlowKey, float] = {}
+    unfrozen = set(flows)
+    while unfrozen:
+        fill_limits: dict[int, float] = {}
+        for e, on_edge in flows_on_edge.items():
+            live_weight = sum(flow_weights[f] for f in on_edge if f in unfrozen)
+            if live_weight == 0.0:
+                continue
+            frozen_load = sum(rates[f] for f in on_edge if f not in unfrozen)
+            fill_limits[e] = (capacities[e] - frozen_load) / live_weight
+        # every unfrozen flow crosses some edge, so fill_limits is non-empty
+        t_star = max(min(fill_limits.values()), 0.0)
+        saturated = [
+            e for e, t in fill_limits.items() if t <= t_star + 1e-12 * max(t_star, 1.0)
+        ]
+        newly_frozen = {
+            f for e in saturated for f in flows_on_edge[e] if f in unfrozen
+        }
+        for f in newly_frozen:
+            rates[f] = flow_weights[f] * t_star
+        unfrozen -= newly_frozen
+    return {f: rates.get(f, 0.0) for f in flows}
+
+
+def with_swap_probs(graph, rng):
+    """The graph with each node's swap success probability drawn from
+    {0.8, 0.9, 1.0}, so that pools differ in delivery, not only in rate."""
+    nodes = [dataclasses.replace(n, swap_success_prob=rng.choice([0.8, 0.9, 1.0]))
+             for n in graph.nodes]
+    return NetworkGraph(nodes, graph.links)
+
+
+def contended_pool_instance(rng):
+    """Three apps on one 9-node graph, each choosing 2 of 4 candidates:
+    216 assignments over shared edges of capacities 0.5 to 3."""
+    graph = with_swap_probs(random_connected_graph(rng, 9, extra_edges=3), rng)
+    apps = []
+    for i in range(3):
+        host = rng.randrange(9)
+        cands = rng.sample([x for x in range(9) if x != host], 4)
+        apps.append(Application(i, host, rng.choice([1.0, 2.0]), 2, frozenset(cands)))
+    return graph, apps
 
 
 class TestMaxminRates:
@@ -71,6 +137,72 @@ class TestMaxminRates:
             flow_edges, caps, weights = random_maxmin_instance(rng)
             rates = maxmin_rates(flow_edges, caps, weights)
             assert verify_bottleneck(flow_edges, caps, weights, rates)
+
+    @pytest.mark.parametrize("capacity, weight", [(float("nan"), 1.0), (1.0, float("nan"))])
+    def test_nan_capacity_or_weight_rejected(self, capacity, weight):
+        # a NaN fill limit never saturates, so filling would not finish
+        with pytest.raises(ValueError, match="non-positive"):
+            maxmin_rates({0: (1,), 1: (0,)}, {0: 1.0, 1: capacity}, {0: weight, 1: 1.0})
+
+    def test_equals_reference_on_random_instances(self):
+        rng = random.Random(6060)
+        for _ in range(500):
+            flow_edges, caps, weights = random_maxmin_instance(rng)
+            assert maxmin_rates(flow_edges, caps, weights) == reference_maxmin(
+                flow_edges, caps, weights
+            )
+
+    def test_equals_reference_on_every_exhaustive_assignment(self):
+        # capacities in halves and weights of 0.5 or 1 make fill limits tie exactly
+        for seed in (11, 12):
+            graph, apps = contended_pool_instance(random.Random(seed))
+            caps = graph.effective_capacities()
+            pools = [itertools.combinations(eligible_flows(graph, a), 2) for a in apps]
+            n = 0
+            for combo in itertools.product(*pools):
+                flow_edges, weights = {}, {}
+                for app, pool in zip(apps, combo):
+                    for f in pool:
+                        flow_edges[(app.id, f.worker)] = f.edges
+                        weights[(app.id, f.worker)] = app.weight / 2
+                got = maxmin_rates(flow_edges, caps, weights)
+                assert got == reference_maxmin(flow_edges, caps, weights)
+                n += 1
+            assert n == 6**3
+
+    def test_fill_limits_within_tolerance_saturate_together(self):
+        # edge 0's limit 1/(0.1+0.1+0.1) is one ulp below edge 1's 1/0.3;
+        # both saturate in the first round, so flow 3 freezes at the lower
+        flow_edges = {0: (0,), 1: (0,), 2: (0,), 3: (1,)}
+        weights = {0: 0.1, 1: 0.1, 2: 0.1, 3: 0.3}
+        rates = maxmin_rates(flow_edges, {0: 1.0, 1: 1.0}, weights)
+        t_star = 1.0 / (0.1 + 0.1 + 0.1)
+        assert t_star < 1.0 / 0.3
+        assert rates == {0: 0.1 * t_star, 1: 0.1 * t_star, 2: 0.1 * t_star, 3: 0.3 * t_star}
+
+    def test_adding_an_app_can_raise_another_apps_delivery(self):
+        # app X: flow A on edge 1 (swap 1), flow B on edges 1 and 2 (swap
+        # 0.5). App Y's flow on edge 2 slows B, which frees edge 1 for A,
+        # so X delivers more with Y than alone: a standalone max-min rate
+        # is no upper bound on an app's rate among others
+        caps = {1: 1.0, 2: 0.2}
+        swap = {"A": 1.0, "B": 0.5}
+
+        def delivered_by_x(flow_edges):
+            rates = maxmin_rates(flow_edges, caps, dict.fromkeys(flow_edges, 1.0))
+            return math.fsum(rates[f] * swap[f] for f in swap)
+
+        alone = {"A": (1,), "B": (1, 2)}
+        assert maxmin_rates(alone, caps, dict.fromkeys(alone, 1.0)) == pytest.approx(
+            {"A": 0.8, "B": 0.2}
+        )
+        assert delivered_by_x(alone) == pytest.approx(0.9)
+        shared = dict(alone, Y=(2,))
+        assert maxmin_rates(shared, caps, dict.fromkeys(shared, 1.0)) == pytest.approx(
+            {"A": 0.9, "B": 0.1, "Y": 0.1}
+        )
+        assert delivered_by_x(shared) == pytest.approx(0.95)
+        assert delivered_by_x(shared) > delivered_by_x(alone)
 
     @given(st.floats(0.01, 100.0))
     @settings(max_examples=40)
@@ -298,6 +430,51 @@ class TestAssignExhaustive:
             assign_exhaustive(g, apps, limit=100)
         assert exc.value.size == 21**3
 
+    def test_size_checked_before_any_pool_is_built(self):
+        # 100 choose 10 is about 1.7e13 pools: only a size computed before
+        # enumerating answers, and within well under a second
+        g = NetworkGraph(
+            [Node(i, NodeKind.COMPUTATION) for i in range(101)],
+            [QuantumLink(i - 1, (0, i), 2, 1.0, 1.0) for i in range(1, 101)],
+        )
+        apps = [Application(0, 0, 1.0, 10, frozenset(range(1, 101)))]
+        start = time.perf_counter()
+        with pytest.raises(SearchSpaceTooLarge) as exc:
+            assign_exhaustive(g, apps)
+        assert exc.value.size == math.comb(100, 10)
+        assert time.perf_counter() - start < 5.0
+
+    def test_mirror_pools_tie_exactly_and_the_first_enumerated_wins(self):
+        # host 0 reaches worker 3 through repeater 1 and worker 4 through
+        # repeater 2 over mirror-image links; two apps each need one
+        # worker, so (3, 4) and (4, 3) are mirror images
+        nodes = [
+            Node(0, NodeKind.COMPUTATION),
+            Node(1, NodeKind.REPEATER, 0.9),
+            Node(2, NodeKind.REPEATER, 0.9),
+            Node(3, NodeKind.COMPUTATION),
+            Node(4, NodeKind.COMPUTATION),
+        ]
+        links = [
+            QuantumLink(0, (0, 1), 3, 0.75, 1.0),
+            QuantumLink(1, (0, 2), 3, 0.75, 1.0),
+            QuantumLink(2, (1, 3), 3, 0.75, 1.0),
+            QuantumLink(3, (2, 4), 3, 0.75, 1.0),
+        ]
+        g = NetworkGraph(nodes, links)
+        apps = [
+            Application(0, 0, 1.0, 1, frozenset({3, 4})),
+            Application(1, 0, 2.0, 1, frozenset({3, 4})),
+        ]
+
+        def score(w0, w1):
+            pred = predicted_app_rates(g, apps, {0: frozenset({w0}), 1: frozenset({w1})})
+            return tuple(sorted(p.weighted for p in pred.values()))
+
+        assert score(3, 4) == score(4, 3)
+        assert score(3, 4) > max(score(3, 3), score(4, 4))
+        assert assign_exhaustive(g, apps) == {0: frozenset({3}), 1: frozenset({4})}
+
     def test_never_below_greedy(self):
         rng = random.Random(31)
         for _ in range(20):
@@ -352,6 +529,17 @@ class TestExhaustiveOracle:
                     for a in apps
                 ]
             assert assign_exhaustive(graph, apps) == self.enumerate_best(graph, apps)
+
+    def test_matches_plain_enumeration_three_apps_with_pairs(self):
+        for seed in range(1000, 1200):
+            rng = random.Random(seed)
+            graph, apps = random_assignment_instance(rng, n_apps=3)
+            graph = with_swap_probs(graph, rng)
+            apps = [
+                dataclasses.replace(a, workers_needed=2) if len(a.candidates) >= 3 else a
+                for a in apps
+            ]
+            assert assign_exhaustive(graph, apps) == self.enumerate_best(graph, apps), seed
 
 
 def _greedy_full_sort(graph, apps):

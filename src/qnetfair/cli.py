@@ -24,7 +24,7 @@ from .engine import (
 )
 from .fairshare import SearchSpaceTooLarge, jain_index, predicted_app_rates
 from .model import AssignmentSource, Policy, Scenario, SimConfig
-from .scenario_io import INT_KEYS, SchemaError, load_scenario_file, parse_scenario
+from .scenario_io import SCHEMA, SchemaError, load_scenario_file, parse_scenario
 from .scheduling import ConfigError
 from .validate import ValidationError, validate_scenario
 
@@ -104,16 +104,16 @@ def _scenario(parsed, args: argparse.Namespace) -> Scenario:
     return validate_scenario(graph, apps, _apply_overrides(config, args), given)
 
 
+# each override flag and the sim key, also its SimConfig field, that it replaces
+_OVERRIDES = {"seed": "seed", "slots": "slots", "policy": "policy", "limit": "exhaustive_limit"}
+
+
 def _apply_overrides(config: SimConfig, args: argparse.Namespace) -> SimConfig:
-    updates: dict[str, Any] = {}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "slots", None) is not None:
-        updates["slots"] = args.slots
-    if getattr(args, "policy", None) is not None:
-        updates["policy"] = Policy(args.policy)
-    if getattr(args, "limit", None) is not None:
-        updates["exhaustive_limit"] = args.limit
+    updates = {
+        key: SCHEMA["sim"][key].type(getattr(args, flag))
+        for flag, key in _OVERRIDES.items()
+        if getattr(args, flag, None) is not None
+    }
     return dataclasses.replace(config, **updates) if updates else config
 
 
@@ -254,48 +254,32 @@ def cmd_assign(args: argparse.Namespace) -> int:
 
 
 _SWEEP_SHORTHAND = {"policy": "sim.policy", "seed": "sim.seed", "quantum_base": "sim.quantum_base"}
-# sweep's override flags and the scenario field each one replaces
-_SWEEP_OVERRIDES = {"seed": "sim.seed", "slots": "sim.slots", "policy": "sim.policy"}
 
 
-def _set_sweep_value(data: dict, param: str, raw: str) -> Any:
+def _set_sweep_value(data: Any, dotted: str, raw: str) -> Any:
     """Apply one sweep value to the raw scenario document; returns the
-    parsed value used for row tagging."""
-    dotted = _SWEEP_SHORTHAND.get(param, param)
+    parsed value used for row tagging. The dotted path names a schema key
+    on an object the file holds (``sim.traffic``, ``apps.0.min_fidelity``);
+    the key itself may be omitted, and its type in the schema types the value."""
     parts = dotted.split(".")
-    target: Any = data
-    for part in parts[:-1]:
-        if isinstance(target, list):
-            if not part.isdigit() or int(part) >= len(target):
-                raise SweepParamError(f"unknown parameter path: {dotted}")
-            target = target[int(part)]
-        elif isinstance(target, dict) and part in target:
-            target = target[part]
-        else:
-            raise SweepParamError(f"unknown parameter path: {dotted}")
-    leaf = parts[-1]
-    if not isinstance(target, dict) or leaf not in target:
-        # allow setting optional sim keys that the file omitted
-        if not (isinstance(target, dict) and parts[0] == "sim" and len(parts) == 2):
-            raise SweepParamError(f"unknown parameter path: {dotted}")
-    current = target.get(leaf)
-    if dotted == "sim.policy":
-        value: Any = raw
-    elif isinstance(current, bool):
-        raise SweepParamError(f"{dotted}: cannot sweep a boolean field")
-    elif leaf in INT_KEYS:
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise SweepParamError(f"{dotted}: expected integer value, got {raw!r}") from exc
-    elif isinstance(current, (int, float)):
-        try:
-            value = float(raw)
-        except ValueError as exc:
-            raise SweepParamError(f"{dotted}: expected numeric value, got {raw!r}") from exc
-    else:
+    target = data.get(parts[0]) if isinstance(data, dict) else None
+    if len(parts) == 3 and parts[1].isdecimal() and isinstance(target, list):
+        target = target[int(parts[1])] if int(parts[1]) < len(target) else None
+    elif len(parts) != 2:
+        target = None
+    key = SCHEMA.get(parts[0], {}).get(parts[-1])
+    if key is None or not isinstance(target, dict):
+        raise SweepParamError(f"unknown parameter path: {dotted}")
+    if key.type in (tuple, frozenset):
         raise SweepParamError(f"{dotted}: not a sweepable numeric field")
-    target[leaf] = value
+    value: Any = raw  # an enum key takes the string
+    if key.type in (int, float):
+        try:
+            value = key.type(raw)
+        except ValueError as exc:
+            kind = "integer" if key.type is int else "numeric"
+            raise SweepParamError(f"{dotted}: expected {kind} value, got {raw!r}") from exc
+    target[parts[-1]] = value
     return value
 
 
@@ -306,17 +290,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not values:
         raise SweepParamError("no sweep values given")
     dotted = _SWEEP_SHORTHAND.get(args.param, args.param)
-    for flag, field in _SWEEP_OVERRIDES.items():
-        if field == dotted and getattr(args, flag) is not None:
+    for flag, key in _OVERRIDES.items():
+        if f"sim.{key}" == dotted and getattr(args, flag, None) is not None:
             raise SweepParamError(
                 f"--{flag} conflicts with --param {args.param}: "
-                f"it would replace every swept value of {field}"
+                f"it would replace every swept value of sim.{key}"
             )
 
     points = []  # every point runs before any write: a failing one leaves no files
     for raw_value in values:
         data = json.loads(json.dumps(base_data))  # fresh copy per point
-        value = _set_sweep_value(data, args.param, raw_value)
+        value = _set_sweep_value(data, dotted, raw_value)
         scenario = _scenario(parse_scenario(data), args)
         runs = replication_runs(scenario, n_replications=scenario.config.replications)
         points.append((value, scenario, runs))

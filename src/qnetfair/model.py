@@ -5,10 +5,14 @@ paths can index plain dicts and iteration order stays deterministic.
 Fidelities are Werner-state fidelities: swap composition is closed on
 [0.25, 1], and values below the fully-mixed floor are rejected at
 validation time rather than clamped.
+
+The fields of Node, QuantumLink, Application and SimConfig are the scenario
+file's keys, with their types and defaults, so renaming a field renames a
+key; only SimConfig.warmup_slots names its key, ``warmup``, in metadata.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Optional
 
@@ -155,7 +159,7 @@ class SimConfig:
     slots: int
     seed: int
     policy: Policy
-    warmup_slots: int = 0
+    warmup_slots: int = field(default=0, metadata={"key": "warmup"})
     traffic: Traffic = Traffic.BACKLOGGED
     capacity_mode: CapacityMode = CapacityMode.STOCHASTIC
     cost_mode: CostMode = CostMode.UNIT

@@ -104,6 +104,36 @@ def policy_problems(
     return problems
 
 
+# A DRR pass credits every app in the ring one quantum, quantum_base *
+# weight, so a grant of cost c can wait ceil(c / quantum) fruitless passes
+MAX_DRR_PASSES = 1000
+
+
+def quantum_problems(
+    policy: Policy, apps: Sequence[Application], quantum_base: int, max_cost: Mapping[AppId, int]
+) -> list[str]:
+    """Under DRR, one line per app (by index in ``apps``) whose quantum is not
+    a finite float or lets a grant of its dearest flow, of cost
+    ``max_cost[app.id]``, wait over MAX_DRR_PASSES fruitless passes; apps
+    without a cost are skipped. Validation reports these lines, and
+    SchedulerState refuses to start with any of them."""
+    problems = []
+    for i, app in enumerate(apps if policy is Policy.DRR else ()):
+        if (cost := max_cost.get(app.id)) is None:
+            continue
+        try:
+            quantum = quantum_base * app.weight
+        except OverflowError:  # an int beyond the float range
+            quantum = math.inf
+        if not (0 < quantum < math.inf and cost / quantum <= MAX_DRR_PASSES):
+            problems.append(
+                f"apps[{i}].weight: DRR quantum sim.quantum_base * weight must be finite and "
+                f">= {cost / MAX_DRR_PASSES:g} (flow cost {cost} / {MAX_DRR_PASSES} passes), "
+                f"got {quantum:g}"
+            )
+    return problems
+
+
 class SchedulerState:
     """Mutable scheduler state, owned by a single engine run.
 
@@ -142,13 +172,16 @@ class SchedulerState:
         self.queues: dict[AppId, deque[int]] = {a: deque() for a in self.apps}  # arrival slots
         self.cursor: dict[AppId, int] = dict.fromkeys(self.apps, 0)
         self.deficit: dict[AppId, float] = dict.fromkeys(self.apps, 0.0)
-        self.quantum = {a: quantum_base * app.weight for a, app in self.apps.items()}
         self.max_cost = {a: max(f.cost for f in self.flows[a]) for a in self.apps}
+        problems = quantum_problems(policy, apps, quantum_base, self.max_cost)
+        if problems:
+            raise ConfigError("; ".join(problems))
+        drr = self.apps.items() if policy is Policy.DRR else ()  # only DRR credits quanta
+        self.quantum = {a: quantum_base * app.weight for a, app in drr}
         # a DRR pass can legitimately grant nothing while deficits build up
         # toward an expensive flow, but never more often than this
         self.stall_guard = 2 + max(
-            (math.ceil(self.max_cost[a] / self.quantum[a]) for a in self.apps),
-            default=0,
+            (math.ceil(self.max_cost[a] / q) for a, q in self.quantum.items()), default=0
         )
         if traffic is Traffic.BACKLOGGED:
             self.active: list[AppId] = list(self.apps)

@@ -3,9 +3,9 @@
 Validation is pure (same input, same diagnostics, no mutation) and
 reports one diagnostic per violation with a path-like locator such as
 ``apps[2].candidates: node 7 is a repeater``. Structural problems are
-reported first; derived checks (worker eligibility, given pools) run
-only once the structure is sound, since they need resolvable paths. The
-Scenario keeps no eligibility: the solvers ask routing for it.
+reported first; derived checks (eligibility, DRR quanta, given pools)
+run only once the structure is sound, since they need resolvable paths.
+The Scenario keeps no eligibility: the solvers ask routing for it.
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from .model import (
     Application,
     AssignmentSource,
     CapacityMode,
+    CostMode,
     NetworkGraph,
     NodeKind,
     Scenario,
@@ -24,8 +25,8 @@ from .model import (
     WERNER_FLOOR,
 )
 from .engine import window_problems
-from .routing import EmptyEligibleSet, eligible_workers
-from .scheduling import policy_problems
+from .routing import EmptyEligibleSet, eligible_flows
+from .scheduling import policy_problems, quantum_problems
 
 # exact Poisson sampling stays numerically safe up to this rate
 MAX_ARRIVAL_RATE = 30.0
@@ -159,14 +160,20 @@ def validate_scenario(
         raise ValidationError(diags)
 
     eligible: dict[int, frozenset[int]] = {}
+    max_cost: dict[int, int] = {}  # of the app's dearest eligible flow
+    hops = config.cost_mode is CostMode.HOPS
     for i, app in enumerate(apps):
         try:
-            eligible[app.id] = eligible_workers(graph, app)
+            flows = eligible_flows(graph, app)
         except EmptyEligibleSet as err:
             diags.append(
                 f"apps[{i}]: only {len(err.eligible)} eligible workers "
                 f"(reachable with fidelity >= {app.min_fidelity}), needs {app.workers_needed}"
             )
+            continue
+        eligible[app.id] = frozenset(f.worker for f in flows)
+        max_cost[app.id] = max(len(f.edges) for f in flows) if hops else 1
+    diags += quantum_problems(config.policy, apps, config.quantum_base, max_cost)
 
     if config.assignment is AssignmentSource.GIVEN:
         if given_assignment is None:

@@ -1,5 +1,9 @@
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +14,7 @@ from qnetfair.cli import build_parser, main
 
 # a UTF-16 byte-order mark and text: not UTF-8 from the first byte
 NOT_UTF8 = b"\xff\xfe" + "{}".encode("utf-16-le")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def read_csv(path):
@@ -71,6 +76,37 @@ class TestValidateCommand:
         assert f'"{field}": {token}' in Path(path).read_text()  # Python's json reads it back
         assert main(["validate", "--config", path]) == 2
         assert capsys.readouterr().out.startswith(f"apps[0].{field}: must be")
+
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "app, sim, got",
+        [({"weight": 1e-12}, {}, "1e-12"), ({}, {"quantum_base": 10**400}, "inf")],
+        ids=["tiny_weight", "huge_base"],
+    )
+    def test_drr_quantum_out_of_bounds_exits_two_promptly(
+        self, write_scenario, tmp_path, command, app, sim, got
+    ):
+        # single_bottleneck (DRR) with only app 0: at weight 1e-12 a grant
+        # would wait about 1e12 fruitless passes, and a command that runs
+        # them shows as TimeoutExpired, not as exit 2
+        data = json.loads((ROOT / "scenarios" / "single_bottleneck.json").read_text())
+        data["apps"] = [dict(data["apps"][0], **app)]
+        data["sim"].update(slots=50, **sim)
+        env = dict(os.environ, QNETFAIR_OUTPUT_DIR=str(tmp_path / "out"))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "qnetfair.cli", command, "--config", write_scenario(data)],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert (proc.returncode, proc.stderr) == (2, "")
+        assert proc.stdout.splitlines() == [
+            "apps[0].weight: DRR quantum sim.quantum_base * weight must be finite and >= 0.001 "
+            f"(flow cost 1 / 1000 passes), got {got}"
+        ]
+        assert not (tmp_path / "out").exists()
 
 
 class TestRunCommand:
@@ -423,11 +459,18 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize(
         "param,values,n_rows",
-        [("sim.exhaustive_limit", "10,100", 2), ("sim.replications", "1,2", 3)],
+        [
+            ("sim.exhaustive_limit", "10,100", 2),
+            ("sim.replications", "1,2", 3),
+            ("sim.traffic", "backlogged,poisson", 2),
+            ("apps.0.min_fidelity", "0.25,0.5", 2),
+        ],
     )
     def test_omitted_sim_key_can_be_swept(self, write_scenario, tmp_path, param, values, n_rows):
         data = scenario_dict()
         data["sim"].pop("replications")
+        data["sim"].pop("traffic")
+        assert "min_fidelity" not in data["apps"][0]
         path = write_scenario(data)
         out = tmp_path / "out"
         assert main(
@@ -436,6 +479,7 @@ class TestSweepCommand:
         ) == 0
         _, rows = read_csv(out / "sweep_per_app.csv")
         assert len(rows) == n_rows
+        assert {r["sweep_value"] for r in rows} == set(values.split(","))
 
     def test_integer_field_rejects_fraction(self, write_scenario, tmp_path, capsys):
         path = write_scenario(scenario_dict())

@@ -5,10 +5,12 @@ import random
 
 import pytest
 
+from conftest import line_graph
 from qnetfair import (
     Application,
     AssignmentSource,
     CapacityMode,
+    CostMode,
     NetworkGraph,
     Node,
     NodeKind,
@@ -233,6 +235,52 @@ class TestConfigDiagnostics:
             minimal_graph(), minimal_apps(), minimal_config(slots=10, warmup_slots=10)
         )
         assert any("warmup" in d for d in diags)
+
+
+class TestDRRQuantumDiagnostics:
+    """Under DRR a grant of an app's dearest flow may wait at most
+    MAX_DRR_PASSES fruitless passes, and every quantum is a finite float."""
+
+    def test_pass_bound_is_inclusive_and_drr_only(self):
+        drr = minimal_config(policy=Policy.DRR)
+        validate_scenario(minimal_graph(), [Application(0, 0, 1e-3, 1, frozenset({1}))], drr)
+        apps = [
+            Application(0, 0, 1.0, 1, frozenset({1})),
+            Application(1, 0, 9e-4, 1, frozenset({1})),
+        ]
+        assert diags_of(minimal_graph(), apps, drr) == [
+            "apps[1].weight: DRR quantum sim.quantum_base * weight must be finite and >= 0.001 "
+            "(flow cost 1 / 1000 passes), got 0.0009"
+        ]
+        validate_scenario(minimal_graph(), apps, minimal_config())  # RR has no quanta
+        validate_scenario(minimal_graph(), apps, dataclasses.replace(drr, quantum_base=2))
+
+    def test_hops_mode_bounds_the_longest_eligible_flow(self):
+        # worker 1 is one hop from host 0 and worker 3 three; both are eligible
+        graph = line_graph([1.0, 1.0, 1.0])
+        apps = [Application(0, 0, 0.002, 1, frozenset({1, 3}))]
+        validate_scenario(graph, apps, minimal_config(policy=Policy.DRR))
+        hops = minimal_config(policy=Policy.DRR, cost_mode=CostMode.HOPS)
+        assert diags_of(graph, apps, hops) == [
+            "apps[0].weight: DRR quantum sim.quantum_base * weight must be finite and >= 0.003 "
+            "(flow cost 3 / 1000 passes), got 0.002"
+        ]
+
+    def test_quantum_must_be_a_finite_float(self):
+        apps = [
+            Application(0, 0, 1.0, 1, frozenset({1})),
+            Application(1, 0, 1e308, 1, frozenset({1})),
+        ]
+        text = (
+            "DRR quantum sim.quantum_base * weight must be finite and >= 0.001 "
+            "(flow cost 1 / 1000 passes), got inf"
+        )
+        config = minimal_config(policy=Policy.DRR, quantum_base=10)
+        assert diags_of(minimal_graph(), apps, config) == [f"apps[1].weight: {text}"]
+        config = minimal_config(policy=Policy.DRR, quantum_base=10**400)  # int * float overflows
+        assert diags_of(minimal_graph(), apps, config) == [
+            f"apps[0].weight: {text}", f"apps[1].weight: {text}"
+        ]
 
 
 class TestEligibilityDiagnostics:

@@ -1,13 +1,18 @@
+import dataclasses
 import json
 
 import pytest
 
 from conftest import scenario_dict
 from qnetfair import (
+    Application,
     AssignmentSource,
     CapacityMode,
+    Node,
     Policy,
+    QuantumLink,
     SchemaError,
+    SimConfig,
     Traffic,
     load_scenario,
     parse_scenario,
@@ -69,6 +74,21 @@ class TestParseScenario:
         with pytest.raises(SchemaError) as exc:
             parse_scenario(data)
         assert any("endpoints" in d for d in exc.value.diagnostics)
+        # keys are read in the model's field order: a link's id before its endpoints
+        data["links"][0]["id"] = "x"
+        with pytest.raises(SchemaError) as exc:
+            parse_scenario(data)
+        assert exc.value.diagnostics == [
+            "links[0].id: expected integer, got 'x'",
+            "links[0].endpoints: expected a pair of node ids, got [0]",
+        ]
+        # an absent pair reads as null
+        del data["links"][0]["endpoints"]
+        with pytest.raises(SchemaError) as exc:
+            parse_scenario(data)
+        assert exc.value.diagnostics[1] == (
+            "links[0].endpoints: expected a pair of node ids, got None"
+        )
 
     def test_duplicate_candidates_rejected(self):
         data = scenario_dict()
@@ -103,6 +123,24 @@ class TestParseScenario:
         assert config.capacity_mode is CapacityMode.STOCHASTIC
         assert config.quantum_base == 1
         assert config.replications == 1
+
+        # every optional key of every section, omitted, reads as the model default
+        optional = {}
+        for section, cls in (("nodes", Node), ("links", QuantumLink), ("apps", Application),
+                             ("sim", SimConfig)):
+            fields = [f for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING]
+            optional[section] = {f.metadata.get("key", f.name): f for f in fields}
+        assert "warmup" in optional["sim"] and "warmup_slots" not in optional["sim"]
+        for section, keys in optional.items():
+            for obj in data[section] if section != "sim" else [data["sim"]]:
+                for key in keys:
+                    obj.pop(key, None)
+        graph, apps, config, _ = parse_scenario(data)
+        read = {"nodes": graph.nodes, "links": graph.links, "apps": apps, "sim": [config]}
+        for section, keys in optional.items():
+            for obj in read[section]:
+                for f in keys.values():
+                    assert getattr(obj, f.name) == f.default, (section, f.name)
 
 
 class TestLoadScenario:

@@ -72,6 +72,15 @@ class TestConfigGuards:
         with pytest.raises(ConfigError):
             single_link_state(Policy.DRR, [1.0], 1, quantum_base=0)
 
+    @pytest.mark.parametrize(
+        "weight, quantum_base", [(1e-12, 1), (1.0, 10**400)], ids=["tiny_weight", "huge_base"]
+    )
+    def test_drr_quantum_must_be_finite_and_bound_fruitless_passes(self, weight, quantum_base):
+        with pytest.raises(ConfigError, match=r"apps\[0\]\.weight: DRR quantum"):
+            single_link_state(Policy.DRR, [weight], 1, quantum_base=quantum_base)
+        state, _ = single_link_state(Policy.RR, [weight], 1, quantum_base=quantum_base)
+        assert state.quantum == {}  # only DRR credits quanta
+
     @pytest.mark.parametrize("capacity", [-1, 1.5])
     def test_sampled_capacity_must_be_non_negative_integer(self, capacity):
         state, _ = single_link_state(Policy.RR, [1.0], 1)
@@ -427,7 +436,6 @@ def _visit_every_app_slot(state, ctx, skipped):
     ring, including apps whose flows were capacity-blocked in an earlier
     pass, and rescans all of them for a feasible flow. ``skipped`` counts,
     per policy, the visits the scheduler under test leaves out."""
-    stall_guard = 2 + max(math.ceil(state.max_cost[a] / state.quantum[a]) for a in state.apps)
     i = state.active.index(state.head) if state.active else 0
     ring = state.active[i:] + state.active[:i]
 
@@ -457,7 +465,10 @@ def _visit_every_app_slot(state, ctx, skipped):
             if state.policy is not Policy.DRR:
                 break
             fruitless += 1
-            assert fruitless <= stall_guard
+            # only DRR has quanta
+            assert fruitless <= 2 + max(
+                math.ceil(state.max_cost[a] / state.quantum[a]) for a in state.apps
+            )
         else:
             fruitless = 0
 

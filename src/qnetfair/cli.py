@@ -24,7 +24,7 @@ from .engine import (
 )
 from .fairshare import SearchSpaceTooLarge, jain_index, predicted_app_rates
 from .model import AssignmentSource, Policy, Scenario, SimConfig
-from .scenario_io import SCHEMA, SchemaError, load_scenario_file, parse_scenario
+from .scenario_io import SCHEMA, ParseError, SchemaError, parse_scenario, read_json
 from .scheduling import ConfigError
 from .validate import ValidationError, validate_scenario
 
@@ -98,9 +98,9 @@ def _write_tables(out_dir: Path, tables: list[tuple[str, list[str], Iterable[Seq
     return f"wrote {', '.join(str(p) for p in written)}"
 
 
-def _scenario(parsed, args: argparse.Namespace) -> Scenario:
-    """Validate a parsed scenario after applying the command-line overrides."""
-    graph, apps, config, given = parsed
+def _scenario(data: Any, args: argparse.Namespace) -> Scenario:
+    """Parse and validate a scenario document after applying the command-line overrides."""
+    graph, apps, config, given = parse_scenario(data)
     return validate_scenario(graph, apps, _apply_overrides(config, args), given)
 
 
@@ -201,13 +201,13 @@ def _print_run_summary(scenario: Scenario, runs: list[Metrics]) -> None:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    _scenario(load_scenario_file(args.config), args)
+    _scenario(read_json(args.config), args)
     print("OK")
     return EXIT_OK
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    scenario = _scenario(load_scenario_file(args.config), args)
+    scenario = _scenario(read_json(args.config), args)
     runs = replication_runs(
         scenario, n_replications=scenario.config.replications, collect_trace=args.trace
     )
@@ -224,7 +224,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_assign(args: argparse.Namespace) -> int:
-    scenario = _scenario(load_scenario_file(args.config), args)
+    scenario = _scenario(read_json(args.config), args)
     cfg = dataclasses.replace(scenario.config, assignment=AssignmentSource(args.solver))
     assignment = resolve_assignment(scenario, cfg, stream_rng(cfg.seed, "assignment"))
     pred = predicted_app_rates(scenario.graph, scenario.apps, assignment)
@@ -284,8 +284,7 @@ def _set_sweep_value(data: Any, dotted: str, raw: str) -> Any:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        base_data = json.load(fh)
+    base_data = read_json(args.config)
     values = [v.strip() for v in args.values.split(",") if v.strip() != ""]
     if not values:
         raise SweepParamError("no sweep values given")
@@ -301,7 +300,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for raw_value in values:
         data = json.loads(json.dumps(base_data))  # fresh copy per point
         value = _set_sweep_value(data, dotted, raw_value)
-        scenario = _scenario(parse_scenario(data), args)
+        scenario = _scenario(data, args)
         runs = replication_runs(scenario, n_replications=scenario.config.replications)
         points.append((value, scenario, runs))
 
@@ -384,6 +383,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_IO
     except UnicodeDecodeError as err:
         print(f"parse error: byte {err.start}: {err.reason} (not UTF-8)", file=sys.stderr)
+        return EXIT_IO
+    except ParseError as err:
+        print(f"parse error: {err}", file=sys.stderr)
         return EXIT_IO
     except (SchemaError, ValidationError) as err:
         for diag in err.diagnostics:

@@ -271,16 +271,16 @@ def run(
     rng_assignment = stream_rng(cfg.seed, "assignment")
 
     assignment = resolve_assignment(scenario, cfg, rng_assignment)
-    flows_by_app = build_flows(scenario.graph, scenario.apps, assignment, cfg.cost_mode)
+    flows_by_app = build_flows(scenario.graph, scenario.apps, assignment)
     state = SchedulerState(
-        cfg.policy, scenario.apps, flows_by_app, cfg.traffic, cfg.quantum_base
+        cfg.policy, scenario.apps, flows_by_app, cfg.traffic, cfg.quantum_base, cfg.cost_mode
     )
     links = sorted(scenario.graph.links, key=lambda l: l.id)  # dense ids: list index
     apps = sorted(scenario.apps, key=lambda a: a.id)
     # (app, flow index) -> (rank in (app, path) order, swap_prob); path
     # order is not the scheduler's worker order in general
     ranked = sorted(
-        (f.app, f.path, i, f.swap_prob) for fs in state.flows.values() for i, f in enumerate(fs)
+        (a, f.path, i, f.swap_prob) for a, fs in state.flows.items() for i, f in enumerate(fs)
     )
     order = {(a, i): (rank, p) for rank, (a, _, i, p) in enumerate(ranked)}
 

@@ -16,7 +16,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .model import Application, Assignment, CostMode, NetworkGraph
+from .model import Application, Assignment, NetworkGraph
 from .routing import build_flows, eligible_flows, eligible_workers
 
 FlowKey = Hashable
@@ -181,9 +181,9 @@ def predicted_app_rates(
     aggregate entitlement. Grants contend in the max-min fluid model;
     deliveries discount each flow by its swap success probability.
     """
-    flows = build_flows(graph, apps, assignment, CostMode.UNIT)
+    flows = build_flows(graph, apps, assignment)
     ordered = sorted(apps, key=lambda a: a.id)
-    # keyed by (app, worker): hashing a Flow would hash all of its fields
+    # keyed by (app, worker): apps with the same host share their Flows
     flow_edges = {(a.id, f.worker): f.edges for a in ordered for f in flows[a.id]}
     weights = {(a.id, f.worker): a.weight / a.workers_needed for a in ordered for f in flows[a.id]}
     rates = maxmin_rates(flow_edges, graph.effective_capacities(), weights)

@@ -93,18 +93,17 @@ class Application:
 
 @dataclass(frozen=True)
 class Flow:
-    """A host-to-worker route plus the derived entanglement metrics.
-
-    One grant to a flow consumes one EPR pair on every edge of its path
-    within the same slot, then succeeds end to end with ``swap_prob``.
+    """A host-to-worker route plus the derived entanglement metrics: a
+    graph fact, shared by every app with that host; DRR's grant cost is
+    ``scheduling.flow_cost``'s. One grant to a flow consumes one EPR pair
+    on every edge of its path within the same slot, then succeeds end to
+    end with ``swap_prob``.
     """
 
-    app: AppId
     path: tuple[NodeId, ...]  # host first, worker last
     edges: tuple[EdgeId, ...]
     swap_prob: float
     e2e_fidelity: float
-    cost: int  # scheduler cost: 1 (unit mode) or hop count (hops mode)
 
     @property
     def worker(self) -> NodeId:
@@ -130,8 +129,8 @@ class NetworkGraph:
             adj.setdefault(u, []).append((v, link.id))
             adj.setdefault(v, []).append((u, link.id))
         self._adj = {u: tuple(sorted(nbrs)) for u, nbrs in adj.items()}
-        # routing's memo: src -> dst -> (path, edges), None if unreachable
-        self.routes: dict[NodeId, dict] = {}
+        # routing's memo: src -> dst -> Flow, None if unreachable
+        self.routes: dict[NodeId, dict[NodeId, Optional[Flow]]] = {}
 
     def node(self, node_id: NodeId) -> Node:
         return self._nodes[node_id]

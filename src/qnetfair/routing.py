@@ -3,17 +3,17 @@
 Every flow uses a single fixed path chosen by minimum hop count, with a
 deterministic tie-break toward the lexicographically smallest node-id
 sequence. ``host_flows``, the one public form of a route, searches all
-of an app's workers at once and builds the ``Flow`` objects every other
+of a host's workers at once and builds the ``Flow`` objects every other
 module reads. All functions are pure over an immutable graph; each graph
-keeps the routes found on it, so validation, the assignment solvers and
-the engine search each (host, worker) route once.
+keeps each (host, worker) Flow it builds, so validation, the solvers and
+the engine search and build it once and share it between apps.
 """
 from __future__ import annotations
 
 from collections import deque
 from typing import Iterable, Sequence
 
-from .model import AppId, Application, Assignment, CostMode, EdgeId, Flow, NetworkGraph, NodeId
+from .model import AppId, Application, Assignment, EdgeId, Flow, NetworkGraph, NodeId
 
 
 class NoPath(Exception):
@@ -30,48 +30,6 @@ class EmptyEligibleSet(Exception):
         super().__init__(
             f"app {app_id}: {len(self.eligible)} eligible workers, needs {needed}"
         )
-
-
-def _routes(
-    graph: NetworkGraph, src: NodeId, dsts: Sequence[NodeId]
-) -> dict[NodeId, tuple[tuple[NodeId, ...], tuple[EdgeId, ...]]]:
-    """Minimum-hop (path, edges) from src to every reachable destination.
-
-    Breadth-first search expanding neighbors in ascending id order, never
-    reparenting a node once discovered; among equal-hop paths this yields
-    the lexicographically smallest node sequence. The search stops once
-    every destination is discovered; unreachable ones are left out. The
-    graph keeps each route found, since a later search would find the same
-    one, so later calls search only for new destinations.
-    """
-    known = graph.routes.setdefault(src, {})
-    new = {d for d in dsts if d not in known}
-    if src in new:
-        raise ValueError("src and dst must differ")
-    if not graph.has_node(src) or not all(map(graph.has_node, new)):
-        raise ValueError(f"unknown node in ({src}, {sorted(new)})")
-    known.update(dict.fromkeys(new))  # None: unreachable, unless found below
-    pending = set(new)
-    # node -> (parent, edge to the parent); the source has none
-    parent: dict[NodeId, tuple[NodeId, EdgeId] | None] = {src: None}
-    queue: deque[NodeId] = deque([src])
-    while queue and pending:
-        u = queue.popleft()
-        for v, edge in graph.neighbors(u):
-            if v not in parent:
-                parent[v] = (u, edge)
-                queue.append(v)
-                pending.discard(v)
-    for dst in new:
-        if dst not in parent:
-            continue
-        path, edges = [dst], []
-        while parent[path[-1]] is not None:
-            u, edge = parent[path[-1]]
-            path.append(u)
-            edges.append(edge)
-        known[dst] = (tuple(path[::-1]), tuple(edges[::-1]))
-    return {d: known[d] for d in dsts if known[d] is not None}
 
 
 def path_swap_prob(path: tuple[NodeId, ...], graph: NetworkGraph) -> float:
@@ -101,31 +59,51 @@ def edges_fidelity(graph: NetworkGraph, edges: Sequence[EdgeId]) -> float:
     return fid
 
 
-def host_flows(
-    graph: NetworkGraph, app: Application, workers: Iterable[NodeId], cost_mode: CostMode
-) -> list[Flow]:
-    """Flows from the app's host to each reachable worker, in ascending
-    worker order, from one breadth-first search; unreachable workers are
-    left out."""
-    routes = _routes(graph, app.host, sorted(workers))
-    return [
-        Flow(
-            app=app.id,
-            path=path,
-            edges=edges,
-            swap_prob=path_swap_prob(path, graph),
-            e2e_fidelity=edges_fidelity(graph, edges),
-            cost=1 if cost_mode is CostMode.UNIT else len(edges),
-        )
-        for path, edges in routes.values()
-    ]
+def host_flows(graph: NetworkGraph, host: NodeId, workers: Iterable[NodeId]) -> list[Flow]:
+    """Flows from host to each reachable worker, in ascending worker
+    order; unreachable workers are left out.
+
+    Breadth-first search expanding neighbors in ascending id order, never
+    reparenting a node once discovered; among equal-hop paths this yields
+    the lexicographically smallest node sequence. The search stops once
+    every destination is discovered. The graph keeps each Flow it builds,
+    so later calls search only for new destinations and return the same
+    Flow objects."""
+    workers = sorted(workers)
+    known = graph.routes.setdefault(host, {})
+    new = {w for w in workers if w not in known}
+    if host in new:
+        raise ValueError("src and dst must differ")
+    if not graph.has_node(host) or not all(map(graph.has_node, new)):
+        raise ValueError(f"unknown node in ({host}, {sorted(new)})")
+    known.update(dict.fromkeys(new))  # None: unreachable, unless found below
+    pending = set(new)
+    # node -> (parent, edge to the parent); the source has none
+    parent: dict[NodeId, tuple[NodeId, EdgeId] | None] = {host: None}
+    queue: deque[NodeId] = deque([host])
+    while queue and pending:
+        u = queue.popleft()
+        for v, edge in graph.neighbors(u):
+            if v not in parent:
+                parent[v] = (u, edge)
+                queue.append(v)
+                pending.discard(v)
+    for dst in new & parent.keys():
+        path, edges = [dst], []
+        while parent[path[-1]] is not None:
+            u, edge = parent[path[-1]]
+            path.append(u)
+            edges.append(edge)
+        path, edges = tuple(path[::-1]), tuple(edges[::-1])
+        known[dst] = Flow(path, edges, path_swap_prob(path, graph), edges_fidelity(graph, edges))
+    return [f for w in workers if (f := known[w]) is not None]
 
 
 def eligible_flows(graph: NetworkGraph, app: Application) -> list[Flow]:
     """Flows to the reachable candidates whose end-to-end fidelity meets
     the app's threshold, in ascending worker order. Raises EmptyEligibleSet
     when fewer than workers_needed candidates survive the filter."""
-    flows = host_flows(graph, app, app.candidates, CostMode.UNIT)
+    flows = host_flows(graph, app.host, app.candidates)
     flows = [f for f in flows if f.e2e_fidelity >= app.min_fidelity]
     if len(flows) < app.workers_needed:
         raise EmptyEligibleSet(app.id, (f.worker for f in flows), app.workers_needed)
@@ -138,16 +116,14 @@ def eligible_workers(graph: NetworkGraph, app: Application) -> frozenset[NodeId]
 
 
 def build_flows(
-    graph: NetworkGraph,
-    apps: Sequence[Application],
-    assignment: Assignment,
-    cost_mode: CostMode,
+    graph: NetworkGraph, apps: Sequence[Application], assignment: Assignment
 ) -> dict[AppId, list[Flow]]:
-    """One flow per (app, assigned worker) over the shortest path; raises
-    NoPath when an assigned worker is unreachable from its host."""
+    """The flow of each (app, assigned worker), shared with every other
+    caller of ``host_flows``; raises NoPath when an assigned worker is
+    unreachable from its host."""
     flows: dict[AppId, list[Flow]] = {}
     for app in sorted(apps, key=lambda a: a.id):
-        flows[app.id] = host_flows(graph, app, assignment[app.id], cost_mode)
+        flows[app.id] = host_flows(graph, app.host, assignment[app.id])
         if len(flows[app.id]) < len(assignment[app.id]):
             raise NoPath(f"app {app.id}: an assigned worker is unreachable from {app.host}")
     return flows

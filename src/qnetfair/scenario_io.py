@@ -48,7 +48,11 @@ def _read_real(value: Any, path: str, key: str, diags: list[str]) -> Optional[fl
     if value.__class__ is float:
         return value
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an int this long is not worth echoing
+            diags.append(f"{path}.{key}: expected a number within the float range")
+            return None
     diags.append(f"{path}.{key}: expected number, got {value!r}")
 
 
@@ -167,17 +171,24 @@ def parse_scenario(
     return graph, tuple(objects["apps"]), config, (given or None)
 
 
-def load_scenario_file(path: str):
-    """Read and parse a scenario file without validating semantics.
+class ParseError(Exception):
+    """A JSON value Python will not convert."""
 
-    Raises OSError on I/O problems and json.JSONDecodeError (which carries
-    line/column) on malformed syntax.
-    """
+
+def read_json(path: str) -> Any:
+    """The JSON document in a UTF-8 file. Raises OSError, UnicodeDecodeError
+    and json.JSONDecodeError (with line/column) as reading and ``json.load``
+    do, and ParseError on an integer literal over Python's digit limit."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(json.load(fh))
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise
+        except ValueError as err:  # int() refuses over sys.get_int_max_str_digits()
+            raise ParseError(str(err).partition(";")[0]) from None
 
 
 def load_scenario(path: str) -> Scenario:
     """Read, parse and fully validate a scenario file."""
-    graph, apps, config, given = load_scenario_file(path)
+    graph, apps, config, given = parse_scenario(read_json(path))
     return validate_scenario(graph, apps, config, given)

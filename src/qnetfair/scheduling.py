@@ -10,9 +10,9 @@ disciplines are supported:
 * RR: repeated passes over the active-app ring, one grant per app per pass.
 * WRR: as RR with up to ``weight`` grants per app per pass (integer weights).
 * DRR: classic deficit round robin; each pass credits every visited app
-  with quantum_base*weight, and grants spend the flow's cost from the
-  deficit. A deficit blocked by capacity persists across slots, capped at
-  quantum + the app's largest flow cost; an emptied queue resets it to 0.
+  with quantum_base*weight, and grants spend the flow's ``flow_cost`` from
+  the deficit. A deficit blocked by capacity persists across slots, capped
+  at quantum + the app's largest flow cost; an emptied queue resets it to 0.
 
 Passes repeat while some backlogged app still has a flow with residual
 capacity on every edge, which keeps the slot work-conserving and, for
@@ -44,7 +44,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from .model import AppId, Application, Flow, Policy, Traffic
+from .model import AppId, Application, CostMode, EdgeId, Flow, Policy, Traffic
 
 # slack for deficit-vs-cost comparisons; deficits are floats because
 # weights are reals, costs are small integers
@@ -104,6 +104,11 @@ def policy_problems(
     return problems
 
 
+def flow_cost(edges: Sequence[EdgeId], cost_mode: CostMode) -> int:
+    """What a DRR grant over ``edges`` spends: 1, or in hops mode the hop count."""
+    return 1 if cost_mode is CostMode.UNIT else len(edges)
+
+
 # A DRR pass credits every app in the ring one quantum, quantum_base *
 # weight, so a grant of cost c can wait ceil(c / quantum) fruitless passes
 MAX_DRR_PASSES = 1000
@@ -150,6 +155,7 @@ class SchedulerState:
         flows_by_app: Mapping[AppId, Sequence[Flow]],
         traffic: Traffic,
         quantum_base: int = 1,
+        cost_mode: CostMode = CostMode.UNIT,
     ):
         problems = policy_problems(policy, apps, traffic, quantum_base)
         if problems:
@@ -172,11 +178,14 @@ class SchedulerState:
         self.queues: dict[AppId, deque[int]] = {a: deque() for a in self.apps}  # arrival slots
         self.cursor: dict[AppId, int] = dict.fromkeys(self.apps, 0)
         self.deficit: dict[AppId, float] = dict.fromkeys(self.apps, 0.0)
-        self.max_cost = {a: max(f.cost for f in self.flows[a]) for a in self.apps}
+        # only DRR charges flow costs (in the slot loop's flow order) and
+        # credits quanta; cost, max_cost and quantum are empty otherwise
+        drr = self.apps.items() if policy is Policy.DRR else ()
+        self.cost = {a: tuple(flow_cost(e, cost_mode) for e in self.edges[a]) for a, _ in drr}
+        self.max_cost = {a: max(costs) for a, costs in self.cost.items()}
         problems = quantum_problems(policy, apps, quantum_base, self.max_cost)
         if problems:
             raise ConfigError("; ".join(problems))
-        drr = self.apps.items() if policy is Policy.DRR else ()  # only DRR credits quanta
         self.quantum = {a: quantum_base * app.weight for a, app in drr}
         # a DRR pass can legitimately grant nothing while deficits build up
         # toward an expensive flow, but never more often than this
@@ -289,7 +298,7 @@ def _visit_drr(state: SchedulerState, ctx: SlotGrants, app_id: AppId) -> int:
             deficit = min(deficit, state.deficit_cap(app_id))
             ctx.blocked[app_id] = ctx.passes
             break
-        cost = state.flows[app_id][i].cost
+        cost = state.cost[app_id][i]
         if deficit < cost - _DEFICIT_EPS:
             break
         _grant(state, ctx, app_id, i)

@@ -16,7 +16,6 @@ from .model import (
     Application,
     AssignmentSource,
     CapacityMode,
-    CostMode,
     NetworkGraph,
     NodeKind,
     Scenario,
@@ -26,7 +25,7 @@ from .model import (
 )
 from .engine import window_problems
 from .routing import EmptyEligibleSet, eligible_flows
-from .scheduling import policy_problems, quantum_problems
+from .scheduling import flow_cost, policy_problems, quantum_problems
 
 # exact Poisson sampling stays numerically safe up to this rate
 MAX_ARRIVAL_RATE = 30.0
@@ -76,13 +75,15 @@ def _check_structure(
         if pair in seen_pairs:
             diags.append(f"links[{i}]: duplicate link between nodes {pair[0]} and {pair[1]}")
         seen_pairs.add(pair)
+        capacity_ok = 1 <= link.capacity_max <= MAX_CAPACITY
         if link.capacity_max < 1:
             diags.append(f"links[{i}].capacity_max: must be >= 1, got {link.capacity_max}")
-        elif link.capacity_max > MAX_CAPACITY:
+        elif not capacity_ok:
             diags.append(
                 f"links[{i}].capacity_max: must be <= {MAX_CAPACITY}, got {link.capacity_max}"
             )
-        if not 0.0 < link.gen_success_prob <= 1.0:
+        prob_ok = 0.0 < link.gen_success_prob <= 1.0
+        if not prob_ok:
             diags.append(
                 f"links[{i}].gen_success_prob: must be in (0, 1], got {link.gen_success_prob}"
             )
@@ -91,7 +92,8 @@ def _check_structure(
                 f"links[{i}].fidelity: fidelity below Werner floor {WERNER_FLOOR} or above 1, "
                 f"got {link.fidelity}"
             )
-        if config.capacity_mode is CapacityMode.DETERMINISTIC:
+        # only in-range factors have a product that round() takes
+        if config.capacity_mode is CapacityMode.DETERMINISTIC and capacity_ok and prob_ok:
             eff = link.capacity_max * link.gen_success_prob
             if abs(eff - round(eff)) > _CAPACITY_INT_TOL:
                 diags.append(
@@ -161,7 +163,6 @@ def validate_scenario(
 
     eligible: dict[int, frozenset[int]] = {}
     max_cost: dict[int, int] = {}  # of the app's dearest eligible flow
-    hops = config.cost_mode is CostMode.HOPS
     for i, app in enumerate(apps):
         try:
             flows = eligible_flows(graph, app)
@@ -172,7 +173,7 @@ def validate_scenario(
             )
             continue
         eligible[app.id] = frozenset(f.worker for f in flows)
-        max_cost[app.id] = max(len(f.edges) for f in flows) if hops else 1
+        max_cost[app.id] = max(flow_cost(f.edges, config.cost_mode) for f in flows)
     diags += quantum_problems(config.policy, apps, config.quantum_base, max_cost)
 
     if config.assignment is AssignmentSource.GIVEN:

@@ -369,11 +369,9 @@ def test_c11_conservation_across_representative_runs():
         assignment = resolve_assignment(
             scenario, scenario.config, stream_rng(scenario.config.seed, "assignment")
         )
-        flows = build_flows(
-            scenario.graph, scenario.apps, assignment, scenario.config.cost_mode
-        )
+        flows = build_flows(scenario.graph, scenario.apps, assignment)
         flow_edges = {
-            (f.app, f.worker): f.edges for fl in flows.values() for f in fl
+            (a, f.worker): f.edges for a, fl in flows.items() for f in fl
         }
         recount(metrics, flow_edges)
 

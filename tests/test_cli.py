@@ -14,6 +14,20 @@ from qnetfair.cli import build_parser, main
 
 # a UTF-16 byte-order mark and text: not UTF-8 from the first byte
 NOT_UTF8 = b"\xff\xfe" + "{}".encode("utf-16-le")
+# files json.load cannot read, and the one stderr line each gives; an
+# integer literal over Python's 4300-digit limit raises a plain ValueError
+UNREADABLE = pytest.mark.parametrize(
+    "content, err",
+    [
+        (NOT_UTF8, "parse error: byte 0: invalid start byte (not UTF-8)"),
+        (
+            json.dumps(scenario_dict()).replace('"seed": 3', '"seed": 1' + "0" * 5000).encode(),
+            "parse error: Exceeds the limit (4300 digits) for integer string conversion: "
+            "value has 5001 digits",
+        ),
+    ],
+    ids=["utf16", "5001_digit_seed"],
+)
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -52,13 +66,14 @@ class TestValidateCommand:
     def test_missing_file_exits_one(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 1
 
-    def test_non_utf8_file_exits_one_with_parse_error(self, tmp_path, capsys):
-        path = tmp_path / "utf16.json"
-        path.write_bytes(NOT_UTF8)
+    @UNREADABLE
+    def test_non_utf8_file_exits_one_with_parse_error(self, tmp_path, capsys, content, err):
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(content)
         assert main(["validate", "--config", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == ["parse error: byte 0: invalid start byte (not UTF-8)"]
+        assert captured.err.splitlines() == [err]
 
     @pytest.mark.parametrize(
         "field, value, token",
@@ -489,16 +504,17 @@ class TestSweepCommand:
         ) == 2
         assert "links.0.capacity_max: expected integer value, got '1.5'" in capsys.readouterr().err
 
-    def test_non_utf8_file_exits_one_with_parse_error(self, tmp_path, capsys):
-        path = tmp_path / "utf16.json"
-        path.write_bytes(NOT_UTF8)
+    @UNREADABLE
+    def test_non_utf8_file_exits_one_with_parse_error(self, tmp_path, capsys, content, err):
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(content)
         assert main(
             ["sweep", "--config", str(path), "--param", "seed", "--values", "1",
              "--output-dir", str(tmp_path / "out")]
         ) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == ["parse error: byte 0: invalid start byte (not UTF-8)"]
+        assert captured.err.splitlines() == [err]
         assert not (tmp_path / "out").exists()
 
     def test_failed_write_removes_written_csvs(self, write_scenario, tmp_path, capsys):

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import re
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -12,6 +13,7 @@ from qnetfair import (
     AssignmentSource,
     CapacityMode,
     ConfigError,
+    CostMode,
     NetworkGraph,
     Node,
     NodeKind,
@@ -20,6 +22,7 @@ from qnetfair import (
     SimConfig,
     Traffic,
     ValidationError,
+    load_scenario,
     poisson_sample,
     replicate,
     replication_runs,
@@ -372,6 +375,28 @@ class TestRun:
         am = metrics.per_app[0]
         assert am.delivered <= am.grants
         assert am.attempts == 2 * am.grants  # two elementary pairs per grant
+
+    @pytest.mark.parametrize(
+        "policy, traffic",
+        [(p, Traffic.BACKLOGGED) for p in (Policy.RR, Policy.WRR)]
+        + [(p, Traffic.POISSON) for p in (Policy.RR, Policy.WRR, Policy.FCFS, Policy.DRR)],
+    )
+    def test_only_drr_reads_the_cost_mode(self, policy, traffic):
+        # app 0 crosses both unit links of the parking lot, so its hop cost
+        # is 2; under DRR with Poisson arrivals that changes the grants
+        path = Path(__file__).resolve().parent.parent / "scenarios" / "parking_lot.json"
+        scenario = load_scenario(str(path))
+        apps = tuple(dataclasses.replace(a, arrival_rate=0.8) for a in scenario.apps)
+        unit, hops = (
+            run(
+                dataclasses.replace(scenario, apps=apps),
+                dataclasses.replace(
+                    scenario.config, policy=policy, traffic=traffic, slots=500, cost_mode=mode
+                ),
+            )
+            for mode in (CostMode.UNIT, CostMode.HOPS)
+        )
+        assert (unit == hops) is (policy is not Policy.DRR)
 
 
 class TestReplicate:

@@ -16,7 +16,6 @@ from gen import (
 )
 from qnetfair import (
     Application,
-    CostMode,
     NetworkGraph,
     Node,
     NodeKind,
@@ -551,7 +550,7 @@ def _greedy_full_sort(graph, apps):
     for app in sorted(apps, key=lambda a: (-a.weight, a.id)):
         workers = eligible_workers(graph, app)
         cand_edges = {f.worker: edges_along(graph, f.path)
-                      for f in host_flows(graph, app, workers, CostMode.UNIT)}
+                      for f in host_flows(graph, app.host, workers)}
         phi = app.weight / app.workers_needed
         picked = []
         for _ in range(app.workers_needed):

@@ -195,6 +195,23 @@ class TestConfigDiagnostics:
             graph, minimal_apps(), minimal_config(capacity_mode=CapacityMode.STOCHASTIC)
         )
 
+    @pytest.mark.parametrize(
+        "capacity, prob, diag",
+        [
+            (4, math.nan, "links[0].gen_success_prob: must be in (0, 1], got nan"),
+            (4, math.inf, "links[0].gen_success_prob: must be in (0, 1], got inf"),
+            (10**400, 0.5, f"links[0].capacity_max: must be <= {MAX_CAPACITY}, got {10**400}"),
+        ],
+        ids=["nan_prob", "inf_prob", "huge_capacity"],
+    )
+    def test_deterministic_capacity_out_of_range_is_reported_once(self, capacity, prob, diag):
+        # their product has no round(); the range diagnostic is the only one
+        graph = NetworkGraph(
+            [Node(0, NodeKind.COMPUTATION), Node(1, NodeKind.COMPUTATION)],
+            [QuantumLink(0, (0, 1), capacity, prob, 1.0)],
+        )
+        assert diags_of(graph, minimal_apps(), minimal_config()) == [diag]
+
     def test_poisson_rate_bound(self):
         apps = [Application(0, 0, 1.0, 1, frozenset({1}), arrival_rate=31.0)]
         diags = diags_of(

@@ -9,7 +9,6 @@ from conftest import edges_along, line_graph
 from gen import random_connected_graph
 from qnetfair import (
     Application,
-    CostMode,
     EmptyEligibleSet,
     Flow,
     NetworkGraph,
@@ -23,6 +22,8 @@ from qnetfair import (
     host_flows,
     path_swap_prob,
 )
+from qnetfair import routing
+from qnetfair.routing import eligible_flows
 
 
 def _graph_from_edges(n, edges):
@@ -33,7 +34,7 @@ def _graph_from_edges(n, edges):
 
 def route(graph, src, dst):
     """Path of the flow host_flows builds from src to dst alone."""
-    flows = host_flows(graph, Application(0, src, 1.0, 1, frozenset({dst})), [dst], CostMode.UNIT)
+    flows = host_flows(graph, src, [dst])
     if not flows:
         raise NoPath(f"no path from {src} to {dst}")
     return flows[0].path
@@ -51,9 +52,9 @@ class TestShortestPath:
     def test_disconnected_raises(self):
         g = _graph_from_edges(4, [(0, 1), (2, 3)])
         app = Application(0, 0, 1.0, 1, frozenset({1, 3}))
-        assert [f.worker for f in host_flows(g, app, app.candidates, CostMode.UNIT)] == [1]
+        assert [f.worker for f in host_flows(g, app.host, app.candidates)] == [1]
         with pytest.raises(NoPath):
-            build_flows(g, [app], {0: app.candidates}, CostMode.UNIT)
+            build_flows(g, [app], {0: app.candidates})
 
     def test_same_endpoints_rejected(self):
         g = _graph_from_edges(2, [(0, 1)])
@@ -214,7 +215,7 @@ class TestEligibleWorkers:
         ]
         g = NetworkGraph(nodes, links)
         app = Application(0, 0, 1.0, 1, frozenset({1, 2}), min_fidelity=0.78)
-        flows = host_flows(g, app, app.candidates, CostMode.UNIT)
+        flows = host_flows(g, app.host, app.candidates)
         assert [f.worker for f in flows] == [1, 2]
         assert flows[0].e2e_fidelity == pytest.approx(0.813333, abs=1e-6)
         assert flows[1].e2e_fidelity == pytest.approx(0.738222, abs=1e-6)
@@ -261,16 +262,14 @@ class TestRouteTable:
         yield rng, NetworkGraph(tree.nodes, tree.links[1:])
 
     @staticmethod
-    def per_pair_flow(graph, app, worker, cost_mode):
+    def per_pair_flow(graph, app, worker):
         path = route(NetworkGraph(graph.nodes, graph.links), app.host, worker)
         edges = edges_along(graph, path)
         return Flow(
-            app=app.id,
             path=path,
             edges=edges,
             swap_prob=path_swap_prob(path, graph),
             e2e_fidelity=edges_fidelity(graph, edges),
-            cost=1 if cost_mode is CostMode.UNIT else len(edges),
         )
 
     def test_flows_and_eligibility_match_per_pair_rule(self):
@@ -291,17 +290,14 @@ class TestRouteTable:
                 expected = {}
                 for cand in sorted(app.candidates):
                     try:
-                        expected[cand] = self.per_pair_flow(g, app, cand, CostMode.HOPS)
+                        expected[cand] = self.per_pair_flow(g, app, cand)
                     except NoPath:
                         unreachable_seen += 1
                 if len(expected) < len(app.candidates):
                     with pytest.raises(NoPath):
-                        build_flows(g, [app], {app_id: app.candidates}, CostMode.HOPS)
-                for cost_mode in CostMode:
-                    flows = build_flows(g, [app], {app_id: frozenset(expected)}, cost_mode)
-                    assert flows[app_id] == [
-                        self.per_pair_flow(g, app, w, cost_mode) for w in sorted(expected)
-                    ]
+                        build_flows(g, [app], {app_id: app.candidates})
+                flows = build_flows(g, [app], {app_id: frozenset(expected)})
+                assert flows[app_id] == [self.per_pair_flow(g, app, w) for w in sorted(expected)]
                 keep = {w for w, f in expected.items() if f.e2e_fidelity >= app.min_fidelity}
                 if len(keep) >= app.workers_needed:
                     assert eligible_workers(g, app) == keep
@@ -323,11 +319,35 @@ class TestRouteReuse:
             eligible_workers(g, app)
             searched = neighbors.call_count
             assert searched > 0
-            build_flows(g, [app], {0: frozenset({2, 4})}, CostMode.HOPS)
+            build_flows(g, [app], {0: frozenset({2, 4})})
             eligible_workers(g, app)
             assert neighbors.call_count == searched
             assert route(g, 0, 3) == (0, 1, 2, 3)  # a new destination
             assert neighbors.call_count > searched
+
+    def test_each_host_worker_flow_is_built_once_and_shared(self):
+        g = line_graph([0.9] * 4)
+        a = Application(0, 0, 1.0, 2, frozenset({2, 4}))
+        b = Application(1, 0, 2.0, 2, frozenset({1, 2, 4}))  # a's host
+        c = Application(2, 3, 1.0, 1, frozenset({4}))
+        assignment = {0: frozenset({2, 4}), 1: frozenset({1, 4}), 2: frozenset({4})}
+
+        def same(xs, ys):
+            return len(xs) == len(ys) and all(x is y for x, y in zip(xs, ys))
+
+        with mock.patch.object(routing, "edges_fidelity", wraps=edges_fidelity) as fidelity:
+            first = eligible_flows(g, a)
+            assert same(eligible_flows(g, a), first)
+            flows = build_flows(g, [a, b, c], assignment)
+            assert same(build_flows(g, [a, b, c], assignment)[1], flows[1])
+            assert same(flows[0], first)
+            # b's flow to worker 4 is a's
+            assert flows[1][1] is first[1]
+            assert same(eligible_flows(g, b), [flows[1][0], first[0], first[1]])
+            # one fold per (host, worker): (0, 1), (0, 2), (0, 4) and (3, 4)
+            assert sorted(call.args[1] for call in fidelity.call_args_list) == [
+                (0,), (0, 1), (0, 1, 2, 3), (3,)
+            ]
 
     def test_routes_match_fresh_single_searches(self):
         for seed in range(30):
@@ -338,7 +358,7 @@ class TestRouteReuse:
                 host = rng.randrange(n)
                 dsts = rng.sample([x for x in range(n) if x != host], rng.randint(1, n - 1))
                 app = Application(app_id, host, 1.0, len(dsts), frozenset(dsts))
-                flows = build_flows(g, [app], {app_id: app.candidates}, CostMode.UNIT)
+                flows = build_flows(g, [app], {app_id: app.candidates})
                 for flow in flows[app_id]:
                     fresh = NetworkGraph(g.nodes, g.links)
                     assert flow.path == route(fresh, host, flow.worker)

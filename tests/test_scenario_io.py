@@ -49,12 +49,23 @@ class TestParseScenario:
             parse_scenario(data)
         assert any("sim: missing" in d for d in exc.value.diagnostics)
 
-    def test_wrong_type_reported(self):
+    @pytest.mark.parametrize(
+        "section, key, value, diag",
+        [
+            ("sim", "slots", "many", "sim.slots: expected integer, got 'many'"),
+            # JSON reads an integer of any length; float() cannot take this one
+            ("apps", "weight", 10**400, "apps[0].weight: expected a number within the float range"),
+            ("links", "fidelity", 10**400,
+             "links[0].fidelity: expected a number within the float range"),
+        ],
+        ids=["string_for_int", "weight_beyond_float", "link_key_beyond_float"],
+    )
+    def test_wrong_type_reported(self, section, key, value, diag):
         data = scenario_dict()
-        data["sim"]["slots"] = "many"
+        (data["sim"] if section == "sim" else data[section][0])[key] = value
         with pytest.raises(SchemaError) as exc:
             parse_scenario(data)
-        assert any("sim.slots: expected integer" in d for d in exc.value.diagnostics)
+        assert exc.value.diagnostics == [diag]
 
     def test_bool_is_not_an_integer(self):
         data = scenario_dict()

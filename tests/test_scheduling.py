@@ -30,8 +30,8 @@ from qnetfair import scheduling
 
 def make_state(policy, graph, apps, assignment, traffic=Traffic.BACKLOGGED,
                cost_mode=CostMode.UNIT, quantum_base=1):
-    flows = build_flows(graph, apps, assignment, cost_mode)
-    return SchedulerState(policy, apps, flows, traffic, quantum_base)
+    flows = build_flows(graph, apps, assignment)
+    return SchedulerState(policy, apps, flows, traffic, quantum_base, cost_mode)
 
 
 def single_link_state(policy, weights, capacity, traffic=Traffic.BACKLOGGED, **kw):
@@ -377,7 +377,7 @@ class TestFCFSOracle:
             rate = rng.uniform(1.5, 4.0) if overloaded else rng.uniform(0.1, 1.0)
             apps.append(Application(i, host, 1.0, len(workers), workers, arrival_rate=rate))
             assignment[i] = workers
-        flows = build_flows(graph, apps, assignment, CostMode.UNIT)
+        flows = build_flows(graph, apps, assignment)
         return graph, apps, flows
 
     @staticmethod
@@ -510,11 +510,12 @@ class TestRoundRobinOracle:
             graph, apps_by_policy, assignment = self._instance(rng)
             for policy in self.POLICIES:
                 apps = apps_by_policy[policy]
+                flows = build_flows(graph, apps, assignment)
                 for cost_mode in (CostMode.UNIT, CostMode.HOPS):
-                    flows = build_flows(graph, apps, assignment, cost_mode)
                     for traffic in (Traffic.BACKLOGGED, Traffic.POISSON):
                         states = [
-                            SchedulerState(policy, apps, flows, traffic) for _ in range(2)
+                            SchedulerState(policy, apps, flows, traffic, 1, cost_mode)
+                            for _ in range(2)
                         ]
                         inactive = set()
                         for slot in range(24):

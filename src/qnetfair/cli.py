@@ -8,15 +8,17 @@ scenario seed (or --seed); nothing reads the wall clock.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from .engine import (
     Metrics,
+    SlotLedger,
     aggregate_metrics,
     replication_runs,
     resolve_assignment,
@@ -76,26 +78,44 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _write_tables(out_dir: Path, tables: list[tuple[str, list[str], Iterable[Sequence]]]) -> str:
-    """Write each (file name, columns, rows) table as a CSV in ``out_dir``
-    and return the line that reports them. A row is a sequence in the
-    columns' order, written as soon as it is formatted. If a write fails,
-    the files this call wrote are removed before the error propagates, so
-    a failed command leaves no partial set of outputs."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+@contextlib.contextmanager
+def _output_files(out_dir: Path) -> Iterator[Callable[[str, Sequence[str]], TextIO]]:
+    """Give the block a function that opens the CSV file ``name`` in
+    ``out_dir``, made if need be, writes its header row of ``columns`` and
+    returns the open file. Every file is closed when the block ends. If
+    the block or a close fails, the files it opened and the directories
+    made for them are removed before the error propagates, so a failed
+    command leaves no partial set of outputs."""
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
+    opened: list[Path] = []
     try:
-        for name, columns, rows in tables:
-            path = out_dir / name
-            with open(path, "w", encoding="utf-8") as fh:
-                written.append(path)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with contextlib.ExitStack() as files:
+
+            def open_csv(name: str, columns: Sequence[str]) -> TextIO:
+                path = out_dir / name
+                fh = files.enter_context(open(path, "w", encoding="utf-8"))
+                opened.append(path)
                 fh.write(",".join(columns) + "\n")
-                fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+                return fh
+
+            yield open_csv
     except BaseException:
-        for p in written:
+        for p in opened:
             p.unlink(missing_ok=True)
+        for d in made:
+            with contextlib.suppress(OSError):
+                d.rmdir()
         raise
-    return f"wrote {', '.join(str(p) for p in written)}"
+
+
+def _write_rows(fh: TextIO, rows: Iterable[Sequence]) -> None:
+    """Write each row, a sequence in the columns' order, as soon as it is formatted."""
+    fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+
+
+def _wrote(out_dir: Path, names: Sequence[str]) -> str:
+    return f"wrote {', '.join(str(out_dir / name) for name in names)}"
 
 
 def _scenario(data: Any, args: argparse.Namespace) -> Scenario:
@@ -157,15 +177,26 @@ def _global_row(metrics: Metrics) -> list:
     ] + [em.utilization for _, em in sorted(metrics.per_edge.items())]
 
 
-def _trace_rows(metrics: Metrics) -> Iterator[tuple]:
-    seed = metrics.seed
-    for ledger in metrics.trace:
-        slot = ledger.slot
-        for e, (sampled, residual) in enumerate(zip(ledger.sampled, ledger.residual)):
-            yield seed, slot, "edge", e, sampled, sampled - residual, None, residual
-        for (app_id, worker), granted in sorted(ledger.grants.items()):
-            done = ledger.successes.get((app_id, worker), 0)
-            yield seed, slot, "flow", f"{app_id}-{worker}", None, granted, done, None
+def _trace_writer(fh: TextIO) -> Callable[[SlotLedger], None]:
+    """An ``on_slot`` that writes each slot's trace.csv rows to ``fh``, in
+    TRACE_COLUMNS order: one edge row per link by id, then one flow row
+    per granted (app, worker) in key order. Every cell is an int or NA,
+    so none goes through _fmt."""
+
+    def write(ledger: SlotLedger) -> None:
+        head = f"{ledger.seed},{ledger.slot},"
+        lines = [
+            f"{head}edge,{e},{sampled},{sampled - residual},NA,{residual}\n"
+            for e, (sampled, residual) in enumerate(zip(ledger.sampled, ledger.residual))
+        ]
+        done = ledger.successes
+        lines += [
+            f"{head}flow,{app_id}-{worker},NA,{granted},{done.get((app_id, worker), 0)},NA\n"
+            for (app_id, worker), granted in sorted(ledger.grants.items())
+        ]
+        fh.write("".join(lines))
+
+    return write
 
 
 def _print_run_summary(scenario: Scenario, runs: list[Metrics]) -> None:
@@ -208,18 +239,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = _scenario(read_json(args.config), args)
-    runs = replication_runs(
-        scenario, n_replications=scenario.config.replications, collect_trace=args.trace
-    )
-    tables = [
-        ("per_app.csv", PER_APP_COLUMNS, (r for m in runs for r in _per_app_rows(scenario, m))),
-        ("global.csv", _global_columns(scenario), map(_global_row, runs)),
-    ]
-    if args.trace:
-        tables.append(("trace.csv", TRACE_COLUMNS, (r for m in runs for r in _trace_rows(m))))
-    wrote = _write_tables(_output_dir(args), tables)
+    out_dir = _output_dir(args)
+    with _output_files(out_dir) as open_csv:
+        # trace.csv is written slot by slot as the runs go; the rest after them
+        on_slot = _trace_writer(open_csv("trace.csv", TRACE_COLUMNS)) if args.trace else None
+        runs = replication_runs(
+            scenario, n_replications=scenario.config.replications, on_slot=on_slot
+        )
+        per_app = (r for m in runs for r in _per_app_rows(scenario, m))
+        _write_rows(open_csv("per_app.csv", PER_APP_COLUMNS), per_app)
+        _write_rows(open_csv("global.csv", _global_columns(scenario)), map(_global_row, runs))
     _print_run_summary(scenario, runs)
-    print(wrote)
+    print(_wrote(out_dir, ["per_app.csv", "global.csv"] + ["trace.csv"] * args.trace))
     return EXIT_OK
 
 
@@ -278,7 +309,8 @@ def _set_sweep_value(data: Any, dotted: str, raw: str) -> Any:
             value = key.type(raw)
         except ValueError as exc:
             kind = "integer" if key.type is int else "numeric"
-            raise SweepParamError(f"{dotted}: expected {kind} value, got {raw!r}") from exc
+            got = repr(raw) if len(raw) <= 20 else f"a value of {len(raw)} characters"
+            raise SweepParamError(f"{dotted}: expected {kind} value, got {got}") from exc
     target[parts[-1]] = value
     return value
 
@@ -306,15 +338,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     per_app_rows = ((v, *r) for v, sc, runs in points for m in runs for r in _per_app_rows(sc, m))
     global_rows = ((v, *_global_row(m)) for v, _, runs in points for m in runs)
-    wrote = _write_tables(
-        _output_dir(args),
-        [
-            ("sweep_per_app.csv", ["sweep_value"] + PER_APP_COLUMNS, per_app_rows),
-            ("sweep_global.csv", ["sweep_value"] + _global_columns(points[0][1]), global_rows),
-        ],
-    )
+    out_dir = _output_dir(args)
+    with _output_files(out_dir) as open_csv:
+        _write_rows(open_csv("sweep_per_app.csv", ["sweep_value"] + PER_APP_COLUMNS), per_app_rows)
+        global_columns = ["sweep_value"] + _global_columns(points[0][1])
+        _write_rows(open_csv("sweep_global.csv", global_columns), global_rows)
     print(f"swept {args.param} over {len(values)} values")
-    print(wrote)
+    print(_wrote(out_dir, ["sweep_per_app.csv", "sweep_global.csv"]))
     return EXIT_OK
 
 

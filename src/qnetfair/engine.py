@@ -15,9 +15,11 @@ as sample_capacity called link by link. In deterministic mode it hands
 each slot a copy of one precomputed list.
 
 The slot loop reads SlotGrants as schedule_slot returns them: lists by
-dense link id and counts by (app, flow index). A trace's SlotLedger keeps
-the slot's sampled and residual lists as they are, both fresh each slot,
-and only its counts are re-keyed by (app, worker).
+dense link id and counts by (app, flow index). A run given ``on_slot``
+hands it one SlotLedger per slot, once the slot's conservation check has
+passed, and keeps none: the ledger holds the slot's sampled and residual
+lists as they are, both fresh each slot, and only its counts are re-keyed
+by (app, worker).
 """
 from __future__ import annotations
 
@@ -49,6 +51,7 @@ from .model import (
     Scenario,
     SimConfig,
     Traffic,
+    shown,
 )
 from .routing import build_flows
 from .scheduling import (
@@ -82,9 +85,11 @@ def window_problems(slots: int, warmup_slots: int) -> list[str]:
     refuses to start with any of them."""
     problems = []
     if slots < 1:
-        problems.append(f"sim.slots: must be >= 1, got {slots}")
+        problems.append(f"sim.slots: must be >= 1, got {shown(slots)}")
     if not 0 <= warmup_slots < max(slots, 1):
-        problems.append(f"sim.warmup: must satisfy 0 <= warmup < slots, got {warmup_slots}")
+        problems.append(
+            f"sim.warmup: must satisfy 0 <= warmup < slots, got {shown(warmup_slots)}"
+        )
     return problems
 
 
@@ -181,8 +186,9 @@ def resolve_assignment(
 
 @dataclass(frozen=True)
 class SlotLedger:
-    """Per-slot record kept when tracing is enabled."""
+    """One slot of one run, as ``run`` hands it to ``on_slot``."""
 
+    seed: int  # the run's seed: the config's, or its replication's
     slot: int
     sampled: list[int]  # by dense link id
     residual: list[int]  # by dense link id
@@ -217,7 +223,6 @@ class Metrics:
     per_edge: dict[EdgeId, EdgeMetrics]
     jain_weighted: Optional[float]
     total_delivered: int
-    trace: Optional[tuple[SlotLedger, ...]] = None
 
 
 def _verify_slot(
@@ -252,14 +257,16 @@ def run(
     scenario: Scenario,
     config: Optional[SimConfig] = None,
     *,
-    collect_trace: bool = False,
+    on_slot: Optional[Callable[[SlotLedger], None]] = None,
 ) -> Metrics:
     """Simulate one seeded run and return its metrics.
 
     Pairs not consumed in their generation slot are discarded, so sampled
     capacity is a per-slot renewable resource. Slots before warmup_slots
     are excluded from every accumulated metric. Identical (scenario,
-    config) always produces identical Metrics.
+    config) always produces identical Metrics. If given, ``on_slot`` is
+    called with each slot's SlotLedger, in slot order, after the slot's
+    conservation check.
     """
     cfg = config if config is not None else scenario.config
     problems = window_problems(cfg.slots, cfg.warmup_slots)
@@ -289,7 +296,6 @@ def run(
     attempts_by_app = dict.fromkeys((a.id for a in apps), 0)
     wait_by_app = dict.fromkeys((a.id for a in apps), 0)  # sum of slots from arrival to grant
     grants_by_edge = [0] * len(links)
-    trace: list[SlotLedger] = []
     sample_slot = capacity_sampler(links, cfg.capacity_mode, rng_capacity)
 
     def by_worker(counts: Mapping[FlowKey, int]) -> dict[tuple[AppId, NodeId], int]:
@@ -315,9 +321,10 @@ def run(
             grants_by_edge = list(map(add, grants_by_edge, map(sub, sampled, result.residual)))
             for app_id, arrival_slot in result.granted_requests:
                 wait_by_app[app_id] += slot - arrival_slot
-        if collect_trace:
-            trace.append(
+        if on_slot is not None:
+            on_slot(
                 SlotLedger(
+                    seed=cfg.seed,
                     slot=slot,
                     sampled=sampled,
                     residual=result.residual,
@@ -361,7 +368,6 @@ def run(
         per_edge=per_edge,
         jain_weighted=jain,
         total_delivered=sum(delivered_by_app.values()),
-        trace=tuple(trace) if collect_trace else None,
     )
 
 
@@ -383,24 +389,26 @@ def replication_runs(
     config: Optional[SimConfig] = None,
     n_replications: int = 1,
     *,
-    collect_trace: bool = False,
+    on_slot: Optional[Callable[[SlotLedger], None]] = None,
 ) -> list[Metrics]:
     """Independent runs in index order.
 
     A single replication runs with the config's own seed, so it equals
     ``run(scenario, config)``; the CLI outputs for ``replications == 1``
     depend on this. With more, replication i uses replication_seed(seed, i).
+    ``on_slot`` is passed to every run, so it sees each run's slots in turn,
+    each ledger carrying its run's seed.
     """
     cfg = config if config is not None else scenario.config
     if n_replications < 1:
         raise ValueError("n_replications must be >= 1")
     if n_replications == 1:
-        return [run(scenario, cfg, collect_trace=collect_trace)]
+        return [run(scenario, cfg, on_slot=on_slot)]
     return [
         run(
             scenario,
             dataclasses.replace(cfg, seed=replication_seed(cfg.seed, i)),
-            collect_trace=collect_trace,
+            on_slot=on_slot,
         )
         for i in range(n_replications)
     ]

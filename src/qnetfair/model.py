@@ -23,6 +23,21 @@ AppId = int
 WERNER_FLOOR = 0.25
 
 
+def shown(value: object) -> str:
+    """``str(value)`` for a diagnostic, except that an int of more than 20
+    digits is given by its digit count: a JSON file can hold one of 4300
+    digits, and echoing it would make a line of kilobytes."""
+    if isinstance(value, int) and not -(10**20) < value < 10**20:
+        article = "a negative" if value < 0 else "an"
+        return f"{article} integer of {len(str(abs(value)))} digits"
+    return str(value)
+
+
+def shown_ids(ids: Iterable[int]) -> str:
+    """Sorted ids as ``str`` of their list shows them, each through ``shown``."""
+    return f"[{', '.join(map(shown, sorted(ids)))}]"
+
+
 class NodeKind(Enum):
     REPEATER = "repeater"
     COMPUTATION = "computation"

@@ -178,7 +178,8 @@ class ParseError(Exception):
 def read_json(path: str) -> Any:
     """The JSON document in a UTF-8 file. Raises OSError, UnicodeDecodeError
     and json.JSONDecodeError (with line/column) as reading and ``json.load``
-    do, and ParseError on an integer literal over Python's digit limit."""
+    do, and ParseError on an integer literal over Python's digit limit or
+    on nesting deeper than Python's recursion limit."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -186,6 +187,8 @@ def read_json(path: str) -> Any:
             raise
         except ValueError as err:  # int() refuses over sys.get_int_max_str_digits()
             raise ParseError(str(err).partition(";")[0]) from None
+        except RecursionError:  # json.load recurses once per nested array or object
+            raise ParseError("arrays or objects nested too deeply to read") from None
 
 
 def load_scenario(path: str) -> Scenario:

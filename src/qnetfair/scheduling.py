@@ -44,7 +44,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from .model import AppId, Application, CostMode, EdgeId, Flow, Policy, Traffic
+from .model import AppId, Application, CostMode, EdgeId, Flow, Policy, Traffic, shown
 
 # slack for deficit-vs-cost comparisons; deficits are floats because
 # weights are reals, costs are small integers
@@ -95,7 +95,7 @@ def policy_problems(
             if not float(app.weight).is_integer()
         ]
     if not isinstance(quantum_base, int) or quantum_base < 1:
-        problems.append(f"sim.quantum_base: must be >= 1, got {quantum_base}")
+        problems.append(f"sim.quantum_base: must be >= 1, got {shown(quantum_base)}")
     if policy is Policy.FCFS and traffic is Traffic.BACKLOGGED:
         problems.append(
             "sim.policy: FCFS is rejected with backlogged traffic "

@@ -22,6 +22,8 @@ from .model import (
     SimConfig,
     Traffic,
     WERNER_FLOOR,
+    shown,
+    shown_ids,
 )
 from .engine import window_problems
 from .routing import EmptyEligibleSet, eligible_flows
@@ -44,7 +46,7 @@ class ValidationError(Exception):
 def _dense_ids(items, section: str, diags: list[str]) -> bool:
     ids = [it.id for it in items]
     if sorted(ids) != list(range(len(ids))):
-        diags.append(f"{section}: ids must be dense integers from 0, got {sorted(ids)}")
+        diags.append(f"{section}: ids must be dense integers from 0, got {shown_ids(ids)}")
         return False
     return True
 
@@ -67,20 +69,27 @@ def _check_structure(
     for i, link in enumerate(graph.links):
         u, v = link.endpoints
         if u == v:
-            diags.append(f"links[{i}].endpoints: endpoints must differ, got ({u}, {v})")
+            diags.append(
+                f"links[{i}].endpoints: endpoints must differ, got ({shown(u)}, {shown(v)})"
+            )
         for end in (u, v):
             if not graph.has_node(end):
-                diags.append(f"links[{i}].endpoints: node {end} does not exist")
+                diags.append(f"links[{i}].endpoints: node {shown(end)} does not exist")
         pair = (min(u, v), max(u, v))
         if pair in seen_pairs:
-            diags.append(f"links[{i}]: duplicate link between nodes {pair[0]} and {pair[1]}")
+            diags.append(
+                f"links[{i}]: duplicate link between nodes {shown(pair[0])} and {shown(pair[1])}"
+            )
         seen_pairs.add(pair)
         capacity_ok = 1 <= link.capacity_max <= MAX_CAPACITY
         if link.capacity_max < 1:
-            diags.append(f"links[{i}].capacity_max: must be >= 1, got {link.capacity_max}")
+            diags.append(
+                f"links[{i}].capacity_max: must be >= 1, got {shown(link.capacity_max)}"
+            )
         elif not capacity_ok:
             diags.append(
-                f"links[{i}].capacity_max: must be <= {MAX_CAPACITY}, got {link.capacity_max}"
+                f"links[{i}].capacity_max: must be <= {MAX_CAPACITY}, "
+                f"got {shown(link.capacity_max)}"
             )
         prob_ok = 0.0 < link.gen_success_prob <= 1.0
         if not prob_ok:
@@ -104,7 +113,7 @@ def _check_structure(
     _dense_ids(apps, "apps", diags)
     for i, app in enumerate(apps):
         if not graph.has_node(app.host):
-            diags.append(f"apps[{i}].host: node {app.host} does not exist")
+            diags.append(f"apps[{i}].host: node {shown(app.host)} does not exist")
         elif graph.node(app.host).kind is not NodeKind.COMPUTATION:
             diags.append(f"apps[{i}].host: node {app.host} is a repeater")
         # JSON input may carry NaN or Infinity; NaN fails every comparison
@@ -113,17 +122,19 @@ def _check_structure(
         elif app.weight == inf:
             diags.append(f"apps[{i}].weight: must be finite, got {app.weight}")
         if app.workers_needed < 1:
-            diags.append(f"apps[{i}].workers_needed: must be >= 1, got {app.workers_needed}")
+            diags.append(
+                f"apps[{i}].workers_needed: must be >= 1, got {shown(app.workers_needed)}"
+            )
         if app.workers_needed > len(app.candidates):
             diags.append(
                 f"apps[{i}].workers_needed: workers_needed exceeds candidates "
-                f"({app.workers_needed} > {len(app.candidates)})"
+                f"({shown(app.workers_needed)} > {len(app.candidates)})"
             )
         if app.host in app.candidates:
-            diags.append(f"apps[{i}].candidates: host {app.host} cannot be its own worker")
+            diags.append(f"apps[{i}].candidates: host {shown(app.host)} cannot be its own worker")
         for cand in sorted(app.candidates):
             if not graph.has_node(cand):
-                diags.append(f"apps[{i}].candidates: node {cand} does not exist")
+                diags.append(f"apps[{i}].candidates: node {shown(cand)} does not exist")
             elif graph.node(cand).kind is not NodeKind.COMPUTATION:
                 diags.append(f"apps[{i}].candidates: node {cand} is a repeater")
         if not WERNER_FLOOR <= app.min_fidelity <= 1.0:
@@ -142,9 +153,9 @@ def _check_structure(
 
     diags += window_problems(config.slots, config.warmup_slots)
     if config.exhaustive_limit < 1:
-        diags.append(f"sim.exhaustive_limit: must be >= 1, got {config.exhaustive_limit}")
+        diags.append(f"sim.exhaustive_limit: must be >= 1, got {shown(config.exhaustive_limit)}")
     if config.replications < 1:
-        diags.append(f"sim.replications: must be >= 1, got {config.replications}")
+        diags.append(f"sim.replications: must be >= 1, got {shown(config.replications)}")
     diags += policy_problems(config.policy, apps, config.traffic, config.quantum_base)
 
 
@@ -193,13 +204,13 @@ def validate_scenario(
                 extra = set(workers) - set(app.candidates)
                 if extra:
                     diags.append(
-                        f"apps[{i}].workers: {sorted(extra)} not among candidates"
+                        f"apps[{i}].workers: {shown_ids(extra)} not among candidates"
                     )
                 elif app.id in eligible:
                     bad = set(workers) - set(eligible[app.id])
                     if bad:
                         diags.append(
-                            f"apps[{i}].workers: {sorted(bad)} not eligible "
+                            f"apps[{i}].workers: {shown_ids(bad)} not eligible "
                             f"(unreachable or below min_fidelity)"
                         )
 

@@ -92,9 +92,10 @@ def test_c03_rr_short_term_fairness_every_slot():
             policy=Policy.RR,
             slots=1_000,
         )
-        metrics = run(scenario, collect_trace=True)
+        ledgers = []
+        run(scenario, on_slot=ledgers.append)
         cum = dict.fromkeys(range(n), 0)
-        for ledger in metrics.trace:
+        for ledger in ledgers:
             for (app, _worker), count in ledger.grants.items():
                 cum[app] += count
             if max(cum.values()) - min(cum.values()) > 1:
@@ -111,13 +112,14 @@ def test_c04_wrr_proportionality_every_pass():
     scenario = _scenario(
         shared_link_graph(6), shared_link_apps(weights), policy=Policy.WRR, slots=1_000
     )
-    metrics = run(scenario, collect_trace=True)
+    ledgers = []
+    run(scenario, on_slot=ledgers.append)
     w_max = max(weights)
     total_weight = sum(weights)
     worst = 0.0
     cum = dict.fromkeys(range(3), 0)
     ok = True
-    for ledger in metrics.trace:
+    for ledger in ledgers:
         for (app, _worker), count in ledger.grants.items():
             cum[app] += count
         total = sum(cum.values())
@@ -309,9 +311,9 @@ def test_c11_conservation_across_representative_runs():
     violations = 0
     slots_checked = 0
 
-    def recount(metrics, flow_edges):
+    def recount(ledgers, flow_edges):
         nonlocal violations, slots_checked
-        for ledger in metrics.trace:
+        for ledger in ledgers:
             slots_checked += 1
             used = [0] * len(ledger.sampled)  # by link id, as the ledger's lists
             for key, count in ledger.grants.items():
@@ -365,7 +367,8 @@ def test_c11_conservation_across_representative_runs():
     from qnetfair.engine import resolve_assignment, stream_rng
 
     for scenario in cases:
-        metrics = run(scenario, collect_trace=True)
+        ledgers = []
+        run(scenario, on_slot=ledgers.append)
         assignment = resolve_assignment(
             scenario, scenario.config, stream_rng(scenario.config.seed, "assignment")
         )
@@ -373,7 +376,7 @@ def test_c11_conservation_across_representative_runs():
         flow_edges = {
             (a, f.worker): f.edges for a, fl in flows.items() for f in fl
         }
-        recount(metrics, flow_edges)
+        recount(ledgers, flow_edges)
 
     _report(
         "zero per-slot conservation violations across representative runs",

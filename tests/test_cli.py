@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,7 +18,8 @@ from qnetfair.cli import build_parser, main
 # a UTF-16 byte-order mark and text: not UTF-8 from the first byte
 NOT_UTF8 = b"\xff\xfe" + "{}".encode("utf-16-le")
 # files json.load cannot read, and the one stderr line each gives; an
-# integer literal over Python's 4300-digit limit raises a plain ValueError
+# integer literal over Python's 4300-digit limit raises a plain ValueError,
+# and nesting past the recursion limit a RecursionError
 UNREADABLE = pytest.mark.parametrize(
     "content, err",
     [
@@ -25,8 +29,9 @@ UNREADABLE = pytest.mark.parametrize(
             "parse error: Exceeds the limit (4300 digits) for integer string conversion: "
             "value has 5001 digits",
         ),
+        (b"[" * 100_000, "parse error: arrays or objects nested too deeply to read"),
     ],
-    ids=["utf16", "5001_digit_seed"],
+    ids=["utf16", "5001_digit_seed", "100000_nested_arrays"],
 )
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -92,6 +97,26 @@ class TestValidateCommand:
         assert main(["validate", "--config", path]) == 2
         assert capsys.readouterr().out.startswith(f"apps[0].{field}: must be")
 
+
+    @pytest.mark.parametrize(
+        "section, key, value, diag",
+        [
+            ("links", "capacity_max", 10**400,
+             "links[0].capacity_max: must be <= 1000, got an integer of 401 digits"),
+            ("links", "capacity_max", -(10**400),
+             "links[0].capacity_max: must be >= 1, got a negative integer of 401 digits"),
+            ("sim", "replications", -(10**4000),
+             "sim.replications: must be >= 1, got a negative integer of 4001 digits"),
+        ],
+        ids=["huge_capacity", "negative_capacity", "negative_replications"],
+    )
+    def test_over_long_integer_is_echoed_as_digit_count(
+        self, write_scenario, capsys, section, key, value, diag
+    ):
+        data = scenario_dict()
+        (data["sim"] if section == "sim" else data[section][0])[key] = value
+        assert main(["validate", "--config", write_scenario(data)]) == 2
+        assert capsys.readouterr().out.splitlines() == [diag]
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize(
@@ -246,10 +271,14 @@ class TestRunCommand:
         )
         data["apps"][0]["candidates"] = [1, 2]
         path = write_scenario(data)
-        out = tmp_path / "out"
-        assert main(["run", "--config", path, "--output-dir", str(out)]) == 2
+        out = tmp_path / "out" / "run"
+        assert main(["run", "--config", path, "--output-dir", str(out), "--trace"]) == 2
         assert not (out / "per_app.csv").exists()
         assert not (out / "global.csv").exists()
+        # trace.csv was opened before the run failed; it and the
+        # directories made for it are gone
+        assert not (out / "trace.csv").exists()
+        assert list(tmp_path.iterdir()) == [Path(path)]
 
     def test_failed_write_removes_written_csvs(self, write_scenario, tmp_path, capsys):
         # per_app.csv is written, then global.csv cannot be: a directory is in the way
@@ -259,6 +288,43 @@ class TestRunCommand:
         assert main(["run", "--config", path, "--output-dir", str(out)]) == 1
         assert sorted(p.name for p in out.iterdir()) == ["global.csv"]
         assert "wrote" not in capsys.readouterr().out
+
+    def test_failed_traced_write_removes_written_csvs(self, write_scenario, tmp_path, capsys):
+        # trace.csv is written as the run goes and per_app.csv after it,
+        # then global.csv cannot be: both are removed
+        path = write_scenario(scenario_dict(slots=30))
+        out = tmp_path / "out"
+        (out / "global.csv").mkdir(parents=True)
+        assert main(["run", "--config", path, "--output-dir", str(out), "--trace"]) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["global.csv"]
+        assert "wrote" not in capsys.readouterr().out
+
+    def test_traced_run_reports_files_in_table_order(self, write_scenario, tmp_path, capsys):
+        path = write_scenario(scenario_dict(slots=30))
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--output-dir", str(out), "--trace"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        names = ("per_app.csv", "global.csv", "trace.csv")
+        assert last == "wrote " + ", ".join(str(out / n) for n in names)
+
+    def test_traced_run_memory_does_not_grow_with_slots(self, tmp_path):
+        # the trace is written slot by slot, so no ledger outlives its
+        # slot; a kept ledger costs about 1 kB a slot here. What does grow
+        # is the overloaded Poisson backlog, about 30 B a slot under WRR,
+        # so the bound is on the growth per slot, not on the peaks' ratio
+        config = str(ROOT / "scenarios" / "mesh_poisson.json")
+        peaks = {}
+        for slots in (500, 2000):
+            argv = ["run", "--config", config, "--policy", "WRR", "--slots", str(slots),
+                    "--trace", "--output-dir", str(tmp_path / str(slots))]
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv) == 0
+                peaks[slots] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2000] - peaks[500] <= 100 * (2000 - 500), peaks
 
 
 class TestAssignCommand:
@@ -352,6 +418,18 @@ class TestSearchSpaceHint:
 
 
 class TestSweepCommand:
+    def test_over_long_value_is_echoed_as_length(self, write_scenario, tmp_path, capsys):
+        # 5001 digits are over int()'s limit; echoed, they made a 5 kB line
+        path = write_scenario(scenario_dict())
+        assert main(
+            ["sweep", "--config", path, "--param", "sim.seed", "--values", "1" + "0" * 5000,
+             "--output-dir", str(tmp_path / "out")]
+        ) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: sim.seed: expected integer value, got a value of 5001 characters"
+        ]
+        assert not (tmp_path / "out").exists()
+
     def test_policy_sweep_produces_row_groups(self, write_scenario, tmp_path):
         data = scenario_dict(traffic="poisson", policy="FCFS", slots=80)
         data["apps"][0]["arrival_rate"] = 0.5

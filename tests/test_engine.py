@@ -254,14 +254,35 @@ class TestRun:
         nodes = [Node(i, NodeKind.COMPUTATION) for i in range(4)]
         links = [QuantumLink(i, (i, i + 1), c, 1.0, 1.0) for i, c in [(2, 1), (0, 4), (1, 2)]]
         apps = [Application(0, 0, 1.0, 1, frozenset({3}))]
-        metrics = run(make_scenario(NetworkGraph(nodes, links), apps, slots=5), collect_trace=True)
-        for slot, ledger in enumerate(metrics.trace):
+        ledgers = []
+        run(make_scenario(NetworkGraph(nodes, links), apps, slots=5), on_slot=ledgers.append)
+        for slot, ledger in enumerate(ledgers):
             assert ledger.slot == slot
             assert ledger.sampled == [4, 2, 1] and ledger.residual == [3, 1, 0]
             assert ledger.grants == ledger.successes == {(0, 3): 1}
         # every slot holds lists of its own
-        assert len({id(l.sampled) for l in metrics.trace}) == len(metrics.trace)
-        assert len({id(l.residual) for l in metrics.trace}) == len(metrics.trace)
+        assert len({id(l.sampled) for l in ledgers}) == len(ledgers)
+        assert len({id(l.residual) for l in ledgers}) == len(ledgers)
+
+    def test_on_slot_sees_every_slot_in_order_with_the_run_seed(self):
+        scenario = make_scenario(
+            shared_link_graph(3), shared_link_apps([1.0, 2.0]), slots=40, warmup_slots=10
+        )
+        ledgers = []
+        metrics = run(scenario, on_slot=ledgers.append)
+        assert [l.slot for l in ledgers] == list(range(40))
+        assert {l.seed for l in ledgers} == {scenario.config.seed}
+        assert metrics == run(scenario)  # watching a run does not change it
+
+    def test_on_slot_ledgers_carry_each_replication_seed(self):
+        scenario = make_scenario(shared_link_graph(3), shared_link_apps([1.0]), slots=7)
+        ledgers = []
+        runs = replication_runs(scenario, n_replications=3, on_slot=ledgers.append)
+        # each run's slots in order, runs in index order, each with its own seed
+        assert [(l.seed, l.slot) for l in ledgers] == [
+            (m.seed, t) for m in runs for t in range(7)
+        ]
+        assert len({m.seed for m in runs}) == 3
 
     @pytest.mark.parametrize("warmup", [100, 150])
     def test_replaced_config_with_empty_window_rejected(self, warmup):
@@ -299,9 +320,11 @@ class TestRun:
             policy=Policy.DRR,
             seed=99,
         )
-        a = run(scenario, collect_trace=True)
-        b = run(scenario, collect_trace=True)
+        la, lb = [], []
+        a = run(scenario, on_slot=la.append)
+        b = run(scenario, on_slot=lb.append)
         assert a == b
+        assert la == lb
 
     def test_different_seed_differs_stochastically(self):
         graph = shared_link_graph(3, gen_prob=0.5)
@@ -311,9 +334,10 @@ class TestRun:
             capacity_mode=CapacityMode.STOCHASTIC,
             slots=50,
         )
-        a = run(scenario, collect_trace=True)
-        b = run(scenario, dataclasses.replace(scenario.config, seed=6), collect_trace=True)
-        assert [l.sampled for l in a.trace] != [l.sampled for l in b.trace]
+        la, lb = [], []
+        run(scenario, on_slot=la.append)
+        run(scenario, dataclasses.replace(scenario.config, seed=6), on_slot=lb.append)
+        assert [l.sampled for l in la] != [l.sampled for l in lb]
 
     def test_capacity_stream_isolated_from_traffic_mode(self):
         graph = shared_link_graph(4, gen_prob=0.5)
@@ -328,9 +352,10 @@ class TestRun:
             slots=60,
             traffic=Traffic.POISSON,
         )
-        mb = run(backlogged, collect_trace=True)
-        mp = run(poisson, collect_trace=True)
-        assert [l.sampled for l in mb.trace] == [l.sampled for l in mp.trace]
+        lb, lp = [], []
+        run(backlogged, on_slot=lb.append)
+        run(poisson, on_slot=lp.append)
+        assert [l.sampled for l in lb] == [l.sampled for l in lp]
 
     def test_poisson_latency_recorded(self):
         graph = shared_link_graph(1)
@@ -364,8 +389,9 @@ class TestRun:
             ),
             {0: frozenset({2})},
         )
-        metrics = run(scenario, collect_trace=True)
-        assert (0, 2) in metrics.trace[0].grants
+        ledgers = []
+        run(scenario, on_slot=ledgers.append)
+        assert (0, 2) in ledgers[0].grants
 
     def test_delivered_never_exceeds_grants(self):
         graph = line_graph([1.0, 1.0], capacity=2, swap_q=0.7)
@@ -451,9 +477,10 @@ class TestAssignmentSources:
         scenario = make_scenario(
             graph, apps, assignment=AssignmentSource.RANDOM, slots=5, seed=13
         )
-        a = run(scenario, collect_trace=True)
-        b = run(scenario, collect_trace=True)
-        assert a.trace[0].grants.keys() == b.trace[0].grants.keys()
+        la, lb = [], []
+        run(scenario, on_slot=la.append)
+        run(scenario, on_slot=lb.append)
+        assert la[0].grants.keys() == lb[0].grants.keys()
 
     def test_exhaustive_source_honors_limit(self):
         from qnetfair import SearchSpaceTooLarge

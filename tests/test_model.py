@@ -200,7 +200,12 @@ class TestConfigDiagnostics:
         [
             (4, math.nan, "links[0].gen_success_prob: must be in (0, 1], got nan"),
             (4, math.inf, "links[0].gen_success_prob: must be in (0, 1], got inf"),
-            (10**400, 0.5, f"links[0].capacity_max: must be <= {MAX_CAPACITY}, got {10**400}"),
+            # an over-long integer is echoed as its digit count
+            (
+                10**400,
+                0.5,
+                f"links[0].capacity_max: must be <= {MAX_CAPACITY}, got an integer of 401 digits",
+            ),
         ],
         ids=["nan_prob", "inf_prob", "huge_capacity"],
     )

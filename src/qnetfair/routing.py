@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Sequence
 
-from .model import AppId, Application, Assignment, EdgeId, Flow, NetworkGraph, NodeId
+from .model import WERNER_FLOOR, AppId, Application, Assignment, EdgeId, Flow, NetworkGraph, NodeId
 
 
 class NoPath(Exception):
@@ -50,12 +50,13 @@ def edges_fidelity(graph: NetworkGraph, edges: Sequence[EdgeId]) -> float:
     Left fold over the path's links of
         F <- F*Fe + (1 - F)*(1 - Fe)/3
     starting from the first link's fidelity. Closed on [0.25, 1], with
-    0.25 (fully mixed) as a fixed point.
+    0.25 (fully mixed) as a fixed point; each step is held at that floor,
+    since rounding near it can land one ulp below 0.25.
     """
     fid = graph.link(edges[0]).fidelity
     for edge_id in edges[1:]:
         fe = graph.link(edge_id).fidelity
-        fid = fid * fe + (1.0 - fid) * (1.0 - fe) / 3.0
+        fid = max(WERNER_FLOOR, fid * fe + (1.0 - fid) * (1.0 - fe) / 3.0)
     return fid
 
 

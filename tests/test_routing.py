@@ -161,6 +161,11 @@ class TestPathFidelity:
         g = line_graph([0.6])
         assert edges_fidelity(g, (0,)) == 0.6
 
+    def test_floor_holds_where_rounding_dips_below(self):
+        # Unclamped, this fold rounds to 0.24999999999999997.
+        g = line_graph([0.333984375, 0.2500001, 0.2500001, 0.2500001])
+        assert edges_fidelity(g, (0, 1, 2, 3)) == 0.25
+
     @given(st.lists(st.floats(0.2500001, 1.0), min_size=1, max_size=6))
     def test_stays_in_werner_range(self, fids):
         g = line_graph(fids)

@@ -65,6 +65,6 @@ from .engine import (
     stream_seed,
 )
 from .validate import MAX_ARRIVAL_RATE, ValidationError, validate_scenario
-from .scenario_io import SchemaError, load_scenario, parse_scenario
+from .scenario_io import ParseError, load_scenario, parse_scenario
 
 __version__ = "0.1.0"

@@ -25,8 +25,8 @@ from .engine import (
     stream_rng,
 )
 from .fairshare import SearchSpaceTooLarge, jain_index, predicted_app_rates
-from .model import AssignmentSource, Policy, Scenario, SimConfig
-from .scenario_io import SCHEMA, ParseError, SchemaError, parse_scenario, read_json
+from .model import AssignmentSource, Policy, Scenario, shown
+from .scenario_io import SCHEMA, ParseError, parse_scenario, read_json
 from .scheduling import ConfigError
 from .validate import ValidationError, validate_scenario
 
@@ -118,23 +118,19 @@ def _wrote(out_dir: Path, names: Sequence[str]) -> str:
     return f"wrote {', '.join(str(out_dir / name) for name in names)}"
 
 
+# each flag that sets a sim key, and that key
+_SIM_FLAGS = {"seed": "seed", "slots": "slots", "policy": "policy", "limit": "exhaustive_limit"}
+
+
 def _scenario(data: Any, args: argparse.Namespace) -> Scenario:
-    """Parse and validate a scenario document after applying the command-line overrides."""
-    graph, apps, config, given = parse_scenario(data)
-    return validate_scenario(graph, apps, _apply_overrides(config, args), given)
-
-
-# each override flag and the sim key, also its SimConfig field, that it replaces
-_OVERRIDES = {"seed": "seed", "slots": "slots", "policy": "policy", "limit": "exhaustive_limit"}
-
-
-def _apply_overrides(config: SimConfig, args: argparse.Namespace) -> SimConfig:
-    updates = {
-        key: SCHEMA["sim"][key].type(getattr(args, flag))
-        for flag, key in _OVERRIDES.items()
-        if getattr(args, flag, None) is not None
-    }
-    return dataclasses.replace(config, **updates) if updates else config
+    """Parse and validate a scenario document. The command's flags are set
+    into its ``sim`` object first, so the schema reads them as file values."""
+    sim = data.get("sim") if isinstance(data, dict) else None
+    if isinstance(sim, dict):
+        for flag, key in _SIM_FLAGS.items():
+            if getattr(args, flag, None) is not None:
+                sim[key] = getattr(args, flag)
+    return validate_scenario(*parse_scenario(data))
 
 
 def _output_dir(args: argparse.Namespace) -> Path:
@@ -309,8 +305,7 @@ def _set_sweep_value(data: Any, dotted: str, raw: str) -> Any:
             value = key.type(raw)
         except ValueError as exc:
             kind = "integer" if key.type is int else "numeric"
-            got = repr(raw) if len(raw) <= 20 else f"a value of {len(raw)} characters"
-            raise SweepParamError(f"{dotted}: expected {kind} value, got {got}") from exc
+            raise SweepParamError(f"{dotted}: expected {kind} value, got {shown(raw)}") from exc
     target[parts[-1]] = value
     return value
 
@@ -321,7 +316,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not values:
         raise SweepParamError("no sweep values given")
     dotted = _SWEEP_SHORTHAND.get(args.param, args.param)
-    for flag, key in _OVERRIDES.items():
+    for flag, key in _SIM_FLAGS.items():
         if f"sim.{key}" == dotted and getattr(args, flag, None) is not None:
             raise SweepParamError(
                 f"--{flag} conflicts with --param {args.param}: "
@@ -405,19 +400,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
-    except json.JSONDecodeError as err:
-        print(
-            f"parse error: line {err.lineno} column {err.colno}: {err.msg}",
-            file=sys.stderr,
-        )
-        return EXIT_IO
-    except UnicodeDecodeError as err:
-        print(f"parse error: byte {err.start}: {err.reason} (not UTF-8)", file=sys.stderr)
-        return EXIT_IO
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_IO
-    except (SchemaError, ValidationError) as err:
+    except ValidationError as err:
         for diag in err.diagnostics:
             print(diag)
         return EXIT_INVALID

@@ -24,18 +24,15 @@ WERNER_FLOOR = 0.25
 
 
 def shown(value: object) -> str:
-    """``str(value)`` for a diagnostic, except that an int of more than 20
-    digits is given by its digit count: a JSON file can hold one of 4300
-    digits, and echoing it would make a line of kilobytes."""
+    """How a diagnostic echoes a value, so that no input makes a long line:
+    an int of more than 20 digits by its digit count (a JSON file can hold
+    one of 4300 digits), any other value by its ``repr`` if that has at
+    most 40 characters, and by the length of the ``repr`` otherwise."""
     if isinstance(value, int) and not -(10**20) < value < 10**20:
         article = "a negative" if value < 0 else "an"
         return f"{article} integer of {len(str(abs(value)))} digits"
-    return str(value)
-
-
-def shown_ids(ids: Iterable[int]) -> str:
-    """Sorted ids as ``str`` of their list shows them, each through ``shown``."""
-    return f"[{', '.join(map(shown, sorted(ids)))}]"
+    text = repr(value)
+    return text if len(text) <= 40 else f"a value of {len(text)} characters"
 
 
 class NodeKind(Enum):

@@ -1,8 +1,11 @@
 """Strict JSON scenario ingestion.
 
-The schema rejects unknown keys at every level so a typo cannot silently
-alter an experiment. Shape and type problems raise SchemaError with one
-diagnostic per issue; semantic range checks live in ``validate``.
+The schema rejects unknown keys at every level, and ``read_json`` a key
+repeated within one object, so a typo cannot silently alter an
+experiment. Shape and type problems raise validate.ValidationError with
+one diagnostic per issue, each echoing the value through ``model.shown``;
+semantic range checks live in ``validate``. A file that JSON cannot read
+raises ParseError with one message.
 
 The lists ``nodes``, ``links`` and ``apps`` and the object ``sim`` hold
 the fields of model.Node, QuantumLink, Application and SimConfig, which
@@ -14,18 +17,12 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, fields
 from enum import Enum
-from typing import Any, Callable, NamedTuple, Optional, Sequence, get_origin, get_type_hints
+from typing import Any, Callable, NamedTuple, Optional, get_origin, get_type_hints
 
-from .model import Application, NetworkGraph, Node, QuantumLink, Scenario, SimConfig
-from .validate import validate_scenario
+from .model import Application, NetworkGraph, Node, QuantumLink, Scenario, SimConfig, shown
+from .validate import ValidationError, validate_scenario
 
 _MISSING = object()
-
-
-class SchemaError(Exception):
-    def __init__(self, diagnostics: Sequence[str]):
-        self.diagnostics = list(diagnostics)
-        super().__init__("; ".join(self.diagnostics))
 
 
 # A reader takes a JSON value, the locator of its object, its key and the
@@ -41,7 +38,7 @@ def _is_id(value: Any) -> bool:
 def _read_int(value: Any, path: str, key: str, diags: list[str]) -> Optional[int]:
     if value.__class__ is int or _is_id(value):
         return value
-    diags.append(f"{path}.{key}: expected integer, got {value!r}")
+    diags.append(f"{path}.{key}: expected integer, got {shown(value)}")
 
 
 def _read_real(value: Any, path: str, key: str, diags: list[str]) -> Optional[float]:
@@ -53,22 +50,22 @@ def _read_real(value: Any, path: str, key: str, diags: list[str]) -> Optional[fl
         except OverflowError:  # an int this long is not worth echoing
             diags.append(f"{path}.{key}: expected a number within the float range")
             return None
-    diags.append(f"{path}.{key}: expected number, got {value!r}")
+    diags.append(f"{path}.{key}: expected number, got {shown(value)}")
 
 
 def _read_id_pair(value: Any, path: str, key: str, diags: list[str]) -> Optional[tuple[int, int]]:
     if isinstance(value, list) and len(value) == 2 and all(map(_is_id, value)):
         return (value[0], value[1])
-    diags.append(f"{path}.{key}: expected a pair of node ids, got {value!r}")
+    diags.append(f"{path}.{key}: expected a pair of node ids, got {shown(value)}")
 
 
 def _read_id_list(value: Any, path: str, key: str, diags: list[str]) -> Optional[frozenset[int]]:
     if not isinstance(value, list):
-        diags.append(f"{path}.{key}: expected list of node ids, got {value!r}")
+        diags.append(f"{path}.{key}: expected list of node ids, got {shown(value)}")
         return None
     for j, item in enumerate(value):
         if not _is_id(item):
-            diags.append(f"{path}.{key}[{j}]: expected integer, got {item!r}")
+            diags.append(f"{path}.{key}[{j}]: expected integer, got {shown(item)}")
     ids = [item for item in value if _is_id(item)]
     if len(set(ids)) != len(ids):
         diags.append(f"{path}.{key}: duplicate entries")
@@ -82,7 +79,7 @@ def _enum_reader(enum: type[Enum]) -> Callable[[Any, str, str, list[str]], Optio
         try:
             return enum(value)
         except ValueError:
-            diags.append(f"{path}.{key}: expected one of {valid}, got {value!r}")
+            diags.append(f"{path}.{key}: expected one of {valid}, got {shown(value)}")
 
     return read
 
@@ -138,9 +135,9 @@ def _read(raw: dict, section: str, path: str, diags: list[str]) -> list[Any]:
 def parse_scenario(
     data: Any,
 ) -> tuple[NetworkGraph, tuple[Application, ...], SimConfig, Optional[dict[int, frozenset[int]]]]:
-    """Parse a raw scenario document; raises SchemaError on shape/type issues."""
+    """Parse a raw scenario document; raises ValidationError on shape/type issues."""
     if not isinstance(data, dict):
-        raise SchemaError(["scenario: expected a JSON object at top level"])
+        raise ValidationError(["scenario: expected a JSON object at top level"])
     diags = [f"scenario.{key}: unknown key" for key in data if key not in SCHEMA]
     for section, kind, shape in (("nodes", list, "a list"), ("links", list, "a list"),
                                  ("apps", list, "a list"), ("sim", dict, "an object")):
@@ -149,7 +146,7 @@ def parse_scenario(
         elif not isinstance(data[section], kind):
             diags.append(f"scenario.{section}: expected {shape}")
     if diags:
-        raise SchemaError(diags)
+        raise ValidationError(diags)
 
     objects: dict[str, list] = {"nodes": [], "links": [], "apps": []}
     given: dict[int, frozenset[int]] = {}
@@ -166,25 +163,39 @@ def parse_scenario(
     config = SimConfig(*_read(data["sim"], "sim", "sim", diags))
 
     if diags:
-        raise SchemaError(diags)
+        raise ValidationError(diags)
     graph = NetworkGraph(objects["nodes"], objects["links"])
     return graph, tuple(objects["apps"]), config, (given or None)
 
 
 class ParseError(Exception):
-    """A JSON value Python will not convert."""
+    """A file that JSON cannot read, or a JSON value Python will not convert."""
+
+
+def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):  # name the first key that repeats
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"duplicate key {shown(key)}")
+            seen.add(key)
+    return obj
 
 
 def read_json(path: str) -> Any:
-    """The JSON document in a UTF-8 file. Raises OSError, UnicodeDecodeError
-    and json.JSONDecodeError (with line/column) as reading and ``json.load``
-    do, and ParseError on an integer literal over Python's digit limit or
-    on nesting deeper than Python's recursion limit."""
+    """The JSON document in a UTF-8 file. Raises OSError as opening it
+    does, and ParseError, with one message, on bytes that are not UTF-8,
+    on a syntax error (with line and column), on a key repeated within
+    one object, on an integer literal over Python's digit limit and on
+    nesting deeper than Python's recursion limit."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            raise
+            return json.load(fh, object_pairs_hook=_object)
+        except UnicodeDecodeError as err:
+            raise ParseError(f"byte {err.start}: {err.reason} (not UTF-8)") from None
+        except json.JSONDecodeError as err:
+            raise ParseError(f"line {err.lineno} column {err.colno}: {err.msg}") from None
         except ValueError as err:  # int() refuses over sys.get_int_max_str_digits()
             raise ParseError(str(err).partition(";")[0]) from None
         except RecursionError:  # json.load recurses once per nested array or object
@@ -192,6 +203,6 @@ def read_json(path: str) -> Any:
 
 
 def load_scenario(path: str) -> Scenario:
-    """Read, parse and fully validate a scenario file."""
-    graph, apps, config, given = parse_scenario(read_json(path))
-    return validate_scenario(graph, apps, config, given)
+    """Read, parse and fully validate a scenario file. Raises OSError,
+    ParseError if JSON cannot read it, or ValidationError."""
+    return validate_scenario(*parse_scenario(read_json(path)))

@@ -188,7 +188,8 @@ class SchedulerState:
             raise ConfigError("; ".join(problems))
         self.quantum = {a: quantum_base * app.weight for a, app in drr}
         # a DRR pass can legitimately grant nothing while deficits build up
-        # toward an expensive flow, but never more often than this
+        # toward an expensive flow, but never more often than this; an RR
+        # or WRR pass always grants, so its guard of 2 is never reached
         self.stall_guard = 2 + max(
             (math.ceil(self.max_cost[a] / q) for a, q in self.quantum.items()), default=0
         )
@@ -327,14 +328,9 @@ def _round_robin_slot(state: SchedulerState, ctx: SlotGrants) -> None:
                 made += _visit_budgeted(state, ctx, app_id, int(state.apps[app_id].weight))
             else:
                 made += _visit_drr(state, ctx, app_id)
-        if made == 0:
-            if state.policy is not Policy.DRR:
-                break  # RR/WRR passes are side-effect free when nothing fits
-            fruitless += 1
-            if fruitless > state.stall_guard:  # pragma: no cover - internal invariant
-                raise RuntimeError("scheduler stalled with feasible capacity")
-        else:
-            fruitless = 0
+        fruitless = 0 if made else fruitless + 1
+        if fruitless > state.stall_guard:  # pragma: no cover - internal invariant
+            raise RuntimeError("scheduler stalled with feasible capacity")
         # blocked and drained apps sit out the rest of the slot
         ring = [a for a in ring if a not in ctx.blocked and state.backlogged(a)]
     if state.policy is Policy.DRR:

@@ -23,7 +23,6 @@ from .model import (
     Traffic,
     WERNER_FLOOR,
     shown,
-    shown_ids,
 )
 from .engine import window_problems
 from .routing import EmptyEligibleSet, eligible_flows
@@ -46,7 +45,7 @@ class ValidationError(Exception):
 def _dense_ids(items, section: str, diags: list[str]) -> bool:
     ids = [it.id for it in items]
     if sorted(ids) != list(range(len(ids))):
-        diags.append(f"{section}: ids must be dense integers from 0, got {shown_ids(ids)}")
+        diags.append(f"{section}: ids must be dense integers from 0, got {shown(sorted(ids))}")
         return False
     return True
 
@@ -203,14 +202,12 @@ def validate_scenario(
                     )
                 extra = set(workers) - set(app.candidates)
                 if extra:
-                    diags.append(
-                        f"apps[{i}].workers: {shown_ids(extra)} not among candidates"
-                    )
+                    diags.append(f"apps[{i}].workers: {shown(sorted(extra))} not among candidates")
                 elif app.id in eligible:
                     bad = set(workers) - set(eligible[app.id])
                     if bad:
                         diags.append(
-                            f"apps[{i}].workers: {shown_ids(bad)} not eligible "
+                            f"apps[{i}].workers: {shown(sorted(bad))} not eligible "
                             f"(unreachable or below min_fidelity)"
                         )
 

@@ -149,6 +149,129 @@ class TestValidateCommand:
         assert not (tmp_path / "out").exists()
 
 
+def _edit(section, key, value):
+    """A change to scenario_dict: set ``key`` on sim or on the first entry of ``section``."""
+
+    def edit(data):
+        (data["sim"] if section == "sim" else data[section][0])[key] = value
+        return data
+
+    return edit
+
+
+def _extra_node_ids(*ids):
+    extra = [{"id": i, "kind": "repeater"} for i in ids]
+    return lambda data: dict(data, nodes=data["nodes"] + extra)
+
+
+def _unreachable_worker(data):
+    # node 2 hangs off node 0 by a link below app 0's min_fidelity
+    data["nodes"].append({"id": 2, "kind": "computation"})
+    data["links"].append({"id": 1, "endpoints": [0, 2], "capacity_max": 1, "fidelity": 0.5})
+    data["apps"][0].update(min_fidelity=0.9, candidates=[1, 2], workers=[2])
+    data["sim"]["assignment"] = "given"
+    return data
+
+
+def _drr_without_eligible_worker(data):
+    data["sim"]["policy"] = "DRR"
+    data["apps"][0]["min_fidelity"] = 0.99
+    data["links"][0]["fidelity"] = 0.9
+    return data
+
+
+class TestDiagnosticLines:
+    """One exact stdout line, exit 2, for problems that parsing or
+    validation reports."""
+
+    @pytest.mark.parametrize(
+        "edit, line",
+        [
+            (_edit("apps", "weight", "heavy"), "apps[0].weight: expected number, got 'heavy'"),
+            (_edit("apps", "candidates", 3),
+             "apps[0].candidates: expected list of node ids, got 3"),
+            (_edit("apps", "candidates", [1, "x"]),
+             "apps[0].candidates[1]: expected integer, got 'x'"),
+            (lambda data: [], "scenario: expected a JSON object at top level"),
+            (lambda data: dict(data, nodes={}), "scenario.nodes: expected a list"),
+            (lambda data: dict(data, links=[3]), "links[0]: expected an object"),
+            (_edit("apps", "host", 5), "apps[0].host: node 5 does not exist"),
+            (_edit("apps", "candidates", [1, 7]), "apps[0].candidates: node 7 does not exist"),
+            (_edit("apps", "workers_needed", 0), "apps[0].workers_needed: must be >= 1, got 0"),
+            (_edit("sim", "exhaustive_limit", 0), "sim.exhaustive_limit: must be >= 1, got 0"),
+            (_edit("sim", "slots", 0), "sim.slots: must be >= 1, got 0"),
+            (_unreachable_worker,
+             "apps[0].workers: [2] not eligible (unreachable or below min_fidelity)"),
+            # quantum_problems skips an app without eligible flows: one line, not two
+            (_drr_without_eligible_worker,
+             "apps[0]: only 0 eligible workers (reachable with fidelity >= 0.99), needs 1"),
+            # an echoed value of over 40 characters is given by its length
+            (_edit("nodes", "kind", "k" * 100_000),
+             "nodes[0].kind: expected one of 'repeater', 'computation', "
+             "got a value of 100002 characters"),
+            (_edit("links", "endpoints", [10**4000, "x"]),
+             "links[0].endpoints: expected a pair of node ids, got a value of 4008 characters"),
+            (_edit("apps", "candidates", [1, "c" * 50_000]),
+             "apps[0].candidates[1]: expected integer, got a value of 50002 characters"),
+            (_extra_node_ids(10**6),
+             "nodes: ids must be dense integers from 0, got [0, 1, 1000000]"),
+            (_extra_node_ids(10, 100, 200, 300, 400, 500, 600),
+             "nodes: ids must be dense integers from 0, "
+             "got [0, 1, 10, 100, 200, 300, 400, 500, 600]"),
+            (_extra_node_ids(100, 200, 300, 400, 500, 600, 700),
+             "nodes: ids must be dense integers from 0, got a value of 41 characters"),
+        ],
+        ids=["string_weight", "scalar_candidates", "string_candidate", "top_level_list",
+             "object_nodes", "scalar_link", "missing_host", "missing_candidate",
+             "zero_workers_needed", "zero_exhaustive_limit", "zero_slots", "ineligible_worker",
+             "drr_too_few_eligible", "long_kind", "huge_endpoint", "long_candidate", "sparse_ids",
+             "40_character_ids", "41_character_ids"],
+    )
+    def test_one_exact_line(self, write_scenario, capsys, edit, line):
+        assert main(["validate", "--config", write_scenario(edit(scenario_dict()))]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out.splitlines(), captured.err) == ([line], "")
+
+    def test_duplicate_key_exits_one(self, write_scenario, tmp_path, capsys):
+        # json keeps the last of a repeated key: app 0 would run at weight 9
+        text = Path(write_scenario(scenario_dict())).read_text()
+        path = tmp_path / "twice.json"
+        path.write_text(text.replace('"weight": 1.0', '"weight": 1.0, "weight": 9.0'))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--output-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "parse error: duplicate key 'weight'\n")
+        assert not out.exists()
+
+
+class TestSimFlags:
+    """Flags are set into the document's sim object before it is read."""
+
+    def test_flag_supplies_a_key_the_file_omits_or_gets_wrong(
+        self, write_scenario, tmp_path, capsys
+    ):
+        data = scenario_dict(slots="many")
+        del data["sim"]["seed"]
+        path = write_scenario(data)
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "sim.slots: expected integer, got 'many'",
+            "sim.seed: missing required key",
+        ]
+        argv = ["run", "--config", path, "--output-dir", str(out), "--seed", "3", "--slots", "100"]
+        assert main(argv) == 0
+        _, rows = read_csv(out / "per_app.csv")
+        assert [(r["seed"], r["slots"]) for r in rows] == [("3", "100")]
+
+    def test_flag_value_is_checked_as_the_file_value(self, write_scenario, capsys):
+        path = write_scenario(scenario_dict())
+        assert main(["assign", "--config", path, "--limit", "0"]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "sim.exhaustive_limit: must be >= 1, got 0"
+        ]
+
+
 class TestRunCommand:
     def test_unit_pipe_rate_is_one(self, write_scenario, tmp_path):
         path = write_scenario(scenario_dict())
@@ -426,9 +549,29 @@ class TestSweepCommand:
              "--output-dir", str(tmp_path / "out")]
         ) == 2
         assert capsys.readouterr().err.splitlines() == [
-            "error: sim.seed: expected integer value, got a value of 5001 characters"
+            "error: sim.seed: expected integer value, got a value of 5003 characters"
         ]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "param, values, line",
+        [
+            ("apps.0.weight.x", "1", "error: unknown parameter path: apps.0.weight.x"),
+            ("apps.0.candidates", "1", "error: apps.0.candidates: not a sweepable numeric field"),
+            ("seed", ",", "error: no sweep values given"),
+        ],
+        ids=["path_too_long", "id_list", "no_values"],
+    )
+    def test_usage_error_line(self, write_scenario, tmp_path, capsys, param, values, line):
+        path = write_scenario(scenario_dict())
+        out = tmp_path / "out"
+        assert main(
+            ["sweep", "--config", path, "--param", param, "--values", values,
+             "--output-dir", str(out)]
+        ) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err.splitlines()) == ("", [line])
+        assert not out.exists()
 
     def test_policy_sweep_produces_row_groups(self, write_scenario, tmp_path):
         data = scenario_dict(traffic="poisson", policy="FCFS", slots=80)

@@ -22,6 +22,7 @@ from qnetfair import (
     eligible_workers,
     validate_scenario,
 )
+from qnetfair.model import shown
 from qnetfair.validate import MAX_CAPACITY
 
 
@@ -46,6 +47,24 @@ def diags_of(graph, apps, config, given=None):
     with pytest.raises(ValidationError) as exc:
         validate_scenario(graph, apps, config, given)
     return exc.value.diagnostics
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (10**20 - 1, "99999999999999999999"),
+        (10**20, "an integer of 21 digits"),
+        (-(10**400), "a negative integer of 401 digits"),
+        ("x" * 38, "'" + "x" * 38 + "'"),
+        ("x" * 39, "a value of 41 characters"),
+        ([10**20, 1], "[100000000000000000000, 1]"),
+        (None, "None"),
+    ],
+    ids=["20_digits", "21_digits", "negative_401_digits", "40_characters", "41_characters",
+         "short_list", "none"],
+)
+def test_shown_echoes_at_most_40_characters(value, text):
+    assert shown(value) == text
 
 
 class TestValidScenarios:

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 
 import pytest
 
@@ -9,14 +8,16 @@ from qnetfair import (
     AssignmentSource,
     CapacityMode,
     Node,
+    ParseError,
     Policy,
     QuantumLink,
-    SchemaError,
     SimConfig,
     Traffic,
+    ValidationError,
     load_scenario,
     parse_scenario,
 )
+from qnetfair.scenario_io import read_json
 
 
 class TestParseScenario:
@@ -31,21 +32,21 @@ class TestParseScenario:
     def test_unknown_key_named_with_location(self):
         data = scenario_dict()
         data["links"][0]["fidelityy"] = 0.9
-        with pytest.raises(SchemaError) as exc:
+        with pytest.raises(ValidationError) as exc:
             parse_scenario(data)
         assert any("links[0].fidelityy: unknown key" in d for d in exc.value.diagnostics)
 
     def test_unknown_top_level_key(self):
         data = scenario_dict()
         data["extra_section"] = {}
-        with pytest.raises(SchemaError) as exc:
+        with pytest.raises(ValidationError) as exc:
             parse_scenario(data)
         assert any("extra_section" in d for d in exc.value.diagnostics)
 
     def test_missing_required_section(self):
         data = scenario_dict()
         del data["sim"]
-        with pytest.raises(SchemaError) as exc:
+        with pytest.raises(ValidationError) as exc:
             parse_scenario(data)
         assert any("sim: missing" in d for d in exc.value.diagnostics)
 
@@ -63,31 +64,31 @@ class TestParseScenario:
     def test_wrong_type_reported(self, section, key, value, diag):
         data = scenario_dict()
         (data["sim"] if section == "sim" else data[section][0])[key] = value
-        with pytest.raises(SchemaError) as exc:
+        with pytest.raises(ValidationError) as exc:
             parse_scenario(data)
         assert exc.value.diagnostics == [diag]
 
     def test_bool_is_not_an_integer(self):
         data = scenario_dict()
         data["sim"]["seed"] = True
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValidationError):
             parse_scenario(data)
 
     def test_bad_enum_lists_valid_values(self):
         data = scenario_dict(policy="SJF")
-        with pytest.raises(SchemaError) as exc:
+        with pytest.raises(ValidationError) as exc:
             parse_scenario(data)
         assert any("'FCFS'" in d and "sim.policy" in d for d in exc.value.diagnostics)
 
     def test_bad_endpoints_shape(self):
         data = scenario_dict()
         data["links"][0]["endpoints"] = [0]
-        with pytest.raises(SchemaError) as exc:
+        with pytest.raises(ValidationError) as exc:
             parse_scenario(data)
         assert any("endpoints" in d for d in exc.value.diagnostics)
         # keys are read in the model's field order: a link's id before its endpoints
         data["links"][0]["id"] = "x"
-        with pytest.raises(SchemaError) as exc:
+        with pytest.raises(ValidationError) as exc:
             parse_scenario(data)
         assert exc.value.diagnostics == [
             "links[0].id: expected integer, got 'x'",
@@ -95,7 +96,7 @@ class TestParseScenario:
         ]
         # an absent pair reads as null
         del data["links"][0]["endpoints"]
-        with pytest.raises(SchemaError) as exc:
+        with pytest.raises(ValidationError) as exc:
             parse_scenario(data)
         assert exc.value.diagnostics[1] == (
             "links[0].endpoints: expected a pair of node ids, got None"
@@ -104,7 +105,7 @@ class TestParseScenario:
     def test_duplicate_candidates_rejected(self):
         data = scenario_dict()
         data["apps"][0]["candidates"] = [1, 1]
-        with pytest.raises(SchemaError) as exc:
+        with pytest.raises(ValidationError) as exc:
             parse_scenario(data)
         assert any("duplicate" in d for d in exc.value.diagnostics)
 
@@ -112,7 +113,7 @@ class TestParseScenario:
         data = scenario_dict()
         data["links"][0]["fidelityy"] = 0.9
         data["sim"]["slots"] = "many"
-        with pytest.raises(SchemaError) as exc:
+        with pytest.raises(ValidationError) as exc:
             parse_scenario(data)
         assert len(exc.value.diagnostics) >= 2
 
@@ -163,6 +164,24 @@ class TestLoadScenario:
     def test_malformed_json_carries_position(self, write_scenario, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"nodes": [}', encoding="utf-8")
-        with pytest.raises(json.JSONDecodeError) as exc:
+        with pytest.raises(ParseError) as exc:
             load_scenario(str(path))
-        assert exc.value.lineno == 1
+        assert str(exc.value).startswith("line 1 column")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"sim": {"seed": 1, "seed": 2}}', "duplicate key 'seed'"),
+            ('[{"k": 1}, {"a": 0, "k": 2, "a": 3}]', "duplicate key 'a'"),
+            ('{"%s": 1, "%s": 2}' % ("k" * 50, "k" * 50),
+             "duplicate key a value of 52 characters"),
+        ],
+        ids=["sim_key", "nested_key", "long_key"],
+    )
+    def test_repeated_key_is_a_parse_error(self, tmp_path, text, message):
+        # json alone keeps the last value of a repeated key
+        path = tmp_path / "twice.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            read_json(str(path))
+        assert str(exc.value) == message

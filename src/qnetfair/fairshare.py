@@ -5,7 +5,8 @@ fluid model of the network) serves both as the oracle that scheduling
 disciplines are compared against and as the objective for choosing which
 computation nodes join each application's worker pool. One kernel on flow
 indices, ``progressive_fill``, does all filling; ``maxmin_rates`` is its
-keyed, checked form, and ``assign_exhaustive`` calls the kernel directly.
+keyed, checked form, and ``assign_exhaustive`` calls the kernel directly
+for each assignment that its capacity bound cannot rule out.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .model import Application, Assignment, NetworkGraph
+from .model import Application, Assignment, Flow, NetworkGraph
 from .routing import build_flows, eligible_flows, eligible_workers
 
 FlowKey = Hashable
@@ -253,12 +254,24 @@ def assign_greedy(graph: NetworkGraph, apps: Sequence[Application]) -> Assignmen
     return out
 
 
+def _pool_bound(pool: Sequence[Flow], weight: float, caps: Mapping[int, float]) -> float:
+    """An upper bound on the weighted delivered rate an app gets from this
+    pool, whatever the other pools: no flow's max-min rate exceeds its path's
+    least capacity. The factor covers the rounding of ``progressive_fill``."""
+    peak = math.fsum(min([caps[e] for e in f.edges]) * f.swap_prob for f in pool)
+    return peak / weight * (1 + 1e-9)
+
+
 def assign_exhaustive(
     graph: NetworkGraph, apps: Sequence[Application], limit: int = 1_000_000
 ) -> Assignment:
     """Exact solver: enumerate every assignment and keep the lexicographic
     maximum of the ascending-sorted weighted delivered rates (those of
     ``predicted_app_rates``); among equals, the first one enumerated.
+
+    An assignment is skipped unfilled when the sorted bounds of its pools
+    (``_pool_bound``) do not exceed the best score: each rate is at most its
+    bound, so its sorted rates could not either.
 
     Raises SearchSpaceTooLarge (with the assignment count) before building
     any pool when the product of per-app subset counts exceeds ``limit``.
@@ -275,11 +288,16 @@ def assign_exhaustive(
         maxmin_rates(flow_edges, caps, dict.fromkeys(flow_edges, app.weight))
     # every assignment has the same flow weights: apps in id order, pools in worker order
     weights = [a.weight / a.workers_needed for a in ordered for _ in range(a.workers_needed)]
-    options = [itertools.combinations(f, a.workers_needed) for a, f in zip(ordered, eligible)]
+    options = [  # each app's pools, each with its bound
+        [(p, _pool_bound(p, a.weight, caps)) for p in itertools.combinations(f, a.workers_needed)]
+        for a, f in zip(ordered, eligible)
+    ]
     best: tuple | None = None
     best_score: tuple[float, ...] | None = None
     for combo in itertools.product(*options):
-        flows = [f for pool in combo for f in pool]
+        if best_score is not None and tuple(sorted([u for _, u in combo])) <= best_score:
+            continue
+        flows = [f for pool, _ in combo for f in pool]
         rates = progressive_fill(weights, [f.edges for f in flows], caps)
         delivered = iter([r * f.swap_prob for r, f in zip(rates, flows)])
         score = tuple(sorted(
@@ -288,4 +306,4 @@ def assign_exhaustive(
         if best_score is None or score > best_score:
             best, best_score = combo, score
     assert best is not None, "every app has at least one eligible pool"
-    return {app.id: frozenset(f.worker for f in pool) for app, pool in zip(ordered, best)}
+    return {app.id: frozenset(f.worker for f in pool) for app, (pool, _) in zip(ordered, best)}

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, fields
 from enum import Enum
-from typing import Any, Callable, NamedTuple, Optional, get_origin, get_type_hints
+from typing import IO, Any, Callable, NamedTuple, Optional, get_origin, get_type_hints
 
 from .model import Application, NetworkGraph, Node, QuantumLink, Scenario, SimConfig, shown
 from .validate import ValidationError, validate_scenario
@@ -183,15 +183,51 @@ def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return obj
 
 
+def _repeat_locator(fh: IO[str]) -> Optional[str]:
+    """Where the object that ``_object`` refused sits, such as ``apps[0]``:
+    the file is read again, each object as a tuple of its pairs so that no
+    repeat hides another. None if the rest of the file cannot be read."""
+    refused: list[tuple] = []
+
+    def pairs_of(pairs: list[tuple[str, Any]]) -> tuple:
+        pairs = tuple(pairs)
+        if not refused and len(dict(pairs)) < len(pairs):
+            refused.append(pairs)
+        return pairs
+
+    fh.seek(0)
+    try:
+        stack = [(json.load(fh, object_pairs_hook=pairs_of), "")]
+    except (ValueError, RecursionError):
+        return None
+    while True:  # the refused object is in the document
+        value, path = stack.pop()
+        if value is refused[0]:
+            return (path or "scenario") if len(path) <= 100 else None
+        if isinstance(value, (tuple, list)):
+            items = value if isinstance(value, tuple) else enumerate(value)
+            stack += [(v, _child(path, k)) for k, v in items]
+
+
+def _child(path: str, key: Any) -> str:
+    if isinstance(key, str) and key.isidentifier() and len(key) <= 40:
+        return f"{path}.{key}" if path else key
+    return f"{path or 'scenario'}[{shown(key)}]"  # an array index, or an odd key
+
+
 def read_json(path: str) -> Any:
     """The JSON document in a UTF-8 file. Raises OSError as opening it
     does, and ParseError, with one message, on bytes that are not UTF-8,
     on a syntax error (with line and column), on a key repeated within
-    one object, on an integer literal over Python's digit limit and on
-    nesting deeper than Python's recursion limit."""
+    one object (with the object's locator), on an integer literal over
+    Python's digit limit and on nesting deeper than Python's recursion
+    limit."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh, object_pairs_hook=_object)
+        except ParseError as err:  # from _object, which cannot say where
+            where = _repeat_locator(fh)
+            raise ParseError(f"{where}: {err}" if where else str(err)) from None
         except UnicodeDecodeError as err:
             raise ParseError(f"byte {err.start}: {err.reason} (not UTF-8)") from None
         except json.JSONDecodeError as err:

@@ -44,10 +44,21 @@ class ValidationError(Exception):
 
 def _dense_ids(items, section: str, diags: list[str]) -> bool:
     ids = [it.id for it in items]
-    if sorted(ids) != list(range(len(ids))):
-        diags.append(f"{section}: ids must be dense integers from 0, got {shown(sorted(ids))}")
-        return False
-    return True
+    if sorted(ids) == list(range(len(ids))):
+        return True
+    # n ids miss one of 0..n-1 exactly when one repeats or is out of range
+    present = set(ids)
+    missing = next(i for i in range(len(ids)) if i not in present)
+    seen = set()
+    for bad in ids:
+        if bad in seen or bad not in range(len(ids)):
+            break
+        seen.add(bad)
+    diags.append(
+        f"{section}: ids must be dense integers from 0 to {len(ids) - 1}; {shown(missing)} "
+        f"is missing, {shown(bad)} is {'repeated' if bad in seen else 'out of range'}"
+    )
+    return False
 
 
 def _check_structure(

@@ -123,3 +123,70 @@ def dumbbell_instance(rng: random.Random):
             )
         )
     return graph, apps
+
+
+def pooled_instance(rng: random.Random):
+    """The exhaustive benchmark's shape with ids relabeled: 30 nodes and 45
+    links (a random recursive tree plus distinct chords), 12 computation
+    nodes and lossy repeaters elsewhere, node and link ids shuffled; 3 apps
+    each need 2 of 7 computation candidates, so 21**3 = 9261 assignments."""
+    label = list(range(30))
+    rng.shuffle(label)
+    computation = set(rng.sample(range(30), 12))
+    nodes = sorted(
+        (
+            Node(label[i], NodeKind.COMPUTATION, 1.0)
+            if i in computation
+            else Node(label[i], NodeKind.REPEATER, rng.choice([0.9, 0.95, 0.99]))
+            for i in range(30)
+        ),
+        key=lambda n: n.id,
+    )
+    pairs = [(rng.randrange(v), v) for v in range(1, 30)]
+    seen = set(pairs)
+    while len(pairs) < 45:
+        u, v = sorted(rng.sample(range(30), 2))
+        if (u, v) not in seen:
+            seen.add((u, v))
+            pairs.append((u, v))
+    link_ids = list(range(45))
+    rng.shuffle(link_ids)
+    links = sorted(
+        (
+            QuantumLink(
+                link_ids[i],
+                (label[u], label[v]),
+                rng.randint(2, 4),
+                rng.choice([0.5, 0.75, 0.9, 1.0]),
+                rng.choice([0.98, 0.99, 1.0]),
+            )
+            for i, (u, v) in enumerate(pairs)
+        ),
+        key=lambda link: link.id,
+    )
+    hosts = sorted(label[i] for i in computation)
+    apps = []
+    for i in range(3):
+        host = rng.choice(hosts)
+        cands = rng.sample([c for c in hosts if c != host], 7)
+        apps.append(Application(i, host, float(rng.choice([1, 1, 2, 3])), 2, frozenset(cands)))
+    return NetworkGraph(nodes, links), apps
+
+
+def many_app_instance():
+    """1000 apps with exactly one pool each, plus one app choosing 2 of 7
+    workers (21 pools): a star of 40 computation leaves around hub 0, so
+    every flow crosses two spokes. App i is hosted on a leaf and needs both
+    of its two candidates, the next two leaves round the star."""
+    nodes = [Node(i, NodeKind.COMPUTATION) for i in range(41)]
+    links = [QuantumLink(i - 1, (0, i), 2 + i % 3, 1.0, 1.0) for i in range(1, 41)]
+
+    def leaf(k: int) -> int:
+        return 1 + k % 40
+
+    apps = [
+        Application(i, leaf(i), float(1 + i % 3), 2, frozenset({leaf(i + 1), leaf(i + 2)}))
+        for i in range(1000)
+    ]
+    apps.append(Application(1000, leaf(0), 1.0, 2, frozenset(map(leaf, range(1, 8)))))
+    return NetworkGraph(nodes, links), apps

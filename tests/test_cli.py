@@ -164,6 +164,12 @@ def _extra_node_ids(*ids):
     return lambda data: dict(data, nodes=data["nodes"] + extra)
 
 
+def _node_one_twice(data):
+    # the repeat is first, and a copy, so node 1 stays app 0's computation worker
+    nodes = data["nodes"] + [dict(data["nodes"][1]), {"id": 10**30, "kind": "repeater"}]
+    return dict(data, nodes=nodes)
+
+
 def _unreachable_worker(data):
     # node 2 hangs off node 0 by a link below app 0's min_fidelity
     data["nodes"].append({"id": 2, "kind": "computation"})
@@ -214,18 +220,19 @@ class TestDiagnosticLines:
             (_edit("apps", "candidates", [1, "c" * 50_000]),
              "apps[0].candidates[1]: expected integer, got a value of 50002 characters"),
             (_extra_node_ids(10**6),
-             "nodes: ids must be dense integers from 0, got [0, 1, 1000000]"),
-            (_extra_node_ids(10, 100, 200, 300, 400, 500, 600),
-             "nodes: ids must be dense integers from 0, "
-             "got [0, 1, 10, 100, 200, 300, 400, 500, 600]"),
-            (_extra_node_ids(100, 200, 300, 400, 500, 600, 700),
-             "nodes: ids must be dense integers from 0, got a value of 41 characters"),
+             "nodes: ids must be dense integers from 0 to 2; 2 is missing, "
+             "1000000 is out of range"),
+            (_node_one_twice,
+             "nodes: ids must be dense integers from 0 to 3; 2 is missing, 1 is repeated"),
+            (_extra_node_ids(10**30, 2),
+             "nodes: ids must be dense integers from 0 to 3; 3 is missing, "
+             "an integer of 31 digits is out of range"),
         ],
         ids=["string_weight", "scalar_candidates", "string_candidate", "top_level_list",
              "object_nodes", "scalar_link", "missing_host", "missing_candidate",
              "zero_workers_needed", "zero_exhaustive_limit", "zero_slots", "ineligible_worker",
              "drr_too_few_eligible", "long_kind", "huge_endpoint", "long_candidate", "sparse_ids",
-             "40_character_ids", "41_character_ids"],
+             "repeated_id", "huge_id"],
     )
     def test_one_exact_line(self, write_scenario, capsys, edit, line):
         assert main(["validate", "--config", write_scenario(edit(scenario_dict()))]) == 2
@@ -240,7 +247,8 @@ class TestDiagnosticLines:
         out = tmp_path / "out"
         assert main(["run", "--config", str(path), "--output-dir", str(out)]) == 1
         captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", "parse error: duplicate key 'weight'\n")
+        assert captured.out == ""
+        assert captured.err == "parse error: apps[0]: duplicate key 'weight'\n"
         assert not out.exists()
 
 

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import edges_along, line_graph, shared_link_apps, shared_link_graph
 from gen import (
     dumbbell_instance,
+    many_app_instance,
+    pooled_instance,
     random_assignment_instance,
     random_connected_graph,
     random_maxmin_instance,
@@ -31,7 +33,8 @@ from qnetfair import (
     predicted_app_rates,
     verify_bottleneck,
 )
-from qnetfair.fairshare import FlowKey
+from qnetfair import fairshare
+from qnetfair.fairshare import FlowKey, _pool_bound, progressive_fill
 from qnetfair.routing import eligible_flows
 
 
@@ -76,6 +79,36 @@ def reference_maxmin(flow_edges, capacities, flow_weights):
             rates[f] = flow_weights[f] * t_star
         unfrozen -= newly_frozen
     return {f: rates.get(f, 0.0) for f in flows}
+
+
+def scored_assignments(graph, apps):
+    """Every assignment in ``assign_exhaustive``'s order, with each app's
+    weighted delivered rate (apps in id order) computed as the solver
+    computes it: one ``progressive_fill`` per assignment, none skipped."""
+    ordered = sorted(apps, key=lambda a: a.id)
+    eligible = [eligible_flows(graph, app) for app in ordered]
+    caps = graph.effective_capacities()
+    weights = [a.weight / a.workers_needed for a in ordered for _ in range(a.workers_needed)]
+    options = [itertools.combinations(f, a.workers_needed) for a, f in zip(ordered, eligible)]
+    for combo in itertools.product(*options):
+        flows = [f for pool in combo for f in pool]
+        rates = progressive_fill(weights, [f.edges for f in flows], caps)
+        delivered = iter([r * f.swap_prob for r, f in zip(rates, flows)])
+        yield combo, [
+            math.fsum(itertools.islice(delivered, a.workers_needed)) / a.weight for a in ordered
+        ]
+
+
+def unpruned_exhaustive(graph, apps):
+    """``assign_exhaustive`` without its bound: the exact-equality oracle
+    that pruning never changes the assignment, ties included."""
+    ordered = sorted(apps, key=lambda a: a.id)
+    best, best_score = None, None
+    for combo, weighted in scored_assignments(graph, ordered):
+        score = tuple(sorted(weighted))
+        if best_score is None or score > best_score:
+            best, best_score = combo, score
+    return {app.id: frozenset(f.worker for f in pool) for app, pool in zip(ordered, best)}
 
 
 def with_swap_probs(graph, rng):
@@ -527,7 +560,8 @@ class TestExhaustiveOracle:
                     dataclasses.replace(a, workers_needed=2) if len(a.candidates) > 2 else a
                     for a in apps
                 ]
-            assert assign_exhaustive(graph, apps) == self.enumerate_best(graph, apps)
+            best = assign_exhaustive(graph, apps)
+            assert best == self.enumerate_best(graph, apps) == unpruned_exhaustive(graph, apps)
 
     def test_matches_plain_enumeration_three_apps_with_pairs(self):
         for seed in range(1000, 1200):
@@ -538,7 +572,75 @@ class TestExhaustiveOracle:
                 dataclasses.replace(a, workers_needed=2) if len(a.candidates) >= 3 else a
                 for a in apps
             ]
-            assert assign_exhaustive(graph, apps) == self.enumerate_best(graph, apps), seed
+            best = assign_exhaustive(graph, apps)
+            assert best == self.enumerate_best(graph, apps), seed
+            assert best == unpruned_exhaustive(graph, apps), seed
+
+    def test_matches_unpruned_on_the_benchmark_shape(self):
+        # 30 nodes, 3 apps choosing 2 of 7 candidates: 9261 assignments;
+        # the bound skips most of them on some seeds and none on others
+        for seed in range(4):
+            graph, apps = pooled_instance(random.Random(seed))
+            assert assign_exhaustive(graph, apps) == unpruned_exhaustive(graph, apps), seed
+
+
+class TestExhaustivePruning:
+    """The bound that lets assign_exhaustive skip a fill is sound, and it
+    does skip."""
+
+    def test_no_weighted_rate_exceeds_its_pool_bound(self):
+        ratios = []
+        for seed in range(60):
+            graph, apps = contended_pool_instance(random.Random(7000 + seed))
+            caps = graph.effective_capacities()
+            ordered = sorted(apps, key=lambda a: a.id)
+            for combo, weighted in scored_assignments(graph, ordered):
+                for app, pool, rate in zip(ordered, combo, weighted):
+                    bound = _pool_bound(pool, app.weight, caps)
+                    assert rate <= bound, (seed, app.id)
+                    ratios.append(rate / bound)
+        # an uncontended pool meets its bound, so the bound is not slack
+        assert max(ratios) > 1 - 1e-6
+
+    def test_rounding_can_lift_a_rate_past_the_bare_capacity_bound(self):
+        # one flow alone on its path gets weight * (0.9 / weight), and at
+        # weight 7 that rounds up: the bound's 1 + 1e-9 factor is needed
+        graph = line_graph([1.0, 1.0], gen_prob=0.9, swap_q=0.9)
+        apps = [Application(0, 0, 7.0, 1, frozenset({2}))]
+        caps = graph.effective_capacities()
+        [(combo, [weighted])] = scored_assignments(graph, apps)
+        bare = math.fsum(min(caps[e] for e in f.edges) * f.swap_prob for f in combo[0]) / 7.0
+        assert bare < weighted <= _pool_bound(combo[0], 7.0, caps)
+
+    def test_prunes_fills_on_the_benchmark_shape(self, monkeypatch):
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return progressive_fill(*args)
+
+        graph, apps = pooled_instance(random.Random(1))
+        size = math.prod(
+            math.comb(len(eligible_flows(graph, a)), a.workers_needed) for a in apps
+        )
+        assert size == 21**3
+        monkeypatch.setattr(fairshare, "progressive_fill", counted)
+        best = assign_exhaustive(graph, apps)
+        # 3 fills check each app's candidates, then one per unpruned assignment
+        assert calls < size
+        monkeypatch.undo()
+        assert best == unpruned_exhaustive(graph, apps)
+
+    def test_a_thousand_single_pool_apps_and_one_with_21_pools(self):
+        # no recursion per app, and no cost per assignment beyond its fill
+        graph, apps = many_app_instance()
+        assert len(apps) == 1001
+        start = time.perf_counter()
+        best = assign_exhaustive(graph, apps)
+        assert time.perf_counter() - start < 10.0
+        assert all(best[a.id] == a.candidates for a in apps[:-1])
+        assert best == unpruned_exhaustive(graph, apps)
 
 
 def _greedy_full_sort(graph, apps):

@@ -17,6 +17,7 @@ from qnetfair import (
     load_scenario,
     parse_scenario,
 )
+from qnetfair import scenario_io
 from qnetfair.scenario_io import read_json
 
 
@@ -171,12 +172,21 @@ class TestLoadScenario:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ('{"sim": {"seed": 1, "seed": 2}}', "duplicate key 'seed'"),
-            ('[{"k": 1}, {"a": 0, "k": 2, "a": 3}]', "duplicate key 'a'"),
+            ('{"sim": {"seed": 1, "seed": 2}}', "sim: duplicate key 'seed'"),
+            ('[{"k": 1}, {"a": 0, "k": 2, "a": 3}]', "scenario[1]: duplicate key 'a'"),
             ('{"%s": 1, "%s": 2}' % ("k" * 50, "k" * 50),
-             "duplicate key a value of 52 characters"),
+             "scenario: duplicate key a value of 52 characters"),
+            # the object sits under a key that repeats too, whose last value is not it
+            ('{"apps": [{}, {"x": {"a": 1, "a": 2}, "x": 3}]}', "apps[1].x: duplicate key 'a'"),
+            ('{"%s": {"a": 1, "a": 2}}' % ("k" * 50),
+             "scenario[a value of 52 characters]: duplicate key 'a'"),
+            # a locator of over 100 characters, or a rest that is not JSON,
+            # and the object is not placed
+            ("[" * 60 + '{"a": 1, "a": 2}' + "]" * 60, "duplicate key 'a'"),
+            ('{"sim": {"seed": 1, "seed": 2}, "apps": [}', "duplicate key 'seed'"),
         ],
-        ids=["sim_key", "nested_key", "long_key"],
+        ids=["sim_key", "nested_key", "long_key", "hidden_by_a_repeat", "long_path_key",
+             "deep_object", "unreadable_rest"],
     )
     def test_repeated_key_is_a_parse_error(self, tmp_path, text, message):
         # json alone keeps the last value of a repeated key
@@ -185,3 +195,11 @@ class TestLoadScenario:
         with pytest.raises(ParseError) as exc:
             read_json(str(path))
         assert str(exc.value) == message
+
+    def test_a_valid_document_is_read_once(self, write_scenario, monkeypatch):
+        # the second reading that locates a repeat runs only after one is seen
+        def fail(fh):
+            raise AssertionError("a valid document was read again")
+
+        monkeypatch.setattr(scenario_io, "_repeat_locator", fail)
+        assert read_json(write_scenario(scenario_dict()))["sim"]["slots"] == 100

@@ -190,3 +190,66 @@ def many_app_instance():
     ]
     apps.append(Application(1000, leaf(0), 1.0, 2, frozenset(map(leaf, range(1, 8)))))
     return NetworkGraph(nodes, links), apps
+
+
+def network_doc(seed: int, cost_mode: str = "unit", traffic: str = "backlogged") -> dict:
+    """Scenario document of a generated multi-hop network for the golden
+    cases: 60 nodes and 90 links (a random recursive tree plus distinct
+    chords), 15 computation nodes and lossy repeaters elsewhere, links of
+    capacity 2..4 with generation probabilities below 1, and 12 apps of
+    integer weight, each needing 2 of 4 candidate workers. The graph and the
+    apps depend on ``seed`` only; Poisson traffic adds arrival rates from
+    0.2 to 2.5 requests per slot, so some queues drain and rejoin."""
+    rng = random.Random(seed)
+    computation = set(rng.sample(range(60), 15))
+    nodes = [
+        {
+            "id": i,
+            "kind": "computation" if i in computation else "repeater",
+            "swap_success_prob": 1.0 if i in computation else rng.choice([0.9, 0.95, 0.99]),
+        }
+        for i in range(60)
+    ]
+    pairs = [(rng.randrange(v), v) for v in range(1, 60)]
+    seen = set(pairs)
+    while len(pairs) < 90:
+        u, v = sorted(rng.sample(range(60), 2))
+        if (u, v) not in seen:
+            seen.add((u, v))
+            pairs.append((u, v))
+    links = [
+        {
+            "id": i,
+            "endpoints": [u, v],
+            "capacity_max": rng.randint(2, 4),
+            "gen_success_prob": rng.choice([0.5, 0.75, 0.9]),
+            "fidelity": rng.choice([0.98, 0.99, 1.0]),
+        }
+        for i, (u, v) in enumerate(pairs)
+    ]
+    hosts = sorted(computation)
+    apps = []
+    for i in range(12):
+        host = rng.choice(hosts)
+        app = {
+            "id": i,
+            "host": host,
+            "weight": float(rng.choice([1, 1, 2, 3])),
+            "workers_needed": 2,
+            "candidates": sorted(rng.sample([c for c in hosts if c != host], 4)),
+        }
+        rate = round(rng.uniform(0.2, 2.5), 2)
+        if traffic == "poisson":
+            app["arrival_rate"] = rate
+        apps.append(app)
+    sim = {
+        "slots": 400,
+        "warmup": 50,
+        "seed": seed,
+        "policy": "DRR",
+        "traffic": traffic,
+        "capacity_mode": "stochastic",
+        "cost_mode": cost_mode,
+        "assignment": "greedy",
+    }
+    return {"nodes": nodes, "links": links, "apps": apps, "sim": sim}

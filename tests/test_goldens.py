@@ -1,11 +1,16 @@
-"""Golden hashes: the sha256 of every CLI output on the bundled scenarios.
+"""Golden hashes: the sha256 of every CLI output on the bundled scenarios
+and on generated multi-hop networks.
 
 Each ``run`` case runs one scenario under one applicable policy with
 ``sim.replications`` 1 or 3 and ``--trace``, and hashes per_app.csv,
 global.csv and trace.csv. Each ``assign`` case hashes the
-``assign --format csv`` output of one solver. A change that alters any
-output byte fails here. A change that alters outputs on purpose (new RNG
-draws, new formatting) regenerates the file and says why:
+``assign --format csv`` output of one solver. The generated scenarios in
+``tests/scenarios/`` are ``gen.network_doc`` networks of 60 nodes and 12
+apps, written to files so that a case reads its input as the bundled ones
+do; they run once each (``r1``) under the policies listed in GENERATED.
+A change that alters any output byte fails here. A change that alters
+outputs on purpose (new RNG draws, new formatting) regenerates the file
+and says why:
 
     PYTHONPATH=src python tests/test_goldens.py
 """
@@ -18,12 +23,20 @@ from pathlib import Path
 
 import pytest
 
+from gen import network_doc
 from qnetfair import Policy
 from qnetfair.cli import main
 from qnetfair.scenario_io import parse_scenario
 from qnetfair.scheduling import policy_problems
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+GENERATED_DIR = Path(__file__).resolve().parent / "scenarios"
+# stem -> (seed, cost_mode, traffic) of gen.network_doc, and the policies run
+GENERATED = {
+    "net60_unit": ((60, "unit", "backlogged"), ("RR", "WRR", "DRR")),
+    "net60_hops": ((60, "hops", "backlogged"), ("RR", "WRR", "DRR")),
+    "net60_poisson": ((60, "unit", "poisson"), ("FCFS", "DRR")),
+}
 GOLDENS_PATH = Path(__file__).with_name("goldens.json")
 SLOTS = 400  # above mesh_poisson's 200 warmup slots, small enough for Tier-1
 REPLICATIONS = (1, 3)
@@ -39,6 +52,8 @@ def _cases() -> list[str]:
             if not policy_problems(policy, apps, config.traffic, config.quantum_base):
                 cases += [f"run/{path.stem}/{policy.value}/r{n}" for n in REPLICATIONS]
         cases += [f"assign/{path.stem}/{solver}" for solver in SOLVERS]
+    for stem, (_, policies) in GENERATED.items():
+        cases += [f"run/{stem}/{policy}/r1" for policy in policies]
     return cases
 
 
@@ -52,7 +67,7 @@ def _sha256(data: bytes) -> str:
 def compute(case: str, tmp: Path) -> dict[str, str]:
     """Run one case in-process and hash its outputs."""
     kind, stem, variant, *rest = case.split("/")
-    scenario = SCENARIO_DIR / f"{stem}.json"
+    scenario = (GENERATED_DIR if stem in GENERATED else SCENARIO_DIR) / f"{stem}.json"
     stdout = io.StringIO()
     if kind == "assign":
         with redirect_stdout(stdout):
@@ -77,8 +92,17 @@ def _goldens() -> dict[str, dict[str, str]]:
     return json.loads(GOLDENS_PATH.read_text())
 
 
+def _generated_text(stem: str) -> str:
+    return json.dumps(network_doc(*GENERATED[stem][0]), indent=1) + "\n"
+
+
 def test_goldens_cover_every_case():
     assert sorted(_goldens()) == sorted(CASES)
+
+
+@pytest.mark.parametrize("stem", GENERATED)
+def test_generated_scenarios_are_reproducible(stem):
+    assert (GENERATED_DIR / f"{stem}.json").read_text() == _generated_text(stem)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -87,6 +111,9 @@ def test_outputs_match_goldens(case, tmp_path):
 
 
 if __name__ == "__main__":
+    GENERATED_DIR.mkdir(exist_ok=True)
+    for stem in GENERATED:
+        (GENERATED_DIR / f"{stem}.json").write_text(_generated_text(stem))
     with tempfile.TemporaryDirectory() as tmp:
         goldens = {}
         for i, case in enumerate(CASES):

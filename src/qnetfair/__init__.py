@@ -45,7 +45,6 @@ from .scheduling import (
     enqueue_arrivals,
     policy_problems,
     schedule_slot,
-    select_flow,
 )
 from .engine import (
     AggStat,
@@ -54,8 +53,8 @@ from .engine import (
     Metrics,
     ReplicationSummary,
     SlotLedger,
+    aggregate_metrics,
     poisson_sample,
-    replicate,
     replication_runs,
     replication_seed,
     resolve_successes,

@@ -15,11 +15,14 @@ as sample_capacity called link by link. In deterministic mode it hands
 each slot a copy of one precomputed list.
 
 The slot loop reads SlotGrants as schedule_slot returns them: lists by
-dense link id and counts by (app, flow index). A run given ``on_slot``
-hands it one SlotLedger per slot, once the slot's conservation check has
-passed, and keeps none: the ledger holds the slot's sampled and residual
-lists as they are, both fresh each slot, and only its counts are re-keyed
-by (app, worker).
+dense link id and counts by flat flow index, the scheduler's numbering
+of flows in (app id, worker) order. Successes, the conservation check and
+the metric sums run on those indices; grants and successes add up per
+flow and fold into apps and edges after the last slot. A run given
+``on_slot`` hands it one SlotLedger per slot, once the slot's
+conservation check has passed, and keeps none: the ledger holds the
+slot's sampled and residual lists as they are, both fresh each slot, and
+only its counts are re-keyed by (app, worker).
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ import random
 import statistics
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import add, gt, sub
+from operator import gt
 from typing import Callable, Mapping, Optional, Sequence
 
 from .fairshare import (
@@ -56,7 +59,6 @@ from .model import (
 from .routing import build_flows
 from .scheduling import (
     ConfigError,
-    FlowKey,
     SchedulerState,
     SlotGrants,
     enqueue_arrivals,
@@ -150,22 +152,25 @@ def poisson_sample(lam: float, rng: random.Random) -> int:
 
 
 def resolve_successes(
-    grants: Mapping[FlowKey, int],
-    rng: random.Random,
-    order: Mapping[FlowKey, tuple[int, float]],
-) -> dict[FlowKey, int]:
+    grants: Mapping[int, int], rng: random.Random, order: Sequence[tuple[int, float]]
+) -> dict[int, int]:
     """Sample end-to-end swap success per granted attempt.
 
     Attempts are resolved flow by flow in (app, path) order so draws do
-    not depend on the scheduler's internal grant sequence. ``order`` maps
-    each key of ``grants`` to its flow's (rank in (app, path) order,
-    swap_prob).
+    not depend on the scheduler's internal grant sequence. ``order`` lists,
+    by flat flow index, each flow's (rank in (app, path) order, swap_prob);
+    grants and successes are keyed by flat flow index.
     """
     successes = {}
-    for key in sorted(grants, key=order.__getitem__):
-        count = grants[key]
-        p = order[key][1]
-        successes[key] = count if p >= 1.0 else sum(1 for _ in range(count) if rng.random() < p)
+    draw = rng.random
+    for f in sorted(grants, key=order.__getitem__):
+        count, p = grants[f], order[f][1]
+        if p < 1.0:
+            done = 0
+            for _ in range(count):
+                done += draw() < p
+            count = done
+        successes[f] = count
     return successes
 
 
@@ -229,18 +234,18 @@ def _verify_slot(
     slot: int,
     sampled: list[int],
     result: SlotGrants,
-    successes: Mapping[FlowKey, int],
+    successes: Mapping[int, int],
     state: SchedulerState,
 ) -> None:
     """Always-on conservation check of one slot: the grants, path by
     path, must account for every pair the residual is short of the
     sample."""
-    grants, residual = result.per_flow, result.residual
+    grants, residual, flow_edges = result.per_flow, result.residual, state.flow_edges
     left = sampled.copy()
-    for (app_id, i), count in grants.items():
+    for f, count in grants.items():
         if count < 0:
             raise RuntimeError(f"slot {slot}: negative grant count")
-        for e in state.edges[app_id][i]:
+        for e in flow_edges[f]:
             left[e] -= count
     if min(residual, default=0) < 0 or left != residual:
         e = next(e for e, r in enumerate(residual) if r < 0 or left[e] != r)
@@ -248,9 +253,9 @@ def _verify_slot(
     if min(left, default=0) < 0:
         e = next(e for e, n in enumerate(left) if n < 0)
         raise RuntimeError(f"slot {slot}: edge {e} over-granted")
-    for key, done in successes.items():
-        if done > grants.get(key, 0):
-            raise RuntimeError(f"slot {slot}: successes exceed grants for app {key[0]}")
+    for f, done in successes.items():
+        if done > grants.get(f, 0):
+            raise RuntimeError(f"slot {slot}: successes exceed grants for app {state.flow_app[f]}")
 
 
 def run(
@@ -283,28 +288,26 @@ def run(
         cfg.policy, scenario.apps, flows_by_app, cfg.traffic, cfg.quantum_base, cfg.cost_mode
     )
     links = sorted(scenario.graph.links, key=lambda l: l.id)  # dense ids: list index
-    apps = sorted(scenario.apps, key=lambda a: a.id)
-    # (app, flow index) -> (rank in (app, path) order, swap_prob); path
+    flows, flow_app = state.flows, state.flow_app
+    # by flat flow index: (rank in (app, path) order, swap_prob); path
     # order is not the scheduler's worker order in general
-    ranked = sorted(
-        (a, f.path, i, f.swap_prob) for a, fs in state.flows.items() for i, f in enumerate(fs)
-    )
-    order = {(a, i): (rank, p) for rank, (a, _, i, p) in enumerate(ranked)}
-
-    grants_by_app = dict.fromkeys((a.id for a in apps), 0)
-    delivered_by_app = dict.fromkeys((a.id for a in apps), 0)
-    attempts_by_app = dict.fromkeys((a.id for a in apps), 0)
-    wait_by_app = dict.fromkeys((a.id for a in apps), 0)  # sum of slots from arrival to grant
-    grants_by_edge = [0] * len(links)
+    order = [(0, 0.0)] * len(flows)
+    for rank, f in enumerate(sorted(range(len(flows)), key=lambda f: (flow_app[f], flows[f].path))):
+        order[f] = (rank, flows[f].swap_prob)
+    workers = [(a, fl.worker) for a, fl in zip(flow_app, flows)]
+    # by flat flow index; folded into apps and edges after the last slot
+    grants_by_flow = [0] * len(flows)
+    delivered_by_flow = [0] * len(flows)
+    wait_by_app = [0] * len(state.apps)  # sum of slots from arrival to grant
     sample_slot = capacity_sampler(links, cfg.capacity_mode, rng_capacity)
 
-    def by_worker(counts: Mapping[FlowKey, int]) -> dict[tuple[AppId, NodeId], int]:
-        return {(a, state.flows[a][i].worker): c for (a, i), c in counts.items()}
+    def by_worker(counts: Mapping[int, int]) -> dict[tuple[AppId, NodeId], int]:
+        return {workers[f]: c for f, c in counts.items()}
 
     for slot in range(cfg.slots):
         sampled = sample_slot()
         if cfg.traffic is Traffic.POISSON:
-            arrivals = {a.id: poisson_sample(a.arrival_rate, rng_arrival) for a in apps}
+            arrivals = {a.id: poisson_sample(a.arrival_rate, rng_arrival) for a in state.apps}
             enqueue_arrivals(state, slot, arrivals)
         result = schedule_slot(state, sampled)
         grants = result.per_flow
@@ -312,13 +315,10 @@ def run(
         _verify_slot(slot, sampled, result, successes, state)
 
         if slot >= cfg.warmup_slots:
-            for (app_id, i), count in grants.items():
-                grants_by_app[app_id] += count
-                attempts_by_app[app_id] += count * len(state.edges[app_id][i])
-            for (app_id, _), done in successes.items():
-                delivered_by_app[app_id] += done
-            # _verify_slot has checked that the grants consumed exactly this
-            grants_by_edge = list(map(add, grants_by_edge, map(sub, sampled, result.residual)))
+            for f, count in grants.items():
+                grants_by_flow[f] += count
+            for f, done in successes.items():
+                delivered_by_flow[f] += done
             for app_id, arrival_slot in result.granted_requests:
                 wait_by_app[app_id] += slot - arrival_slot
         if on_slot is not None:
@@ -334,19 +334,30 @@ def run(
             )
 
     measured = cfg.slots - cfg.warmup_slots
+    # _verify_slot has checked that each slot's grants consumed exactly
+    # sampled - residual on every edge
+    grants_by_edge = [0] * len(links)
+    for count, edges in zip(grants_by_flow, state.flow_edges):
+        for e in edges:
+            grants_by_edge[e] += count
     per_app: dict[AppId, AppMetrics] = {}
-    for app in apps:
-        rate = delivered_by_app[app.id] / measured
+    for app, first, end in zip(state.apps, state.first_flow, state.first_flow[1:]):
+        grants = sum(grants_by_flow[first:end])
+        delivered = sum(delivered_by_flow[first:end])
+        rate = delivered / measured
         per_app[app.id] = AppMetrics(
-            grants=grants_by_app[app.id],
-            delivered=delivered_by_app[app.id],
-            attempts=attempts_by_app[app.id],
+            grants=grants,
+            delivered=delivered,
+            attempts=sum(
+                count * len(edges)
+                for count, edges in zip(grants_by_flow[first:end], state.flow_edges[first:end])
+            ),
             delivered_rate=rate,
             weighted_rate=rate / app.weight,
             # a Poisson grant serves one request; int / int rounds once,
             # as statistics.fmean of the waits would
-            mean_latency=wait_by_app[app.id] / grants_by_app[app.id]
-            if cfg.traffic is Traffic.POISSON and grants_by_app[app.id]
+            mean_latency=wait_by_app[app.id] / grants
+            if cfg.traffic is Traffic.POISSON and grants
             else None,
         )
     per_edge = {
@@ -367,7 +378,7 @@ def run(
         per_app=per_app,
         per_edge=per_edge,
         jain_weighted=jain,
-        total_delivered=sum(delivered_by_app.values()),
+        total_delivered=sum(delivered_by_flow),
     )
 
 
@@ -443,14 +454,3 @@ def aggregate_metrics(runs: Sequence[Metrics]) -> ReplicationSummary:
             n=len(vals),
         )
     return ReplicationSummary(n=len(runs), stats=stats)
-
-
-def replicate(
-    scenario: Scenario, config: Optional[SimConfig] = None, n_replications: int = 1
-) -> ReplicationSummary:
-    """Run n independent replications and aggregate their metrics.
-
-    Seeds are as in ``replication_runs``; results never depend on
-    execution order or thread count.
-    """
-    return aggregate_metrics(replication_runs(scenario, config, n_replications))

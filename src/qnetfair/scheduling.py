@@ -21,20 +21,28 @@ afford an expensive flow. Residuals only shrink within a slot, so an app
 whose flows are all capacity-blocked sits out the rest of the slot; for
 DRR the quantum credits of the passes it sat out are replayed, capped
 after each one, when the slot ends. The ring and its head change only
-between slots: each pass starts at the head and skips apps drained or
-blocked in the slot; after a slot with grants the head moves to the
-first still-backlogged app after the last app granted, round the ring,
-and drained apps leave. A pick moves the app's flow cursor past the
-picked flow before DRR compares its cost with the deficit, so a flow the
-app cannot yet afford still advances the cursor.
+between slots: the first pass visits every app of the ring from the
+head, later passes skip apps drained or blocked in the slot; after a
+slot with grants the head moves to the first still-backlogged app after
+the last app granted, round the ring, and drained apps leave. A pick
+moves the app's flow cursor past the picked flow before DRR compares its
+cost with the deficit, so a flow the app cannot yet afford still
+advances the cursor.
 
-The slot runs on integer indices. ``schedule_slot`` takes the sampled
-capacities as a list by dense link id, checks that each is a
-non-negative int and that the list reaches every edge a flow crosses,
-and returns SlotGrants whose residual is a list by link id and whose
-grants are counted by (app, flow index) in worker order; ``select_flow``
-returns the index of the flow it picks. A pending request is its arrival
-slot, queued FIFO per app, and a granted one is (app, arrival_slot).
+The slot runs on dense integer indices. SchedulerState numbers the flows
+0..F-1 in (app id, worker) order and keeps per-app state in lists by app
+id, so app ids must be dense from 0 (others raise ConfigError).
+``schedule_slot`` takes the sampled capacities as a list by dense link
+id, checks that each is a non-negative int and that the list reaches
+every edge a flow crosses, and returns SlotGrants whose residual is a
+list by link id and whose grants are counted by flat flow index. A flow
+is live while every edge on it has residual >= 1: flows crossing an edge
+sampled at 0 start the slot dead, and a grant that takes an edge to 0
+kills the flows crossing it, as progressive filling freezes the flows of
+a saturated link. A pick scans live flags, an app with no live flow is
+blocked without a scan, and passes run while an app of the ring has one.
+A pending request is its arrival slot, queued FIFO per app, and a
+granted one is (app, arrival_slot).
 """
 from __future__ import annotations
 
@@ -42,6 +50,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import filterfalse
 from typing import Mapping, Optional, Sequence
 
 from .model import AppId, Application, CostMode, EdgeId, Flow, Policy, Traffic, shown
@@ -55,28 +64,22 @@ class ConfigError(Exception):
     """Scheduler configuration the discipline cannot honor."""
 
 
-FlowKey = tuple[AppId, int]  # (app, flow index) in the scheduler's worker order
-
-
 @dataclass
 class SlotGrants:
     """Outcome of one scheduling slot, in index form."""
 
     residual: list[int]  # by dense link id
-    per_flow: dict[FlowKey, int] = field(default_factory=dict)
+    per_flow: dict[int, int] = field(default_factory=dict)  # flat flow index -> grants
     # (app, arrival_slot) per granted request; empty in backlogged mode
     granted_requests: list[tuple[AppId, int]] = field(default_factory=list)
     last_granted: Optional[AppId] = None
     passes: int = 0  # round-robin passes started in this slot
-    # capacity-blocked app -> the pass in which select_flow returned None;
-    # residuals only shrink, so it sits out every later pass of the slot
+    # capacity-blocked app -> the pass (0 under FCFS) in which it had no
+    # live flow; residuals only shrink, so it sits out the rest of the slot
     blocked: dict[AppId, int] = field(default_factory=dict)
-
-    def per_app(self) -> dict[AppId, int]:
-        out: dict[AppId, int] = {}
-        for (app_id, _), count in self.per_flow.items():
-            out[app_id] = out.get(app_id, 0) + count
-        return out
+    # by flat flow index: every edge of the flow has residual >= 1
+    live: list[bool] = field(default_factory=list)
+    live_count: list[int] = field(default_factory=list)  # live flows by app id
 
 
 def policy_problems(
@@ -142,7 +145,10 @@ def quantum_problems(
 class SchedulerState:
     """Mutable scheduler state, owned by a single engine run.
 
-    In backlogged mode every app always has a synthetic pending request
+    Flows are numbered 0..F-1 in (app id, worker) order: app ``a`` owns
+    flows ``first_flow[a]`` to ``first_flow[a + 1] - 1``, and every per-app
+    list is indexed by app id, so app ids must be dense from 0. In
+    backlogged mode every app always has a synthetic pending request
     (queues are conceptually infinite) and the active ring is fixed; in
     Poisson mode apps join the ring when they become backlogged and leave
     it at the end of the slot in which their queue drains.
@@ -163,47 +169,55 @@ class SchedulerState:
 
         self.policy = policy
         self.traffic = traffic
-        self.apps = {a.id: a for a in sorted(apps, key=lambda a: a.id)}
-        self.flows: dict[AppId, tuple[Flow, ...]] = {}
-        for app_id in self.apps:
-            flows = tuple(sorted(flows_by_app[app_id], key=lambda f: f.worker))
+        self.apps = sorted(apps, key=lambda a: a.id)
+        ids = [a.id for a in self.apps]
+        if ids != list(range(len(ids))):
+            raise ConfigError(f"app ids must be dense integers from 0, got {shown(ids)}")
+        self.flows: list[Flow] = []  # by flat flow index
+        self.first_flow = [0]
+        for app_id in ids:
+            flows = sorted(flows_by_app[app_id], key=lambda f: f.worker)
             if not flows:
                 raise ConfigError(f"app {app_id} has no flows")
-            self.flows[app_id] = flows
-        # the slot loop reads each flow by (app, flow index) in this order
-        self.edges = {a: tuple(f.edges for f in fs) for a, fs in self.flows.items()}
+            self.flows += flows
+            self.first_flow.append(len(self.flows))
+        self.flow_count = [len(flows_by_app[a]) for a in ids]
+        self.flow_app = [a for a in ids for _ in range(self.flow_count[a])]
+        self.flow_edges = [f.edges for f in self.flows]
+        # the flows crossing each crossed edge: when a grant takes the edge
+        # to 0 they stop fitting for the rest of the slot
+        self.edge_flows: dict[EdgeId, list[int]] = {}
+        for f, edges in enumerate(self.flow_edges):
+            for e in edges:
+                self.edge_flows.setdefault(e, []).append(f)
         # schedule_slot rejects a capacity list that ends before an edge a flow crosses
-        crossed = [e for paths in self.edges.values() for path in paths for e in path]
-        self.links_needed = 1 + max(crossed, default=-1)
-        self.queues: dict[AppId, deque[int]] = {a: deque() for a in self.apps}  # arrival slots
-        self.cursor: dict[AppId, int] = dict.fromkeys(self.apps, 0)
-        self.deficit: dict[AppId, float] = dict.fromkeys(self.apps, 0.0)
-        # only DRR charges flow costs (in the slot loop's flow order) and
-        # credits quanta; cost, max_cost and quantum are empty otherwise
-        drr = self.apps.items() if policy is Policy.DRR else ()
-        self.cost = {a: tuple(flow_cost(e, cost_mode) for e in self.edges[a]) for a, _ in drr}
-        self.max_cost = {a: max(costs) for a, costs in self.cost.items()}
-        problems = quantum_problems(policy, apps, quantum_base, self.max_cost)
+        self.links_needed = 1 + max(self.edge_flows, default=-1)
+        self.queues: dict[AppId, deque[int]] = {a: deque() for a in ids}  # arrival slots
+        self.cursor = self.first_flow[:-1]  # the flow each app's next pick tries first
+        self.deficit = [0.0] * len(ids)
+        # only DRR charges flow costs (by flow) and credits quanta; cost,
+        # max_cost, quantum and deficit_cap are empty otherwise
+        drr = policy is Policy.DRR
+        self.cost = [flow_cost(e, cost_mode) for e in self.flow_edges] if drr else []
+        self.max_cost = [
+            max(self.cost[self.first_flow[a] : self.first_flow[a + 1]]) for a in ids if drr
+        ]
+        problems = quantum_problems(policy, apps, quantum_base, dict(enumerate(self.max_cost)))
         if problems:
             raise ConfigError("; ".join(problems))
-        self.quantum = {a: quantum_base * app.weight for a, app in drr}
+        self.quantum = [quantum_base * app.weight for app in self.apps if drr]
+        self.deficit_cap = [q + c for q, c in zip(self.quantum, self.max_cost)]
         # a DRR pass can legitimately grant nothing while deficits build up
         # toward an expensive flow, but never more often than this; an RR
         # or WRR pass always grants, so its guard of 2 is never reached
         self.stall_guard = 2 + max(
-            (math.ceil(self.max_cost[a] / q) for a, q in self.quantum.items()), default=0
+            (math.ceil(c / q) for c, q in zip(self.max_cost, self.quantum)), default=0
         )
-        if traffic is Traffic.BACKLOGGED:
-            self.active: list[AppId] = list(self.apps)
-        else:
-            self.active = []
+        self.active: list[AppId] = ids if traffic is Traffic.BACKLOGGED else []
         self.head: Optional[AppId] = self.active[0] if self.active else None
 
     def backlogged(self, app_id: AppId) -> bool:
         return self.traffic is Traffic.BACKLOGGED or bool(self.queues[app_id])
-
-    def deficit_cap(self, app_id: AppId) -> float:
-        return self.quantum[app_id] + self.max_cost[app_id]
 
 
 def enqueue_arrivals(
@@ -228,116 +242,93 @@ def enqueue_arrivals(
                 state.head = app_id
 
 
-def _fits(flow: Flow, residual: list[int]) -> bool:
-    """A grant needs one pair of residual capacity on every path edge."""
-    for e in flow.edges:
-        if residual[e] < 1:
-            return False
-    return True
+def _saturate(state: SchedulerState, ctx: SlotGrants, e: EdgeId) -> None:
+    """Edge ``e`` has no residual left: the live flows crossing it die."""
+    live, live_count, flow_app = ctx.live, ctx.live_count, state.flow_app
+    for f in state.edge_flows[e]:
+        if live[f]:
+            live[f] = False
+            live_count[flow_app[f]] -= 1
 
 
-def select_flow(state: SchedulerState, app_id: AppId, residual: list[int]) -> Optional[int]:
-    """Index of the app's next feasible flow, rotating over its flows.
-
-    Starting at the app's cursor, each flow is tried once in cyclic
-    order; the index of the first that fits the residual capacities is
-    returned and the cursor advances past it, whether or not the caller
-    then grants it: DRR checks the deficit only after the pick. Returns
-    None (blocked) with the cursor unchanged when no flow fits.
-    """
-    edges = state.edges[app_id]
-    n = len(edges)
-    start = state.cursor[app_id]
-    for i in range(start, start + n):
-        if i >= n:
-            i -= n
-        for e in edges[i]:  # _fits, inlined on the hot path
-            if residual[e] < 1:
+def _visit(state: SchedulerState, ctx: SlotGrants, app_id: AppId) -> int:
+    """One visit of an app: up to one grant (FCFS, RR) or ``weight``
+    grants (WRR); under DRR, one quantum of credit, then grants while the
+    deficit covers the picked flow's cost. Each pick takes the app's first
+    live flow from its cursor on, in cyclic order, and moves the cursor
+    past it, before DRR compares its cost with the deficit. An app with no
+    live flow is blocked, with its cursor unchanged and, under DRR, its
+    deficit capped; an emptied queue ends the visit and resets a DRR
+    deficit. Returns the number of grants."""
+    live, live_count, residual, per_flow = ctx.live, ctx.live_count, ctx.residual, ctx.per_flow
+    cursor, cost, flow_edges = state.cursor, state.cost, state.flow_edges
+    first, end = state.first_flow[app_id], state.first_flow[app_id + 1]
+    poisson, drr = state.traffic is Traffic.POISSON, state.policy is Policy.DRR
+    if drr:
+        deficit, budget = state.deficit[app_id] + state.quantum[app_id], math.inf
+    else:
+        budget = int(state.apps[app_id].weight) if state.policy is Policy.WRR else 1
+    made = 0
+    while made < budget:
+        if not live_count[app_id]:
+            if drr:
+                deficit = min(deficit, state.deficit_cap[app_id])
+            ctx.blocked[app_id] = ctx.passes
+            break
+        f = cursor[app_id]
+        while not live[f]:  # ends: the app has a live flow
+            f = f + 1 if f + 1 < end else first
+        cursor[app_id] = f + 1 if f + 1 < end else first
+        if drr:
+            if deficit < cost[f] - _DEFICIT_EPS:
                 break
-        else:
-            state.cursor[app_id] = i + 1 if i + 1 < n else 0
-            return i
-    return None
-
-
-def _grant(state: SchedulerState, ctx: SlotGrants, app_id: AppId, i: int) -> None:
-    """Grant the app's flow ``i``, as select_flow has just picked it."""
-    residual = ctx.residual
-    for e in state.edges[app_id][i]:
-        residual[e] -= 1
-    key = (app_id, i)
-    ctx.per_flow[key] = ctx.per_flow.get(key, 0) + 1
-    if state.traffic is Traffic.POISSON:
-        ctx.granted_requests.append((app_id, state.queues[app_id].popleft()))
-    ctx.last_granted = app_id
-
-
-def _visit_budgeted(
-    state: SchedulerState, ctx: SlotGrants, app_id: AppId, budget: int
-) -> int:
-    """RR/WRR visit: up to ``budget`` grants through the flow cursor."""
-    made = 0
-    while made < budget and state.backlogged(app_id):
-        i = select_flow(state, app_id, ctx.residual)
-        if i is None:
-            ctx.blocked[app_id] = ctx.passes
-            break
-        _grant(state, ctx, app_id, i)
+            deficit -= cost[f]
+        for e in flow_edges[f]:
+            residual[e] -= 1
+            if not residual[e]:  # _saturate, inlined on the hot path
+                for g in state.edge_flows[e]:
+                    if live[g]:
+                        live[g] = False
+                        live_count[state.flow_app[g]] -= 1
+        per_flow[f] = per_flow.get(f, 0) + 1
+        ctx.last_granted = app_id
         made += 1
-    return made
-
-
-def _visit_drr(state: SchedulerState, ctx: SlotGrants, app_id: AppId) -> int:
-    """DRR visit: credit one quantum, then serve while the deficit and the
-    residual capacities allow. Capacity blocking caps and keeps the
-    deficit; an emptied queue resets it."""
-    deficit = state.deficit[app_id] + state.quantum[app_id]
-    made = 0
-    while True:
-        i = select_flow(state, app_id, ctx.residual)
-        if i is None:
-            deficit = min(deficit, state.deficit_cap(app_id))
-            ctx.blocked[app_id] = ctx.passes
-            break
-        cost = state.cost[app_id][i]
-        if deficit < cost - _DEFICIT_EPS:
-            break
-        _grant(state, ctx, app_id, i)
-        made += 1
-        deficit -= cost
-        if not state.backlogged(app_id):
-            deficit = 0.0
-            break
-    state.deficit[app_id] = deficit
+        if poisson:
+            queue = state.queues[app_id]
+            ctx.granted_requests.append((app_id, queue.popleft()))
+            if not queue:
+                deficit = 0.0
+                break
+    if drr:
+        state.deficit[app_id] = deficit
     return made
 
 
 def _round_robin_slot(state: SchedulerState, ctx: SlotGrants) -> None:
-    # every active app is backlogged when the slot starts; passes start
-    # at the head and visit only apps that can still be granted
+    # every active app is backlogged when the slot starts, and pass 1
+    # visits each one from the head, even one with no live flow left (it
+    # is blocked there, and DRR credits it first); later passes skip
+    # blocked and drained apps and run while an app of the ring has a
+    # live flow
     i = state.active.index(state.head) if state.active else 0
     ring = state.active[i:] + state.active[:i]
+    live_count, blocked, queues = ctx.live_count, ctx.blocked, state.queues
+    backlogged = state.traffic is Traffic.BACKLOGGED
     fruitless = 0
-    while any(_fits(flow, ctx.residual) for a in ring for flow in state.flows[a]):
+    while any(map(live_count.__getitem__, ring)):
         ctx.passes += 1
         made = 0
         for app_id in ring:
-            if state.policy is Policy.RR:
-                made += _visit_budgeted(state, ctx, app_id, 1)
-            elif state.policy is Policy.WRR:
-                made += _visit_budgeted(state, ctx, app_id, int(state.apps[app_id].weight))
-            else:
-                made += _visit_drr(state, ctx, app_id)
+            made += _visit(state, ctx, app_id)
         fruitless = 0 if made else fruitless + 1
         if fruitless > state.stall_guard:  # pragma: no cover - internal invariant
             raise RuntimeError("scheduler stalled with feasible capacity")
-        # blocked and drained apps sit out the rest of the slot
-        ring = [a for a in ring if a not in ctx.blocked and state.backlogged(a)]
+        ring = [a for a in ring if a not in blocked and (backlogged or queues[a])]
     if state.policy is Policy.DRR:
         # each pass a blocked app sat out would have credited one quantum
         # and capped it again; replay those steps in the same float order
-        for app_id, blocked_in in ctx.blocked.items():
-            deficit, cap = state.deficit[app_id], state.deficit_cap(app_id)
+        for app_id, blocked_in in blocked.items():
+            deficit, cap = state.deficit[app_id], state.deficit_cap[app_id]
             if deficit == cap:
                 continue  # a capped deficit stays capped
             for _ in range(ctx.passes - blocked_in):
@@ -354,12 +345,10 @@ def _fcfs_slot(state: SchedulerState, ctx: SlotGrants) -> None:
     heapq.heapify(heads)
     while heads:
         _, app_id = heapq.heappop(heads)
-        i = select_flow(state, app_id, ctx.residual)
-        if i is None:
+        if not _visit(state, ctx, app_id):  # grants the queue head, or is blocked
             # residuals only shrink within the slot, so the app's later
             # requests are blocked too: it leaves the heap for this slot
             continue
-        _grant(state, ctx, app_id, i)  # pops the queue head
         queue = state.queues[app_id]
         if queue:
             heapq.heappush(heads, (queue[0], app_id))
@@ -381,7 +370,11 @@ def schedule_slot(state: SchedulerState, capacities: list[int]) -> SlotGrants:
         raise ValueError(f"sampled capacity of edge {e} must be a non-negative integer")
     if len(capacities) < state.links_needed:
         raise ValueError(f"capacity list too short: {len(capacities)} < {state.links_needed} links")
-    ctx = SlotGrants(residual=capacities.copy())
+    ctx = SlotGrants(
+        capacities.copy(), live=[True] * len(state.flows), live_count=state.flow_count.copy()
+    )
+    for e in filterfalse(ctx.residual.__getitem__, state.edge_flows):  # sampled at 0
+        _saturate(state, ctx, e)
     if state.policy is Policy.FCFS:
         _fcfs_slot(state, ctx)
     else:
@@ -390,5 +383,6 @@ def schedule_slot(state: SchedulerState, capacities: list[int]) -> SlotGrants:
         ring = state.active
         i = ring.index(ctx.last_granted) + 1
         state.head = next((a for a in ring[i:] + ring[:i] if state.backlogged(a)), None)
-        state.active = [a for a in ring if state.backlogged(a)]
+        if state.traffic is Traffic.POISSON:
+            state.active = [a for a in ring if state.queues[a]]
     return ctx

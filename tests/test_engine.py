@@ -24,7 +24,6 @@ from qnetfair import (
     ValidationError,
     load_scenario,
     poisson_sample,
-    replicate,
     replication_runs,
     replication_seed,
     resolve_successes,
@@ -34,7 +33,7 @@ from qnetfair import (
     validate_scenario,
 )
 from qnetfair import engine, validate
-from qnetfair.engine import capacity_sampler
+from qnetfair.engine import aggregate_metrics, capacity_sampler
 
 
 def make_scenario(graph, apps, **config_overrides):
@@ -144,10 +143,10 @@ class TestPoissonSample:
 
 
 class TestResolveSuccesses:
-    KEY = (0, 0)  # (app, flow index)
+    KEY = 0  # flat flow index
 
     def _order(self, swap_prob):
-        return {self.KEY: (0, swap_prob)}  # (rank in (app, path) order, swap_prob)
+        return [(0, swap_prob)]  # by flow: (rank in (app, path) order, swap_prob)
 
     def test_certain_swap(self):
         assert resolve_successes({self.KEY: 17}, random.Random(0), self._order(1.0)) == {
@@ -204,7 +203,7 @@ class TestVerifySlot:
 
     def test_extra_grant_breaks_conservation(self):
         def extra_grant(result):
-            result.per_flow[(0, 0)] += 1
+            result.per_flow[0] += 1  # the app's one flow
 
         with pytest.raises(RuntimeError, match="slot 0: capacity conservation violated on edge 0"):
             self._run_tampered(slot_hook=extra_grant)
@@ -218,14 +217,14 @@ class TestVerifySlot:
 
     def test_negative_grant_count(self):
         def negative(result):
-            result.per_flow[(0, 0)] = -1
+            result.per_flow[0] = -1
 
         with pytest.raises(RuntimeError, match="slot 0: negative grant count"):
             self._run_tampered(slot_hook=negative)
 
     def test_successes_exceed_grants(self):
         def extra_success(done):
-            done[(0, 0)] += 1
+            done[0] += 1
 
         with pytest.raises(RuntimeError, match="slot 0: successes exceed grants for app 0"):
             self._run_tampered(success_hook=extra_success)
@@ -423,6 +422,10 @@ class TestRun:
             for mode in (CostMode.UNIT, CostMode.HOPS)
         )
         assert (unit == hops) is (policy is not Policy.DRR)
+
+
+def replicate(scenario, n_replications):
+    return aggregate_metrics(replication_runs(scenario, n_replications=n_replications))
 
 
 class TestReplicate:

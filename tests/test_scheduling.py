@@ -1,7 +1,10 @@
 import functools
+import importlib.util
 import math
 import random
 from collections import Counter
+from collections.abc import Mapping
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -18,12 +21,13 @@ from qnetfair import (
     Policy,
     QuantumLink,
     SchedulerState,
+    SlotGrants,
     Traffic,
     build_flows,
     enqueue_arrivals,
+    host_flows,
     poisson_sample,
     schedule_slot,
-    select_flow,
 )
 from qnetfair import scheduling
 
@@ -41,10 +45,36 @@ def single_link_state(policy, weights, capacity, traffic=Traffic.BACKLOGGED, **k
     return make_state(policy, graph, apps, assignment, traffic, **kw), graph
 
 
-def assert_conserved(sampled, result, flows_by_app):
+def per_app(state, result):
+    """A slot's grants summed by app, in the order of each app's first grant."""
+    out = {}
+    for f, count in result.per_flow.items():
+        app_id = state.flow_app[f]
+        out[app_id] = out.get(app_id, 0) + count
+    return out
+
+
+def app_flows(state, app_id):
+    """Flat indices of the app's flows, in worker order."""
+    return range(state.first_flow[app_id], state.first_flow[app_id + 1])
+
+
+def fits(state, f, residual):
+    """A grant needs one pair of residual capacity on every path edge."""
+    return all(residual[e] >= 1 for e in state.flows[f].edges)
+
+
+def slot_ctx(state, residual):
+    """SlotGrants at the start of a slot, its live flags read off ``residual``."""
+    live = [fits(state, f, residual) for f in range(len(state.flows))]
+    live_count = [sum(live[f] for f in app_flows(state, a)) for a in range(len(state.apps))]
+    return SlotGrants(residual, live=live, live_count=live_count)
+
+
+def assert_conserved(sampled, result, state):
     consumed = [0] * len(sampled)
-    for (app_id, i), count in result.per_flow.items():
-        for e in flows_by_app[app_id][i].edges:
+    for f, count in result.per_flow.items():
+        for e in state.flows[f].edges:
             consumed[e] += count
     for e in range(len(sampled)):
         assert consumed[e] <= sampled[e]
@@ -55,8 +85,8 @@ def assert_conserved(sampled, result, flows_by_app):
 def assert_work_conserving(state, residual):
     # no backlogged app may still have a flow with residual on every edge
     for app_id in state.active:
-        for flow in state.flows[app_id]:
-            assert any(residual[e] < 1 for e in flow.edges)
+        for f in app_flows(state, app_id):
+            assert not fits(state, f, residual)
 
 
 class TestConfigGuards:
@@ -79,7 +109,7 @@ class TestConfigGuards:
         with pytest.raises(ConfigError, match=r"apps\[0\]\.weight: DRR quantum"):
             single_link_state(Policy.DRR, [weight], 1, quantum_base=quantum_base)
         state, _ = single_link_state(Policy.RR, [weight], 1, quantum_base=quantum_base)
-        assert state.quantum == {}  # only DRR credits quanta
+        assert state.quantum == []  # only DRR credits quanta
 
     @pytest.mark.parametrize("capacity", [-1, 1.5])
     def test_sampled_capacity_must_be_non_negative_integer(self, capacity):
@@ -105,11 +135,11 @@ class TestConfigGuards:
         state = make_state(policy, graph, apps, assignment, Traffic.POISSON)
         enqueue_arrivals(state, 0, {0: 1, 1: 1})
         queues = {a: list(q) for a, q in state.queues.items()}
-        before = (dict(state.cursor), list(state.active), state.head)
+        before = (list(state.cursor), list(state.active), state.head)
         with pytest.raises(ValueError, match="too short: 1 < 2 links"):
             schedule_slot(state, [2])
         assert {a: list(q) for a, q in state.queues.items()} == queues
-        assert (dict(state.cursor), list(state.active), state.head) == before
+        assert (list(state.cursor), list(state.active), state.head) == before
         assert len(schedule_slot(state, [2, 2]).granted_requests) == 2
 
 
@@ -139,7 +169,10 @@ class TestEnqueueArrivals:
         assert state.active == [0, 1]
 
 
-class TestSelectFlow:
+class TestPick:
+    """A visit picks the app's first live flow from its cursor on, in
+    cyclic order, and moves the cursor past it."""
+
     def _two_flow_state(self):
         # app 0 can reach worker 1 (edge 0) or worker 2 (edge 1)
         nodes = [Node(i, NodeKind.COMPUTATION) for i in range(3)]
@@ -148,29 +181,67 @@ class TestSelectFlow:
         apps = [Application(0, 0, 1.0, 2, frozenset({1, 2}))]
         return make_state(Policy.RR, g, apps, {0: frozenset({1, 2})})
 
+    @staticmethod
+    def _pick(state, residual):
+        """The flow one RR visit of app 0 grants, or None when it is blocked."""
+        ctx = slot_ctx(state, residual)
+        if scheduling._visit(state, ctx, 0):
+            return next(iter(ctx.per_flow))
+        assert ctx.blocked == {0: 0}
+        return None
+
     def test_single_feasible_flow(self):
         state, _ = single_link_state(Policy.RR, [1.0], 1)
-        assert select_flow(state, 0, [1]) == 0
-        assert state.flows[0][0].worker == 1
+        assert self._pick(state, [1]) == 0
+        assert state.flows[0].worker == 1
 
     def test_skips_infeasible_first_flow(self):
         state = self._two_flow_state()
-        assert select_flow(state, 0, [0, 1]) == 1
-        assert state.flows[0][1].worker == 2
-        assert state.cursor[0] == 0  # advanced past flow index 1, wrapped
+        assert self._pick(state, [0, 1]) == 1
+        assert state.flows[1].worker == 2
+        assert state.cursor[0] == 0  # advanced past flow 1, wrapped
 
     def test_blocked_leaves_cursor(self):
         state = self._two_flow_state()
         state.cursor[0] = 1
-        assert select_flow(state, 0, [0, 0]) is None
+        assert self._pick(state, [0, 0]) is None
         assert state.cursor[0] == 1
 
     def test_cursor_rotates_between_grants(self):
         state = self._two_flow_state()
-        first = select_flow(state, 0, [5, 5])
-        second = select_flow(state, 0, [5, 5])
+        first = self._pick(state, [5, 5])
+        second = self._pick(state, [5, 5])
         assert (first, second) == (0, 1)
-        assert {state.flows[0][first].worker, state.flows[0][second].worker} == {1, 2}
+        assert {state.flows[first].worker, state.flows[second].worker} == {1, 2}
+
+    def test_flat_numbering_in_app_then_worker_order(self):
+        # app 1 is listed first and its flows are given in descending worker order
+        graph = NetworkGraph(
+            [Node(i, NodeKind.COMPUTATION) for i in range(4)],
+            [QuantumLink(i, (0, i + 1), 1, 1.0, 1.0) for i in range(3)],
+        )
+        apps = [
+            Application(1, 0, 1.0, 2, frozenset({2, 3})),
+            Application(0, 0, 1.0, 1, frozenset({1})),
+        ]
+        flows = build_flows(graph, apps, {0: frozenset({1}), 1: frozenset({2, 3})})
+        flows[1].reverse()
+        state = SchedulerState(Policy.DRR, apps, flows, Traffic.BACKLOGGED)
+        assert [(state.flow_app[f], fl.worker) for f, fl in enumerate(state.flows)] == [
+            (0, 1), (1, 2), (1, 3)
+        ]
+        assert state.first_flow == [0, 1, 3] and state.flow_count == [1, 2]
+        assert state.flow_edges == [(0,), (1,), (2,)]
+        assert state.edge_flows == {0: [0], 1: [1], 2: [2]}
+        assert state.cursor == [0, 1]
+
+    @pytest.mark.parametrize("ids", [[1, 2], [0, 2], [0, 0]])
+    def test_app_ids_must_be_dense(self, ids):
+        graph = shared_link_graph(1)
+        apps = [Application(i, 0, 1.0, 1, frozenset({1})) for i in ids]
+        flows = {i: host_flows(graph, 0, [1]) for i in ids}
+        with pytest.raises(ConfigError, match="app ids must be dense integers from 0"):
+            SchedulerState(Policy.RR, apps, flows, Traffic.BACKLOGGED)
 
 
 class TestDRR:
@@ -178,9 +249,9 @@ class TestDRR:
         state, _ = single_link_state(Policy.DRR, [1.0, 2.0, 3.0], 6)
         for _ in range(50):
             result = schedule_slot(state, [6])
-            assert result.per_app() == {0: 1, 1: 2, 2: 3}
-            for app_id, deficit in state.deficit.items():
-                assert 0.0 <= deficit <= state.deficit_cap(app_id)
+            assert per_app(state, result) == {0: 1, 1: 2, 2: 3}
+            for app_id, deficit in enumerate(state.deficit):
+                assert 0.0 <= deficit <= state.deficit_cap[app_id]
 
     def test_parking_lot_alternates(self):
         graph, apps, assignment = parking_lot()
@@ -188,9 +259,9 @@ class TestDRR:
         pattern = []
         totals = {0: 0, 1: 0, 2: 0}
         for _ in range(10):
-            per_app = schedule_slot(state, [1, 1]).per_app()
-            pattern.append(set(per_app))
-            for a, c in per_app.items():
+            counts = per_app(state, schedule_slot(state, [1, 1]))
+            pattern.append(set(counts))
+            for a, c in counts.items():
                 totals[a] += c
         assert pattern == [{0}, {1, 2}] * 5
         assert totals == {0: 5, 1: 5, 2: 5}
@@ -199,7 +270,7 @@ class TestDRR:
         state, _ = single_link_state(Policy.DRR, [4.0], 10, Traffic.POISSON)
         enqueue_arrivals(state, 0, {0: 2})
         result = schedule_slot(state, [10])
-        assert result.per_app() == {0: 2}
+        assert per_app(state, result) == {0: 2}
         assert state.deficit[0] == 0.0
         assert state.active == []
         assert state.head is None
@@ -208,7 +279,7 @@ class TestDRR:
         state, _ = single_link_state(Policy.DRR, [5.0], 1)
         for _ in range(10):
             schedule_slot(state, [1])
-            assert state.deficit[0] <= state.deficit_cap(0)
+            assert state.deficit[0] <= state.deficit_cap[0]
 
     def test_hops_cost_charges_by_path_length(self):
         # app 0: 1-hop flow (cost 1); app 1: 2-hop flow (cost 2) sharing
@@ -228,7 +299,7 @@ class TestDRR:
         )
         totals = {0: 0, 1: 0}
         for _ in range(40):
-            for a, c in schedule_slot(state, [3, 5]).per_app().items():
+            for a, c in per_app(state, schedule_slot(state, [3, 5])).items():
                 totals[a] += c
         assert totals[0] == pytest.approx(2 * totals[1], abs=2)
 
@@ -242,7 +313,7 @@ class TestDRR:
         )
         sampled = [1, 1, 1]
         for _ in range(5):
-            assert schedule_slot(state, sampled).per_app() == {0: 1}
+            assert per_app(state, schedule_slot(state, sampled)) == {0: 1}
 
     def test_unaffordable_flow_still_advances_cursor(self):
         # app 0 reaches worker 1 over edge 0 (cost 1) and worker 3 over
@@ -262,7 +333,7 @@ class TestDRR:
         )
         state.cursor[0] = 1
         result = schedule_slot(state, [1, 1, 1])
-        assert [state.flows[a][i].worker for a, i in result.per_flow] == [1, 3]
+        assert [state.flows[f].worker for f in result.per_flow] == [1, 3]
         assert state.cursor[0] == 0
         assert state.deficit[0] == 0.0
 
@@ -272,8 +343,7 @@ class TestRR:
         state, _ = single_link_state(Policy.RR, [1.0, 1.0], 1)
         grants = []
         for _ in range(6):
-            per_app = schedule_slot(state, [1]).per_app()
-            grants.append(next(iter(per_app)))
+            grants.append(next(iter(per_app(state, schedule_slot(state, [1])))))
         assert grants == [0, 1, 0, 1, 0, 1]
 
     def test_spread_never_exceeds_one(self):
@@ -281,28 +351,28 @@ class TestRR:
             state, _ = single_link_state(Policy.RR, [1.0] * n, 1)
             cum = dict.fromkeys(range(n), 0)
             for _ in range(200):
-                for a, c in schedule_slot(state, [1]).per_app().items():
+                for a, c in per_app(state, schedule_slot(state, [1])).items():
                     cum[a] += c
                 assert max(cum.values()) - min(cum.values()) <= 1
 
     def test_weights_ignored(self):
         state, _ = single_link_state(Policy.RR, [1.0, 5.0], 4)
         result = schedule_slot(state, [4])
-        assert result.per_app() == {0: 2, 1: 2}
+        assert per_app(state, result) == {0: 2, 1: 2}
 
 
 class TestWRR:
     def test_grants_proportional_each_slot(self):
         state, _ = single_link_state(Policy.WRR, [1.0, 2.0, 3.0], 6)
         for _ in range(20):
-            assert schedule_slot(state, [6]).per_app() == {0: 1, 1: 2, 2: 3}
+            assert per_app(state, schedule_slot(state, [6])) == {0: 1, 1: 2, 2: 3}
 
     def test_cumulative_deviation_bounded_by_max_weight(self):
         weights = [1.0, 2.0, 3.0]
         state, _ = single_link_state(Policy.WRR, weights, 6)
         cum = {0: 0, 1: 0, 2: 0}
         for _ in range(200):
-            for a, c in schedule_slot(state, [6]).per_app().items():
+            for a, c in per_app(state, schedule_slot(state, [6])).items():
                 cum[a] += c
             total = sum(cum.values())
             for a, w in enumerate(weights):
@@ -342,9 +412,36 @@ class TestFCFS:
         assert result.granted_requests == [(0, 0), (1, 0), (1, 0)]
 
 
-def _sorted_fcfs_slot(state, ctx):
+def scan_select_flow(state, app_id, residual):
+    """Reference pick, scanning residuals: the flat index of the app's
+    first flow, from its cursor on in cyclic order, with residual >= 1 on
+    every edge; the cursor moves past it. None, with the cursor unchanged,
+    when no flow fits."""
+    first, end = state.first_flow[app_id], state.first_flow[app_id + 1]
+    start = state.cursor[app_id]
+    for f in [*range(start, end), *range(first, start)]:
+        if fits(state, f, residual):
+            state.cursor[app_id] = f + 1 if f + 1 < end else first
+            return f
+    return None
+
+
+def scan_grant(state, ctx, f):
+    """Reference grant: one pair off every edge of flow f, with no live flags."""
+    for e in state.flows[f].edges:
+        ctx.residual[e] -= 1
+    ctx.per_flow[f] = ctx.per_flow.get(f, 0) + 1
+    app_id = state.flow_app[f]
+    if state.traffic is Traffic.POISSON:
+        ctx.granted_requests.append((app_id, state.queues[app_id].popleft()))
+    ctx.last_granted = app_id
+
+
+def _sorted_fcfs_slot(state, ctx, log):
     """Reference FCFS: sort every pending request, keyed by (arrival_slot,
-    app, position in the app's queue), then scan them once."""
+    app, position in the app's queue), then scan them once with the
+    residual-scanning pick, logging to ``log`` whether each pick found a
+    flow."""
     pending = sorted(
         (arrival_slot, app_id, pos)
         for app_id, queue in state.queues.items()
@@ -354,16 +451,18 @@ def _sorted_fcfs_slot(state, ctx):
     for arrival_slot, app_id, _ in pending:
         if app_id in blocked:
             continue  # an earlier request of this app was blocked
-        i = scheduling.select_flow(state, app_id, ctx.residual)
-        if i is None:
+        f = scan_select_flow(state, app_id, ctx.residual)
+        log.append((app_id, f is not None))
+        if f is None:
             blocked.add(app_id)
         else:
-            scheduling._grant(state, ctx, app_id, i)
+            scan_grant(state, ctx, f)
             assert ctx.granted_requests[-1] == (app_id, arrival_slot)
 
 
 class TestFCFSOracle:
-    """The heap of queue heads grants exactly what the sorted scan grants."""
+    """The heap of queue heads over live flags grants exactly what the
+    sorted scan over residuals grants."""
 
     def _instance(self, rng):
         n = rng.randint(5, 10)
@@ -381,13 +480,13 @@ class TestFCFSOracle:
         return graph, apps, flows
 
     @staticmethod
-    def _recording_select_flow(log):
-        select = scheduling.select_flow
+    def _recording_visit(log):
+        visit = scheduling._visit
 
-        def wrapped(state, app_id, residual):
-            i = select(state, app_id, residual)
-            log.append((app_id, i))
-            return i
+        def wrapped(state, ctx, app_id):
+            made = visit(state, ctx, app_id)
+            log.append((app_id, made > 0))
+            return made
         return wrapped
 
     def test_matches_sorted_scan_every_slot(self):
@@ -407,16 +506,13 @@ class TestFCFSOracle:
                     for a in apps
                 }
                 sampled = [rng.randint(0, l.capacity_max) for l in graph.links]
-                results = []
-                for state, log, fcfs in zip(
-                    states, calls, (scheduling._fcfs_slot, _sorted_fcfs_slot)
-                ):
+                for state in states:
                     enqueue_arrivals(state, slot, arrivals)
-                    select = self._recording_select_flow(log)
-                    with mock.patch.object(scheduling, "_fcfs_slot", fcfs), \
-                            mock.patch.object(scheduling, "select_flow", select):
-                        results.append(schedule_slot(state, sampled))
-                heap, ref = results
+                with mock.patch.object(scheduling, "_visit", self._recording_visit(calls[0])):
+                    heap = schedule_slot(states[0], sampled)
+                reference = functools.partial(_sorted_fcfs_slot, log=calls[1])
+                with mock.patch.object(scheduling, "_fcfs_slot", reference):
+                    ref = schedule_slot(states[1], sampled)
                 where = f"seed {seed}, slot {slot}"
                 assert heap.granted_requests == ref.granted_requests, where
                 assert list(heap.per_flow.items()) == list(ref.per_flow.items()), where
@@ -432,50 +528,78 @@ class TestFCFSOracle:
 
 
 def _visit_every_app_slot(state, ctx, skipped):
-    """Reference round robin: every pass visits every backlogged app of the
-    ring, including apps whose flows were capacity-blocked in an earlier
-    pass, and rescans all of them for a feasible flow. ``skipped`` counts,
-    per policy, the visits the scheduler under test leaves out."""
+    """Reference round robin over residuals: every pass visits every
+    backlogged app of the ring, including apps whose flows were
+    capacity-blocked in an earlier pass, and rescans all of them for a
+    feasible flow; passes run while a backlogged app of the ring has a flow
+    that fits. ``skipped`` counts, per policy, the visits the scheduler
+    under test leaves out."""
     i = state.active.index(state.head) if state.active else 0
     ring = state.active[i:] + state.active[:i]
 
+    def backlogged(app_id):
+        return state.traffic is Traffic.BACKLOGGED or bool(state.queues[app_id])
+
     def feasible():
         return any(
-            scheduling._fits(flow, ctx.residual)
+            fits(state, f, ctx.residual)
             for a in ring
-            if state.backlogged(a)
-            for flow in state.flows[a]
+            if backlogged(a)
+            for f in app_flows(state, a)
         )
 
+    blocked = set()
     fruitless = 0
     while feasible():
         made = 0
         for app_id in ring:
-            if not state.backlogged(app_id):
+            if not backlogged(app_id):
                 continue
-            skipped[state.policy] += app_id in ctx.blocked
-            if state.policy is Policy.RR:
-                made += scheduling._visit_budgeted(state, ctx, app_id, 1)
-            elif state.policy is Policy.WRR:
-                budget = int(state.apps[app_id].weight)
-                made += scheduling._visit_budgeted(state, ctx, app_id, budget)
+            skipped[state.policy] += app_id in blocked
+            if state.policy is Policy.DRR:
+                deficit = state.deficit[app_id] + state.quantum[app_id]
+                while True:
+                    f = scan_select_flow(state, app_id, ctx.residual)
+                    if f is None:
+                        deficit = min(deficit, state.deficit_cap[app_id])
+                        blocked.add(app_id)
+                        break
+                    if deficit < state.cost[f] - scheduling._DEFICIT_EPS:
+                        break
+                    scan_grant(state, ctx, f)
+                    made += 1
+                    deficit -= state.cost[f]
+                    if not backlogged(app_id):
+                        deficit = 0.0
+                        break
+                state.deficit[app_id] = deficit
             else:
-                made += scheduling._visit_drr(state, ctx, app_id)
+                budget = 1 if state.policy is Policy.RR else int(state.apps[app_id].weight)
+                for _ in range(budget):
+                    if not backlogged(app_id):
+                        break
+                    f = scan_select_flow(state, app_id, ctx.residual)
+                    if f is None:
+                        blocked.add(app_id)
+                        break
+                    scan_grant(state, ctx, f)
+                    made += 1
         if made == 0:
             if state.policy is not Policy.DRR:
                 break
             fruitless += 1
             # only DRR has quanta
             assert fruitless <= 2 + max(
-                math.ceil(state.max_cost[a] / state.quantum[a]) for a in state.apps
+                math.ceil(c / q) for c, q in zip(state.max_cost, state.quantum)
             )
         else:
             fruitless = 0
 
 
 class TestRoundRobinOracle:
-    """Skipping capacity-blocked apps, with the DRR credits replayed at the
-    end of the slot, leaves every slot as visiting every app would."""
+    """Live flags, skipping capacity-blocked apps and replaying their DRR
+    credits at the end of the slot leave every slot as visiting every app
+    and scanning residuals would."""
 
     POLICIES = (Policy.RR, Policy.WRR, Policy.DRR)
 
@@ -505,6 +629,9 @@ class TestRoundRobinOracle:
         skipped = Counter()
         reference = functools.partial(_visit_every_app_slot, skipped=skipped)
         rejoined = 0
+        # DRR apps of the ring with no flow that fits the sample and a
+        # deficit below its cap: pass 1 must still credit them
+        dead_at_start = 0
         for seed in range(120):
             rng = random.Random(9100 + seed)
             graph, apps_by_policy, assignment = self._instance(rng)
@@ -525,20 +652,26 @@ class TestRoundRobinOracle:
                                 a.id: 0 if 8 <= slot < 16 else poisson_sample(a.arrival_rate, rng)
                                 for a in apps
                             }
-                            results = []
-                            for state, rr in zip(
-                                states, (scheduling._round_robin_slot, reference)
-                            ):
-                                if traffic is Traffic.POISSON:
-                                    enqueue_arrivals(state, slot, arrivals)
-                                with mock.patch.object(scheduling, "_round_robin_slot", rr):
-                                    results.append(schedule_slot(state, sampled))
-                            fast, ref = results
+                            a, b = states
+                            if traffic is Traffic.POISSON:
+                                enqueue_arrivals(a, slot, arrivals)
+                                enqueue_arrivals(b, slot, arrivals)
+                            if policy is Policy.DRR:
+                                dead_at_start += sum(
+                                    a.deficit[app] < a.deficit_cap[app]
+                                    and not any(fits(a, f, sampled) for f in app_flows(a, app))
+                                    for app in a.active
+                                )
+                            fast = schedule_slot(a, sampled)
+                            with mock.patch.object(scheduling, "_round_robin_slot", reference):
+                                ref = schedule_slot(b, sampled)
                             where = f"seed {seed}, {policy}, {cost_mode}, {traffic}, slot {slot}"
                             assert list(fast.per_flow.items()) == list(ref.per_flow.items()), where
                             assert fast.granted_requests == ref.granted_requests, where
                             assert fast.residual == ref.residual, where
-                            a, b = states
+                            assert fast.live == [
+                                fits(a, f, fast.residual) for f in range(len(a.flows))
+                            ], where
                             assert a.deficit == b.deficit, where
                             assert a.cursor == b.cursor, where
                             assert {k: list(q) for k, q in a.queues.items()} == {
@@ -546,10 +679,43 @@ class TestRoundRobinOracle:
                             }, where
                             assert (a.active, a.head) == (b.active, b.head), where
                             rejoined += len(inactive.intersection(a.active))
-                            inactive = set(a.apps).difference(a.active)
+                            inactive = set(range(len(a.apps))).difference(a.active)
         assert rejoined >= 500
+        assert dead_at_start >= 500
         # the skip is exercised under every policy
         assert min(skipped[p] for p in self.POLICIES) >= 1000, skipped
+
+
+class TestBenchmarkTracerContract:
+    """perfbench/tracer.py counts a slot's grants as the sum of
+    ``SlotGrants.per_flow.values()`` and the requests left queued as the
+    sum of ``len`` over ``SchedulerState.queues.values()``; were either a
+    list, a traced benchmark run would raise AttributeError."""
+
+    @staticmethod
+    def _slot():
+        state, _ = single_link_state(Policy.RR, [1.0, 1.0], 2, Traffic.POISSON)
+        enqueue_arrivals(state, 0, {0: 3, 1: 1})
+        return state
+
+    def test_grants_and_queues_are_mappings(self):
+        state = self._slot()
+        result = schedule_slot(state, [2])
+        assert isinstance(result.per_flow, Mapping)
+        assert list(result.per_flow.values()) == [1, 1]
+        assert isinstance(state.queues, Mapping)
+        assert [len(q) for q in state.queues.values()] == [2, 0]
+
+    def test_the_committed_tracer_reads_them(self):
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer_module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer_module)
+        tracer = tracer_module.Tracer()
+        state = self._slot()
+        with tracer_module.installed(tracer, [scheduling]):
+            scheduling.schedule_slot(state, [2])
+        assert (tracer.grants, tracer.pending_end()) == (2, 2)
 
 
 class TestPointerPersistence:
@@ -573,7 +739,7 @@ class TestPointerPersistence:
         enqueue_arrivals(state, 0, {0: 1, 1: 3})
         result = schedule_slot(state, [3])
         # app 0 drained and left; head must reference a live app or None
-        assert result.per_app() == {0: 1, 1: 2}
+        assert per_app(state, result) == {0: 1, 1: 2}
         assert state.active == [1]
         assert state.head == 1
         schedule_slot(state, [5])
@@ -643,7 +809,7 @@ class TestInvariants:
         for _ in range(100):
             sampled = [rng.randint(0, 3) for _ in range(4)]
             result = schedule_slot(state, sampled)
-            assert_conserved(sampled, result, state.flows)
+            assert_conserved(sampled, result, state)
             assert_work_conserving(state, result.residual)
 
     def test_deterministic_replay(self):
@@ -655,7 +821,8 @@ class TestInvariants:
                 sampled = [rng.randint(0, 3) for _ in range(4)]
                 result = schedule_slot(state, sampled)
                 out.append(sorted(
-                    (a, state.flows[a][i].worker, c) for (a, i), c in result.per_flow.items()
+                    (state.flow_app[f], state.flows[f].worker, c)
+                    for f, c in result.per_flow.items()
                 ))
             return out
 
@@ -673,7 +840,7 @@ class TestDRRBoundedLag:
         state, _ = single_link_state(Policy.DRR, weights, capacity)
         served = {0: 0, 1: 0, 2: 0}
         for slot in range(1, 101):
-            for a, c in schedule_slot(state, [capacity]).per_app().items():
+            for a, c in per_app(state, schedule_slot(state, [capacity])).items():
                 served[a] += c
             passes = slot * passes_per_slot
             for a in served:

@@ -77,9 +77,10 @@ class SlotGrants:
     # capacity-blocked app -> the pass (0 under FCFS) in which it had no
     # live flow; residuals only shrink, so it sits out the rest of the slot
     blocked: dict[AppId, int] = field(default_factory=dict)
-    # by flat flow index: every edge of the flow has residual >= 1
-    live: list[bool] = field(default_factory=list)
-    live_count: list[int] = field(default_factory=list)  # live flows by app id
+    # working state of the slot, not part of the outcome: by flat flow
+    # index, every edge of the flow has residual >= 1; live flows by app id
+    _live: list[bool] = field(default_factory=list, repr=False)
+    _live_count: list[int] = field(default_factory=list, repr=False)
 
 
 def policy_problems(
@@ -244,7 +245,7 @@ def enqueue_arrivals(
 
 def _saturate(state: SchedulerState, ctx: SlotGrants, e: EdgeId) -> None:
     """Edge ``e`` has no residual left: the live flows crossing it die."""
-    live, live_count, flow_app = ctx.live, ctx.live_count, state.flow_app
+    live, live_count, flow_app = ctx._live, ctx._live_count, state.flow_app
     for f in state.edge_flows[e]:
         if live[f]:
             live[f] = False
@@ -260,7 +261,7 @@ def _visit(state: SchedulerState, ctx: SlotGrants, app_id: AppId) -> int:
     live flow is blocked, with its cursor unchanged and, under DRR, its
     deficit capped; an emptied queue ends the visit and resets a DRR
     deficit. Returns the number of grants."""
-    live, live_count, residual, per_flow = ctx.live, ctx.live_count, ctx.residual, ctx.per_flow
+    live, live_count, residual, per_flow = ctx._live, ctx._live_count, ctx.residual, ctx.per_flow
     cursor, cost, flow_edges = state.cursor, state.cost, state.flow_edges
     first, end = state.first_flow[app_id], state.first_flow[app_id + 1]
     poisson, drr = state.traffic is Traffic.POISSON, state.policy is Policy.DRR
@@ -285,11 +286,8 @@ def _visit(state: SchedulerState, ctx: SlotGrants, app_id: AppId) -> int:
             deficit -= cost[f]
         for e in flow_edges[f]:
             residual[e] -= 1
-            if not residual[e]:  # _saturate, inlined on the hot path
-                for g in state.edge_flows[e]:
-                    if live[g]:
-                        live[g] = False
-                        live_count[state.flow_app[g]] -= 1
+            if not residual[e]:
+                _saturate(state, ctx, e)
         per_flow[f] = per_flow.get(f, 0) + 1
         ctx.last_granted = app_id
         made += 1
@@ -312,7 +310,7 @@ def _round_robin_slot(state: SchedulerState, ctx: SlotGrants) -> None:
     # live flow
     i = state.active.index(state.head) if state.active else 0
     ring = state.active[i:] + state.active[:i]
-    live_count, blocked, queues = ctx.live_count, ctx.blocked, state.queues
+    live_count, blocked, queues = ctx._live_count, ctx.blocked, state.queues
     backlogged = state.traffic is Traffic.BACKLOGGED
     fruitless = 0
     while any(map(live_count.__getitem__, ring)):
@@ -371,7 +369,7 @@ def schedule_slot(state: SchedulerState, capacities: list[int]) -> SlotGrants:
     if len(capacities) < state.links_needed:
         raise ValueError(f"capacity list too short: {len(capacities)} < {state.links_needed} links")
     ctx = SlotGrants(
-        capacities.copy(), live=[True] * len(state.flows), live_count=state.flow_count.copy()
+        capacities.copy(), _live=[True] * len(state.flows), _live_count=state.flow_count.copy()
     )
     for e in filterfalse(ctx.residual.__getitem__, state.edge_flows):  # sampled at 0
         _saturate(state, ctx, e)

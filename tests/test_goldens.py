@@ -7,7 +7,8 @@ global.csv and trace.csv. Each ``assign`` case hashes the
 ``assign --format csv`` output of one solver. The generated scenarios in
 ``tests/scenarios/`` are ``gen.network_doc`` networks of 60 nodes and 12
 apps, written to files so that a case reads its input as the bundled ones
-do; they run once each (``r1``) under the policies listed in GENERATED.
+do; they run once each (``r1``) under the policies and cost modes
+listed in GENERATED, the cost mode set as ``sim.replications`` is.
 A change that alters any output byte fails here. A change that alters
 outputs on purpose (new RNG draws, new formatting) regenerates the file
 and says why:
@@ -31,11 +32,14 @@ from qnetfair.scheduling import policy_problems
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 GENERATED_DIR = Path(__file__).resolve().parent / "scenarios"
-# stem -> (seed, cost_mode, traffic) of gen.network_doc, and the policies run
+# stem -> (seed, cost_mode, traffic) of gen.network_doc, and the (policy,
+# cost_mode) runs; cost_mode changes only what a DRR grant spends
 GENERATED = {
-    "net60_unit": ((60, "unit", "backlogged"), ("RR", "WRR", "DRR")),
-    "net60_hops": ((60, "hops", "backlogged"), ("RR", "WRR", "DRR")),
-    "net60_poisson": ((60, "unit", "poisson"), ("FCFS", "DRR")),
+    "net60": (
+        (60, "unit", "backlogged"),
+        (("RR", "unit"), ("WRR", "unit"), ("DRR", "unit"), ("DRR", "hops")),
+    ),
+    "net60_poisson": ((60, "unit", "poisson"), (("FCFS", "unit"), ("DRR", "unit"))),
 }
 GOLDENS_PATH = Path(__file__).with_name("goldens.json")
 SLOTS = 400  # above mesh_poisson's 200 warmup slots, small enough for Tier-1
@@ -52,8 +56,8 @@ def _cases() -> list[str]:
             if not policy_problems(policy, apps, config.traffic, config.quantum_base):
                 cases += [f"run/{path.stem}/{policy.value}/r{n}" for n in REPLICATIONS]
         cases += [f"assign/{path.stem}/{solver}" for solver in SOLVERS]
-    for stem, (_, policies) in GENERATED.items():
-        cases += [f"run/{stem}/{policy}/r1" for policy in policies]
+    for stem, (_, runs) in GENERATED.items():
+        cases += [f"run/{stem}/{policy}/r1/{cost_mode}" for policy, cost_mode in runs]
     return cases
 
 
@@ -78,6 +82,8 @@ def compute(case: str, tmp: Path) -> dict[str, str]:
 
     data = json.loads(scenario.read_text())
     data["sim"]["replications"] = int(rest[0][1:])
+    if rest[1:]:
+        data["sim"]["cost_mode"] = rest[1]
     config = tmp / "scenario.json"
     config.write_text(json.dumps(data), encoding="utf-8")
     out = tmp / "out"

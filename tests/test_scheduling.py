@@ -68,7 +68,7 @@ def slot_ctx(state, residual):
     """SlotGrants at the start of a slot, its live flags read off ``residual``."""
     live = [fits(state, f, residual) for f in range(len(state.flows))]
     live_count = [sum(live[f] for f in app_flows(state, a)) for a in range(len(state.apps))]
-    return SlotGrants(residual, live=live, live_count=live_count)
+    return SlotGrants(residual, _live=live, _live_count=live_count)
 
 
 def assert_conserved(sampled, result, state):
@@ -440,8 +440,7 @@ def scan_grant(state, ctx, f):
 def _sorted_fcfs_slot(state, ctx, log):
     """Reference FCFS: sort every pending request, keyed by (arrival_slot,
     app, position in the app's queue), then scan them once with the
-    residual-scanning pick, logging to ``log`` whether each pick found a
-    flow."""
+    residual-scanning pick, logging (app, picked flow or None) to ``log``."""
     pending = sorted(
         (arrival_slot, app_id, pos)
         for app_id, queue in state.queues.items()
@@ -452,7 +451,7 @@ def _sorted_fcfs_slot(state, ctx, log):
         if app_id in blocked:
             continue  # an earlier request of this app was blocked
         f = scan_select_flow(state, app_id, ctx.residual)
-        log.append((app_id, f is not None))
+        log.append((app_id, f))
         if f is None:
             blocked.add(app_id)
         else:
@@ -484,8 +483,12 @@ class TestFCFSOracle:
         visit = scheduling._visit
 
         def wrapped(state, ctx, app_id):
+            before = dict(ctx.per_flow)
             made = visit(state, ctx, app_id)
-            log.append((app_id, made > 0))
+            # an FCFS visit grants the queue head or nothing
+            granted = [f for f, n in ctx.per_flow.items() if n != before.get(f, 0)]
+            assert made == len(granted) <= 1
+            log.append((app_id, granted[0] if granted else None))
             return made
         return wrapped
 
@@ -669,7 +672,7 @@ class TestRoundRobinOracle:
                             assert list(fast.per_flow.items()) == list(ref.per_flow.items()), where
                             assert fast.granted_requests == ref.granted_requests, where
                             assert fast.residual == ref.residual, where
-                            assert fast.live == [
+                            assert fast._live == [
                                 fits(a, f, fast.residual) for f in range(len(a.flows))
                             ], where
                             assert a.deficit == b.deficit, where

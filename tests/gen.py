@@ -192,14 +192,18 @@ def many_app_instance():
     return NetworkGraph(nodes, links), apps
 
 
-def network_doc(seed: int, cost_mode: str = "unit", traffic: str = "backlogged") -> dict:
+def network_doc(
+    seed: int, cost_mode: str = "unit", traffic: str = "backlogged", assignment: str = "greedy"
+) -> dict:
     """Scenario document of a generated multi-hop network for the golden
     cases: 60 nodes and 90 links (a random recursive tree plus distinct
     chords), 15 computation nodes and lossy repeaters elsewhere, links of
     capacity 2..4 with generation probabilities below 1, and 12 apps of
     integer weight, each needing 2 of 4 candidate workers. The graph and the
     apps depend on ``seed`` only; Poisson traffic adds arrival rates from
-    0.2 to 2.5 requests per slot, so some queues drain and rejoin."""
+    0.2 to 2.5 requests per slot, so some queues drain and rejoin. The
+    "given" assignment draws each app's two workers after everything else,
+    so the network is the same under every assignment source."""
     rng = random.Random(seed)
     computation = set(rng.sample(range(60), 15))
     nodes = [
@@ -250,6 +254,42 @@ def network_doc(seed: int, cost_mode: str = "unit", traffic: str = "backlogged")
         "traffic": traffic,
         "capacity_mode": "stochastic",
         "cost_mode": cost_mode,
-        "assignment": "greedy",
+        "assignment": assignment,
     }
+    if assignment == "given":
+        for app in apps:
+            app["workers"] = sorted(rng.sample(app["candidates"], 2))
     return {"nodes": nodes, "links": links, "apps": apps, "sim": sim}
+
+
+def instance_doc(graph: NetworkGraph, apps, sim: dict) -> dict:
+    """Scenario document of a generated graph and apps, every field written
+    out, so that the CLI reads the same instance back."""
+    return {
+        "nodes": [
+            {"id": n.id, "kind": n.kind.value, "swap_success_prob": n.swap_success_prob}
+            for n in graph.nodes
+        ],
+        "links": [
+            {
+                "id": l.id,
+                "endpoints": list(l.endpoints),
+                "capacity_max": l.capacity_max,
+                "gen_success_prob": l.gen_success_prob,
+                "fidelity": l.fidelity,
+            }
+            for l in graph.links
+        ],
+        "apps": [
+            {
+                "id": a.id,
+                "host": a.host,
+                "weight": a.weight,
+                "workers_needed": a.workers_needed,
+                "candidates": sorted(a.candidates),
+                "min_fidelity": a.min_fidelity,
+            }
+            for a in apps
+        ],
+        "sim": sim,
+    }

@@ -1,14 +1,22 @@
 """Golden hashes: the sha256 of every CLI output on the bundled scenarios
-and on generated multi-hop networks.
+and on generated networks.
 
 Each ``run`` case runs one scenario under one applicable policy with
 ``sim.replications`` 1 or 3 and ``--trace``, and hashes per_app.csv,
 global.csv and trace.csv. Each ``assign`` case hashes the
 ``assign --format csv`` output of one solver. The generated scenarios in
-``tests/scenarios/`` are ``gen.network_doc`` networks of 60 nodes and 12
-apps, written to files so that a case reads its input as the bundled ones
-do; they run once each (``r1``) under the policies and cost modes
-listed in GENERATED, the cost mode set as ``sim.replications`` is.
+``tests/scenarios/`` are written to files so that a case reads its input
+as the bundled ones do:
+
+- ``net60*`` are ``gen.network_doc`` networks of 60 nodes and 12 apps,
+  each under greedy, random or given assignment. They run once each
+  (``r1``) under the policies and cost modes of GENERATED_CASES, the cost
+  mode set as ``sim.replications`` is; the ``sweep`` case sweeps
+  ``policy`` over RR, WRR and DRR on net60 and hashes both sweep CSVs.
+- ``pooled2`` is ``gen.pooled_instance`` seed 2, 3 apps choosing 2 of 7
+  workers on 30 nodes, where the exhaustive solver's bound prunes no
+  assignment.
+
 A change that alters any output byte fails here. A change that alters
 outputs on purpose (new RNG draws, new formatting) regenerates the file
 and says why:
@@ -18,13 +26,15 @@ and says why:
 import hashlib
 import io
 import json
+import random
 import tempfile
 from contextlib import redirect_stdout
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from gen import network_doc
+from gen import instance_doc, network_doc, pooled_instance
 from qnetfair import Policy
 from qnetfair.cli import main
 from qnetfair.scenario_io import parse_scenario
@@ -32,20 +42,40 @@ from qnetfair.scheduling import policy_problems
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 GENERATED_DIR = Path(__file__).resolve().parent / "scenarios"
-# stem -> (seed, cost_mode, traffic) of gen.network_doc, and the (policy,
-# cost_mode) runs; cost_mode changes only what a DRR grant spends
+
+
+def _pooled_doc(seed: int) -> dict:
+    graph, apps = pooled_instance(random.Random(seed))
+    return instance_doc(graph, apps, {"slots": 100, "seed": seed, "policy": "DRR"})
+
+
+# stem -> the builder of its document
 GENERATED = {
-    "net60": (
-        (60, "unit", "backlogged"),
-        (("RR", "unit"), ("WRR", "unit"), ("DRR", "unit"), ("DRR", "hops")),
-    ),
-    "net60_poisson": ((60, "unit", "poisson"), (("FCFS", "unit"), ("DRR", "unit"))),
+    "net60": partial(network_doc, 60),
+    "net60_poisson": partial(network_doc, 60, traffic="poisson"),
+    "net60_random": partial(network_doc, 60, assignment="random"),
+    "net60_given": partial(network_doc, 60, assignment="given"),
+    "pooled2": partial(_pooled_doc, 2),
 }
+# cost_mode changes only what a DRR grant spends
+GENERATED_CASES = [
+    "run/net60/RR/r1/unit",
+    "run/net60/WRR/r1/unit",
+    "run/net60/DRR/r1/unit",
+    "run/net60/DRR/r1/hops",
+    "run/net60_poisson/FCFS/r1/unit",
+    "run/net60_poisson/DRR/r1/unit",
+    "run/net60_random/DRR/r1/unit",
+    "run/net60_given/DRR/r1/unit",
+    "sweep/net60/policy",
+    "assign/pooled2/exhaustive",
+]
 GOLDENS_PATH = Path(__file__).with_name("goldens.json")
 SLOTS = 400  # above mesh_poisson's 200 warmup slots, small enough for Tier-1
 REPLICATIONS = (1, 3)
 SOLVERS = ("greedy", "random", "exhaustive")
 RUN_FILES = ("per_app.csv", "global.csv", "trace.csv")
+SWEEP_FILES = ("sweep_per_app.csv", "sweep_global.csv")
 
 
 def _cases() -> list[str]:
@@ -56,9 +86,7 @@ def _cases() -> list[str]:
             if not policy_problems(policy, apps, config.traffic, config.quantum_base):
                 cases += [f"run/{path.stem}/{policy.value}/r{n}" for n in REPLICATIONS]
         cases += [f"assign/{path.stem}/{solver}" for solver in SOLVERS]
-    for stem, (_, runs) in GENERATED.items():
-        cases += [f"run/{stem}/{policy}/r1/{cost_mode}" for policy, cost_mode in runs]
-    return cases
+    return cases + GENERATED_CASES
 
 
 CASES = _cases()
@@ -79,6 +107,14 @@ def compute(case: str, tmp: Path) -> dict[str, str]:
                          "--format", "csv"])
         assert code == 0
         return {"stdout": _sha256(stdout.getvalue().encode())}
+    out = tmp / "out"
+    if kind == "sweep":
+        with redirect_stdout(stdout):
+            code = main(["sweep", "--config", str(scenario), "--slots", str(SLOTS),
+                         "--param", variant, "--values", "RR,WRR,DRR",
+                         "--output-dir", str(out)])
+        assert code == 0
+        return {name: _sha256((out / name).read_bytes()) for name in SWEEP_FILES}
 
     data = json.loads(scenario.read_text())
     data["sim"]["replications"] = int(rest[0][1:])
@@ -86,7 +122,6 @@ def compute(case: str, tmp: Path) -> dict[str, str]:
         data["sim"]["cost_mode"] = rest[1]
     config = tmp / "scenario.json"
     config.write_text(json.dumps(data), encoding="utf-8")
-    out = tmp / "out"
     with redirect_stdout(stdout):
         code = main(["run", "--config", str(config), "--slots", str(SLOTS),
                      "--policy", variant, "--trace", "--output-dir", str(out)])
@@ -99,7 +134,7 @@ def _goldens() -> dict[str, dict[str, str]]:
 
 
 def _generated_text(stem: str) -> str:
-    return json.dumps(network_doc(*GENERATED[stem][0]), indent=1) + "\n"
+    return json.dumps(GENERATED[stem](), indent=1) + "\n"
 
 
 def test_goldens_cover_every_case():

@@ -36,7 +36,6 @@ from .fairshare import (
     jain_index,
     maxmin_rates,
     predicted_app_rates,
-    verify_bottleneck,
 )
 from .scheduling import (
     ConfigError,
@@ -59,7 +58,6 @@ from .engine import (
     replication_seed,
     resolve_successes,
     run,
-    sample_capacity,
     stream_rng,
     stream_seed,
 )

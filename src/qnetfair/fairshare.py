@@ -5,8 +5,9 @@ fluid model of the network) serves both as the oracle that scheduling
 disciplines are compared against and as the objective for choosing which
 computation nodes join each application's worker pool. One kernel on flow
 indices, ``progressive_fill``, does all filling; ``maxmin_rates`` is its
-keyed, checked form, and ``assign_exhaustive`` calls the kernel directly
-for each assignment that its capacity bound cannot rule out.
+keyed, checked form, and ``assign_exhaustive`` checks each app's
+candidates as ``maxmin_rates`` would, then calls the kernel directly for
+each assignment that its capacity bound cannot rule out.
 """
 from __future__ import annotations
 
@@ -42,10 +43,23 @@ def maxmin_rates(
     All unfrozen flows grow at rate weight*t for a common scalar t; when
     an edge saturates, the flows crossing it freeze at their current
     rate, and filling continues with the rest. The result satisfies the
-    bottleneck property (see ``verify_bottleneck``). This keyed form
-    checks its input, then ``progressive_fill`` fills with the flows
-    numbered in iteration order.
+    bottleneck property: every flow crosses a saturated edge on which its
+    weighted rate is the largest. This keyed form checks its input, then
+    ``progressive_fill`` fills with the flows numbered in iteration order.
     """
+    edge_sets = _checked_edge_sets(flow_edges, capacities, flow_weights)
+    rates = progressive_fill([flow_weights[f] for f in edge_sets], edge_sets.values(), capacities)
+    return dict(zip(edge_sets, rates))
+
+
+def _checked_edge_sets(
+    flow_edges: Mapping[FlowKey, Iterable[int]],
+    capacities: Mapping[int, float],
+    flow_weights: Mapping[FlowKey, float],
+) -> dict[FlowKey, frozenset[int]]:
+    """Each flow's set of edges, once ``progressive_fill`` is known to fill
+    them: ValueError unless every flow crosses an edge and has a positive
+    weight, and every crossed edge has a positive capacity."""
     edge_sets = {f: frozenset(edges) for f, edges in flow_edges.items()}
     for f, edges in edge_sets.items():
         if not edges:
@@ -56,8 +70,7 @@ def maxmin_rates(
         for e in edges:
             if not capacities[e] > 0:
                 raise ValueError(f"edge {e} has non-positive capacity")
-    rates = progressive_fill([flow_weights[f] for f in edge_sets], edge_sets.values(), capacities)
-    return dict(zip(edge_sets, rates))
+    return edge_sets
 
 
 def progressive_fill(
@@ -103,44 +116,6 @@ def progressive_fill(
                 frozen_load = sum([r for f in on if (r := rates[f]) is not None])
                 limits.append(((cap - frozen_load) / sum(live_weights), cap, on))
     return rates
-
-
-def verify_bottleneck(
-    flow_edges: Mapping[FlowKey, Iterable[int]],
-    capacities: Mapping[int, float],
-    flow_weights: Mapping[FlowKey, float],
-    rates: Mapping[FlowKey, float],
-    tol: float = 1e-9,
-) -> bool:
-    """Check feasibility plus the max-min optimality certificate.
-
-    Every flow must cross at least one saturated edge on which its
-    weighted rate (rate/weight) is maximal among that edge's flows.
-    """
-    edge_load: dict[int, float] = {}
-    for f, edges in flow_edges.items():
-        for e in set(edges):
-            edge_load[e] = edge_load.get(e, 0.0) + rates[f]
-    for e, load in edge_load.items():
-        if load > capacities[e] + tol:
-            return False
-    for f, edges in flow_edges.items():
-        wrate = rates[f] / flow_weights[f]
-        ok = False
-        for e in set(edges):
-            if edge_load[e] < capacities[e] - tol:
-                continue
-            peers = (
-                rates[g] / flow_weights[g]
-                for g, ge in flow_edges.items()
-                if e in set(ge)
-            )
-            if wrate >= max(peers) - tol:
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
 
 
 def jain_index(values: Sequence[float]) -> float:
@@ -282,10 +257,10 @@ def assign_exhaustive(
     if size > limit:
         raise SearchSpaceTooLarge(size, limit)
     caps = graph.effective_capacities()
-    for app, flows in zip(ordered, eligible):  # maxmin_rates checks each candidate once
+    for app, flows in zip(ordered, eligible):  # each candidate is checked once
         flow_edges = {(app.id, f.worker): f.edges for f in flows}
         # a flow's weight, app.weight / workers_needed, has the sign of app.weight
-        maxmin_rates(flow_edges, caps, dict.fromkeys(flow_edges, app.weight))
+        _checked_edge_sets(flow_edges, caps, dict.fromkeys(flow_edges, app.weight))
     # every assignment has the same flow weights: apps in id order, pools in worker order
     weights = [a.weight / a.workers_needed for a in ordered for _ in range(a.workers_needed)]
     options = [  # each app's pools, each with its bound

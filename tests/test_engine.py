@@ -28,7 +28,6 @@ from qnetfair import (
     replication_seed,
     resolve_successes,
     run,
-    sample_capacity,
     stream_seed,
     validate_scenario,
 )
@@ -64,6 +63,21 @@ class TestStreams:
     def test_replication_seeds_distinct(self):
         seeds = {replication_seed(7, i) for i in range(10)}
         assert len(seeds) == 10
+
+
+def sample_capacity(link: QuantumLink, mode: CapacityMode, rng: random.Random) -> int:
+    """Pairs available on a link this slot: the per-link reference that
+    ``capacity_sampler`` must equal, draw for draw.
+
+    Deterministic mode returns round(capacity * gen_success_prob), which
+    validation requires to be integral; stochastic mode draws capacity
+    independent Bernoulli trials (an exact binomial sample).
+    """
+    if mode is CapacityMode.DETERMINISTIC:
+        return round(link.capacity_max * link.gen_success_prob)
+    return sum(
+        1 for _ in range(link.capacity_max) if rng.random() < link.gen_success_prob
+    )
 
 
 class TestSampleCapacity:

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import time
+from typing import Iterable, Mapping
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +32,6 @@ from qnetfair import (
     jain_index,
     maxmin_rates,
     predicted_app_rates,
-    verify_bottleneck,
 )
 from qnetfair import fairshare
 from qnetfair.fairshare import FlowKey, _pool_bound, progressive_fill
@@ -79,6 +79,58 @@ def reference_maxmin(flow_edges, capacities, flow_weights):
             rates[f] = flow_weights[f] * t_star
         unfrozen -= newly_frozen
     return {f: rates.get(f, 0.0) for f in flows}
+
+
+def verify_bottleneck(
+    flow_edges: Mapping[FlowKey, Iterable[int]],
+    capacities: Mapping[int, float],
+    flow_weights: Mapping[FlowKey, float],
+    rates: Mapping[FlowKey, float],
+    tol: float = 1e-9,
+) -> bool:
+    """Check feasibility plus the max-min optimality certificate
+    (Bertsekas & Gallager, *Data Networks*, section 6.5.2).
+
+    Every flow must cross at least one saturated edge on which its
+    weighted rate (rate/weight) is maximal among that edge's flows.
+    """
+    edge_load: dict[int, float] = {}
+    for f, edges in flow_edges.items():
+        for e in set(edges):
+            edge_load[e] = edge_load.get(e, 0.0) + rates[f]
+    for e, load in edge_load.items():
+        if load > capacities[e] + tol:
+            return False
+    for f, edges in flow_edges.items():
+        wrate = rates[f] / flow_weights[f]
+        ok = False
+        for e in set(edges):
+            if edge_load[e] < capacities[e] - tol:
+                continue
+            peers = (
+                rates[g] / flow_weights[g]
+                for g, ge in flow_edges.items()
+                if e in set(ge)
+            )
+            if wrate >= max(peers) - tol:
+                ok = True
+                break
+        if not ok:
+            return False
+    return True
+
+
+def count_fills(monkeypatch) -> list:
+    """A list that grows by one entry per call ``fairshare`` makes to
+    ``progressive_fill`` from now on."""
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return progressive_fill(*args)
+
+    monkeypatch.setattr(fairshare, "progressive_fill", counted)
+    return calls
 
 
 def scored_assignments(graph, apps):
@@ -169,6 +221,27 @@ class TestMaxminRates:
             flow_edges, caps, weights = random_maxmin_instance(rng)
             rates = maxmin_rates(flow_edges, caps, weights)
             assert verify_bottleneck(flow_edges, caps, weights, rates)
+
+    # the parking lot: A crosses both unit edges, B and C one each
+    PARKING_LOT = ({"A": (0, 1), "B": (0,), "C": (1,)}, {0: 1.0, 1: 1.0}, dict.fromkeys("ABC", 1.0))
+
+    def test_certificate_holds_for_the_parking_lot_share(self):
+        assert verify_bottleneck(*self.PARKING_LOT, {"A": 0.5, "B": 0.5, "C": 0.5})
+
+    def test_certificate_rejects_an_overloaded_edge(self):
+        # every flow has the top weighted rate of each edge it crosses,
+        # but both edges carry 1.2
+        assert not verify_bottleneck(*self.PARKING_LOT, {"A": 0.6, "B": 0.6, "C": 0.6})
+
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            {"A": 0.5, "B": 0.4, "C": 0.5},  # B crosses only edge 0, which is not full
+            {"A": 0.4, "B": 0.6, "C": 0.6},  # both edges full, A below a peer on each
+        ],
+    )
+    def test_certificate_rejects_a_feasible_allocation_that_is_not_maxmin(self, rates):
+        assert not verify_bottleneck(*self.PARKING_LOT, rates)
 
     @pytest.mark.parametrize("capacity, weight", [(float("nan"), 1.0), (1.0, float("nan"))])
     def test_nan_capacity_or_weight_rejected(self, capacity, weight):
@@ -613,34 +686,62 @@ class TestExhaustivePruning:
         assert bare < weighted <= _pool_bound(combo[0], 7.0, caps)
 
     def test_prunes_fills_on_the_benchmark_shape(self, monkeypatch):
-        calls = 0
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return progressive_fill(*args)
-
         graph, apps = pooled_instance(random.Random(1))
         size = math.prod(
             math.comb(len(eligible_flows(graph, a)), a.workers_needed) for a in apps
         )
         assert size == 21**3
-        monkeypatch.setattr(fairshare, "progressive_fill", counted)
+        fills = count_fills(monkeypatch)
         best = assign_exhaustive(graph, apps)
-        # 3 fills check each app's candidates, then one per unpruned assignment
-        assert calls < size
+        assert len(fills) < size  # one fill per unpruned assignment
         monkeypatch.undo()
         assert best == unpruned_exhaustive(graph, apps)
 
-    def test_a_thousand_single_pool_apps_and_one_with_21_pools(self):
+    def test_a_thousand_single_pool_apps_and_one_with_21_pools(self, monkeypatch):
         # no recursion per app, and no cost per assignment beyond its fill
         graph, apps = many_app_instance()
         assert len(apps) == 1001
+        fills = count_fills(monkeypatch)
         start = time.perf_counter()
         best = assign_exhaustive(graph, apps)
         assert time.perf_counter() - start < 10.0
+        assert len(fills) == 21  # the candidates are checked without a fill
         assert all(best[a.id] == a.candidates for a in apps[:-1])
         assert best == unpruned_exhaustive(graph, apps)
+
+    def test_one_fill_when_every_app_has_one_pool(self, monkeypatch):
+        graph, apps = many_app_instance()
+        apps = apps[:-1]  # the 1000 apps that need both of their two candidates
+        fills = count_fills(monkeypatch)
+        best = assign_exhaustive(graph, apps)
+        assert len(fills) == 1
+        assert best == {a.id: a.candidates for a in apps}
+
+    @pytest.mark.parametrize(
+        "weight, gen_prob, message",
+        [
+            (float("nan"), 1.0, "flow (1, 2) has non-positive weight"),
+            (0.0, 1.0, "flow (1, 2) has non-positive weight"),
+            (1.0, 0.0, "edge 0 has non-positive capacity"),
+        ],
+    )
+    def test_bad_input_raises_as_maxmin_rates_does_before_any_fill(
+        self, monkeypatch, weight, gen_prob, message
+    ):
+        graph = line_graph([1.0, 1.0], gen_prob=gen_prob)
+        apps = [
+            Application(0, 0, 1.0, 1, frozenset({1, 2})),
+            Application(1, 0, weight, 1, frozenset({2})),
+        ]
+        flow_edges = {(a.id, f.worker): f.edges for a in apps for f in eligible_flows(graph, a)}
+        weights = {key: apps[key[0]].weight for key in flow_edges}
+        with pytest.raises(ValueError) as keyed:
+            maxmin_rates(flow_edges, graph.effective_capacities(), weights)
+        fills = count_fills(monkeypatch)
+        with pytest.raises(ValueError) as exhaustive:
+            assign_exhaustive(graph, apps)
+        assert str(exhaustive.value) == str(keyed.value) == message
+        assert fills == []
 
 
 def _greedy_full_sort(graph, apps):

@@ -23,7 +23,6 @@ from .routing import (
     NoPath,
     build_flows,
     edges_fidelity,
-    eligible_workers,
     host_flows,
     path_swap_prob,
 )

@@ -77,9 +77,8 @@ def stream_rng(master_seed: int, label: str) -> random.Random:
 
 
 def replication_seed(master_seed: int, index: int) -> int:
-    """Seed of replication ``index``: sha256 of 'replication:index:master'."""
-    digest = hashlib.sha256(f"replication:{index}:{master_seed}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
+    """Seed of replication ``index``: the stream seed labelled 'replication:index'."""
+    return stream_seed(master_seed, f"replication:{index}")
 
 
 def window_problems(slots: int, warmup_slots: int) -> list[str]:

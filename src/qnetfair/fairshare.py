@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .model import Application, Assignment, Flow, NetworkGraph
-from .routing import build_flows, eligible_flows, eligible_workers
+from .routing import build_flows, eligible_flows
 
 FlowKey = Hashable
 
@@ -58,18 +58,22 @@ def _checked_edge_sets(
     flow_weights: Mapping[FlowKey, float],
 ) -> dict[FlowKey, frozenset[int]]:
     """Each flow's set of edges, once ``progressive_fill`` is known to fill
-    them: ValueError unless every flow crosses an edge and has a positive
-    weight, and every crossed edge has a positive capacity."""
+    them: ValueError unless every flow crosses an edge and has a positive,
+    finite weight, and every crossed edge has a positive, finite capacity."""
     edge_sets = {f: frozenset(edges) for f, edges in flow_edges.items()}
     for f, edges in edge_sets.items():
         if not edges:
             raise ValueError(f"flow {f!r} crosses no edge")
         if not flow_weights[f] > 0:  # NaN too: it would never saturate an edge
             raise ValueError(f"flow {f!r} has non-positive weight")
+        if flow_weights[f] == math.inf:  # its fill limit would be 0 or NaN
+            raise ValueError(f"flow {f!r} has infinite weight")
     for edges in edge_sets.values():
         for e in edges:
             if not capacities[e] > 0:
                 raise ValueError(f"edge {e} has non-positive capacity")
+            if capacities[e] == math.inf:
+                raise ValueError(f"edge {e} has infinite capacity")
     return edge_sets
 
 
@@ -182,7 +186,7 @@ def assign_random(
     """
     out: Assignment = {}
     for app in sorted(apps, key=lambda a: a.id):
-        eligible = sorted(eligible_workers(graph, app))
+        eligible = [f.worker for f in eligible_flows(graph, app)]
         out[app.id] = frozenset(rng.sample(eligible, app.workers_needed))
     return out
 

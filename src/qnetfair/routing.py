@@ -111,11 +111,6 @@ def eligible_flows(graph: NetworkGraph, app: Application) -> list[Flow]:
     return flows
 
 
-def eligible_workers(graph: NetworkGraph, app: Application) -> frozenset[NodeId]:
-    """Worker ids of ``eligible_flows``; raises EmptyEligibleSet likewise."""
-    return frozenset(f.worker for f in eligible_flows(graph, app))
-
-
 def build_flows(
     graph: NetworkGraph, apps: Sequence[Application], assignment: Assignment
 ) -> dict[AppId, list[Flow]]:

@@ -13,6 +13,7 @@ from qnetfair import (
     NodeKind,
     QuantumLink,
 )
+from qnetfair.routing import eligible_flows
 
 
 def line_graph(fidelities, capacity=1, gen_prob=1.0, swap_q=1.0, kinds=None):
@@ -31,6 +32,11 @@ def line_graph(fidelities, capacity=1, gen_prob=1.0, swap_q=1.0, kinds=None):
         for i in range(n - 1)
     ]
     return NetworkGraph(nodes, links)
+
+
+def eligible_workers(graph, app):
+    """Worker ids of ``eligible_flows``; raises EmptyEligibleSet likewise."""
+    return frozenset(f.worker for f in eligible_flows(graph, app))
 
 
 def edges_along(graph, path):

@@ -227,12 +227,15 @@ class TestDiagnosticLines:
             (_extra_node_ids(10**30, 2),
              "nodes: ids must be dense integers from 0 to 3; 3 is missing, "
              "an integer of 31 digits is out of range"),
+            (_extra_node_ids(*range(2, 299), 100_000),
+             "nodes: ids must be dense integers from 0 to 299; 299 is missing, "
+             "100000 is out of range"),
         ],
         ids=["string_weight", "scalar_candidates", "string_candidate", "top_level_list",
              "object_nodes", "scalar_link", "missing_host", "missing_candidate",
              "zero_workers_needed", "zero_exhaustive_limit", "zero_slots", "ineligible_worker",
              "drr_too_few_eligible", "long_kind", "huge_endpoint", "long_candidate", "sparse_ids",
-             "repeated_id", "huge_id"],
+             "repeated_id", "huge_id", "sparse_ids_300_nodes"],
     )
     def test_one_exact_line(self, write_scenario, capsys, edit, line):
         assert main(["validate", "--config", write_scenario(edit(scenario_dict()))]) == 2

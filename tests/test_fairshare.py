@@ -8,7 +8,13 @@ from typing import Iterable, Mapping
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import edges_along, line_graph, shared_link_apps, shared_link_graph
+from conftest import (
+    edges_along,
+    eligible_workers,
+    line_graph,
+    shared_link_apps,
+    shared_link_graph,
+)
 from gen import (
     dumbbell_instance,
     many_app_instance,
@@ -27,7 +33,6 @@ from qnetfair import (
     assign_exhaustive,
     assign_greedy,
     assign_random,
-    eligible_workers,
     host_flows,
     jain_index,
     maxmin_rates,
@@ -723,6 +728,9 @@ class TestExhaustivePruning:
             (float("nan"), 1.0, "flow (1, 2) has non-positive weight"),
             (0.0, 1.0, "flow (1, 2) has non-positive weight"),
             (1.0, 0.0, "edge 0 has non-positive capacity"),
+            # no finite rate fills an infinite weight or capacity
+            (math.inf, 1.0, "flow (1, 2) has infinite weight"),
+            (1.0, math.inf, "edge 0 has infinite capacity"),
         ],
     )
     def test_bad_input_raises_as_maxmin_rates_does_before_any_fill(
@@ -800,8 +808,6 @@ class TestAssignmentValidity:
     """Every solver returns pools of exactly workers_needed eligible workers."""
 
     def test_solver_outputs_respect_pool_invariants(self):
-        from qnetfair import eligible_workers
-
         rng = random.Random(91)
         for _ in range(15):
             graph, apps = dumbbell_instance(rng)

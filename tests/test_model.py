@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import line_graph
+from conftest import eligible_workers, line_graph
 from qnetfair import (
     Application,
     AssignmentSource,
@@ -19,7 +19,6 @@ from qnetfair import (
     SimConfig,
     Traffic,
     ValidationError,
-    eligible_workers,
     validate_scenario,
 )
 from qnetfair.model import shown

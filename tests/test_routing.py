@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import edges_along, line_graph
+from conftest import edges_along, eligible_workers, line_graph
 from gen import random_connected_graph
 from qnetfair import (
     Application,
@@ -18,7 +18,6 @@ from qnetfair import (
     QuantumLink,
     build_flows,
     edges_fidelity,
-    eligible_workers,
     host_flows,
     path_swap_prob,
 )

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Worker-pool solver study: greedy and random baselines against the
-exhaustive optimum on small random dumbbell networks.
+exhaustive optimum on random 30-node networks, the shape of the
+``exhaustive-30`` benchmark (3 apps, each choosing 2 of 7 workers).
 
 Prints the distribution of min-weighted-rate ratios and how often each
 solver attains the optimum. Usage: python scripts/assignment_study.py
@@ -24,31 +25,36 @@ from qnetfair import (
 )
 
 
-def dumbbell(rng: random.Random):
-    a, b = rng.randint(2, 3), rng.randint(2, 3)
-    n = a + b
-    nodes = [Node(i, NodeKind.COMPUTATION, 1.0) for i in range(n)]
-    links, pairs = [], set()
-
-    def add(u, v, cap):
-        key = (min(u, v), max(u, v))
-        if key not in pairs:
-            pairs.add(key)
-            links.append(QuantumLink(len(links), key, cap, 1.0, 1.0))
-
-    for v in range(1, a):
-        add(rng.randrange(v), v, rng.randint(3, 4))
-    for v in range(a + 1, n):
-        add(rng.randrange(a, v), v, rng.randint(3, 4))
-    add(rng.randrange(a), rng.randrange(a, n), rng.randint(1, 2))
+def pooled(rng: random.Random):
+    """The exhaustive benchmark's shape: 30 nodes and 45 links (a random
+    recursive tree plus distinct chords), 12 computation nodes and lossy
+    repeaters elsewhere; 3 apps each need 2 of 7 computation candidates,
+    so each instance has 21**3 = 9261 assignments."""
+    computation = set(rng.sample(range(30), 12))
+    nodes = [
+        Node(i, NodeKind.COMPUTATION, 1.0)
+        if i in computation
+        else Node(i, NodeKind.REPEATER, rng.choice([0.9, 0.95, 0.99]))
+        for i in range(30)
+    ]
+    pairs = [(rng.randrange(v), v) for v in range(1, 30)]
+    seen = set(pairs)
+    while len(pairs) < 45:
+        u, v = sorted(rng.sample(range(30), 2))
+        if (u, v) not in seen:
+            seen.add((u, v))
+            pairs.append((u, v))
+    links = [
+        QuantumLink(i, pair, rng.randint(2, 4), rng.choice([0.5, 0.75, 0.9, 1.0]),
+                    rng.choice([0.98, 0.99, 1.0]))
+        for i, pair in enumerate(pairs)
+    ]
+    hosts = sorted(computation)
     apps = []
-    for i in range(rng.randint(2, 3)):
-        host = rng.randrange(a)
-        near = [x for x in range(a) if x != host]
-        cands = ([rng.choice(near)] if near else []) + rng.sample(
-            range(a, n), rng.randint(1, 2)
-        )
-        apps.append(Application(i, host, float(rng.choice([1.0, 2.0])), 1, frozenset(cands)))
+    for i in range(3):
+        host = rng.choice(hosts)
+        cands = rng.sample([c for c in hosts if c != host], 7)
+        apps.append(Application(i, host, float(rng.choice([1, 1, 2, 3])), 2, frozenset(cands)))
     return NetworkGraph(nodes, links), apps
 
 
@@ -58,7 +64,7 @@ def min_weighted(graph, apps, assignment) -> float:
 
 def main() -> int:
     parser = argparse.ArgumentParser()
-    parser.add_argument("--instances", type=int, default=200)
+    parser.add_argument("--instances", type=int, default=30)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
     if args.instances < 2:
@@ -68,7 +74,7 @@ def main() -> int:
     greedy_ratio, random_ratio = [], []
     greedy_optimal = 0
     for i in range(args.instances):
-        graph, apps = dumbbell(rng)
+        graph, apps = pooled(rng)
         exh = min_weighted(graph, apps, assign_exhaustive(graph, apps))
         grd = min_weighted(graph, apps, assign_greedy(graph, apps))
         rnd = statistics.fmean(

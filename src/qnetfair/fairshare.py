@@ -7,7 +7,7 @@ computation nodes join each application's worker pool. One kernel on flow
 indices, ``progressive_fill``, does all filling; ``maxmin_rates`` is its
 keyed, checked form, and ``assign_exhaustive`` checks each app's
 candidates as ``maxmin_rates`` would, then calls the kernel directly for
-each assignment that its capacity bound cannot rule out.
+each assignment that its two bounds cannot rule out.
 """
 from __future__ import annotations
 
@@ -236,9 +236,52 @@ def assign_greedy(graph: NetworkGraph, apps: Sequence[Application]) -> Assignmen
 def _pool_bound(pool: Sequence[Flow], weight: float, caps: Mapping[int, float]) -> float:
     """An upper bound on the weighted delivered rate an app gets from this
     pool, whatever the other pools: no flow's max-min rate exceeds its path's
-    least capacity. The factor covers the rounding of ``progressive_fill``."""
+    least capacity. The factor covers the rounding of ``progressive_fill``.
+    It is ``assign_exhaustive``'s cheap first filter; ``_contention_bounds``,
+    which needs the whole assignment, is the second."""
     peak = math.fsum(min([caps[e] for e in f.edges]) * f.swap_prob for f in pool)
     return peak / weight * (1 + 1e-9)
+
+
+def _contention_bounds(
+    apps: Sequence[Application], combo: Sequence[tuple], caps: Mapping[int, float]
+) -> list[float]:
+    """Upper bounds on each app's weighted delivered rate under one
+    assignment: ``combo`` holds each app's (pool, pool bound, pairs), where
+    pairs lists an (edge, flow weight) entry for each edge of each flow.
+
+    With W_e the flow weight crossing edge e, progressive filling first
+    saturates an edge at level t1 = min_e cap_e / W_e, and no flow freezes
+    below it, so every flow g gets at least w_g * t1. No edge is
+    overloaded, so on each edge e of its path a flow f gets at most
+    cap_e - t1 * (W_e - w_f). An app's bound is the ``fsum`` of its flows'
+    least such term times the flow's swap probability, over its weight.
+
+    This holds for ``progressive_fill``'s floats, not only in exact
+    arithmetic. An edge that a freeze level leaves unsaturated has a fill
+    limit above the kernel's cut, 1e-12 * max(level, 1) past the level. Its
+    exact limit only rises as flows freeze, and the rounding of its sums
+    moves it by far less than the cut, so no later level falls below the
+    first. The rates on an edge exceed its capacity by rounding alone, of
+    relative order 1e-16 per term. Lowering t1 by a factor 1 - 1e-9, which
+    also covers a first level summed in another order, and raising the
+    result by 1 + 1e-9 leave each edge's term a slack of about
+    5e-10 * cap_e: the first factor gives it where t1 * (W_e - w_f) exceeds
+    half of cap_e, the second where it does not.
+    """
+    load: dict[int, float] = {}
+    for _, _, pairs in combo:
+        for e, w in pairs:
+            load[e] = load.get(e, 0.0) + w
+    t1 = min([caps[e] / total for e, total in load.items()]) * (1 - 1e-9)
+    bounds = []
+    for app, (pool, _, _) in zip(apps, combo):
+        w = app.weight / app.workers_needed
+        peak = math.fsum(
+            [min([caps[e] - t1 * (load[e] - w) for e in f.edges]) * f.swap_prob for f in pool]
+        )
+        bounds.append(peak / app.weight * (1 + 1e-9))
+    return bounds
 
 
 def assign_exhaustive(
@@ -250,7 +293,10 @@ def assign_exhaustive(
 
     An assignment is skipped unfilled when the sorted bounds of its pools
     (``_pool_bound``) do not exceed the best score: each rate is at most its
-    bound, so its sorted rates could not either.
+    bound, so its sorted rates could not either. An assignment that passes
+    this test is skipped by the same rule when the sorted bounds that take
+    its contention into account (``_contention_bounds``) do not exceed the
+    best score. Neither test runs before a first score exists.
 
     Raises SearchSpaceTooLarge (with the assignment count) before building
     any pool when the product of per-app subset counts exceeds ``limit``.
@@ -261,22 +307,28 @@ def assign_exhaustive(
     if size > limit:
         raise SearchSpaceTooLarge(size, limit)
     caps = graph.effective_capacities()
-    for app, flows in zip(ordered, eligible):  # each candidate is checked once
+    shares = [a.weight / a.workers_needed for a in ordered]  # each app's flow weight
+    for app, flows, w in zip(ordered, eligible, shares):  # each candidate is checked once
         flow_edges = {(app.id, f.worker): f.edges for f in flows}
-        # a flow's weight, app.weight / workers_needed, has the sign of app.weight
-        _checked_edge_sets(flow_edges, caps, dict.fromkeys(flow_edges, app.weight))
+        _checked_edge_sets(flow_edges, caps, dict.fromkeys(flow_edges, w))
     # every assignment has the same flow weights: apps in id order, pools in worker order
-    weights = [a.weight / a.workers_needed for a in ordered for _ in range(a.workers_needed)]
-    options = [  # each app's pools, each with its bound
-        [(p, _pool_bound(p, a.weight, caps)) for p in itertools.combinations(f, a.workers_needed)]
-        for a, f in zip(ordered, eligible)
+    weights = [w for a, w in zip(ordered, shares) for _ in range(a.workers_needed)]
+    options = [  # each app's pools, each with its bound and its (edge, flow weight) pairs
+        [
+            (p, _pool_bound(p, a.weight, caps), [(e, w) for f in p for e in f.edges])
+            for p in itertools.combinations(f, a.workers_needed)
+        ]
+        for a, f, w in zip(ordered, eligible, shares)
     ]
     best: tuple | None = None
     best_score: tuple[float, ...] | None = None
     for combo in itertools.product(*options):
-        if best_score is not None and tuple(sorted([u for _, u in combo])) <= best_score:
+        if best_score is not None and (
+            tuple(sorted([u for _, u, _ in combo])) <= best_score
+            or tuple(sorted(_contention_bounds(ordered, combo, caps))) <= best_score
+        ):
             continue
-        flows = [f for pool, _ in combo for f in pool]
+        flows = [f for pool, _, _ in combo for f in pool]
         rates = progressive_fill(weights, [f.edges for f in flows], caps)
         delivered = iter([r * f.swap_prob for r, f in zip(rates, flows)])
         score = tuple(sorted(
@@ -285,4 +337,4 @@ def assign_exhaustive(
         if best_score is None or score > best_score:
             best, best_score = combo, score
     assert best is not None, "every app has at least one eligible pool"
-    return {app.id: frozenset(f.worker for f in pool) for app, (pool, _) in zip(ordered, best)}
+    return {app.id: frozenset(f.worker for f in pool) for app, (pool, _, _) in zip(ordered, best)}

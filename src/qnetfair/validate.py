@@ -32,6 +32,10 @@ from .scheduling import flow_cost, policy_problems, quantum_problems
 MAX_ARRIVAL_RATE = 30.0
 # stochastic sampling draws one trial per unit of capacity per link per slot
 MAX_CAPACITY = 1000
+# a flow's weight, weight / workers_needed, and the weighted rates stay
+# normal floats, and a sum of weights on an edge stays finite
+MIN_WEIGHT = 1e-15
+MAX_WEIGHT = 1e15
 
 _CAPACITY_INT_TOL = 1e-9
 
@@ -131,6 +135,10 @@ def _check_structure(
             diags.append(f"apps[{i}].weight: must be > 0, got {app.weight}")
         elif app.weight == inf:
             diags.append(f"apps[{i}].weight: must be finite, got {app.weight}")
+        elif not MIN_WEIGHT <= app.weight <= MAX_WEIGHT:
+            diags.append(
+                f"apps[{i}].weight: must be in [{MIN_WEIGHT:g}, {MAX_WEIGHT:g}], got {app.weight}"
+            )
         if app.workers_needed < 1:
             diags.append(
                 f"apps[{i}].workers_needed: must be >= 1, got {shown(app.workers_needed)}"

@@ -81,21 +81,39 @@ class TestValidateCommand:
         assert captured.err.splitlines() == [err]
 
     @pytest.mark.parametrize(
+        "command",
+        [["validate"], ["assign", "--solver", "exhaustive"], ["assign", "--solver", "greedy"],
+         ["run"]],
+        ids=["validate", "exhaustive", "greedy", "run"],
+    )
+    @pytest.mark.parametrize(
         "field, value, token",
         [
             ("weight", math.nan, "NaN"),
             ("weight", math.inf, "Infinity"),
             ("arrival_rate", math.nan, "NaN"),
             ("arrival_rate", math.inf, "Infinity"),
+            # a flow's share 5e-324 / 2 is 0.0; at 1e-320 a weighted rate is inf
+            ("weight", 5e-324, "5e-324"),
+            ("weight", 1e-320, "1e-320"),
+            ("weight", 1e308, "1e+308"),
         ],
     )
-    def test_non_finite_number_exits_two(self, write_scenario, capsys, field, value, token):
+    def test_non_finite_number_exits_two(
+        self, write_scenario, tmp_path, capsys, command, field, value, token
+    ):
         data = scenario_dict()
-        data["apps"][0][field] = value
+        data["apps"][0].update({field: value, "workers_needed": 2, "candidates": [1, 2]})
+        data["nodes"].append({"id": 2, "kind": "computation"})
+        data["links"].append(dict(data["links"][0], id=1, endpoints=[0, 2]))
         path = write_scenario(data)
         assert f'"{field}": {token}' in Path(path).read_text()  # Python's json reads it back
-        assert main(["validate", "--config", path]) == 2
-        assert capsys.readouterr().out.startswith(f"apps[0].{field}: must be")
+        argv = command + ["--config", path]
+        if command == ["run"]:
+            argv += ["--output-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1 and out[0].startswith(f"apps[0].{field}: must be")
 
 
     @pytest.mark.parametrize(

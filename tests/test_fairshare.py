@@ -39,7 +39,7 @@ from qnetfair import (
     predicted_app_rates,
 )
 from qnetfair import fairshare
-from qnetfair.fairshare import FlowKey, _pool_bound, progressive_fill
+from qnetfair.fairshare import FlowKey, _contention_bounds, _pool_bound, progressive_fill
 from qnetfair.routing import eligible_flows
 
 
@@ -166,6 +166,15 @@ def unpruned_exhaustive(graph, apps):
         if best_score is None or score > best_score:
             best, best_score = combo, score
     return {app.id: frozenset(f.worker for f in pool) for app, pool in zip(ordered, best)}
+
+
+def contention_bounds(apps, combo, caps):
+    """``_contention_bounds`` of one assignment, given each app's pool."""
+    rows = [
+        (pool, None, [(e, a.weight / a.workers_needed) for f in pool for e in f.edges])
+        for a, pool in zip(apps, combo)
+    ]
+    return _contention_bounds(apps, rows, caps)
 
 
 def with_swap_probs(graph, rng):
@@ -647,7 +656,12 @@ class TestExhaustiveOracle:
             graph, apps = random_assignment_instance(rng, n_apps=3)
             graph = with_swap_probs(graph, rng)
             apps = [
-                dataclasses.replace(a, workers_needed=2) if len(a.candidates) >= 3 else a
+                dataclasses.replace(
+                    a,
+                    workers_needed=2 if len(a.candidates) >= 3 else a.workers_needed,
+                    # one instance in five with weights from 1e-6 to 1e6
+                    weight=10.0 ** rng.uniform(-6, 6) if seed % 5 == 0 else a.weight,
+                )
                 for a in apps
             ]
             best = assign_exhaustive(graph, apps)
@@ -656,29 +670,55 @@ class TestExhaustiveOracle:
 
     def test_matches_unpruned_on_the_benchmark_shape(self):
         # 30 nodes, 3 apps choosing 2 of 7 candidates: 9261 assignments;
-        # the bound skips most of them on some seeds and none on others
-        for seed in range(4):
+        # _pool_bound alone skips all but 85 on seed 0 and none on 2, 3 and 7
+        for seed in (0, 1, 2, 3, 7):
             graph, apps = pooled_instance(random.Random(seed))
             assert assign_exhaustive(graph, apps) == unpruned_exhaustive(graph, apps), seed
 
 
 class TestExhaustivePruning:
-    """The bound that lets assign_exhaustive skip a fill is sound, and it
-    does skip."""
+    """The bounds that let assign_exhaustive skip a fill are sound, and they
+    do skip."""
 
-    def test_no_weighted_rate_exceeds_its_pool_bound(self):
-        ratios = []
+    @pytest.mark.parametrize("extremes", [False, True], ids=["drawn", "1e-15_and_1e15"])
+    def test_no_weighted_rate_exceeds_either_bound(self, extremes):
+        pool_ratios, contention_ratios = [], []
         for seed in range(60):
-            graph, apps = contended_pool_instance(random.Random(7000 + seed))
+            rng = random.Random(7000 + seed)
+            graph, apps = contended_pool_instance(rng)
+            if extremes:  # each app at the least or the greatest valid weight
+                apps = [dataclasses.replace(a, weight=rng.choice([1e-15, 1e15])) for a in apps]
             caps = graph.effective_capacities()
-            ordered = sorted(apps, key=lambda a: a.id)
-            for combo, weighted in scored_assignments(graph, ordered):
-                for app, pool, rate in zip(ordered, combo, weighted):
-                    bound = _pool_bound(pool, app.weight, caps)
-                    assert rate <= bound, (seed, app.id)
-                    ratios.append(rate / bound)
-        # an uncontended pool meets its bound, so the bound is not slack
-        assert max(ratios) > 1 - 1e-6
+            for combo, weighted in scored_assignments(graph, apps):
+                bounds = contention_bounds(apps, combo, caps)
+                for app, pool, rate, bound in zip(apps, combo, weighted, bounds):
+                    pool_bound = _pool_bound(pool, app.weight, caps)
+                    assert rate <= pool_bound and rate <= bound, (seed, app.id)
+                    pool_ratios.append(rate / pool_bound)
+                    contention_ratios.append(rate / bound)
+        # an uncontended pool meets both bounds, so neither is slack
+        assert max(pool_ratios) > 1 - 1e-6
+        assert max(contention_ratios) > 1 - 1e-6
+
+    def test_no_weighted_rate_exceeds_its_contention_bound_with_2000_flows_on_one_edge(self):
+        # every flow leaves host 0 over edge 0 to hub 1, then takes one of 40
+        # spokes; weights from 1e-15 to 1e15 freeze the flows at many levels
+        rng = random.Random(5)
+        graph = NetworkGraph(
+            [Node(i, NodeKind.COMPUTATION) for i in range(42)],
+            [QuantumLink(0, (0, 1), 1000, 1.0, 1.0)]
+            + [QuantumLink(i - 1, (1, i), rng.randint(1, 1000), 1.0, 1.0) for i in range(2, 42)],
+        )
+        apps = [
+            Application(i, 0, 10.0 ** rng.uniform(-15, 15), 2,
+                        frozenset({2 + i % 40, 2 + (i + 1) % 40}))
+            for i in range(1000)
+        ]
+        caps = graph.effective_capacities()
+        [(combo, weighted)] = scored_assignments(graph, apps)
+        assert sum(0 in f.edges for pool in combo for f in pool) == 2000
+        bounds = contention_bounds(apps, combo, caps)
+        assert all(rate <= bound for rate, bound in zip(weighted, bounds))
 
     def test_rounding_can_lift_a_rate_past_the_bare_capacity_bound(self):
         # one flow alone on its path gets weight * (0.9 / weight), and at
@@ -690,17 +730,18 @@ class TestExhaustivePruning:
         bare = math.fsum(min(caps[e] for e in f.edges) * f.swap_prob for f in combo[0]) / 7.0
         assert bare < weighted <= _pool_bound(combo[0], 7.0, caps)
 
-    def test_prunes_fills_on_the_benchmark_shape(self, monkeypatch):
-        graph, apps = pooled_instance(random.Random(1))
+    # _pool_bound alone skips no assignment of seeds 2, 3 and 7; the
+    # unpruned oracle checks the result of each seed
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7])
+    def test_prunes_fills_on_the_benchmark_shape(self, monkeypatch, seed):
+        graph, apps = pooled_instance(random.Random(seed))
         size = math.prod(
             math.comb(len(eligible_flows(graph, a)), a.workers_needed) for a in apps
         )
         assert size == 21**3
         fills = count_fills(monkeypatch)
-        best = assign_exhaustive(graph, apps)
+        assign_exhaustive(graph, apps)
         assert len(fills) < size  # one fill per unpruned assignment
-        monkeypatch.undo()
-        assert best == unpruned_exhaustive(graph, apps)
 
     def test_a_thousand_single_pool_apps_and_one_with_21_pools(self, monkeypatch):
         # no recursion per app, and no cost per assignment beyond its fill
@@ -710,7 +751,9 @@ class TestExhaustivePruning:
         start = time.perf_counter()
         best = assign_exhaustive(graph, apps)
         assert time.perf_counter() - start < 10.0
-        assert len(fills) == 21  # the candidates are checked without a fill
+        # at most one fill per assignment, as the candidates are checked
+        # without one; the contention bound skips some of the 21
+        assert len(fills) < 21
         assert all(best[a.id] == a.candidates for a in apps[:-1])
         assert best == unpruned_exhaustive(graph, apps)
 
@@ -721,6 +764,15 @@ class TestExhaustivePruning:
         best = assign_exhaustive(graph, apps)
         assert len(fills) == 1
         assert best == {a.id: a.candidates for a in apps}
+
+    def test_a_flow_weight_that_underflows_raises_before_any_fill(self, monkeypatch):
+        # the app's weight is positive, but 5e-324 / 2 rounds to 0.0
+        graph = line_graph([1.0, 1.0])
+        apps = [Application(0, 0, 5e-324, 2, frozenset({1, 2}))]
+        fills = count_fills(monkeypatch)
+        with pytest.raises(ValueError, match=r"^flow \(0, 1\) has non-positive weight$"):
+            assign_exhaustive(graph, apps)
+        assert fills == []
 
     @pytest.mark.parametrize(
         "weight, gen_prob, message",

@@ -14,8 +14,8 @@ as the bundled ones do:
   mode set as ``sim.replications`` is; the ``sweep`` case sweeps
   ``policy`` over RR, WRR and DRR on net60 and hashes both sweep CSVs.
 - ``pooled2`` is ``gen.pooled_instance`` seed 2, 3 apps choosing 2 of 7
-  workers on 30 nodes, where the exhaustive solver's bound prunes no
-  assignment.
+  workers on 30 nodes, where the exhaustive solver's pool bound prunes no
+  assignment and its contention bound prunes all but 212 of the 9261.
 
 A change that alters any output byte fails here. A change that alters
 outputs on purpose (new RNG draws, new formatting) regenerates the file

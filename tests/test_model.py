@@ -22,7 +22,7 @@ from qnetfair import (
     validate_scenario,
 )
 from qnetfair.model import shown
-from qnetfair.validate import MAX_CAPACITY
+from qnetfair.validate import MAX_CAPACITY, MAX_WEIGHT, MIN_WEIGHT
 
 
 def minimal_graph():
@@ -248,6 +248,12 @@ class TestConfigDiagnostics:
             ("weight", math.nan, "apps[0].weight: must be > 0, got nan"),
             ("weight", math.inf, "apps[0].weight: must be finite, got inf"),
             ("weight", -math.inf, "apps[0].weight: must be > 0, got -inf"),
+            # finite, but a flow's share underflows or the weighted rates leave the normal floats
+            ("weight", 5e-324, "apps[0].weight: must be in [1e-15, 1e+15], got 5e-324"),
+            ("weight", 1e-320, "apps[0].weight: must be in [1e-15, 1e+15], got 1e-320"),
+            ("weight", 9.99e-16, "apps[0].weight: must be in [1e-15, 1e+15], got 9.99e-16"),
+            ("weight", 1.01e15, "apps[0].weight: must be in [1e-15, 1e+15], got 1010000000000000.0"),
+            ("weight", 1e308, "apps[0].weight: must be in [1e-15, 1e+15], got 1e+308"),
             ("arrival_rate", math.nan, "apps[0].arrival_rate: must be >= 0, got nan"),
             ("arrival_rate", math.inf, "apps[0].arrival_rate: must be finite, got inf"),
             ("arrival_rate", -math.inf, "apps[0].arrival_rate: must be >= 0, got -inf"),
@@ -258,6 +264,11 @@ class TestConfigDiagnostics:
         apps = [dataclasses.replace(minimal_apps()[0], **{field: value})]
         diags = diags_of(minimal_graph(), apps, minimal_config(traffic=traffic))
         assert diags == [text]  # one diagnostic, not also the Poisson rate bound
+
+    @pytest.mark.parametrize("weight", [MIN_WEIGHT, MAX_WEIGHT])
+    def test_weight_bounds_are_inclusive(self, weight):
+        apps = [dataclasses.replace(minimal_apps()[0], weight=weight)]
+        validate_scenario(minimal_graph(), apps, minimal_config())
 
     def test_finite_weight_and_rate_texts_unchanged(self):
         apps = [Application(0, 0, -1.0, 1, frozenset({1}), arrival_rate=-0.5)]
@@ -309,13 +320,13 @@ class TestDRRQuantumDiagnostics:
     def test_quantum_must_be_a_finite_float(self):
         apps = [
             Application(0, 0, 1.0, 1, frozenset({1})),
-            Application(1, 0, 1e308, 1, frozenset({1})),
+            Application(1, 0, MAX_WEIGHT, 1, frozenset({1})),
         ]
         text = (
             "DRR quantum sim.quantum_base * weight must be finite and >= 0.001 "
             "(flow cost 1 / 1000 passes), got inf"
         )
-        config = minimal_config(policy=Policy.DRR, quantum_base=10)
+        config = minimal_config(policy=Policy.DRR, quantum_base=10**294)
         assert diags_of(minimal_graph(), apps, config) == [f"apps[1].weight: {text}"]
         config = minimal_config(policy=Policy.DRR, quantum_base=10**400)  # int * float overflows
         assert diags_of(minimal_graph(), apps, config) == [

@@ -15,13 +15,15 @@ capacity, link by link. The tests keep the per-link trial loop as the
 reference it must equal, draw for draw. In deterministic mode it hands
 each slot a copy of one precomputed list.
 
-The slot loop reads SlotGrants as schedule_slot returns them: lists by
-dense link id and counts by flat flow index, the scheduler's numbering
-of flows in (app id, worker) order. Successes, the conservation check and
-the metric sums run on those indices; grants and successes add up per
-flow and fold into apps and edges after the last slot. A run given
-``on_slot`` hands it one SlotLedger per slot, once the slot's
-conservation check has passed, and keeps none: the ledger holds the
+The sampler's lists go to the scheduler's slot kernel without the checks
+that ``schedule_slot`` makes on a caller's list: the program built them, a
+non-negative int for every link. The slot loop reads SlotGrants as the
+kernel returns them: lists by dense link id and counts by flat flow index,
+the scheduler's numbering of flows in (app id, worker) order. Successes,
+the conservation check and the metric sums run on those indices; grants
+and successes add up per flow and fold into apps and edges after the last
+slot. A run given ``on_slot`` hands it one SlotLedger per slot, once the
+slot's conservation check has passed, and keeps none: the ledger holds the
 slot's sampled and residual lists as they are, both fresh each slot, and
 only its counts are re-keyed by (app, worker).
 """
@@ -62,8 +64,8 @@ from .scheduling import (
     ConfigError,
     SchedulerState,
     SlotGrants,
+    _schedule_slot,
     enqueue_arrivals,
-    schedule_slot,
 )
 
 def stream_seed(master_seed: int, label: str) -> int:
@@ -293,7 +295,7 @@ def run(
         if cfg.traffic is Traffic.POISSON:
             arrivals = {a.id: poisson_sample(a.arrival_rate, rng_arrival) for a in state.apps}
             enqueue_arrivals(state, slot, arrivals)
-        result = schedule_slot(state, sampled)
+        result = _schedule_slot(state, sampled)
         grants = result.per_flow
         successes = resolve_successes(grants, rng_success, order)
         _verify_slot(slot, sampled, result, successes, state)

@@ -5,9 +5,9 @@ fluid model of the network) serves both as the oracle that scheduling
 disciplines are compared against and as the objective for choosing which
 computation nodes join each application's worker pool. One kernel on flow
 indices, ``progressive_fill``, does all filling; ``maxmin_rates`` is its
-keyed, checked form, and ``assign_exhaustive`` checks each app's
-candidates as ``maxmin_rates`` would, then calls the kernel directly for
-each assignment that its two bounds cannot rule out.
+keyed, checked form, and ``assign_exhaustive`` checks every app's
+candidates at once as ``maxmin_rates`` would, then calls the kernel
+directly for each assignment that its two bounds cannot rule out.
 """
 from __future__ import annotations
 
@@ -59,8 +59,13 @@ def _checked_edge_sets(
 ) -> dict[FlowKey, frozenset[int]]:
     """Each flow's set of edges, once ``progressive_fill`` is known to fill
     them: ValueError unless every flow crosses an edge and has a positive,
-    finite weight, and every crossed edge has a positive, finite capacity."""
+    finite weight, and every crossed edge has a positive, finite capacity,
+    a finite sum of the weights that cross it, and a finite capacity over
+    the least of them. A fill limit is what is left of a capacity over a
+    sum of some of those weights, so every limit is then finite, for these
+    flows and for any subset of them."""
     edge_sets = {f: frozenset(edges) for f, edges in flow_edges.items()}
+    crossing: dict[int, list[float]] = {}  # each edge's flow weights, in flow order
     for f, edges in edge_sets.items():
         if not edges:
             raise ValueError(f"flow {f!r} crosses no edge")
@@ -68,12 +73,15 @@ def _checked_edge_sets(
             raise ValueError(f"flow {f!r} has non-positive weight")
         if flow_weights[f] == math.inf:  # its fill limit would be 0 or NaN
             raise ValueError(f"flow {f!r} has infinite weight")
-    for edges in edge_sets.values():
         for e in edges:
-            if not capacities[e] > 0:
-                raise ValueError(f"edge {e} has non-positive capacity")
-            if capacities[e] == math.inf:
-                raise ValueError(f"edge {e} has infinite capacity")
+            crossing.setdefault(e, []).append(flow_weights[f])
+    for e, weights in crossing.items():
+        if not capacities[e] > 0:
+            raise ValueError(f"edge {e} has non-positive capacity")
+        if capacities[e] == math.inf:
+            raise ValueError(f"edge {e} has infinite capacity")
+        if sum(weights) == math.inf or capacities[e] / min(weights) == math.inf:
+            raise ValueError(f"edge {e} has a weight sum or fill limit beyond the float range")
     return edge_sets
 
 
@@ -244,11 +252,16 @@ def _pool_bound(pool: Sequence[Flow], weight: float, caps: Mapping[int, float]) 
 
 
 def _contention_bounds(
-    apps: Sequence[Application], combo: Sequence[tuple], caps: Mapping[int, float]
+    apps: Sequence[Application],
+    pools: Sequence[Sequence[Flow]],
+    load: Mapping[int, float],
+    caps: Mapping[int, float],
+    floor: float,
 ) -> list[float]:
-    """Upper bounds on each app's weighted delivered rate under one
-    assignment: ``combo`` holds each app's (pool, pool bound, pairs), where
-    pairs lists an (edge, flow weight) entry for each edge of each flow.
+    """Upper bounds on the weighted delivered rates of ``apps`` with these
+    ``pools`` under one assignment, whose flows put weight ``load[e]`` on
+    each edge e they cross. The bounds follow the order of ``apps`` and
+    end after the first one below ``floor``.
 
     With W_e the flow weight crossing edge e, progressive filling first
     saturates an edge at level t1 = min_e cap_e / W_e, and no flow freezes
@@ -269,18 +282,16 @@ def _contention_bounds(
     5e-10 * cap_e: the first factor gives it where t1 * (W_e - w_f) exceeds
     half of cap_e, the second where it does not.
     """
-    load: dict[int, float] = {}
-    for _, _, pairs in combo:
-        for e, w in pairs:
-            load[e] = load.get(e, 0.0) + w
     t1 = min([caps[e] / total for e, total in load.items()]) * (1 - 1e-9)
     bounds = []
-    for app, (pool, _, _) in zip(apps, combo):
+    for app, pool in zip(apps, pools):
         w = app.weight / app.workers_needed
         peak = math.fsum(
             [min([caps[e] - t1 * (load[e] - w) for e in f.edges]) * f.swap_prob for f in pool]
         )
         bounds.append(peak / app.weight * (1 + 1e-9))
+        if bounds[-1] < floor:
+            break
     return bounds
 
 
@@ -291,12 +302,21 @@ def assign_exhaustive(
     maximum of the ascending-sorted weighted delivered rates (those of
     ``predicted_app_rates``); among equals, the first one enumerated.
 
-    An assignment is skipped unfilled when the sorted bounds of its pools
-    (``_pool_bound``) do not exceed the best score: each rate is at most its
-    bound, so its sorted rates could not either. An assignment that passes
-    this test is skipped by the same rule when the sorted bounds that take
-    its contention into account (``_contention_bounds``) do not exceed the
-    best score. Neither test runs before a first score exists.
+    The search chooses pools app by app, in id order, from an explicit
+    stack of indices, so assignments come in ``itertools.product`` order.
+    Once a best score exists, a prefix is dropped with all its completions
+    when its chosen pools' bounds (``_pool_bound``), padded with each later
+    app's greatest pool bound, sort to a vector that does not exceed the
+    best score: every completion's sorted bounds are at most that vector
+    element by element, and each rate is at most its bound. A level whose
+    app has one pool repeats its parent's test, so it makes none. A whole
+    assignment that passes is dropped by the same rule when the bounds that
+    take its contention into account (``_contention_bounds``) do not exceed
+    the best score. They come in ascending order of pool bound and stop at
+    the first below the best score's least rate, which alone rules the
+    assignment out. Each prefix keeps the flow weight on each edge of its
+    pools and extends a copy of it by the next pool's flows, so that the
+    contention bound reads the same sums as a whole assignment would.
 
     Raises SearchSpaceTooLarge (with the assignment count) before building
     any pool when the product of per-app subset counts exceeds ``limit``.
@@ -308,9 +328,13 @@ def assign_exhaustive(
         raise SearchSpaceTooLarge(size, limit)
     caps = graph.effective_capacities()
     shares = [a.weight / a.workers_needed for a in ordered]  # each app's flow weight
-    for app, flows, w in zip(ordered, eligible, shares):  # each candidate is checked once
-        flow_edges = {(app.id, f.worker): f.edges for f in flows}
-        _checked_edge_sets(flow_edges, caps, dict.fromkeys(flow_edges, w))
+    # every candidate at once: no assignment's sums can then leave the float range
+    flow_edges, flow_weights = {}, {}
+    for app, flows, w in zip(ordered, eligible, shares):
+        for f in flows:
+            flow_edges[(app.id, f.worker)] = f.edges
+            flow_weights[(app.id, f.worker)] = w
+    _checked_edge_sets(flow_edges, caps, flow_weights)
     # every assignment has the same flow weights: apps in id order, pools in worker order
     weights = [w for a, w in zip(ordered, shares) for _ in range(a.workers_needed)]
     options = [  # each app's pools, each with its bound and its (edge, flow weight) pairs
@@ -320,21 +344,53 @@ def assign_exhaustive(
         ]
         for a, f, w in zip(ordered, eligible, shares)
     ]
-    best: tuple | None = None
+    n = len(ordered)
+    tops = [max([u for _, u, _ in opts]) for opts in options]  # each app's greatest bound
+    # the prefix of apps 0..k-1: the option picked for each, their pool bounds
+    # padded with the later apps' tops, and loads[j], the W_e of apps before j
+    picks = [-1] * n
+    bounds = tops.copy()
+    loads: list[dict[int, float]] = [{} for _ in range(n + 1)]
+    best: list | None = None
     best_score: tuple[float, ...] | None = None
-    for combo in itertools.product(*options):
-        if best_score is not None and (
-            tuple(sorted([u for _, u, _ in combo])) <= best_score
-            or tuple(sorted(_contention_bounds(ordered, combo, caps))) <= best_score
-        ):
+    k = 0
+    while k >= 0:
+        if k == n:  # a whole assignment; then on to the last app's next pool
+            k -= 1
+            combo = [opts[i][0] for opts, i in zip(options, picks)]
+            if best_score is not None:
+                rank = sorted(range(n), key=bounds.__getitem__)
+                contention = _contention_bounds(
+                    [ordered[i] for i in rank], [combo[i] for i in rank], loads[n], caps,
+                    best_score[0],
+                )
+                # a list cut short at a bound below best_score[0] sorts below it too
+                if tuple(sorted(contention)) <= best_score:
+                    continue
+            flows = [f for pool in combo for f in pool]
+            rates = progressive_fill(weights, [f.edges for f in flows], caps)
+            delivered = iter([r * f.swap_prob for r, f in zip(rates, flows)])
+            score = tuple(sorted(
+                math.fsum(itertools.islice(delivered, a.workers_needed)) / a.weight
+                for a in ordered
+            ))
+            if best_score is None or score > best_score:
+                best, best_score = combo, score
             continue
-        flows = [f for pool, _, _ in combo for f in pool]
-        rates = progressive_fill(weights, [f.edges for f in flows], caps)
-        delivered = iter([r * f.swap_prob for r, f in zip(rates, flows)])
-        score = tuple(sorted(
-            math.fsum(itertools.islice(delivered, a.workers_needed)) / a.weight for a in ordered
-        ))
-        if best_score is None or score > best_score:
-            best, best_score = combo, score
+        picks[k] += 1
+        if picks[k] == len(options[k]):  # back to app k - 1's next pool
+            picks[k] = -1
+            bounds[k] = tops[k]
+            k -= 1
+            continue
+        _, bounds[k], pairs = options[k][picks[k]]
+        # with one pool, app k would repeat the test that app k - 1 just passed
+        if best_score is not None and len(options[k]) > 1 and tuple(sorted(bounds)) <= best_score:
+            continue
+        load = loads[k].copy()
+        for e, w in pairs:
+            load[e] = load.get(e, 0.0) + w
+        loads[k + 1] = load
+        k += 1
     assert best is not None, "every app has at least one eligible pool"
-    return {app.id: frozenset(f.worker for f in pool) for app, (pool, _, _) in zip(ordered, best)}
+    return {app.id: frozenset(f.worker for f in pool) for app, pool in zip(ordered, best)}

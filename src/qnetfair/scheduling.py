@@ -368,6 +368,13 @@ def schedule_slot(state: SchedulerState, capacities: list[int]) -> SlotGrants:
         raise ValueError(f"sampled capacity of edge {e} must be a non-negative integer")
     if len(capacities) < state.links_needed:
         raise ValueError(f"capacity list too short: {len(capacities)} < {state.links_needed} links")
+    return _schedule_slot(state, capacities)
+
+
+def _schedule_slot(state: SchedulerState, capacities: list[int]) -> SlotGrants:
+    """``schedule_slot`` without its checks, for a list that the program
+    built itself, such as ``engine.run``'s sampled capacities: a
+    non-negative int for each link id up to ``state.links_needed``."""
     ctx = SlotGrants(
         capacities.copy(), _live=[True] * len(state.flows), _live_count=state.flow_count.copy()
     )

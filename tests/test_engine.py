@@ -194,7 +194,7 @@ class TestVerifySlot:
         scenario = make_scenario(
             line_graph([1.0, 1.0]), [Application(0, 0, 1.0, 1, frozenset({2}))]
         )
-        schedule_slot, resolve_successes = engine.schedule_slot, engine.resolve_successes
+        schedule_slot, resolve_successes = engine._schedule_slot, engine.resolve_successes
 
         def kernel(state, sampled):
             result = schedule_slot(state, sampled)
@@ -208,7 +208,7 @@ class TestVerifySlot:
                 success_hook(done)
             return done
 
-        with mock.patch.object(engine, "schedule_slot", kernel), \
+        with mock.patch.object(engine, "_schedule_slot", kernel), \
                 mock.patch.object(engine, "resolve_successes", successes):
             return run(scenario)
 

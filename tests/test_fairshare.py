@@ -168,13 +168,21 @@ def unpruned_exhaustive(graph, apps):
     return {app.id: frozenset(f.worker for f in pool) for app, pool in zip(ordered, best)}
 
 
+def edge_load(apps, combo) -> dict[int, float]:
+    """The flow weight that one assignment, each app's pool, puts on each
+    edge it crosses."""
+    load: dict[int, float] = {}
+    for a, pool in zip(apps, combo):
+        for f in pool:
+            for e in f.edges:
+                load[e] = load.get(e, 0.0) + a.weight / a.workers_needed
+    return load
+
+
 def contention_bounds(apps, combo, caps):
-    """``_contention_bounds`` of one assignment, given each app's pool."""
-    rows = [
-        (pool, None, [(e, a.weight / a.workers_needed) for f in pool for e in f.edges])
-        for a, pool in zip(apps, combo)
-    ]
-    return _contention_bounds(apps, rows, caps)
+    """``_contention_bounds`` of one assignment, given each app's pool: all
+    of them, in the order of ``apps``."""
+    return _contention_bounds(apps, combo, edge_load(apps, combo), caps, -math.inf)
 
 
 def with_swap_probs(graph, rng):
@@ -262,6 +270,12 @@ class TestMaxminRates:
         # a NaN fill limit never saturates, so filling would not finish
         with pytest.raises(ValueError, match="non-positive"):
             maxmin_rates({0: (1,), 1: (0,)}, {0: 1.0, 1: capacity}, {0: weight, 1: 1.0})
+
+    def test_a_fill_limit_beyond_the_float_range_after_a_freeze_rejected(self):
+        # 1e10 over both weights is finite, but once A freezes on edge 1,
+        # edge 0's limit is what is left over B's weight alone: inf
+        with pytest.raises(ValueError, match="^edge 0 has a weight sum or fill limit beyond"):
+            maxmin_rates({"A": (0, 1), "B": (0,)}, {0: 1e10, 1: 1.0}, {"A": 1.0, "B": 1e-300})
 
     def test_equals_reference_on_random_instances(self):
         rng = random.Random(6060)
@@ -731,22 +745,60 @@ class TestExhaustivePruning:
         assert bare < weighted <= _pool_bound(combo[0], 7.0, caps)
 
     # _pool_bound alone skips no assignment of seeds 2, 3 and 7; the
-    # unpruned oracle checks the result of each seed
-    @pytest.mark.parametrize("seed", [1, 2, 3, 7])
-    def test_prunes_fills_on_the_benchmark_shape(self, monkeypatch, seed):
+    # unpruned oracle checks the result of each seed. The counts are those of
+    # the search that tested each whole assignment on its own: pruning a
+    # prefix skips only assignments that test would skip, so the same ones
+    # reach the contention bound and the same ones are filled
+    @pytest.mark.parametrize(
+        "seed, filled, contended",
+        [(1, 965, 6173), (2, 212, 9260), (3, 2484, 9260), (7, 2137, 9260)],
+    )
+    def test_prunes_fills_on_the_benchmark_shape(self, monkeypatch, seed, filled, contended):
         graph, apps = pooled_instance(random.Random(seed))
         size = math.prod(
             math.comb(len(eligible_flows(graph, a)), a.workers_needed) for a in apps
         )
         assert size == 21**3
         fills = count_fills(monkeypatch)
-        assign_exhaustive(graph, apps)
-        assert len(fills) < size  # one fill per unpruned assignment
+        computed = []  # the number of app bounds each _contention_bounds call returns
 
-    def test_a_thousand_single_pool_apps_and_one_with_21_pools(self, monkeypatch):
-        # no recursion per app, and no cost per assignment beyond its fill
+        def counted(*args):
+            bounds = _contention_bounds(*args)
+            computed.append(len(bounds))
+            return bounds
+
+        monkeypatch.setattr(fairshare, "_contention_bounds", counted)
+        assign_exhaustive(graph, apps)
+        assert len(fills) == filled < size  # one fill per unpruned assignment
+        assert len(computed) == contended
+        # the bounds stop at the first that rules the assignment out
+        assert sum(computed) < len(apps) * contended
+
+    def test_contention_bounds_stop_only_below_the_floor(self):
+        # a list cut short at a bound equal to the best score's least rate
+        # would sort below a score it can beat: (x,) < (x, y, z)
+        graph, apps = pooled_instance(random.Random(2))
+        caps = graph.effective_capacities()
+        combo = [eligible_flows(graph, a)[:2] for a in apps]
+        load = edge_load(apps, combo)
+        bounds = contention_bounds(apps, combo, caps)
+        least = min(bounds)
+        assert bounds.index(least) < len(bounds) - 1
+        assert _contention_bounds(apps, combo, load, caps, least) == bounds
+        above = math.nextafter(bounds[0], math.inf)
+        assert _contention_bounds(apps, combo, load, caps, above) == bounds[:1]
+
+    @pytest.mark.parametrize("chooser_first", [False, True], ids=["chooser_last", "chooser_first"])
+    def test_a_thousand_single_pool_apps_and_one_with_21_pools(self, monkeypatch, chooser_first):
+        # no recursion per app, and no cost per assignment beyond its fill;
+        # with the 21-pool app first, each of its pools descends through all
+        # 1000 single-pool apps
         graph, apps = many_app_instance()
         assert len(apps) == 1001
+        chooser = apps[-1]
+        if chooser_first:
+            chooser = dataclasses.replace(chooser, id=0)
+            apps = [chooser] + [dataclasses.replace(a, id=a.id + 1) for a in apps[:-1]]
         fills = count_fills(monkeypatch)
         start = time.perf_counter()
         best = assign_exhaustive(graph, apps)
@@ -754,7 +806,7 @@ class TestExhaustivePruning:
         # at most one fill per assignment, as the candidates are checked
         # without one; the contention bound skips some of the 21
         assert len(fills) < 21
-        assert all(best[a.id] == a.candidates for a in apps[:-1])
+        assert all(best[a.id] == a.candidates for a in apps if a is not chooser)
         assert best == unpruned_exhaustive(graph, apps)
 
     def test_one_fill_when_every_app_has_one_pool(self, monkeypatch):
@@ -775,28 +827,35 @@ class TestExhaustivePruning:
         assert fills == []
 
     @pytest.mark.parametrize(
-        "weight, gen_prob, message",
+        "weights, gen_prob, message",
         [
-            (float("nan"), 1.0, "flow (1, 2) has non-positive weight"),
-            (0.0, 1.0, "flow (1, 2) has non-positive weight"),
-            (1.0, 0.0, "edge 0 has non-positive capacity"),
+            ((1.0, float("nan")), 1.0, "flow (1, 2) has non-positive weight"),
+            ((1.0, 0.0), 1.0, "flow (1, 2) has non-positive weight"),
+            ((1.0, 1.0), 0.0, "edge 0 has non-positive capacity"),
             # no finite rate fills an infinite weight or capacity
-            (math.inf, 1.0, "flow (1, 2) has infinite weight"),
-            (1.0, math.inf, "edge 0 has infinite capacity"),
+            ((1.0, math.inf), 1.0, "flow (1, 2) has infinite weight"),
+            ((1.0, 1.0), math.inf, "edge 0 has infinite capacity"),
+            # two flows of 1e308 sum to inf on edge 0, so every fill limit
+            # there would be 0; capacity 1 over 1e-309 fills to inf
+            ((1e308, 1.0), 1.0, "edge 0 has a weight sum or fill limit beyond the float range"),
+            ((1e-309, 1e-309), 1.0,
+             "edge 0 has a weight sum or fill limit beyond the float range"),
         ],
+        ids=["nan_weight", "zero_weight", "zero_capacity", "infinite_weight", "infinite_capacity",
+             "weight_sum_overflows", "fill_limit_overflows"],
     )
     def test_bad_input_raises_as_maxmin_rates_does_before_any_fill(
-        self, monkeypatch, weight, gen_prob, message
+        self, monkeypatch, weights, gen_prob, message
     ):
         graph = line_graph([1.0, 1.0], gen_prob=gen_prob)
         apps = [
-            Application(0, 0, 1.0, 1, frozenset({1, 2})),
-            Application(1, 0, weight, 1, frozenset({2})),
+            Application(0, 0, weights[0], 1, frozenset({1, 2})),
+            Application(1, 0, weights[1], 1, frozenset({2})),
         ]
         flow_edges = {(a.id, f.worker): f.edges for a in apps for f in eligible_flows(graph, a)}
-        weights = {key: apps[key[0]].weight for key in flow_edges}
+        flow_weights = {key: apps[key[0]].weight for key in flow_edges}
         with pytest.raises(ValueError) as keyed:
-            maxmin_rates(flow_edges, graph.effective_capacities(), weights)
+            maxmin_rates(flow_edges, graph.effective_capacities(), flow_weights)
         fills = count_fills(monkeypatch)
         with pytest.raises(ValueError) as exhaustive:
             assign_exhaustive(graph, apps)

@@ -133,6 +133,7 @@ class NetworkGraph:
     def __init__(self, nodes: Iterable[Node], links: Iterable[QuantumLink]):
         self.nodes: tuple[Node, ...] = tuple(nodes)
         self.links: tuple[QuantumLink, ...] = tuple(links)
+        # routing reads these three dicts directly on its hot paths
         self._nodes = {n.id: n for n in self.nodes}
         self._links = {l.id: l for l in self.links}
         adj: dict[NodeId, list[tuple[NodeId, EdgeId]]] = {n.id: [] for n in self.nodes}

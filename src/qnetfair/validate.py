@@ -1,11 +1,14 @@
 """Scenario validation: every model invariant, checked in one place.
 
-Validation is pure (same input, same diagnostics, no mutation) and
-reports one diagnostic per violation with a path-like locator such as
+Validation gives the same diagnostics for the same input, changes
+nothing but the graph's route memo, and reports one diagnostic per
+violation with a path-like locator such as
 ``apps[2].candidates: node 7 is a repeater``. Structural problems are
 reported first; derived checks (eligibility, DRR quanta, given pools)
 run only once the structure is sound, since they need resolvable paths.
-The Scenario keeps no eligibility: the solvers ask routing for it.
+They start by routing every host to all its apps' candidates in one
+``routing.route`` call. The Scenario keeps no eligibility: the solvers
+read it from the routes.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from .model import (
     shown,
 )
 from .engine import window_problems
-from .routing import EmptyEligibleSet, eligible_flows
+from .routing import EmptyEligibleSet, eligible_flows, route
 from .scheduling import flow_cost, policy_problems, quantum_problems
 
 # exact Poisson sampling stays numerically safe up to this rate
@@ -190,6 +193,11 @@ def validate_scenario(
     if diags:
         raise ValidationError(diags)
 
+    # each host once, with all its apps' candidates; hosts in app order
+    requests: dict[int, set[int]] = {}
+    for app in apps:
+        requests.setdefault(app.host, set()).update(app.candidates)
+    route(graph, requests)
     eligible: dict[int, frozenset[int]] = {}
     max_cost: dict[int, int] = {}  # of the app's dearest eligible flow
     for i, app in enumerate(apps):

@@ -173,6 +173,47 @@ def pooled_instance(rng: random.Random):
     return NetworkGraph(nodes, links), apps
 
 
+def tree_chords_instance(
+    rng: random.Random, n_nodes: int, n_links: int, n_computation: int, n_apps: int
+):
+    """The benchmark's ``net500-drr`` shape at any size: a random recursive
+    tree plus distinct chords up to ``n_links`` links, ``n_computation``
+    computation nodes and lossy repeaters elsewhere, links of capacity
+    2..4; each app is hosted on a computation node and needs 2 of 4 other
+    computation nodes."""
+    computation = sorted(rng.sample(range(n_nodes), n_computation))
+    comp_set = set(computation)
+    nodes = [
+        Node(i, NodeKind.COMPUTATION, 1.0)
+        if i in comp_set
+        else Node(i, NodeKind.REPEATER, rng.choice([0.9, 0.95, 0.99]))
+        for i in range(n_nodes)
+    ]
+    pairs = [(rng.randrange(v), v) for v in range(1, n_nodes)]
+    seen = set(pairs)
+    while len(pairs) < n_links:
+        u, v = sorted(rng.sample(range(n_nodes), 2))
+        if (u, v) not in seen:
+            seen.add((u, v))
+            pairs.append((u, v))
+    links = [
+        QuantumLink(
+            i,
+            (u, v),
+            rng.randint(2, 4),
+            rng.choice([0.5, 0.75, 0.9, 1.0]),
+            rng.choice([0.98, 0.99, 1.0]),
+        )
+        for i, (u, v) in enumerate(pairs)
+    ]
+    apps = []
+    for i in range(n_apps):
+        host = rng.choice(computation)
+        cands = rng.sample([c for c in computation if c != host], 4)
+        apps.append(Application(i, host, float(rng.choice([1, 1, 2, 3])), 2, frozenset(cands)))
+    return NetworkGraph(nodes, links), apps
+
+
 def many_app_instance():
     """1000 apps with exactly one pool each, plus one app choosing 2 of 7
     workers (21 pools): a star of 40 computation leaves around hub 0, so

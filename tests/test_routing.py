@@ -1,12 +1,23 @@
+import contextlib
 import dataclasses
+import json
 import random
+import time
+from collections import deque
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import edges_along, eligible_workers, line_graph
-from gen import random_connected_graph
+from gen import (
+    instance_doc,
+    network_doc,
+    pooled_instance,
+    random_connected_graph,
+    tree_chords_instance,
+)
 from qnetfair import (
     Application,
     EmptyEligibleSet,
@@ -15,20 +26,64 @@ from qnetfair import (
     Node,
     NodeKind,
     NoPath,
+    Policy,
     QuantumLink,
+    SimConfig,
     build_flows,
     edges_fidelity,
     host_flows,
+    load_scenario,
+    parse_scenario,
     path_swap_prob,
+    run,
+    validate_scenario,
 )
 from qnetfair import routing
+from qnetfair.cli import main
 from qnetfair.routing import eligible_flows
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _graph_from_edges(n, edges):
     nodes = [Node(i, NodeKind.COMPUTATION) for i in range(n)]
     links = [QuantumLink(i, e, 1, 1.0, 1.0) for i, e in enumerate(edges)]
     return NetworkGraph(nodes, links)
+
+
+@contextlib.contextmanager
+def counted_routing():
+    """Count the searches and sweeps behind ``routing.route``."""
+    with mock.patch.object(routing, "_search", wraps=routing._search) as search:
+        with mock.patch.object(routing, "_sweep", wraps=routing._sweep) as sweep:
+            yield search, sweep
+
+
+def bfs_flows(graph, host, workers):
+    """The reference for ``routing.route``: a breadth-first search from
+    the host alone, expanding neighbors in ascending (node, edge) order and
+    never reparenting a node, stopped once every worker is discovered. The
+    Flow of each reachable worker, by worker; nothing is kept."""
+    parent = {host: None}  # node -> (parent, edge to the parent)
+    queue = deque([host])
+    pending = set(workers)
+    while queue and pending:
+        u = queue.popleft()
+        for v, edge in graph.neighbors(u):
+            if v not in parent:
+                parent[v] = (u, edge)
+                queue.append(v)
+                pending.discard(v)
+    flows = {}
+    for dst in set(workers) & parent.keys():
+        path, edges = [dst], []
+        while parent[path[-1]] is not None:
+            u, edge = parent[path[-1]]
+            path.append(u)
+            edges.append(edge)
+        path, edges = tuple(path[::-1]), tuple(edges[::-1])
+        flows[dst] = Flow(path, edges, path_swap_prob(path, graph), edges_fidelity(graph, edges))
+    return flows
 
 
 def route(graph, src, dst):
@@ -319,15 +374,16 @@ class TestRouteReuse:
     def test_known_destinations_are_not_searched_again(self):
         g = line_graph([1.0] * 4)
         app = Application(0, 0, 1.0, 2, frozenset({2, 4}))
-        with mock.patch.object(g, "neighbors", wraps=g.neighbors) as neighbors:
+        with counted_routing() as (search, sweep):
             eligible_workers(g, app)
-            searched = neighbors.call_count
-            assert searched > 0
+            assert search.call_count == 1
             build_flows(g, [app], {0: frozenset({2, 4})})
             eligible_workers(g, app)
-            assert neighbors.call_count == searched
+            assert search.call_count == 1
             assert route(g, 0, 3) == (0, 1, 2, 3)  # a new destination
-            assert neighbors.call_count > searched
+            assert search.call_count == 2
+            assert search.call_args.args[1:] == (0, {3})
+            assert sweep.call_count == 0
 
     def test_each_host_worker_flow_is_built_once_and_shared(self):
         g = line_graph([0.9] * 4)
@@ -366,3 +422,181 @@ class TestRouteReuse:
                 for flow in flows[app_id]:
                     fresh = NetworkGraph(g.nodes, g.links)
                     assert flow.path == route(fresh, host, flow.worker)
+
+
+def oracle_graph(rng):
+    """Components of random trees with chords or chains (one chain in
+    eight has 2000 nodes), plus isolated nodes; node and link ids are
+    shuffled, so ties fall to the id order, with random link fidelities
+    and swap probabilities."""
+    pieces = []
+    for _ in range(rng.choice([1, 1, 2, 3])):
+        if rng.random() < 0.3:
+            n = 2000 if rng.random() < 0.125 else rng.randint(2, 60)
+            pieces.append((n, [(i, i + 1) for i in range(n - 1)]))
+        else:
+            n = rng.randint(2, 40)
+            g = random_connected_graph(rng, n, extra_edges=rng.randint(0, 2 * n))
+            pieces.append((n, [l.endpoints for l in g.links]))
+    pieces += [(1, [])] * rng.randint(0, 2)
+    label = list(range(sum(n for n, _ in pieces)))
+    rng.shuffle(label)
+    pairs, base = [], 0
+    for n, piece in pieces:
+        pairs += [(label[base + u], label[base + v]) for u, v in piece]
+        base += n
+    link_ids = list(range(len(pairs)))
+    rng.shuffle(link_ids)
+    nodes = [Node(i, NodeKind.COMPUTATION, rng.choice([1.0, 0.9, 0.7])) for i in range(base)]
+    links = sorted(
+        (
+            QuantumLink(link_ids[i], uv, 1, 1.0, rng.choice([1.0, 0.97, 0.9, 0.8]))
+            for i, uv in enumerate(pairs)
+        ),
+        key=lambda l: l.id,
+    )
+    return NetworkGraph(nodes, links)
+
+
+class TestRouteOracle:
+    """Both ways ``route`` can take give every (host, destination) the
+    Flow of the breadth-first reference, down to its floats, and hand the
+    same Flow object to every later caller."""
+
+    @staticmethod
+    def requests(rng, graph):
+        """Several hosts, the second asking for the first, all sharing one
+        destination, the rest random."""
+        n = len(graph.nodes)
+        hosts = rng.sample(range(n), min(n - 1, rng.randint(3, 8)))
+        shared = next(x for x in range(n) if x not in hosts)
+        out = {}
+        for i, h in enumerate(hosts):
+            others = [x for x in range(n) if x != h]
+            dsts = set(rng.sample(others, rng.randint(1, min(6, len(others)))))
+            dsts.add(shared)
+            if i == 1:
+                dsts.add(hosts[0])
+            out[h] = dsts
+        return out
+
+    @staticmethod
+    def check(graph, requests):
+        for h, dsts in requests.items():
+            expected = bfs_flows(graph, h, dsts)
+            known = graph.routes[h]
+            assert {t: known[t] for t in dsts} == {t: expected.get(t) for t in dsts}
+        with counted_routing() as (search, sweep):
+            for h, dsts in requests.items():
+                flows = host_flows(graph, h, dsts)
+                assert all(f is graph.routes[h][f.worker] for f in flows)
+            routing.route(graph, requests)
+        assert search.call_count == sweep.call_count == 0
+
+    def test_single_host_requests_search(self):
+        for seed in range(160):
+            rng = random.Random(seed)
+            graph = oracle_graph(rng)
+            if len(graph.nodes) < 3:
+                continue
+            requests = self.requests(rng, graph)
+            for h, dsts in requests.items():
+                with counted_routing() as (search, sweep):
+                    routing.route(graph, {h: dsts})
+                assert (search.call_count, sweep.call_count) == (1, 0)
+            self.check(graph, requests)
+
+    def test_hosts_behind_a_shallow_first_host_sweep(self):
+        unreachable = 0
+        for seed in range(160):
+            rng = random.Random(seed)
+            graph = oracle_graph(rng)
+            if len(graph.nodes) < 4:
+                continue
+            requests = self.requests(rng, graph)
+            # a first host whose one destination is a neighbor: depth 1
+            first = next(
+                (u for u in range(len(graph.nodes)) if u not in requests and graph.neighbors(u)),
+                None,
+            )
+            if first is None or len(requests) < 2:
+                continue
+            batch = {first: {graph.neighbors(first)[-1][0]}, **requests}
+            with counted_routing() as (search, sweep):
+                routing.route(graph, batch)
+            assert search.call_count == sweep.call_count == 1
+            assert sweep.call_args.args[1] == requests
+            self.check(graph, batch)
+            unreachable += sum(f is None for h in requests for f in graph.routes[h].values())
+        assert unreachable > 0
+
+
+class TestRouteOnce:
+    """Validation routes each host once, searching or sweeping as its
+    input decides; nothing after it routes again."""
+
+    CONFIG = SimConfig(slots=10, seed=1, policy=Policy.DRR)
+
+    def test_mesh_searches_each_host(self):
+        with counted_routing() as (search, sweep):
+            load_scenario(str(SCENARIOS / "mesh_poisson.json"))
+        assert (search.call_count, sweep.call_count) == (3, 0)
+
+    def test_exhaustive_shape_searches_each_host(self):
+        for seed in range(10):
+            graph, apps = pooled_instance(random.Random(seed))
+            with counted_routing() as (search, sweep):
+                validate_scenario(graph, apps, self.CONFIG)
+            assert (search.call_count, sweep.call_count) == (len({a.host for a in apps}), 0)
+
+    def test_benchmark_network_shape_sweeps_after_one_search(self):
+        graph, apps = tree_chords_instance(random.Random(0), 500, 750, 125, 100)
+        with counted_routing() as (search, sweep):
+            validate_scenario(graph, apps, self.CONFIG)
+        assert (search.call_count, sweep.call_count) == (1, 1)
+        assert len(sweep.call_args.args[1]) == len({a.host for a in apps}) - 1
+
+    def test_repeater_chain_searches_each_host(self):
+        kinds = [NodeKind.REPEATER] * 2000
+        for x in (0, 700, 1300, 1999):
+            kinds[x] = NodeKind.COMPUTATION
+        graph = line_graph([1.0] * 1999, kinds=kinds)
+        apps = [
+            Application(0, 0, 1.0, 1, frozenset({700, 1999})),
+            Application(1, 1300, 1.0, 1, frozenset({0})),
+            Application(2, 1999, 1.0, 1, frozenset({700})),
+        ]
+        with counted_routing() as (search, sweep):
+            validate_scenario(graph, apps, self.CONFIG)
+        assert (search.call_count, sweep.call_count) == (3, 0)
+        assert graph.routes[0][1999].path == tuple(range(2000))
+
+    @pytest.mark.parametrize("source", ["greedy", "random", "given", "exhaustive"])
+    def test_solvers_and_engine_route_nothing(self, source, tmp_path, capsys):
+        if source == "exhaustive":
+            graph, apps = pooled_instance(random.Random(3))
+            doc = instance_doc(graph, apps, {"slots": 40, "seed": 3, "policy": "DRR"})
+            doc["sim"]["assignment"] = "exhaustive"
+        else:
+            doc = network_doc(5, assignment=source)
+            doc["sim"].update(slots=40, warmup=0)
+        scenario = validate_scenario(*parse_scenario(doc))
+        with counted_routing() as (search, sweep):
+            run(scenario)
+        assert search.call_count == sweep.call_count == 0
+        if source == "given":
+            return  # not a solver of `qnetfair assign`
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        with counted_routing() as loading:
+            load_scenario(str(path))
+        with counted_routing() as assigning:
+            assert main(["assign", "--config", str(path), "--solver", source]) == 0
+        capsys.readouterr()
+        assert [c.call_count for c in assigning] == [c.call_count for c in loading]
+
+    def test_validation_scales_to_2000_nodes(self):
+        graph, apps = tree_chords_instance(random.Random(1), 2000, 3000, 500, 400)
+        start = time.perf_counter()
+        validate_scenario(graph, apps, self.CONFIG)
+        assert time.perf_counter() - start < 5.0

@@ -173,17 +173,18 @@ def _global_row(metrics: Metrics) -> list:
     ] + [em.utilization for _, em in sorted(metrics.per_edge.items())]
 
 
-def _trace_writer(fh: TextIO) -> Callable[[SlotLedger], None]:
+def _trace_writer(fh: TextIO, links: int) -> Callable[[SlotLedger], None]:
     """An ``on_slot`` that writes each slot's trace.csv rows to ``fh``, in
-    TRACE_COLUMNS order: one edge row per link by id, then one flow row
-    per granted (app, worker) in key order. Every cell is an int or NA,
-    so none goes through _fmt."""
+    TRACE_COLUMNS order: one edge row per link by id, of ``links`` links,
+    then one flow row per granted (app, worker) in key order. Every cell
+    is an int or NA, so none goes through _fmt."""
+    edge_cells = [f"edge,{e}," for e in range(links)]
 
     def write(ledger: SlotLedger) -> None:
         head = f"{ledger.seed},{ledger.slot},"
         lines = [
-            f"{head}edge,{e},{sampled},{sampled - residual},NA,{residual}\n"
-            for e, (sampled, residual) in enumerate(zip(ledger.sampled, ledger.residual))
+            f"{head}{cells}{sampled},{sampled - residual},NA,{residual}\n"
+            for cells, sampled, residual in zip(edge_cells, ledger.sampled, ledger.residual)
         ]
         done = ledger.successes
         lines += [
@@ -238,7 +239,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir = _output_dir(args)
     with _output_files(out_dir) as open_csv:
         # trace.csv is written slot by slot as the runs go; the rest after them
-        on_slot = _trace_writer(open_csv("trace.csv", TRACE_COLUMNS)) if args.trace else None
+        links = len(scenario.graph.links)
+        on_slot = _trace_writer(open_csv("trace.csv", TRACE_COLUMNS), links) if args.trace else None
         runs = replication_runs(
             scenario, n_replications=scenario.config.replications, on_slot=on_slot
         )

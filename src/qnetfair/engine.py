@@ -130,30 +130,30 @@ def poisson_sample(lam: float, rng: random.Random) -> int:
     """Knuth multiplication method; exact for the validated range lam <= 30."""
     if lam <= 0.0:
         return 0
-    limit = math.exp(-lam)
+    limit, draw = math.exp(-lam), rng.random
     k = 0
     p = 1.0
     while True:
-        p *= rng.random()
+        p *= draw()
         if p <= limit:
             return k
         k += 1
 
 
 def resolve_successes(
-    grants: Mapping[int, int], rng: random.Random, order: Sequence[tuple[int, float]]
+    grants: Mapping[int, int], rng: random.Random, rank: Sequence[int], swap_prob: Sequence[float]
 ) -> dict[int, int]:
     """Sample end-to-end swap success per granted attempt.
 
     Attempts are resolved flow by flow in (app, path) order so draws do
-    not depend on the scheduler's internal grant sequence. ``order`` lists,
-    by flat flow index, each flow's (rank in (app, path) order, swap_prob);
-    grants and successes are keyed by flat flow index.
+    not depend on the scheduler's internal grant sequence. ``rank``, each
+    flow's rank in (app, path) order, ``swap_prob``, grants and successes
+    are all by flat flow index.
     """
     successes = {}
     draw = rng.random
-    for f in sorted(grants, key=order.__getitem__):
-        count, p = grants[f], order[f][1]
+    for f in sorted(grants, key=rank.__getitem__):
+        count, p = grants[f], swap_prob[f]
         if p < 1.0:
             done = 0
             for _ in range(count):
@@ -275,11 +275,11 @@ def run(
     )
     links = sorted(scenario.graph.links, key=lambda l: l.id)  # dense ids: list index
     flows, flow_app = state.flows, state.flow_app
-    # by flat flow index: (rank in (app, path) order, swap_prob); path
-    # order is not the scheduler's worker order in general
-    order = [(0, 0.0)] * len(flows)
-    for rank, f in enumerate(sorted(range(len(flows)), key=lambda f: (flow_app[f], flows[f].path))):
-        order[f] = (rank, flows[f].swap_prob)
+    # by flat flow index: rank in (app, path) order, not the scheduler's worker order
+    rank = [0] * len(flows)
+    for r, f in enumerate(sorted(range(len(flows)), key=lambda f: (flow_app[f], flows[f].path))):
+        rank[f] = r
+    swap_prob = [fl.swap_prob for fl in flows]
     workers = [(a, fl.worker) for a, fl in zip(flow_app, flows)]
     # by flat flow index; folded into apps and edges after the last slot
     grants_by_flow = [0] * len(flows)
@@ -297,7 +297,7 @@ def run(
             enqueue_arrivals(state, slot, arrivals)
         result = _schedule_slot(state, sampled)
         grants = result.per_flow
-        successes = resolve_successes(grants, rng_success, order)
+        successes = resolve_successes(grants, rng_success, rank, swap_prob)
         _verify_slot(slot, sampled, result, successes, state)
 
         if slot >= cfg.warmup_slots:

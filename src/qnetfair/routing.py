@@ -11,10 +11,11 @@ between apps. ``host_flows`` reads a host's Flows from that memo.
 ``route`` searches from one host at a time, or routes many hosts in one
 bit-parallel breadth-first sweep from their destinations (Then et al.,
 "The More the Merrier: Efficient Multi-Source Graph Traversal", PVLDB
-2014). A search costs about one pass over the graph per host and a sweep
-about one pass per level, so the input alone decides: the first host's
-search depth estimates the sweep's levels, and the other hosts are swept
-when they outnumber it. Both give the same paths.
+2014). A search costs about one pass over the graph per host, and a sweep
+level about three (timed on generated trees with chords, 50-300 nodes).
+So the input alone decides: the first host's search depth estimates the
+levels, and the other hosts are swept when the batch holds more than
+three hosts per level. Both give the same paths.
 """
 from __future__ import annotations
 
@@ -77,8 +78,8 @@ def route(graph: NetworkGraph, requests: Mapping[NodeId, Iterable[NodeId]]) -> N
     asks for itself or a requested node is not in the graph.
 
     The first host with new workers is searched; the others are swept
-    together when there are more of them than that search's depth, and
-    searched one by one otherwise."""
+    together when the batch holds more than three hosts per hop of that
+    search's depth, and searched one by one otherwise."""
     batch: dict[NodeId, set[NodeId]] = {}
     for host, workers in requests.items():
         known = graph.routes.get(host, {})
@@ -92,7 +93,8 @@ def route(graph: NetworkGraph, requests: Mapping[NodeId, Iterable[NodeId]]) -> N
     if not batch:
         return
     first, *rest = batch
-    if len(rest) > _search(graph, first, batch[first]):
+    depth = _search(graph, first, batch[first])
+    if rest and len(batch) > 3 * depth:
         _sweep(graph, {host: batch[host] for host in rest})
     else:
         for host in rest:

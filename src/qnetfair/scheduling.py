@@ -39,8 +39,9 @@ list by link id and whose grants are counted by flat flow index. A flow
 is live while every edge on it has residual >= 1: flows crossing an edge
 sampled at 0 start the slot dead, and a grant that takes an edge to 0
 kills the flows crossing it, as progressive filling freezes the flows of
-a saturated link. A pick scans live flags, an app with no live flow is
-blocked without a scan, and passes run while an app of the ring has one.
+a saturated link. A pick scans live flags, and passes run while an app
+of the ring has one. A visit to an app with no live flow costs one step:
+under DRR its credit, min(deficit + quantum, cap), and the block.
 A pending request is its arrival slot, queued FIFO per app, and a
 granted one is (app, arrival_slot).
 """
@@ -208,6 +209,9 @@ class SchedulerState:
             raise ConfigError("; ".join(problems))
         self.quantum = [quantum_base * app.weight for app in self.apps if drr]
         self.deficit_cap = [q + c for q, c in zip(self.quantum, self.max_cost)]
+        self.drr, self.poisson, wrr = drr, traffic is Traffic.POISSON, policy is Policy.WRR
+        # the most grants one visit may make; DRR's deficit is its only bound
+        self.budget = [math.inf if drr else int(a.weight) if wrr else 1 for a in self.apps]
         # a DRR pass can legitimately grant nothing while deficits build up
         # toward an expensive flow, but never more often than this; an RR
         # or WRR pass always grants, so its guard of 2 is never reached
@@ -225,13 +229,16 @@ def enqueue_arrivals(
     state: SchedulerState, slot: int, arrivals: Mapping[AppId, int]
 ) -> None:
     """Append new requests FIFO per app; newly backlogged apps join the
-    tail of the active ring. Poisson traffic only."""
+    tail of the active ring. Poisson traffic only. An unknown app id or a
+    count not an int >= 0 raises ValueError, with no request queued."""
     if state.traffic is not Traffic.POISSON:
         raise ConfigError("arrivals are only meaningful with Poisson traffic")
-    for app_id in sorted(arrivals):
-        count = arrivals[app_id]
-        if count < 0:
-            raise ValueError(f"negative arrival count for app {app_id}")
+    for app_id, count in arrivals.items():  # all checked before any is queued
+        if app_id not in state.queues:
+            raise ValueError(f"arrivals for unknown app {shown(app_id)}")
+        if not isinstance(count, int) or count < 0:
+            raise ValueError(f"arrival count for app {app_id} must be an int >= 0, got {shown(count)}")
+    for app_id, count in sorted(arrivals.items()):
         if count == 0:
             continue
         queue = state.queues[app_id]
@@ -259,21 +266,27 @@ def _visit(state: SchedulerState, ctx: SlotGrants, app_id: AppId) -> int:
     live flow from its cursor on, in cyclic order, and moves the cursor
     past it, before DRR compares its cost with the deficit. An app with no
     live flow is blocked, with its cursor unchanged and, under DRR, its
-    deficit capped; an emptied queue ends the visit and resets a DRR
-    deficit. Returns the number of grants."""
-    live, live_count, residual, per_flow = ctx._live, ctx._live_count, ctx.residual, ctx.per_flow
-    cursor, cost, flow_edges = state.cursor, state.cost, state.flow_edges
+    deficit capped: one step for a visit that starts so. An emptied queue
+    ends the visit and resets a DRR deficit. Returns the number of grants."""
+    live_count = ctx._live_count
+    if not live_count[app_id]:
+        if state.drr:  # min(deficit + quantum, cap)
+            deficit, cap = state.deficit[app_id] + state.quantum[app_id], state.deficit_cap[app_id]
+            state.deficit[app_id] = cap if cap < deficit else deficit
+        ctx.blocked[app_id] = ctx.passes
+        return 0
+    live, residual, per_flow, cursor = ctx._live, ctx.residual, ctx.per_flow, state.cursor
+    flow_edges, edge_flows, flow_app = state.flow_edges, state.edge_flows, state.flow_app
     first, end = state.first_flow[app_id], state.first_flow[app_id + 1]
-    poisson, drr = state.traffic is Traffic.POISSON, state.policy is Policy.DRR
+    drr, budget = state.drr, state.budget[app_id]
+    queue = state.queues[app_id] if state.poisson else None
     if drr:
-        deficit, budget = state.deficit[app_id] + state.quantum[app_id], math.inf
-    else:
-        budget = int(state.apps[app_id].weight) if state.policy is Policy.WRR else 1
+        deficit, cost = state.deficit[app_id] + state.quantum[app_id], state.cost
     made = 0
     while made < budget:
         if not live_count[app_id]:
-            if drr:
-                deficit = min(deficit, state.deficit_cap[app_id])
+            if drr and state.deficit_cap[app_id] < deficit:
+                deficit = state.deficit_cap[app_id]
             ctx.blocked[app_id] = ctx.passes
             break
         f = cursor[app_id]
@@ -286,13 +299,15 @@ def _visit(state: SchedulerState, ctx: SlotGrants, app_id: AppId) -> int:
             deficit -= cost[f]
         for e in flow_edges[f]:
             residual[e] -= 1
-            if not residual[e]:
-                _saturate(state, ctx, e)
+            if not residual[e]:  # _saturate(state, ctx, e), inline on this hot path
+                for g in edge_flows[e]:
+                    if live[g]:
+                        live[g] = False
+                        live_count[flow_app[g]] -= 1
         per_flow[f] = per_flow.get(f, 0) + 1
         ctx.last_granted = app_id
         made += 1
-        if poisson:
-            queue = state.queues[app_id]
+        if queue is not None:
             ctx.granted_requests.append((app_id, queue.popleft()))
             if not queue:
                 deficit = 0.0
@@ -323,15 +338,16 @@ def _round_robin_slot(state: SchedulerState, ctx: SlotGrants) -> None:
             raise RuntimeError("scheduler stalled with feasible capacity")
         ring = [a for a in ring if a not in blocked and (backlogged or queues[a])]
     if state.policy is Policy.DRR:
-        # each pass a blocked app sat out would have credited one quantum
-        # and capped it again; replay those steps in the same float order
+        # each pass a blocked app sat out would have credited it
+        # min(deficit + quantum, cap); replay those steps in the same float order
         for app_id, blocked_in in blocked.items():
             deficit, cap = state.deficit[app_id], state.deficit_cap[app_id]
             if deficit == cap:
                 continue  # a capped deficit stays capped
             for _ in range(ctx.passes - blocked_in):
-                deficit = min(deficit + state.quantum[app_id], cap)
-                if deficit == cap:
+                deficit += state.quantum[app_id]
+                if deficit >= cap:
+                    deficit = cap
                     break
             state.deficit[app_id] = deficit
 
@@ -387,7 +403,7 @@ def _schedule_slot(state: SchedulerState, capacities: list[int]) -> SlotGrants:
     if ctx.last_granted is not None:
         ring = state.active
         i = ring.index(ctx.last_granted) + 1
-        state.head = next((a for a in ring[i:] + ring[:i] if state.backlogged(a)), None)
-        if state.traffic is Traffic.POISSON:
-            state.active = [a for a in ring if state.queues[a]]
+        state.head = next(filter(state.backlogged, ring[i:] + ring[:i]), None)
+        if state.poisson:
+            state.active = list(filter(state.queues.__getitem__, ring))  # the backlogged apps
     return ctx

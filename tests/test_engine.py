@@ -160,27 +160,27 @@ class TestResolveSuccesses:
     KEY = 0  # flat flow index
 
     def _order(self, swap_prob):
-        return [(0, swap_prob)]  # by flow: (rank in (app, path) order, swap_prob)
+        return [0], [swap_prob]  # by flow: rank in (app, path) order, swap_prob
 
     def test_certain_swap(self):
-        assert resolve_successes({self.KEY: 17}, random.Random(0), self._order(1.0)) == {
+        assert resolve_successes({self.KEY: 17}, random.Random(0), *self._order(1.0)) == {
             self.KEY: 17
         }
 
     def test_zero_grants(self):
-        assert resolve_successes({self.KEY: 0}, random.Random(0), self._order(0.5)) == {
+        assert resolve_successes({self.KEY: 0}, random.Random(0), *self._order(0.5)) == {
             self.KEY: 0
         }
 
     def test_bernoulli_rate(self):
         n = 10_000
-        done = resolve_successes({self.KEY: n}, random.Random(77), self._order(0.81))[self.KEY]
+        done = resolve_successes({self.KEY: n}, random.Random(77), *self._order(0.81))[self.KEY]
         sigma = math.sqrt(0.81 * 0.19 / n)
         assert abs(done / n - 0.81) <= 3 * sigma
 
     def test_never_exceeds_grants(self):
         for seed in range(20):
-            done = resolve_successes({self.KEY: 50}, random.Random(seed), self._order(0.3))
+            done = resolve_successes({self.KEY: 50}, random.Random(seed), *self._order(0.3))
             assert done[self.KEY] <= 50
 
 
@@ -202,8 +202,8 @@ class TestVerifySlot:
                 slot_hook(result)
             return result
 
-        def successes(grants, rng, order):
-            done = resolve_successes(grants, rng, order)
+        def successes(grants, rng, rank, swap_prob):
+            done = resolve_successes(grants, rng, rank, swap_prob)
             if success_hook is not None:
                 success_hook(done)
             return done

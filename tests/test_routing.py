@@ -556,6 +556,17 @@ class TestRouteOnce:
         assert (search.call_count, sweep.call_count) == (1, 1)
         assert len(sweep.call_args.args[1]) == len({a.host for a in apps}) - 1
 
+    @pytest.mark.parametrize("n_nodes", [50, 100])
+    def test_small_network_shape_searches_each_host(self, n_nodes):
+        # 7 and 15 hosts behind a first depth of 4 and 6: fewer than three
+        # hosts per level, where a sweep was measured slower than searches
+        graph, apps = tree_chords_instance(
+            random.Random(0), n_nodes, n_nodes * 3 // 2, n_nodes // 4, n_nodes // 5
+        )
+        with counted_routing() as (search, sweep):
+            validate_scenario(graph, apps, self.CONFIG)
+        assert (search.call_count, sweep.call_count) == (len({a.host for a in apps}), 0)
+
     def test_repeater_chain_searches_each_host(self):
         kinds = [NodeKind.REPEATER] * 2000
         for x in (0, 700, 1300, 1999):

@@ -29,7 +29,10 @@ from qnetfair import (
     poisson_sample,
     schedule_slot,
 )
-from qnetfair import scheduling
+import qnetfair
+from qnetfair import cli, engine, fairshare, routing, scenario_io, scheduling, validate
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def make_state(policy, graph, apps, assignment, traffic=Traffic.BACKLOGGED,
@@ -162,6 +165,23 @@ class TestEnqueueArrivals:
         state, _ = single_link_state(Policy.RR, [1.0], 1)
         with pytest.raises(ConfigError):
             enqueue_arrivals(state, 0, {0: 1})
+
+    @pytest.mark.parametrize(
+        "arrivals, message",
+        [
+            ({0: 2, 1: -1}, "count for app 1 must be an int >= 0, got -1"),
+            ({0: 2, 1: 1.5}, "count for app 1 must be an int >= 0, got 1.5"),
+            ({0: 2, 7: 1}, "arrivals for unknown app 7"),
+            ({0: 2, "x": 1}, "arrivals for unknown app 'x'"),
+        ],
+    )
+    def test_rejected_call_queues_nothing(self, arrivals, message):
+        state, _ = single_link_state(Policy.RR, [1.0, 1.0, 1.0], 1, Traffic.POISSON)
+        enqueue_arrivals(state, 0, {2: 1})
+        with pytest.raises(ValueError, match=message):
+            enqueue_arrivals(state, 1, arrivals)
+        assert {a: list(q) for a, q in state.queues.items()} == {0: [], 1: [], 2: [0]}
+        assert (state.active, state.head) == ([2], 2)
 
     def test_backlogged_apps_always_pending(self):
         state, _ = single_link_state(Policy.RR, [1.0, 1.0], 1)
@@ -552,6 +572,9 @@ def _visit_every_app_slot(state, ctx, skipped):
         )
 
     blocked = set()
+    # DRR apps whose deficit a skipped visit took to the cap, and those of
+    # them skipped again after that: the scheduler's replay stops partway
+    capped, capped_partway = set(), set()
     fruitless = 0
     while feasible():
         made = 0
@@ -560,6 +583,11 @@ def _visit_every_app_slot(state, ctx, skipped):
                 continue
             skipped[state.policy] += app_id in blocked
             if state.policy is Policy.DRR:
+                deficit, cap = state.deficit[app_id], state.deficit_cap[app_id]
+                if app_id in capped:
+                    capped_partway.add(app_id)
+                elif app_id in blocked and deficit < cap <= deficit + state.quantum[app_id]:
+                    capped.add(app_id)
                 deficit = state.deficit[app_id] + state.quantum[app_id]
                 while True:
                     f = scan_select_flow(state, app_id, ctx.residual)
@@ -597,6 +625,7 @@ def _visit_every_app_slot(state, ctx, skipped):
             )
         else:
             fruitless = 0
+    skipped["replay capped partway"] += len(capped_partway)
 
 
 class TestRoundRobinOracle:
@@ -628,9 +657,22 @@ class TestRoundRobinOracle:
             assignment[i] = workers
         return graph, apps, assignment
 
+    @staticmethod
+    def _counting_visit(counts):
+        visit = scheduling._visit
+
+        def wrapped(state, ctx, app_id):
+            counts[state.policy] += not ctx._live_count[app_id]
+            return visit(state, ctx, app_id)
+        return wrapped
+
     def test_matches_visit_every_app_every_slot(self):
         skipped = Counter()
         reference = functools.partial(_visit_every_app_slot, skipped=skipped)
+        # visits of the scheduler under test that start with no live flow,
+        # which it ends in one step
+        dead_visits = Counter()
+        counting = self._counting_visit(dead_visits)
         rejoined = 0
         # DRR apps of the ring with no flow that fits the sample and a
         # deficit below its cap: pass 1 must still credit them
@@ -665,7 +707,8 @@ class TestRoundRobinOracle:
                                     and not any(fits(a, f, sampled) for f in app_flows(a, app))
                                     for app in a.active
                                 )
-                            fast = schedule_slot(a, sampled)
+                            with mock.patch.object(scheduling, "_visit", counting):
+                                fast = schedule_slot(a, sampled)
                             with mock.patch.object(scheduling, "_round_robin_slot", reference):
                                 ref = schedule_slot(b, sampled)
                             where = f"seed {seed}, {policy}, {cost_mode}, {traffic}, slot {slot}"
@@ -685,8 +728,10 @@ class TestRoundRobinOracle:
                             inactive = set(range(len(a.apps))).difference(a.active)
         assert rejoined >= 500
         assert dead_at_start >= 500
-        # the skip is exercised under every policy
+        # the skip and the one-step visit are exercised under every policy
         assert min(skipped[p] for p in self.POLICIES) >= 1000, skipped
+        assert min(dead_visits[p] for p in self.POLICIES) >= 5000, dead_visits
+        assert skipped["replay capped partway"] >= 500, skipped
 
 
 class TestBenchmarkTracerContract:
@@ -709,16 +754,45 @@ class TestBenchmarkTracerContract:
         assert isinstance(state.queues, Mapping)
         assert [len(q) for q in state.queues.values()] == [2, 0]
 
-    def test_the_committed_tracer_reads_them(self):
-        path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    @staticmethod
+    def _tracer_module():
+        path = ROOT / "perfbench" / "tracer.py"
         spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
         tracer_module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracer_module)
+        return tracer_module
+
+    def test_the_committed_tracer_reads_them(self):
+        tracer_module = self._tracer_module()
         tracer = tracer_module.Tracer()
         state = self._slot()
         with tracer_module.installed(tracer, [scheduling]):
             scheduling.schedule_slot(state, [2])
         assert (tracer.grants, tracer.pending_end()) == (2, 2)
+
+    # targets that the program no longer has or no longer calls; a change
+    # that inlines or stops calling any other target makes its metrics read 0
+    RETIRED = {
+        "routing.shortest_path",
+        "engine.sample_capacity",
+        "scheduling.select_flow",
+        "scheduling.schedule_slot",
+    }
+
+    def test_only_retired_targets_read_no_calls(self, tmp_path, capsys):
+        tracer_module = self._tracer_module()
+        tracer = tracer_module.Tracer()
+        config = str(ROOT / "scenarios" / "mesh_poisson.json")
+        modules = [qnetfair, cli, engine, fairshare, routing, scenario_io, scheduling, validate]
+        with tracer_module.installed(tracer, modules):
+            assert cli.main(
+                ["run", "--config", config, "--slots", "400", "--output-dir", str(tmp_path)]
+            ) == 0
+            assert cli.main(["assign", "--config", config, "--solver", "exhaustive"]) == 0
+        capsys.readouterr()
+        calls = tracer.metrics()
+        silent = {t for t in tracer_module.TARGETS if not calls[f"{t}.calls"]}
+        assert silent == self.RETIRED
 
 
 class TestPointerPersistence:

@@ -13,6 +13,9 @@ as the bundled ones do:
   (``r1``) under the policies and cost modes of GENERATED_CASES, the cost
   mode set as ``sim.replications`` is; the ``sweep`` case sweeps
   ``policy`` over RR, WRR and DRR on net60 and hashes both sweep CSVs.
+  ``net60_random`` also runs three replications (``r3``): each draws its
+  own random pools, so one trace.csv holds the flow rows of three
+  different flow tables.
 - ``pooled2`` is ``gen.pooled_instance`` seed 2, 3 apps choosing 2 of 7
   workers on 30 nodes, where the exhaustive solver's pool bound prunes no
   assignment and its contention bound prunes all but 212 of the 9261.
@@ -66,6 +69,7 @@ GENERATED_CASES = [
     "run/net60_poisson/FCFS/r1/unit",
     "run/net60_poisson/DRR/r1/unit",
     "run/net60_random/DRR/r1/unit",
+    "run/net60_random/DRR/r3/unit",
     "run/net60_given/DRR/r1/unit",
     "sweep/net60/policy",
     "assign/pooled2/exhaustive",

@@ -176,22 +176,27 @@ def _global_row(metrics: Metrics) -> list:
 def _trace_writer(fh: TextIO, links: int) -> Callable[[SlotLedger], None]:
     """An ``on_slot`` that writes each slot's trace.csv rows to ``fh``, in
     TRACE_COLUMNS order: one edge row per link by id, of ``links`` links,
-    then one flow row per granted (app, worker) in key order. Every cell
-    is an int or NA, so none goes through _fmt."""
+    then one flow row per granted flow by flat index, which is (app,
+    worker) order. Each run's flow cells are formatted once, when a ledger
+    brings a new ``flows``. Every cell is an int or NA, so none goes
+    through _fmt."""
     edge_cells = [f"edge,{e}," for e in range(links)]
+    flows, flow_cells = None, []
 
     def write(ledger: SlotLedger) -> None:
-        head = f"{ledger.seed},{ledger.slot},"
+        nonlocal flows, flow_cells
+        if ledger.flows is not flows:
+            flows = ledger.flows
+            flow_cells = [f"flow,{app_id}-{worker},NA," for app_id, worker in flows]
+        granted, done = ledger.flow_grants, ledger.flow_successes
         lines = [
-            f"{head}{cells}{sampled},{sampled - residual},NA,{residual}\n"
+            f"{cells}{sampled},{sampled - residual},NA,{residual}\n"
             for cells, sampled, residual in zip(edge_cells, ledger.sampled, ledger.residual)
         ]
-        done = ledger.successes
-        lines += [
-            f"{head}flow,{app_id}-{worker},NA,{granted},{done.get((app_id, worker), 0)},NA\n"
-            for (app_id, worker), granted in sorted(ledger.grants.items())
-        ]
-        fh.write("".join(lines))
+        lines += [f"{flow_cells[f]}{granted[f]},{done.get(f, 0)},NA\n" for f in sorted(granted)]
+        if lines:
+            head = f"{ledger.seed},{ledger.slot},"
+            fh.write(head + head.join(lines))
 
     return write
 

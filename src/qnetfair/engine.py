@@ -24,8 +24,10 @@ the conservation check and the metric sums run on those indices; grants
 and successes add up per flow and fold into apps and edges after the last
 slot. A run given ``on_slot`` hands it one SlotLedger per slot, once the
 slot's conservation check has passed, and keeps none: the ledger holds the
-slot's sampled and residual lists as they are, both fresh each slot, and
-only its counts are re-keyed by (app, worker).
+slot's lists and its grant and success dicts by flat flow index as they
+are, all fresh each slot, and the run's (app, worker) per flow index in one
+tuple that every ledger of the run shares. Only its ``grants`` and
+``successes`` views re-key the counts by (app, worker), when read.
 """
 from __future__ import annotations
 
@@ -178,16 +180,27 @@ def resolve_assignment(
     return assign_exhaustive(scenario.graph, scenario.apps, config.exhaustive_limit)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SlotLedger:
-    """One slot of one run, as ``run`` hands it to ``on_slot``."""
+    """One slot of one run, as ``run`` hands it to ``on_slot``, in the
+    kernel's index form; ``grants`` and ``successes`` view its counts by
+    (app, worker)."""
 
     seed: int  # the run's seed: the config's, or its replication's
     slot: int
     sampled: list[int]  # by dense link id
     residual: list[int]  # by dense link id
-    grants: dict[tuple[AppId, NodeId], int]  # (app, worker) -> granted attempts
-    successes: dict[tuple[AppId, NodeId], int]
+    flows: tuple[tuple[AppId, NodeId], ...]  # (app, worker) by flat flow index, one per run
+    flow_grants: dict[int, int]  # flat flow index -> granted attempts
+    flow_successes: dict[int, int]  # flat flow index -> successful attempts
+
+    @property
+    def grants(self) -> dict[tuple[AppId, NodeId], int]:
+        return {self.flows[f]: c for f, c in self.flow_grants.items()}
+
+    @property
+    def successes(self) -> dict[tuple[AppId, NodeId], int]:
+        return {self.flows[f]: c for f, c in self.flow_successes.items()}
 
 
 @dataclass(frozen=True)
@@ -280,15 +293,12 @@ def run(
     for r, f in enumerate(sorted(range(len(flows)), key=lambda f: (flow_app[f], flows[f].path))):
         rank[f] = r
     swap_prob = [fl.swap_prob for fl in flows]
-    workers = [(a, fl.worker) for a, fl in zip(flow_app, flows)]
+    workers = tuple((a, fl.worker) for a, fl in zip(flow_app, flows))  # every ledger's flows
     # by flat flow index; folded into apps and edges after the last slot
     grants_by_flow = [0] * len(flows)
     delivered_by_flow = [0] * len(flows)
     wait_by_app = [0] * len(state.apps)  # sum of slots from arrival to grant
     sample_slot = capacity_sampler(links, cfg.capacity_mode, rng_capacity)
-
-    def by_worker(counts: Mapping[int, int]) -> dict[tuple[AppId, NodeId], int]:
-        return {workers[f]: c for f, c in counts.items()}
 
     for slot in range(cfg.slots):
         sampled = sample_slot()
@@ -308,16 +318,7 @@ def run(
             for app_id, arrival_slot in result.granted_requests:
                 wait_by_app[app_id] += slot - arrival_slot
         if on_slot is not None:
-            on_slot(
-                SlotLedger(
-                    seed=cfg.seed,
-                    slot=slot,
-                    sampled=sampled,
-                    residual=result.residual,
-                    grants=by_worker(grants),
-                    successes=by_worker(successes),
-                )
-            )
+            on_slot(SlotLedger(cfg.seed, slot, sampled, result.residual, workers, grants, successes))
 
     measured = cfg.slots - cfg.warmup_slots
     # _verify_slot has checked that each slot's grants consumed exactly

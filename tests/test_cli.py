@@ -1,8 +1,10 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,8 +14,20 @@ from pathlib import Path
 import pytest
 
 from conftest import scenario_dict
-from qnetfair import load_scenario, run
-from qnetfair.cli import build_parser, main
+from gen import random_connected_graph
+from qnetfair import (
+    Application,
+    AssignmentSource,
+    CapacityMode,
+    Policy,
+    SimConfig,
+    Traffic,
+    load_scenario,
+    replication_runs,
+    run,
+    validate_scenario,
+)
+from qnetfair.cli import _trace_writer, build_parser, main
 
 # a UTF-16 byte-order mark and text: not UTF-8 from the first byte
 NOT_UTF8 = b"\xff\xfe" + "{}".encode("utf-16-le")
@@ -477,6 +491,116 @@ class TestRunCommand:
             finally:
                 tracemalloc.stop()
         assert peaks[2000] - peaks[500] <= 100 * (2000 - 500), peaks
+
+
+def _reference_trace_writer(fh, links):
+    """The trace writer as it read ledgers keyed by (app, worker): one edge
+    row per link, then one flow row per granted key in sorted order. It is
+    the oracle of cli._trace_writer, which reads flow indices."""
+    edge_cells = [f"edge,{e}," for e in range(links)]
+
+    def write(ledger):
+        head = f"{ledger.seed},{ledger.slot},"
+        lines = [
+            f"{head}{cells}{sampled},{sampled - residual},NA,{residual}\n"
+            for cells, sampled, residual in zip(edge_cells, ledger.sampled, ledger.residual)
+        ]
+        done = ledger.successes
+        lines += [
+            f"{head}flow,{app_id}-{worker},NA,{granted},{done.get((app_id, worker), 0)},NA\n"
+            for (app_id, worker), granted in sorted(ledger.grants.items())
+        ]
+        fh.write("".join(lines))
+
+    return write
+
+
+TRACE_CASES = 64
+
+
+def _trace_case(i):
+    """Generated scenario ``i`` of the trace writer comparison. The policy
+    cycles with ``i``; bits 2, 3 and 4 turn on Poisson traffic (always on
+    under FCFS), random pools and 3 replications; capacity is stochastic
+    unless ``i`` is a multiple of 3. Apps need 1 or 2 workers, and swaps
+    fail one time in ten at every node."""
+    rng = random.Random(i)
+    policy = [Policy.RR, Policy.WRR, Policy.DRR, Policy.FCFS][i % 4]
+    poisson = policy is Policy.FCFS or i >> 2 & 1
+    stochastic = i % 3 != 0
+    n = rng.randint(5, 9)
+    graph = random_connected_graph(
+        rng, n, rng.randint(1, 4), (1, 4), (0.5, 0.75, 1.0) if stochastic else (1.0,), swap_q=0.9
+    )
+    apps = []
+    for a in range(rng.randint(2, 5)):
+        host = rng.randrange(n)
+        candidates = rng.sample([x for x in range(n) if x != host], rng.randint(2, 4))
+        rate = round(rng.uniform(0.3, 2.0), 2) if poisson else 0.0
+        weight = float(rng.randint(1, 3))
+        apps.append(Application(a, host, weight, rng.randint(1, 2), frozenset(candidates),
+                                arrival_rate=rate))
+    config = SimConfig(
+        slots=30,
+        seed=i,
+        policy=policy,
+        warmup_slots=rng.randint(0, 5),
+        traffic=Traffic.POISSON if poisson else Traffic.BACKLOGGED,
+        capacity_mode=CapacityMode.STOCHASTIC if stochastic else CapacityMode.DETERMINISTIC,
+        assignment=AssignmentSource.RANDOM if i >> 3 & 1 else AssignmentSource.GREEDY,
+        replications=3 if i >> 4 & 1 else 1,
+    )
+    return validate_scenario(graph, apps, config)
+
+
+def _traces(scenario, on_ledger=None):
+    """trace.csv's rows from cli._trace_writer and from the reference, fed
+    the same ledgers."""
+    links = len(scenario.graph.links)
+    new, ref = io.StringIO(), io.StringIO()
+    writers = [_trace_writer(new, links), _reference_trace_writer(ref, links)]
+    if on_ledger is not None:
+        writers.append(on_ledger)
+
+    def on_slot(ledger):
+        for write in writers:
+            write(ledger)
+
+    replication_runs(scenario, n_replications=scenario.config.replications, on_slot=on_slot)
+    return new.getvalue(), ref.getvalue()
+
+
+class TestTraceWriterOracle:
+    @pytest.mark.parametrize("i", range(TRACE_CASES))
+    def test_rows_equal_the_reference(self, i):
+        new, ref = _traces(_trace_case(i))
+        assert ",flow," in ref
+        assert new == ref
+
+    def test_golden_random_pools_over_three_replications(self):
+        scenario = load_scenario(str(ROOT / "tests" / "scenarios" / "net60_random.json"))
+        cfg = dataclasses.replace(scenario.config, slots=60, warmup_slots=0, replications=3)
+        new, ref = _traces(dataclasses.replace(scenario, config=cfg))
+        assert new == ref
+
+    def test_cases_reach_what_the_writer_must_get_right(self):
+        # slots that grant flows out of index order or leave a flow out, and
+        # runs of one scenario whose flow tables differ
+        grant_order, gaps, tables = 0, 0, 0
+        for i in range(TRACE_CASES):
+            flows = []
+
+            def watch(ledger):
+                nonlocal grant_order, gaps
+                granted = list(ledger.flow_grants)
+                grant_order += granted != sorted(granted)
+                gaps += bool(granted) and max(granted) >= len(granted)
+                if not flows or flows[-1] is not ledger.flows:
+                    flows.append(ledger.flows)
+
+            _traces(_trace_case(i), watch)
+            tables += len(set(flows)) > 1
+        assert grant_order > 500 and gaps > 500 and tables >= 8, (grant_order, gaps, tables)
 
 
 class TestAssignCommand:

@@ -8,6 +8,7 @@ from unittest import mock
 import pytest
 
 from conftest import line_graph, shared_link_apps, shared_link_graph
+from gen import network_doc
 from qnetfair import (
     Application,
     AssignmentSource,
@@ -33,6 +34,9 @@ from qnetfair import (
 )
 from qnetfair import engine, validate
 from qnetfair.engine import aggregate_metrics, capacity_sampler
+from qnetfair.routing import build_flows
+from qnetfair.scenario_io import parse_scenario
+from qnetfair.scheduling import SchedulerState
 
 
 def make_scenario(graph, apps, **config_overrides):
@@ -436,6 +440,99 @@ class TestRun:
             for mode in (CostMode.UNIT, CostMode.HOPS)
         )
         assert (unit == hops) is (policy is not Policy.DRR)
+
+
+NET60 = Path(__file__).resolve().parent / "scenarios"
+
+
+class TestSlotLedger:
+    """A ledger holds the slot in the kernel's index form; its ``grants``
+    and ``successes`` are (app, worker) views of the flow-index dicts."""
+
+    @staticmethod
+    def _watched_run(scenario, n_replications=1):
+        # each slot's kernel state, per_flow and success dicts, as run sees them
+        seen = []
+        schedule_slot, resolve = engine._schedule_slot, engine.resolve_successes
+
+        def kernel(state, sampled):
+            result = schedule_slot(state, sampled)
+            seen.append((state, result.per_flow))
+            return result
+
+        def successes(grants, rng, rank, swap_prob):
+            done = resolve(grants, rng, rank, swap_prob)
+            seen[-1] += (done,)
+            return done
+
+        ledgers = []
+        with mock.patch.object(engine, "_schedule_slot", kernel), \
+                mock.patch.object(engine, "resolve_successes", successes):
+            runs = replication_runs(scenario, n_replications=n_replications, on_slot=ledgers.append)
+        return runs, ledgers, seen
+
+    @staticmethod
+    def _scenario(stem, slots=40):
+        scenario = load_scenario(str(NET60 / f"{stem}.json"))
+        cfg = dataclasses.replace(scenario.config, slots=slots, warmup_slots=0)
+        return dataclasses.replace(scenario, config=cfg)
+
+    @pytest.mark.parametrize("stem", ["net60_random", "net60_poisson"])
+    def test_views_equal_the_worker_keyed_dicts(self, stem):
+        _, ledgers, seen = self._watched_run(self._scenario(stem), n_replications=2)
+        assert len(ledgers) == len(seen) == 80
+        for ledger, (state, per_flow, done) in zip(ledgers, seen):
+            # what run handed on_slot before the ledger went to index form
+            key = [(a, fl.worker) for a, fl in zip(state.flow_app, state.flows)]
+            assert ledger.flow_grants is per_flow and ledger.flow_successes is done
+            assert list(ledger.grants.items()) == [(key[f], c) for f, c in per_flow.items()]
+            assert list(ledger.successes.items()) == [(key[f], c) for f, c in done.items()]
+        assert any(l.successes != l.grants for l in ledgers)  # a swap failed
+
+    def test_consecutive_ledgers_hold_dicts_of_their_own(self):
+        _, ledgers, _ = self._watched_run(self._scenario("net60"))
+        assert len({id(l.flow_grants) for l in ledgers}) == len(ledgers)
+        assert len({id(l.flow_successes) for l in ledgers}) == len(ledgers)
+
+    def test_every_ledger_of_a_run_shares_one_flows(self):
+        runs, ledgers, seen = self._watched_run(self._scenario("net60_random", 10), 3)
+        for i, m in enumerate(runs):
+            run_ledgers = ledgers[10 * i : 10 * (i + 1)]
+            assert {l.seed for l in run_ledgers} == {m.seed}
+            assert len({id(l.flows) for l in run_ledgers}) == 1
+            state = seen[10 * i][0]
+            assert run_ledgers[0].flows == tuple(
+                (a, fl.worker) for a, fl in zip(state.flow_app, state.flows)
+            )
+        # random pools: each replication has a flow table of its own
+        assert len({l.flows for l in ledgers}) == 3
+
+    def test_ledgers_compare_by_value(self):
+        scenario = self._scenario("net60", 5)
+        la, lb = [], []
+        run(scenario, on_slot=la.append)
+        run(scenario, on_slot=lb.append)
+        assert la == lb and la[0] is not lb[0] and la[0].flows is not lb[0].flows
+        assert la[0] != la[1]
+
+
+class TestFlowNumbering:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_flows_are_numbered_in_app_worker_order(self, seed):
+        # the trace writer's flow rows rely on this: sorted flow indices are
+        # sorted (app, worker) keys, whatever order the flows come in
+        scenario = validate_scenario(*parse_scenario(network_doc(seed, assignment="random")))
+        cfg = scenario.config
+        rng = random.Random(seed)
+        assignment = engine.resolve_assignment(scenario, cfg, rng)
+        flows_by_app = {
+            a: rng.sample(flows, len(flows))
+            for a, flows in build_flows(scenario.graph, scenario.apps, assignment).items()
+        }
+        state = SchedulerState(cfg.policy, scenario.apps, flows_by_app, cfg.traffic)
+        keys = [(state.flow_app[f], state.flows[f].worker) for f in range(len(state.flows))]
+        assert len(keys) == sum(a.workers_needed for a in scenario.apps)
+        assert all(k < k2 for k, k2 in zip(keys, keys[1:]))
 
 
 def replicate(scenario, n_replications):

@@ -194,7 +194,7 @@ def _trace_writer(fh: TextIO, links: int) -> Callable[[SlotLedger], None]:
             for cells, sampled, residual in zip(edge_cells, ledger.sampled, ledger.residual)
         ]
         lines += [f"{flow_cells[f]}{granted[f]},{done.get(f, 0)},NA\n" for f in sorted(granted)]
-        if lines:
+        if lines:  # a network without links may grant nothing: no rows
             head = f"{ledger.seed},{ledger.slot},"
             fh.write(head + head.join(lines))
 

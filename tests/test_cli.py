@@ -27,7 +27,7 @@ from qnetfair import (
     run,
     validate_scenario,
 )
-from qnetfair.cli import _trace_writer, build_parser, main
+from qnetfair.cli import TRACE_COLUMNS, _trace_writer, build_parser, main
 
 # a UTF-16 byte-order mark and text: not UTF-8 from the first byte
 NOT_UTF8 = b"\xff\xfe" + "{}".encode("utf-16-le")
@@ -582,6 +582,15 @@ class TestTraceWriterOracle:
         cfg = dataclasses.replace(scenario.config, slots=60, warmup_slots=0, replications=3)
         new, ref = _traces(dataclasses.replace(scenario, config=cfg))
         assert new == ref
+
+    def test_slots_without_rows_write_nothing(self, write_scenario, tmp_path):
+        # a valid scenario of one node, no links and no apps
+        data = scenario_dict(slots=3)
+        data.update(nodes=data["nodes"][:1], links=[], apps=[])
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_scenario(data), "--trace",
+                     "--output-dir", str(out)]) == 0
+        assert (out / "trace.csv").read_text() == ",".join(TRACE_COLUMNS) + "\n"
 
     def test_cases_reach_what_the_writer_must_get_right(self):
         # slots that grant flows out of index order or leave a flow out, and

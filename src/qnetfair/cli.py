@@ -22,9 +22,8 @@ from .engine import (
     aggregate_metrics,
     replication_runs,
     resolve_assignment,
-    stream_rng,
 )
-from .fairshare import SearchSpaceTooLarge, jain_index, predicted_app_rates
+from .fairshare import SearchSpaceTooLarge, predicted_app_rates, weighted_jain
 from .model import AssignmentSource, Policy, Scenario, shown
 from .scenario_io import SCHEMA, ParseError, parse_scenario, read_json
 from .scheduling import ConfigError
@@ -260,11 +259,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_assign(args: argparse.Namespace) -> int:
     scenario = _scenario(read_json(args.config), args)
     cfg = dataclasses.replace(scenario.config, assignment=AssignmentSource(args.solver))
-    assignment = resolve_assignment(scenario, cfg, stream_rng(cfg.seed, "assignment"))
+    assignment = resolve_assignment(scenario, cfg)
     pred = predicted_app_rates(scenario.graph, scenario.apps, assignment)
     weighted = [pred[a.id].weighted for a in scenario.apps]
     min_weighted = min(weighted, default=None)  # NA without apps, as in run
-    jain = jain_index(weighted) if any(v > 0 for v in weighted) else None
+    jain = weighted_jain(weighted)
 
     if args.format == "csv":
         print("app_id,workers,rate,weighted_rate,min_weighted_rate,jain_weighted")
@@ -376,9 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_assign = sub.add_parser("assign", help="solve the worker assignment and report")
     add_common(p_assign)
-    p_assign.add_argument(
-        "--solver", choices=["greedy", "random", "exhaustive"], default="greedy"
-    )
+    solvers = [s.value for s in AssignmentSource if s is not AssignmentSource.GIVEN]
+    p_assign.add_argument("--solver", choices=solvers, default="greedy")
     p_assign.add_argument("--limit", type=int, help="override sim.exhaustive_limit")
     p_assign.add_argument("--format", choices=["text", "csv"], default="text")
     p_assign.set_defaults(func=cmd_assign)

@@ -1,8 +1,8 @@
 """Deterministic seeded slot loop and replication runner.
 
-Each run owns four independent RNG streams (capacity, arrival, success,
-assignment), seeded by hashing the stream label with the master seed, so
-toggling one stochastic dimension never perturbs the draws of another.
+Each run draws from four independent RNG streams (capacity, arrival,
+success and, in ``resolve_assignment``, assignment), seeded by hashing the
+stream label with the master seed, so one never perturbs another's draws.
 A single run is strictly single-threaded; replications are independent
 runs whose seeds derive from the master seed and the replication index,
 aggregated in index order.
@@ -45,7 +45,7 @@ from .fairshare import (
     assign_exhaustive,
     assign_greedy,
     assign_random,
-    jain_index,
+    weighted_jain,
 )
 from .model import (
     AppId,
@@ -105,14 +105,14 @@ def capacity_sampler(
     """Per-slot sampler of every link's capacity, listed in the order of
     ``links``; each call returns a new list.
 
-    Deterministic mode gives each link round(capacity_max *
-    gen_success_prob), which validation requires to be integral, and draws
-    nothing. Stochastic mode gives each link the number of successes in
-    capacity_max independent Bernoulli trials (an exact binomial sample),
-    drawing one uniform from ``rng`` per trial, link by link.
+    Deterministic mode gives each link round(effective_capacity), which
+    validation requires to be integral, and draws nothing. Stochastic mode
+    gives each link the number of successes in capacity_max independent
+    Bernoulli trials (an exact binomial sample), drawing one uniform from
+    ``rng`` per trial, link by link.
     """
     if mode is CapacityMode.DETERMINISTIC:
-        fixed = [round(l.capacity_max * l.gen_success_prob) for l in links]
+        fixed = [round(l.effective_capacity) for l in links]
         return fixed.copy
     thresholds = [l.gen_success_prob for l in links for _ in range(l.capacity_max)]
     ends = list(accumulate(l.capacity_max for l in links))
@@ -165,9 +165,9 @@ def resolve_successes(
     return successes
 
 
-def resolve_assignment(
-    scenario: Scenario, config: SimConfig, rng: random.Random
-) -> Assignment:
+def resolve_assignment(scenario: Scenario, config: SimConfig) -> Assignment:
+    """The pools that ``config.assignment`` picks; the random solver draws
+    them from the assignment stream of ``config.seed``."""
     source = config.assignment
     if source is AssignmentSource.GIVEN:
         if scenario.given_assignment is None:
@@ -176,7 +176,7 @@ def resolve_assignment(
     if source is AssignmentSource.GREEDY:
         return assign_greedy(scenario.graph, scenario.apps)
     if source is AssignmentSource.RANDOM:
-        return assign_random(scenario.graph, scenario.apps, rng)
+        return assign_random(scenario.graph, scenario.apps, stream_rng(config.seed, "assignment"))
     return assign_exhaustive(scenario.graph, scenario.apps, config.exhaustive_limit)
 
 
@@ -279,9 +279,8 @@ def run(
     rng_capacity = stream_rng(cfg.seed, "capacity")
     rng_arrival = stream_rng(cfg.seed, "arrival")
     rng_success = stream_rng(cfg.seed, "success")
-    rng_assignment = stream_rng(cfg.seed, "assignment")
 
-    assignment = resolve_assignment(scenario, cfg, rng_assignment)
+    assignment = resolve_assignment(scenario, cfg)
     flows_by_app = build_flows(scenario.graph, scenario.apps, assignment)
     state = SchedulerState(
         cfg.policy, scenario.apps, flows_by_app, cfg.traffic, cfg.quantum_base, cfg.cost_mode
@@ -354,8 +353,6 @@ def run(
         )
         for l in links
     }
-    weighted = [m.weighted_rate for m in per_app.values()]
-    jain = jain_index(weighted) if weighted and any(v > 0 for v in weighted) else None
     return Metrics(
         slots=cfg.slots,
         warmup_slots=cfg.warmup_slots,
@@ -364,7 +361,7 @@ def run(
         policy=cfg.policy,
         per_app=per_app,
         per_edge=per_edge,
-        jain_weighted=jain,
+        jain_weighted=weighted_jain([m.weighted_rate for m in per_app.values()]),
         total_delivered=sum(delivered_by_flow),
     )
 

@@ -16,9 +16,9 @@ import math
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
-from .model import Application, Assignment, Flow, NetworkGraph
+from .model import DEFAULT_EXHAUSTIVE_LIMIT, Application, Assignment, Flow, NetworkGraph
 from .routing import build_flows, eligible_flows
 
 FlowKey = Hashable
@@ -150,11 +150,22 @@ def jain_index(values: Sequence[float]) -> float:
     return (total * total) / (len(vals) * sq)
 
 
+def weighted_jain(weighted: Sequence[float]) -> Optional[float]:
+    """``jain_index`` of the apps' weighted rates; None (NA) if none is positive."""
+    return jain_index(weighted) if any(v > 0 for v in weighted) else None
+
+
 @dataclass(frozen=True)
 class AppRatePrediction:
     granted: float  # expected grants per slot under max-min sharing
     delivered: float  # granted discounted by swap success probability
     weighted: float  # delivered / app weight
+
+
+def _delivered(pool: Sequence[Flow], rates: Iterable[float]) -> float:
+    """A pool's delivered rate, the ``fsum`` of rate times swap probability; it
+    reads one rate per flow and no more, so pools can share one rate iterator."""
+    return math.fsum([r * f.swap_prob for f, r in zip(pool, rates)])
 
 
 def predicted_app_rates(
@@ -164,23 +175,21 @@ def predicted_app_rates(
 ) -> dict[int, AppRatePrediction]:
     """Analytical per-app rates under a given worker assignment.
 
-    One flow per (app, worker) over the shortest path, flow weight
-    weight/workers_needed so a pool's size does not change the app's
-    aggregate entitlement. Grants contend in the max-min fluid model;
+    One flow per (app, worker) over the shortest path, weighted by its
+    app's ``flow_weight``. Grants contend in the max-min fluid model;
     deliveries discount each flow by its swap success probability.
     """
     flows = build_flows(graph, apps, assignment)
     ordered = sorted(apps, key=lambda a: a.id)
     # keyed by (app, worker): apps with the same host share their Flows
     flow_edges = {(a.id, f.worker): f.edges for a in ordered for f in flows[a.id]}
-    weights = {(a.id, f.worker): a.weight / a.workers_needed for a in ordered for f in flows[a.id]}
+    weights = {(a.id, f.worker): a.flow_weight for a in ordered for f in flows[a.id]}
     rates = maxmin_rates(flow_edges, graph.effective_capacities(), weights)
     out: dict[int, AppRatePrediction] = {}
     for app in ordered:
-        app_rates = [(rates[(app.id, f.worker)], f.swap_prob) for f in flows[app.id]]
-        granted = math.fsum(r for r, _ in app_rates)
-        delivered = math.fsum(r * swap for r, swap in app_rates)
-        out[app.id] = AppRatePrediction(granted, delivered, delivered / app.weight)
+        app_rates = [rates[(app.id, f.worker)] for f in flows[app.id]]
+        delivered = _delivered(flows[app.id], app_rates)
+        out[app.id] = AppRatePrediction(math.fsum(app_rates), delivered, delivered / app.weight)
     return out
 
 
@@ -216,7 +225,7 @@ def assign_greedy(graph: NetworkGraph, apps: Sequence[Application]) -> Assignmen
     out: Assignment = {}
     for app in sorted(apps, key=lambda a: (-a.weight, a.id)):
         cand_edges = {f.worker: f.edges for f in eligible_flows(graph, app)}
-        phi = app.weight / app.workers_needed
+        phi = app.flow_weight
         picked: list[int] = []
         for _ in range(app.workers_needed):
             best = None
@@ -247,21 +256,23 @@ def _pool_bound(pool: Sequence[Flow], weight: float, caps: Mapping[int, float]) 
     least capacity. The factor covers the rounding of ``progressive_fill``.
     It is ``assign_exhaustive``'s cheap first filter; ``_contention_bounds``,
     which needs the whole assignment, is the second."""
-    peak = math.fsum(min([caps[e] for e in f.edges]) * f.swap_prob for f in pool)
+    peak = _delivered(pool, [min([caps[e] for e in f.edges]) for f in pool])
     return peak / weight * (1 + 1e-9)
 
 
 def _contention_bounds(
     apps: Sequence[Application],
+    shares: Sequence[float],
     pools: Sequence[Sequence[Flow]],
+    order: Iterable[int],
     load: Mapping[int, float],
     caps: Mapping[int, float],
     floor: float,
 ) -> list[float]:
-    """Upper bounds on the weighted delivered rates of ``apps`` with these
-    ``pools`` under one assignment, whose flows put weight ``load[e]`` on
-    each edge e they cross. The bounds follow the order of ``apps`` and
-    end after the first one below ``floor``.
+    """Upper bounds on the weighted delivered rates of the apps that ``order``
+    names by index into ``apps``, their flow weights ``shares`` and their
+    ``pools``, under one assignment whose flows put weight ``load[e]`` on each
+    edge e they cross. They follow ``order`` and end after the first below ``floor``.
 
     With W_e the flow weight crossing edge e, progressive filling first
     saturates an edge at level t1 = min_e cap_e / W_e, and no flow freezes
@@ -284,19 +295,19 @@ def _contention_bounds(
     """
     t1 = min([caps[e] / total for e, total in load.items()]) * (1 - 1e-9)
     bounds = []
-    for app, pool in zip(apps, pools):
-        w = app.weight / app.workers_needed
+    for i in order:
+        w = shares[i]
         peak = math.fsum(
-            [min([caps[e] - t1 * (load[e] - w) for e in f.edges]) * f.swap_prob for f in pool]
+            [min([caps[e] - t1 * (load[e] - w) for e in f.edges]) * f.swap_prob for f in pools[i]]
         )
-        bounds.append(peak / app.weight * (1 + 1e-9))
+        bounds.append(peak / apps[i].weight * (1 + 1e-9))
         if bounds[-1] < floor:
             break
     return bounds
 
 
 def assign_exhaustive(
-    graph: NetworkGraph, apps: Sequence[Application], limit: int = 1_000_000
+    graph: NetworkGraph, apps: Sequence[Application], limit: int = DEFAULT_EXHAUSTIVE_LIMIT
 ) -> Assignment:
     """Exact solver: enumerate every assignment and keep the lexicographic
     maximum of the ascending-sorted weighted delivered rates (those of
@@ -327,7 +338,7 @@ def assign_exhaustive(
     if size > limit:
         raise SearchSpaceTooLarge(size, limit)
     caps = graph.effective_capacities()
-    shares = [a.weight / a.workers_needed for a in ordered]  # each app's flow weight
+    shares = [a.flow_weight for a in ordered]
     # every candidate at once: no assignment's sums can then leave the float range
     flow_edges, flow_weights = {}, {}
     for app, flows, w in zip(ordered, eligible, shares):
@@ -361,19 +372,13 @@ def assign_exhaustive(
             if best_score is not None:
                 rank = sorted(range(n), key=bounds.__getitem__)
                 contention = _contention_bounds(
-                    [ordered[i] for i in rank], [combo[i] for i in rank], loads[n], caps,
-                    best_score[0],
+                    ordered, shares, combo, rank, loads[n], caps, best_score[0]
                 )
                 # a list cut short at a bound below best_score[0] sorts below it too
                 if tuple(sorted(contention)) <= best_score:
                     continue
-            flows = [f for pool in combo for f in pool]
-            rates = progressive_fill(weights, [f.edges for f in flows], caps)
-            delivered = iter([r * f.swap_prob for r, f in zip(rates, flows)])
-            score = tuple(sorted(
-                math.fsum(itertools.islice(delivered, a.workers_needed)) / a.weight
-                for a in ordered
-            ))
+            rates = iter(progressive_fill(weights, [f.edges for p in combo for f in p], caps))
+            score = tuple(sorted(_delivered(p, rates) / a.weight for a, p in zip(ordered, combo)))
             if best_score is None or score > best_score:
                 best, best_score = combo, score
             continue

@@ -13,6 +13,7 @@ key; only SimConfig.warmup_slots names its key, ``warmup``, in metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 from enum import Enum
 from typing import Iterable, Mapping, Optional
 
@@ -21,16 +22,17 @@ EdgeId = int
 AppId = int
 
 WERNER_FLOOR = 0.25
+DEFAULT_EXHAUSTIVE_LIMIT = 1_000_000
 
 
 def shown(value: object) -> str:
     """How a diagnostic echoes a value, so that no input makes a long line:
-    an int of more than 20 digits by its digit count (a JSON file can hold
-    one of 4300 digits), any other value by its ``repr`` if that has at
-    most 40 characters, and by the length of the ``repr`` otherwise."""
+    an int of more than 20 digits by its digit count (``str`` stops at 4300
+    digits; a caller may pass more), any other value by its ``repr`` if that
+    has at most 40 characters, and by the length of the ``repr`` otherwise."""
     if isinstance(value, int) and not -(10**20) < value < 10**20:
         article = "a negative" if value < 0 else "an"
-        return f"{article} integer of {len(str(abs(value)))} digits"
+        return f"{article} integer of {Decimal(value).adjusted() + 1} digits"
     text = repr(value)
     return text if len(text) <= 40 else f"a value of {len(text)} characters"
 
@@ -102,6 +104,11 @@ class Application:
     min_fidelity: float = WERNER_FLOOR
     arrival_rate: float = 0.0  # requests per slot, Poisson traffic only
 
+    @property
+    def flow_weight(self) -> float:
+        """Each pool flow's weight: a pool's flows sum to the app's weight, whatever its size."""
+        return self.weight / self.workers_needed
+
 
 @dataclass(frozen=True)
 class Flow:
@@ -151,9 +158,6 @@ class NetworkGraph:
     def has_node(self, node_id: NodeId) -> bool:
         return node_id in self._nodes
 
-    def link(self, edge_id: EdgeId) -> QuantumLink:
-        return self._links[edge_id]
-
     def neighbors(self, node_id: NodeId) -> tuple[tuple[NodeId, EdgeId], ...]:
         """Adjacent (node, edge) pairs in ascending neighbor-id order."""
         return self._adj.get(node_id, ())
@@ -177,7 +181,7 @@ class SimConfig:
     cost_mode: CostMode = CostMode.UNIT
     quantum_base: int = 1
     assignment: AssignmentSource = AssignmentSource.GREEDY
-    exhaustive_limit: int = 1_000_000
+    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT
     replications: int = 1
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from .model import WERNER_FLOOR, AppId, Application, Assignment, EdgeId, Flow, NetworkGraph, NodeId
+from .model import shown
 
 
 class NoPath(Exception):
@@ -87,7 +88,8 @@ def route(graph: NetworkGraph, requests: Mapping[NodeId, Iterable[NodeId]]) -> N
         if host in new:
             raise ValueError("src and dst must differ")
         if not graph.has_node(host) or not all(map(graph.has_node, new)):
-            raise ValueError(f"unknown node in ({host}, {sorted(new)})")
+            bad = next(n for n in (host, *sorted(new)) if not graph.has_node(n))
+            raise ValueError(f"unknown node in a request from host {shown(host)}: {shown(bad)}")
         if new:
             batch[host] = new
     if not batch:

@@ -230,13 +230,13 @@ def enqueue_arrivals(
 ) -> None:
     """Append new requests FIFO per app; newly backlogged apps join the
     tail of the active ring. Poisson traffic only. An unknown app id or a
-    count not an int >= 0 raises ValueError, with no request queued."""
+    count not an int >= 0 (a bool too) raises ValueError, queuing nothing."""
     if state.traffic is not Traffic.POISSON:
         raise ConfigError("arrivals are only meaningful with Poisson traffic")
     for app_id, count in arrivals.items():  # all checked before any is queued
         if app_id not in state.queues:
             raise ValueError(f"arrivals for unknown app {shown(app_id)}")
-        if not isinstance(count, int) or count < 0:
+        if count.__class__ is not int or count < 0:
             raise ValueError(f"arrival count for app {app_id} must be an int >= 0, got {shown(count)}")
     for app_id, count in sorted(arrivals.items()):
         if count == 0:
@@ -379,8 +379,8 @@ def schedule_slot(state: SchedulerState, capacities: list[int]) -> SlotGrants:
     if not isinstance(capacities, list):
         raise TypeError(f"capacities must be a list by link id, got {type(capacities).__name__}")
     # C-level scans; the generator only runs to name the offending edge
-    if not all(map(int.__instancecheck__, capacities)) or min(capacities, default=0) < 0:
-        e = next(e for e, c in enumerate(capacities) if not isinstance(c, int) or c < 0)
+    if not {*map(type, capacities)} <= {int} or min(capacities, default=0) < 0:
+        e = next(e for e, c in enumerate(capacities) if c.__class__ is not int or c < 0)
         raise ValueError(f"sampled capacity of edge {e} must be a non-negative integer")
     if len(capacities) < state.links_needed:
         raise ValueError(f"capacity list too short: {len(capacities)} < {state.links_needed} links")

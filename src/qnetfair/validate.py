@@ -35,7 +35,7 @@ from .scheduling import flow_cost, policy_problems, quantum_problems
 MAX_ARRIVAL_RATE = 30.0
 # stochastic sampling draws one trial per unit of capacity per link per slot
 MAX_CAPACITY = 1000
-# a flow's weight, weight / workers_needed, and the weighted rates stay
+# an app's flow_weight (weight / workers_needed) and the weighted rates stay
 # normal floats, and a sum of weights on an edge stays finite
 MIN_WEIGHT = 1e-15
 MAX_WEIGHT = 1e15
@@ -120,7 +120,7 @@ def _check_structure(
             )
         # only in-range factors have a product that round() takes
         if config.capacity_mode is CapacityMode.DETERMINISTIC and capacity_ok and prob_ok:
-            eff = link.capacity_max * link.gen_success_prob
+            eff = link.effective_capacity
             if abs(eff - round(eff)) > _CAPACITY_INT_TOL:
                 diags.append(
                     f"links[{i}]: deterministic capacity mode needs integral "

@@ -364,14 +364,12 @@ def test_c11_conservation_across_representative_runs():
     )
 
     from qnetfair import build_flows
-    from qnetfair.engine import resolve_assignment, stream_rng
+    from qnetfair.engine import resolve_assignment
 
     for scenario in cases:
         ledgers = []
         run(scenario, on_slot=ledgers.append)
-        assignment = resolve_assignment(
-            scenario, scenario.config, stream_rng(scenario.config.seed, "assignment")
-        )
+        assignment = resolve_assignment(scenario, scenario.config)
         flows = build_flows(scenario.graph, scenario.apps, assignment)
         flow_edges = {
             (a, f.worker): f.edges for a, fl in flows.items() for f in fl

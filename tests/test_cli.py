@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from conftest import scenario_dict
-from gen import random_connected_graph
+from gen import network_doc, random_connected_graph
 from qnetfair import (
     Application,
     AssignmentSource,
@@ -338,6 +338,22 @@ class TestRunCommand:
         assert gheader[:5] == ["policy", "seed", "slots", "jain_weighted", "total_delivered"]
         assert "edge_0_util" in gheader
         assert grows[0]["total_delivered"] == "100"
+
+    @pytest.mark.parametrize("apps", ["idle_poisson", "none"])
+    def test_no_positive_weighted_rate_gives_na_jain(self, write_scenario, tmp_path, capsys, apps):
+        data = scenario_dict(traffic="poisson", policy="FCFS")
+        if apps == "none":
+            data["apps"] = []
+        else:  # two apps whose queues stay empty: arrival_rate 0
+            data["apps"].append({**data["apps"][0], "id": 1, "arrival_rate": 0.0})
+            assert "arrival_rate" not in data["apps"][0]  # its default, 0
+        path = write_scenario(data)
+        assert run(load_scenario(path)).jain_weighted is None
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--output-dir", str(out)]) == 0
+        _, rows = read_csv(out / "global.csv")
+        assert [r["jain_weighted"] for r in rows] == ["NA"]
+        assert "jain(weighted)=NA total_delivered=0" in capsys.readouterr().out
 
     def test_rerun_is_byte_identical(self, write_scenario, tmp_path):
         data = scenario_dict(capacity_mode="stochastic", policy="DRR", slots=300)
@@ -666,6 +682,31 @@ class TestAssignCommand:
         assert capsys.readouterr().out.splitlines() == [
             "app_id,workers,rate,weighted_rate,min_weighted_rate,jain_weighted"
         ]
+
+
+class TestAssignPrintsRunPools:
+    """``assign --solver random`` prints the pools that a one-replication
+    ``run`` of the same file uses: both draw them from one stream."""
+
+    @pytest.mark.parametrize("source", ["net60_random", 0, 1, 2])
+    def test_random_pools_are_the_runs(self, write_scenario, capsys, source):
+        if isinstance(source, str):
+            path = str(ROOT / "tests" / "scenarios" / f"{source}.json")
+        else:
+            path = write_scenario(network_doc(source, assignment="random"))
+        scenario = load_scenario(path)
+        assert scenario.config.assignment is AssignmentSource.RANDOM
+        ledgers = []
+        run(scenario, dataclasses.replace(scenario.config, slots=1, warmup_slots=0),
+            on_slot=ledgers.append)
+        pools = {}
+        for app_id, worker in ledgers[0].flows:
+            pools.setdefault(app_id, []).append(worker)
+        assert main(["assign", "--config", path, "--solver", "random", "--format", "csv"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        printed = {int(r.split(",")[0]): [int(w) for w in r.split(",")[1].split(";")] for r in rows}
+        assert printed == {a: sorted(ws) for a, ws in pools.items()}
+        assert len(printed) == len(scenario.apps)
 
 
 class TestSearchSpaceHint:

@@ -516,7 +516,7 @@ class TestFlowNumbering:
         scenario = validate_scenario(*parse_scenario(network_doc(seed, assignment="random")))
         cfg = scenario.config
         rng = random.Random(seed)
-        assignment = engine.resolve_assignment(scenario, cfg, rng)
+        assignment = engine.resolve_assignment(scenario, cfg)
         flows_by_app = {
             a: rng.sample(flows, len(flows))
             for a, flows in build_flows(scenario.graph, scenario.apps, assignment).items()

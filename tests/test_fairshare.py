@@ -182,7 +182,9 @@ def edge_load(apps, combo) -> dict[int, float]:
 def contention_bounds(apps, combo, caps):
     """``_contention_bounds`` of one assignment, given each app's pool: all
     of them, in the order of ``apps``."""
-    return _contention_bounds(apps, combo, edge_load(apps, combo), caps, -math.inf)
+    shares = [a.weight / a.workers_needed for a in apps]
+    order = range(len(apps))
+    return _contention_bounds(apps, shares, combo, order, edge_load(apps, combo), caps, -math.inf)
 
 
 def with_swap_probs(graph, rng):
@@ -781,12 +783,14 @@ class TestExhaustivePruning:
         caps = graph.effective_capacities()
         combo = [eligible_flows(graph, a)[:2] for a in apps]
         load = edge_load(apps, combo)
+        shares = [a.weight / a.workers_needed for a in apps]
         bounds = contention_bounds(apps, combo, caps)
         least = min(bounds)
         assert bounds.index(least) < len(bounds) - 1
-        assert _contention_bounds(apps, combo, load, caps, least) == bounds
+        order = range(len(apps))
+        assert _contention_bounds(apps, shares, combo, order, load, caps, least) == bounds
         above = math.nextafter(bounds[0], math.inf)
-        assert _contention_bounds(apps, combo, load, caps, above) == bounds[:1]
+        assert _contention_bounds(apps, shares, combo, order, load, caps, above) == bounds[:1]
 
     @pytest.mark.parametrize("chooser_first", [False, True], ids=["chooser_last", "chooser_first"])
     def test_a_thousand_single_pool_apps_and_one_with_21_pools(self, monkeypatch, chooser_first):

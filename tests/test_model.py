@@ -54,13 +54,14 @@ def diags_of(graph, apps, config, given=None):
         (10**20 - 1, "99999999999999999999"),
         (10**20, "an integer of 21 digits"),
         (-(10**400), "a negative integer of 401 digits"),
+        (10**5000, "an integer of 5001 digits"),
         ("x" * 38, "'" + "x" * 38 + "'"),
         ("x" * 39, "a value of 41 characters"),
         ([10**20, 1], "[100000000000000000000, 1]"),
         (None, "None"),
     ],
-    ids=["20_digits", "21_digits", "negative_401_digits", "40_characters", "41_characters",
-         "short_list", "none"],
+    ids=["20_digits", "21_digits", "negative_401_digits", "5001_digits", "40_characters",
+         "41_characters", "short_list", "none"],
 )
 def test_shown_echoes_at_most_40_characters(value, text):
     assert shown(value) == text

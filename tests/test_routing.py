@@ -115,6 +115,23 @@ class TestShortestPath:
         with pytest.raises(ValueError):
             route(g, 1, 1)
 
+    @pytest.mark.parametrize(
+        "host, workers, line",
+        [
+            (0, [1, 10**5000], "host 0: an integer of 5001 digits"),
+            (10**5000, [0], "host an integer of 5001 digits: an integer of 5001 digits"),
+            (0, [1, 9, 7], "host 0: 7"),
+        ],
+        ids=["long_worker", "long_host", "first_unknown"],
+    )
+    def test_unknown_node_is_named_as_diagnostics_echo_it(self, host, workers, line):
+        g = _graph_from_edges(2, [(0, 1)])
+        for call in (lambda: routing.route(g, {host: workers}), lambda: host_flows(g, host, workers)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == f"unknown node in a request from {line}"
+        assert g.routes == {}
+
     def test_matches_exhaustive_enumeration_on_small_graphs(self):
         # brute force: the minimum-hop, lexicographically smallest simple path
         def all_simple_paths(g, src, dst):

@@ -114,7 +114,7 @@ class TestConfigGuards:
         state, _ = single_link_state(Policy.RR, [weight], 1, quantum_base=quantum_base)
         assert state.quantum == []  # only DRR credits quanta
 
-    @pytest.mark.parametrize("capacity", [-1, 1.5])
+    @pytest.mark.parametrize("capacity", [-1, 1.5, True])
     def test_sampled_capacity_must_be_non_negative_integer(self, capacity):
         state, _ = single_link_state(Policy.RR, [1.0], 1)
         with pytest.raises(ValueError, match="edge 0"):
@@ -171,6 +171,7 @@ class TestEnqueueArrivals:
         [
             ({0: 2, 1: -1}, "count for app 1 must be an int >= 0, got -1"),
             ({0: 2, 1: 1.5}, "count for app 1 must be an int >= 0, got 1.5"),
+            ({0: 2, 1: True}, "count for app 1 must be an int >= 0, got True"),
             ({0: 2, 7: 1}, "arrivals for unknown app 7"),
             ({0: 2, "x": 1}, "arrivals for unknown app 'x'"),
         ],

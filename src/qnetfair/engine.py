@@ -32,10 +32,8 @@ tuple that every ledger of the run shares. Only its ``grants`` and
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 import random
-import statistics
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import gt
@@ -70,9 +68,17 @@ from .scheduling import (
     enqueue_arrivals,
 )
 
+try:  # hashlib loads OpenSSL; take sha256 from CPython's lean builtin module
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 def stream_seed(master_seed: int, label: str) -> int:
     """64-bit sub-seed for a named stream: sha256 of 'label:master'."""
-    digest = hashlib.sha256(f"{label}:{master_seed}".encode()).digest()
+    digest = sha256(f"{label}:{master_seed}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -411,6 +417,7 @@ def replication_runs(
 
 def aggregate_metrics(runs: Sequence[Metrics]) -> ReplicationSummary:
     """Mean and sample standard deviation of every scalar metric."""
+    import statistics  # only replicated runs and sweeps aggregate
     samples: dict[str, list[float]] = {}
 
     def put(key: str, value: Optional[float]) -> None:

@@ -13,7 +13,6 @@ key; only SimConfig.warmup_slots names its key, ``warmup``, in metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from decimal import Decimal
 from enum import Enum
 from typing import Iterable, Mapping, Optional
 
@@ -28,12 +27,16 @@ DEFAULT_EXHAUSTIVE_LIMIT = 1_000_000
 def shown(value: object) -> str:
     """How a diagnostic echoes a value, so that no input makes a long line:
     an int of more than 20 digits by its digit count (``str`` stops at 4300
-    digits; a caller may pass more), any other value by its ``repr`` if that
-    has at most 40 characters, and by the length of the ``repr`` otherwise."""
+    digits), any other value by its ``repr`` if at most 40 characters long,
+    by the ``repr``'s length if longer, and as too long if ``repr`` fails."""
     if isinstance(value, int) and not -(10**20) < value < 10**20:
+        from decimal import Decimal  # loaded only for the rare long int
         article = "a negative" if value < 0 else "an"
         return f"{article} integer of {Decimal(value).adjusted() + 1} digits"
-    text = repr(value)
+    try:
+        text = repr(value)
+    except ValueError:  # as on a list that holds an int too long for str
+        return "a value too long to show"
     return text if len(text) <= 40 else f"a value of {len(text)} characters"
 
 

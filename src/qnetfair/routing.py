@@ -88,7 +88,9 @@ def route(graph: NetworkGraph, requests: Mapping[NodeId, Iterable[NodeId]]) -> N
         if host in new:
             raise ValueError("src and dst must differ")
         if not graph.has_node(host) or not all(map(graph.has_node, new)):
-            bad = next(n for n in (host, *sorted(new)) if not graph.has_node(n))
+            # ints by value, then other ids by how they are shown: no two ids fail to compare
+            ids = sorted(new, key=lambda n: (0, n) if isinstance(n, int) else (1, shown(n)))
+            bad = next(n for n in (host, *ids) if not graph.has_node(n))
             raise ValueError(f"unknown node in a request from host {shown(host)}: {shown(bad)}")
         if new:
             batch[host] = new
@@ -216,12 +218,12 @@ def host_flows(graph: NetworkGraph, host: NodeId, workers: Iterable[NodeId]) -> 
     ``route``, which raises ValueError for the host itself or an unknown
     node; the others are read from ``graph.routes``, so every call hands
     out the same Flow objects."""
-    workers = sorted(workers)
+    workers = list(workers)
     known = graph.routes.get(host)
     if known is None or not all(w in known for w in workers):
         route(graph, {host: workers})
         known = graph.routes.get(host, {})
-    return [f for w in workers if (f := known[w]) is not None]
+    return [f for w in sorted(workers) if (f := known[w]) is not None]
 
 
 def eligible_flows(graph: NetworkGraph, app: Application) -> list[Flow]:

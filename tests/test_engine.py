@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import re
+import statistics
 from pathlib import Path
 from unittest import mock
 
@@ -560,6 +561,37 @@ class TestReplicate:
         stat = summary.stats["app_0.delivered_rate"]
         assert stat.n == 30
         assert abs(stat.mean - 2.0) <= 3 * stat.stddev / math.sqrt(30) + 1e-9
+
+    def test_three_replications_match_statistics(self):
+        # aggregate_metrics imports statistics when called; its figures stay those of
+        # statistics.fmean and statistics.stdev over each metric's non-None values
+        scenario = make_scenario(
+            shared_link_graph(3, gen_prob=0.5),
+            shared_link_apps([1.0, 2.0], arrival_rate=0.8),
+            capacity_mode=CapacityMode.STOCHASTIC,
+            traffic=Traffic.POISSON,
+            slots=80,
+        )
+        runs = replication_runs(scenario, n_replications=3)
+
+        def values(key):
+            head, _, attr = key.partition(".")
+            if not attr:
+                got = [getattr(m, head) for m in runs]
+            else:
+                kind, _, ident = head.partition("_")
+                tables = [m.per_app if kind == "app" else m.per_edge for m in runs]
+                got = [getattr(table[int(ident)], attr) for table in tables]
+            return [float(v) for v in got if v is not None]
+
+        summary = aggregate_metrics(runs)
+        assert summary.n == 3
+        assert {"app_1.mean_latency", "edge_0.utilization", "jain_weighted"} <= set(summary.stats)
+        assert summary.stats["total_delivered"].stddev > 0
+        for key, stat in summary.stats.items():
+            vals = values(key)
+            expected = (statistics.fmean(vals), statistics.stdev(vals), len(vals))
+            assert (stat.mean, stat.stddev, stat.n) == expected, key
 
     def test_order_of_merge_is_by_index(self):
         scenario = make_scenario(

@@ -58,10 +58,11 @@ def diags_of(graph, apps, config, given=None):
         ("x" * 38, "'" + "x" * 38 + "'"),
         ("x" * 39, "a value of 41 characters"),
         ([10**20, 1], "[100000000000000000000, 1]"),
+        ([10**5000], "a value too long to show"),
         (None, "None"),
     ],
     ids=["20_digits", "21_digits", "negative_401_digits", "5001_digits", "40_characters",
-         "41_characters", "short_list", "none"],
+         "41_characters", "short_list", "list_past_str_limit", "none"],
 )
 def test_shown_echoes_at_most_40_characters(value, text):
     assert shown(value) == text

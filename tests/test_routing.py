@@ -121,8 +121,10 @@ class TestShortestPath:
             (0, [1, 10**5000], "host 0: an integer of 5001 digits"),
             (10**5000, [0], "host an integer of 5001 digits: an integer of 5001 digits"),
             (0, [1, 9, 7], "host 0: 7"),
+            (0, [1, "x"], "host 0: 'x'"),
+            (0, ["y", 9, 1, "x", 7], "host 0: 7"),
         ],
-        ids=["long_worker", "long_host", "first_unknown"],
+        ids=["long_worker", "long_host", "first_unknown", "str_among_ints", "ints_before_strs"],
     )
     def test_unknown_node_is_named_as_diagnostics_echo_it(self, host, workers, line):
         g = _graph_from_edges(2, [(0, 1)])

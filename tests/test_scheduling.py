@@ -264,6 +264,15 @@ class TestPick:
         with pytest.raises(ConfigError, match="app ids must be dense integers from 0"):
             SchedulerState(Policy.RR, apps, flows, Traffic.BACKLOGGED)
 
+    def test_id_too_long_for_str_gets_the_dense_diagnostic(self):
+        # repr of a list holding an int past 4300 digits raises ValueError
+        apps = [Application(10**5000, 0, 1.0, 1, frozenset({1}))]
+        with pytest.raises(ConfigError) as err:
+            SchedulerState(Policy.RR, apps, {}, Traffic.BACKLOGGED)
+        assert str(err.value) == (
+            "app ids must be dense integers from 0, got a value too long to show"
+        )
+
 
 class TestDRR:
     def test_single_bottleneck_grants_match_weights_every_slot(self):

@@ -3,9 +3,14 @@
 Each run draws from four independent RNG streams (capacity, arrival,
 success and, in ``resolve_assignment``, assignment), seeded by hashing the
 stream label with the master seed, so one never perturbs another's draws.
-A single run is strictly single-threaded; replications are independent
-runs whose seeds derive from the master seed and the replication index,
-aggregated in index order.
+Replications are independent runs whose seeds derive from the master seed
+and the replication index, aggregated in index order. No grant changes a
+capacity or arrival draw, so a run forks one producer process that makes
+both, in the order the run would, ahead of its slot loop and sends them
+through a pipe: the outputs stay byte-identical. The run draws them
+itself when neither stream is drawn, on one CPU, beside another thread
+(which could hold a lock across the fork) or without fork. Success draws
+follow the grants and stay in the run's process.
 
 Each slot's link capacities come from one sampler built per run. In
 stochastic mode it holds a flat list with every link's gen_success_prob
@@ -33,11 +38,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import random
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import gt
-from typing import Callable, Mapping, Optional, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .fairshare import (
     assign_exhaustive,
@@ -64,8 +72,8 @@ from .scheduling import (
     ConfigError,
     SchedulerState,
     SlotGrants,
+    _enqueue_arrivals,
     _schedule_slot,
-    enqueue_arrivals,
 )
 
 try:  # hashlib loads OpenSSL; take sha256 from CPython's lean builtin module
@@ -146,6 +154,81 @@ def poisson_sample(lam: float, rng: random.Random) -> int:
         if p <= limit:
             return k
         k += 1
+
+
+_Draws = Iterable[tuple[list[int], list[int]]]  # per slot: capacities, arrival counts
+
+
+def _slot_draws(
+    sample_slot: Callable[[], list[int]], rates: Sequence[float], rng: random.Random, slots: int
+) -> _Draws:
+    """The draws of each slot that no grant can change: the sampled
+    capacities, and a Poisson arrival count for each of ``rates``."""
+    for _ in range(slots):
+        yield sample_slot(), [poisson_sample(lam, rng) for lam in rates]
+
+
+CHUNK_INTS = 4096  # a producer's chunk: this many 4-byte unsigned ints, or one slot
+
+
+@contextmanager
+def _draw_feed(draws: _Draws, slots: int, links: int, apps: int, fork: bool) -> Iterator[_Draws]:
+    """``draws`` for the slot loop: each slot's ``links`` capacities and
+    ``apps`` arrival counts. With ``fork``, a forked producer iterates them
+    ahead of the loop and writes whole slots to a pipe in chunks; leaving
+    the block, however the run ends, kills the producer if it still runs
+    and reaps it."""
+    width = links + apps
+    per_chunk = max(1, CHUNK_INTS // max(width, 1))
+
+    def read(feed: BinaryIO) -> _Draws:
+        for first in range(0, slots, per_chunk):
+            size = min(per_chunk, slots - first) * width
+            chunk = feed.read(4 * size)
+            if len(chunk) != 4 * size:
+                raise RuntimeError(f"slot {first}: the producer of capacity and arrival draws died")
+            ints = memoryview(chunk).cast("I")
+            for a in range(0, size, width):
+                yield ints[a : a + links].tolist(), ints[a + links : a + width].tolist()
+
+    if fork:
+        from _signal import SIGKILL  # loaded at start-up, unlike the signal module
+
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: the run draws them itself
+            os.close(read_fd)
+            os.close(write_fd)
+            fork = False
+    if not fork:
+        yield draws
+        return
+    if pid == 0:  # the producer; it never returns into the run
+        code = 1
+        try:
+            os.close(read_fd)
+            from array import array
+
+            with open(write_fd, "wb") as out:
+                chunk = array("I")
+                for n, (sampled, counts) in enumerate(draws, 1):
+                    chunk.extend(sampled)
+                    chunk.extend(counts)
+                    if n % per_chunk == 0:
+                        out.write(chunk)
+                        del chunk[:]
+                out.write(chunk)
+            code = 0
+        finally:  # skips the run's open files and atexit hooks
+            os._exit(code)
+    try:
+        os.close(write_fd)
+        with open(read_fd, "rb") as feed:
+            yield read(feed)
+    finally:
+        os.kill(pid, SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def resolve_successes(
@@ -304,26 +387,30 @@ def run(
     delivered_by_flow = [0] * len(flows)
     wait_by_app = [0] * len(state.apps)  # sum of slots from arrival to grant
     sample_slot = capacity_sampler(links, cfg.capacity_mode, rng_capacity)
+    rates = [a.arrival_rate for a in state.apps] if cfg.traffic is Traffic.POISSON else []
+    draws = _slot_draws(sample_slot, rates, rng_arrival, cfg.slots)
+    drawn = cfg.capacity_mode is CapacityMode.STOCHASTIC and links or rates
+    cpus = getattr(os, "sched_getaffinity", lambda pid: ())(0)
+    fork = bool(drawn) and hasattr(os, "fork") and len(cpus) > 1 and threading.active_count() == 1
 
-    for slot in range(cfg.slots):
-        sampled = sample_slot()
-        if cfg.traffic is Traffic.POISSON:
-            arrivals = {a.id: poisson_sample(a.arrival_rate, rng_arrival) for a in state.apps}
-            enqueue_arrivals(state, slot, arrivals)
-        result = _schedule_slot(state, sampled)
-        grants = result.per_flow
-        successes = resolve_successes(grants, rng_success, rank, swap_prob)
-        _verify_slot(slot, sampled, result, successes, state)
+    with _draw_feed(draws, cfg.slots, len(links), len(rates), fork) as feed:
+        for slot, (sampled, counts) in enumerate(feed):
+            _enqueue_arrivals(state, slot, counts)  # no counts under backlogged traffic
+            result = _schedule_slot(state, sampled)
+            grants = result.per_flow
+            successes = resolve_successes(grants, rng_success, rank, swap_prob)
+            _verify_slot(slot, sampled, result, successes, state)
 
-        if slot >= cfg.warmup_slots:
-            for f, count in grants.items():
-                grants_by_flow[f] += count
-            for f, done in successes.items():
-                delivered_by_flow[f] += done
-            for app_id, arrival_slot in result.granted_requests:
-                wait_by_app[app_id] += slot - arrival_slot
-        if on_slot is not None:
-            on_slot(SlotLedger(cfg.seed, slot, sampled, result.residual, workers, grants, successes))
+            if slot >= cfg.warmup_slots:
+                for f, count in grants.items():
+                    grants_by_flow[f] += count
+                for f, done in successes.items():
+                    delivered_by_flow[f] += done
+                for app_id, arrival_slot in result.granted_requests:
+                    wait_by_app[app_id] += slot - arrival_slot
+            if on_slot is not None:
+                residual = result.residual
+                on_slot(SlotLedger(cfg.seed, slot, sampled, residual, workers, grants, successes))
 
     measured = cfg.slots - cfg.warmup_slots
     # _verify_slot has checked that each slot's grants consumed exactly

@@ -238,16 +238,22 @@ def enqueue_arrivals(
             raise ValueError(f"arrivals for unknown app {shown(app_id)}")
         if count.__class__ is not int or count < 0:
             raise ValueError(f"arrival count for app {app_id} must be an int >= 0, got {shown(count)}")
-    for app_id, count in sorted(arrivals.items()):
-        if count == 0:
-            continue
-        queue = state.queues[app_id]
-        newly_backlogged = not queue
-        queue.extend([slot] * count)
-        if newly_backlogged:
-            state.active.append(app_id)
-            if state.head is None:
-                state.head = app_id
+    _enqueue_arrivals(state, slot, [arrivals.get(a, 0) for a in range(len(state.apps))])
+
+
+def _enqueue_arrivals(state: SchedulerState, slot: int, counts: list[int]) -> None:
+    """``enqueue_arrivals`` without its checks, for counts that the program
+    drew itself, such as ``engine.run``'s: an int >= 0 per app, in app-id
+    order, under Poisson traffic."""
+    queues, active = state.queues, state.active
+    for app_id, count in enumerate(counts):
+        if count:
+            queue = queues[app_id]
+            if not queue:
+                active.append(app_id)
+                if state.head is None:
+                    state.head = app_id
+            queue.extend([slot] * count)
 
 
 def _saturate(state: SchedulerState, ctx: SlotGrants, e: EdgeId) -> None:

@@ -1,8 +1,12 @@
+import contextlib
 import dataclasses
 import math
+import os
 import random
 import re
+import signal
 import statistics
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -633,3 +637,182 @@ class TestAssignmentSources:
         )
         with pytest.raises(SearchSpaceTooLarge):
             run(scenario)
+
+
+def two_cpus():
+    """A CPU affinity of two CPUs, so a run that draws forks its producer on any host."""
+    return mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True)
+
+
+@contextlib.contextmanager
+def recorded_forks():
+    """The pids of the children that os.fork makes in the block."""
+    pids, fork = [], os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    with mock.patch.object(os, "fork", recording):
+        yield pids
+
+
+def reaped(pid):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+    return True
+
+
+class TestDrawProducer:
+    """A run that draws capacity or arrivals reads both from a forked
+    producer when it can, and they are the draws it makes in-process."""
+
+    @staticmethod
+    def _draws(seed, links, rates, mode, slots, fork):
+        sample = capacity_sampler(links, mode, random.Random(seed))
+        draws = engine._slot_draws(sample, rates, random.Random(-seed), slots)
+        with engine._draw_feed(draws, slots, len(links), len(rates), fork) as feed:
+            return list(feed)
+
+    @staticmethod
+    def _links(rng, n):
+        return [
+            QuantumLink(e, (e, e + 1), rng.randint(1, 6), rng.choice([0.5, 1.0, rng.random()]), 1.0)
+            for e in range(n)
+        ]
+
+    @classmethod
+    def _cases(cls):
+        # 10 networks, each at 1, chunk - 1, chunk and chunk + 1 slots; each
+        # pair of capacity mode and traffic in turn; no links; one slot a chunk
+        for seed in range(10):
+            rng = random.Random(seed)
+            mode = list(CapacityMode)[seed % 2]
+            rates = [rng.uniform(0.0, 30.0) for _ in range(rng.randint(1, 40))]
+            rates = rates if seed // 2 % 2 else []
+            links = cls._links(rng, rng.randint(1, 600))
+            chunk = engine.CHUNK_INTS // (len(links) + len(rates))
+            for slots in (1, chunk - 1, chunk, chunk + 1):
+                yield seed, links, rates, mode, slots
+        rates = [0.5, 3.0, 12.0]
+        yield 10, [], rates, CapacityMode.STOCHASTIC, engine.CHUNK_INTS // len(rates) + 1
+        wide = cls._links(random.Random(11), engine.CHUNK_INTS + 1)
+        yield 11, wide, [], CapacityMode.STOCHASTIC, 3
+
+    def test_forked_and_in_process_draws_are_equal(self):
+        cases = list(self._cases())
+        assert len(cases) >= 40 and min(slots for *_, slots in cases) == 1
+        for seed, links, rates, mode, slots in cases:
+            alone = self._draws(seed, links, rates, mode, slots, fork=False)
+            forked = self._draws(seed, links, rates, mode, slots, fork=True)
+            assert len(alone) == slots and forked == alone, (seed, slots)
+            assert all(len(s) == len(links) and len(c) == len(rates) for s, c in forked)
+
+    @staticmethod
+    def _scenario(stem="net60_poisson", slots=100):
+        scenario = load_scenario(str(GENERATED_DIR / f"{stem}.json"))
+        cfg = dataclasses.replace(scenario.config, slots=slots, warmup_slots=0)
+        return dataclasses.replace(scenario, config=cfg)
+
+    def test_forks_only_when_it_draws(self):
+        drawn = {
+            (mode, traffic): unit_pipe_scenario(
+                capacity_mode=mode, traffic=traffic, policy=Policy.RR
+            )
+            for mode in CapacityMode
+            for traffic in Traffic
+        }
+        for (mode, traffic), scenario in drawn.items():
+            with two_cpus(), recorded_forks() as pids:
+                run(scenario)
+            draws = mode is CapacityMode.STOCHASTIC or traffic is Traffic.POISSON
+            assert len(pids) == draws and all(map(reaped, pids)), (mode, traffic)
+
+    @pytest.mark.parametrize(
+        "ending", ["return", "on_slot raises", "interrupt", "conservation"]
+    )
+    def test_no_producer_outlives_the_run(self, ending):
+        stop = {"on_slot raises": ValueError, "interrupt": KeyboardInterrupt}.get(ending)
+        kernel = engine._schedule_slot
+
+        def on_slot(ledger):
+            if stop is not None and ledger.slot == 3:
+                raise stop("stop")
+
+        def tampered(state, sampled):
+            result = kernel(state, sampled)
+            result.residual[0] += 1
+            return result
+
+        with two_cpus(), recorded_forks() as pids, contextlib.ExitStack() as stack:
+            if ending == "conservation":
+                stack.enter_context(mock.patch.object(engine, "_schedule_slot", tampered))
+                stop = RuntimeError
+            if stop is None:
+                assert run(self._scenario(), on_slot=on_slot).measured_slots == 100
+            else:
+                with pytest.raises(stop):
+                    run(self._scenario(), on_slot=on_slot)
+        assert len(pids) == 1 and reaped(pids[0])
+
+    def test_a_producer_still_drawing_is_killed(self):
+        # on_slot stops the run at slot 0, long before the producer could
+        # draw its 20,000 slots through the pipe
+        statuses, waitpid = [], os.waitpid
+
+        def recording(pid, options):
+            statuses.append(waitpid(pid, options)[1])
+            return pid, statuses[-1]
+
+        def stop(ledger):
+            raise ValueError("stop")
+
+        with two_cpus(), recorded_forks() as pids, mock.patch.object(os, "waitpid", recording):
+            with pytest.raises(ValueError, match="stop"):
+                run(self._scenario(slots=20_000), on_slot=stop)
+        assert os.WIFSIGNALED(statuses[0]) and os.WTERMSIG(statuses[0]) == signal.SIGKILL
+        assert reaped(pids[0])
+
+    def test_a_killed_producer_fails_the_run(self):
+        # the producer runs at most a pipe's worth of slots ahead, far
+        # fewer than the run has
+        slots = []
+
+        def kill(ledger):
+            slots.append(ledger.slot)
+            if ledger.slot == 0:
+                os.kill(pids[0], signal.SIGKILL)
+
+        with two_cpus(), recorded_forks() as pids:
+            with pytest.raises(RuntimeError, match="producer of capacity and arrival draws died"):
+                run(self._scenario(slots=20_000), on_slot=kill)
+        assert reaped(pids[0])
+        assert slots == list(range(len(slots))) and len(slots) < 2_000
+
+    @pytest.mark.parametrize("why", ["one CPU", "another thread", "fork fails"])
+    def test_runs_in_process_on_one_cpu_beside_a_thread_or_without_fork(self, why):
+        scenario = self._scenario()
+        with two_cpus(), recorded_forks() as pids:
+            forked = run(scenario)
+        assert len(pids) == 1
+        with recorded_forks() as pids, contextlib.ExitStack() as stack:
+            if why == "one CPU":
+                stack.enter_context(
+                    mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True)
+                )
+            elif why == "fork fails":
+                stack.enter_context(two_cpus())
+                no_process = OSError(11, "EAGAIN")
+                failing = stack.enter_context(mock.patch.object(os, "fork", side_effect=no_process))
+            else:
+                stack.enter_context(two_cpus())
+                done = threading.Event()
+                thread = threading.Thread(target=done.wait)
+                thread.start()
+                stack.callback(thread.join)
+                stack.callback(done.set)
+            alone = run(scenario)
+        assert pids == [] and alone == forked
+        assert why != "fork fails" or failing.call_count == 1

@@ -184,6 +184,29 @@ class TestEnqueueArrivals:
         assert {a: list(q) for a, q in state.queues.items()} == {0: [], 1: [], 2: [0]}
         assert (state.active, state.head) == ([2], 2)
 
+    def test_unchecked_counts_queue_as_the_checked_dict(self):
+        # engine.run queues its own counts, a list in app-id order, without
+        # the checks; the dict may come in any key order and omit zeros
+        def queued(state):
+            return {a: list(q) for a, q in state.queues.items()}, state.active, state.head
+
+        for seed in range(40):
+            rng = random.Random(seed)
+            policy = rng.choice(list(Policy))
+            weights = [float(rng.randint(1, 3)) for _ in range(rng.randint(1, 6))]
+            checked, _ = single_link_state(policy, weights, 2, Traffic.POISSON)
+            unchecked, _ = single_link_state(policy, weights, 2, Traffic.POISSON)
+            for slot in range(60):
+                counts = [rng.choice([0, 0, 0, 1, 2, rng.randint(0, 5)]) for _ in weights]
+                arrivals = [(a, c) for a, c in enumerate(counts) if c or rng.random() < 0.5]
+                rng.shuffle(arrivals)
+                enqueue_arrivals(checked, slot, dict(arrivals))
+                scheduling._enqueue_arrivals(unchecked, slot, counts)
+                assert queued(checked) == queued(unchecked), (seed, slot)
+                capacity = [rng.randint(0, 3)]  # drains queues, so apps leave and rejoin
+                assert schedule_slot(checked, capacity) == schedule_slot(unchecked, capacity)
+                assert queued(checked) == queued(unchecked), (seed, slot)
+
     def test_backlogged_apps_always_pending(self):
         state, _ = single_link_state(Policy.RR, [1.0, 1.0], 1)
         assert state.backlogged(0) and state.backlogged(1)
@@ -781,12 +804,16 @@ class TestBenchmarkTracerContract:
         assert (tracer.grants, tracer.pending_end()) == (2, 2)
 
     # targets that the program no longer has or no longer calls; a change
-    # that inlines or stops calling any other target makes its metrics read 0
+    # that inlines or stops calling any other target makes its metrics read 0.
+    # poisson_sample runs only in the forked producer of a run's draws, and
+    # the run queues its arrivals through the unchecked _enqueue_arrivals
     RETIRED = {
         "routing.shortest_path",
         "engine.sample_capacity",
+        "engine.poisson_sample",
         "scheduling.select_flow",
         "scheduling.schedule_slot",
+        "scheduling.enqueue_arrivals",
     }
 
     def test_only_retired_targets_read_no_calls(self, tmp_path, capsys):
@@ -794,7 +821,9 @@ class TestBenchmarkTracerContract:
         tracer = tracer_module.Tracer()
         config = str(ROOT / "scenarios" / "mesh_poisson.json")
         modules = [qnetfair, cli, engine, fairshare, routing, scenario_io, scheduling, validate]
-        with tracer_module.installed(tracer, modules):
+        # two CPUs, so the run forks its producer on a one-CPU host too
+        with tracer_module.installed(tracer, modules), \
+                mock.patch.object(engine.os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
             assert cli.main(
                 ["run", "--config", config, "--slots", "400", "--output-dir", str(tmp_path)]
             ) == 0

@@ -8,9 +8,9 @@ and the replication index, aggregated in index order. No grant changes a
 capacity or arrival draw, so a run forks one producer process that makes
 both, in the order the run would, ahead of its slot loop and sends them
 through a pipe: the outputs stay byte-identical. The run draws them
-itself when neither stream is drawn, on one CPU, beside another thread
-(which could hold a lock across the fork) or without fork. Success draws
-follow the grants and stay in the run's process.
+itself when neither stream is drawn, when ``fairshare.fork_cpus`` allows
+no fork (one CPU, another thread, no ``os.fork``) or when the fork
+fails. Success draws follow the grants and stay in the run's process.
 
 Each slot's link capacities come from one sampler built per run. In
 stochastic mode it holds a flat list with every link's gen_success_prob
@@ -38,10 +38,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 import random
-import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import gt
@@ -51,6 +49,8 @@ from .fairshare import (
     assign_exhaustive,
     assign_greedy,
     assign_random,
+    fork_cpus,
+    forked,
     weighted_jain,
 )
 from .model import (
@@ -191,44 +191,21 @@ def _draw_feed(draws: _Draws, slots: int, links: int, apps: int, fork: bool) -> 
             for a in range(0, size, width):
                 yield ints[a : a + links].tolist(), ints[a + links : a + width].tolist()
 
-    if fork:
-        from _signal import SIGKILL  # loaded at start-up, unlike the signal module
+    def produce(out: BinaryIO) -> None:
+        from array import array
 
-        read_fd, write_fd = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:  # no process to spare: the run draws them itself
-            os.close(read_fd)
-            os.close(write_fd)
-            fork = False
-    if not fork:
-        yield draws
-        return
-    if pid == 0:  # the producer; it never returns into the run
-        code = 1
-        try:
-            os.close(read_fd)
-            from array import array
-
-            with open(write_fd, "wb") as out:
-                chunk = array("I")
-                for n, (sampled, counts) in enumerate(draws, 1):
-                    chunk.extend(sampled)
-                    chunk.extend(counts)
-                    if n % per_chunk == 0:
-                        out.write(chunk)
-                        del chunk[:]
+        chunk = array("I")
+        for n, (sampled, counts) in enumerate(draws, 1):
+            chunk.extend(sampled)
+            chunk.extend(counts)
+            if n % per_chunk == 0:
                 out.write(chunk)
-            code = 0
-        finally:  # skips the run's open files and atexit hooks
-            os._exit(code)
-    try:
-        os.close(write_fd)
-        with open(read_fd, "rb") as feed:
-            yield read(feed)
-    finally:
-        os.kill(pid, SIGKILL)
-        os.waitpid(pid, 0)
+                del chunk[:]
+        out.write(chunk)
+
+    # without a process to spare, the run draws them itself
+    with forked(produce) if fork else nullcontext() as feed:
+        yield draws if feed is None else read(feed)
 
 
 def resolve_successes(
@@ -362,14 +339,27 @@ def run(
     conservation check.
     """
     cfg = config if config is not None else scenario.config
+    return _run(scenario, cfg, _assignment(scenario, cfg), on_slot)
+
+
+def _assignment(scenario: Scenario, cfg: SimConfig) -> Assignment:
+    """``resolve_assignment``, once the run's window is known to be valid."""
     problems = window_problems(cfg.slots, cfg.warmup_slots)
     if problems:
         raise ConfigError("; ".join(problems))
+    return resolve_assignment(scenario, cfg)
+
+
+def _run(
+    scenario: Scenario,
+    cfg: SimConfig,
+    assignment: Assignment,
+    on_slot: Optional[Callable[[SlotLedger], None]],
+) -> Metrics:
+    """``run`` with the pools that ``_assignment`` gave."""
     rng_capacity = stream_rng(cfg.seed, "capacity")
     rng_arrival = stream_rng(cfg.seed, "arrival")
     rng_success = stream_rng(cfg.seed, "success")
-
-    assignment = resolve_assignment(scenario, cfg)
     flows_by_app = build_flows(scenario.graph, scenario.apps, assignment)
     state = SchedulerState(
         cfg.policy, scenario.apps, flows_by_app, cfg.traffic, cfg.quantum_base, cfg.cost_mode
@@ -390,8 +380,7 @@ def run(
     rates = [a.arrival_rate for a in state.apps] if cfg.traffic is Traffic.POISSON else []
     draws = _slot_draws(sample_slot, rates, rng_arrival, cfg.slots)
     drawn = cfg.capacity_mode is CapacityMode.STOCHASTIC and links or rates
-    cpus = getattr(os, "sched_getaffinity", lambda pid: ())(0)
-    fork = bool(drawn) and hasattr(os, "fork") and len(cpus) > 1 and threading.active_count() == 1
+    fork = bool(drawn) and fork_cpus() > 1
 
     with _draw_feed(draws, cfg.slots, len(links), len(rates), fork) as feed:
         for slot, (sampled, counts) in enumerate(feed):
@@ -485,21 +474,21 @@ def replication_runs(
     ``run(scenario, config)``; the CLI outputs for ``replications == 1``
     depend on this. With more, replication i uses replication_seed(seed, i).
     ``on_slot`` is passed to every run, so it sees each run's slots in turn,
-    each ledger carrying its run's seed.
+    each ledger carrying its run's seed. Only the random solver draws from
+    the seed, so every other source is resolved once, for all the runs.
     """
     cfg = config if config is not None else scenario.config
     if n_replications < 1:
         raise ValueError("n_replications must be >= 1")
     if n_replications == 1:
         return [run(scenario, cfg, on_slot=on_slot)]
-    return [
-        run(
-            scenario,
-            dataclasses.replace(cfg, seed=replication_seed(cfg.seed, i)),
-            on_slot=on_slot,
-        )
-        for i in range(n_replications)
+    configs = [
+        dataclasses.replace(cfg, seed=replication_seed(cfg.seed, i)) for i in range(n_replications)
     ]
+    if cfg.assignment is AssignmentSource.RANDOM:  # one draw per replication seed
+        return [run(scenario, c, on_slot=on_slot) for c in configs]
+    assignment = _assignment(scenario, cfg)
+    return [_run(scenario, c, assignment, on_slot) for c in configs]
 
 
 def aggregate_metrics(runs: Sequence[Metrics]) -> ReplicationSummary:

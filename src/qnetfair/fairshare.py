@@ -7,16 +7,22 @@ computation nodes join each application's worker pool. One kernel on flow
 indices, ``progressive_fill``, does all filling; ``maxmin_rates`` is its
 keyed, checked form, and ``assign_exhaustive`` checks every app's
 candidates at once as ``maxmin_rates`` would, then calls the kernel
-directly for each assignment that its two bounds cannot rule out.
+directly for each assignment that its two bounds cannot rule out. A
+large search is split over forked processes and merged to the pick of
+one process; ``fork_cpus`` is the one rule of when this process may
+fork, for the search and for the run's producer of draws.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
+import threading
 from bisect import bisect_left, insort
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Optional, Sequence
+from typing import BinaryIO, Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .model import DEFAULT_EXHAUSTIVE_LIMIT, Application, Assignment, Flow, NetworkGraph
 from .routing import build_flows, eligible_flows
@@ -31,6 +37,49 @@ class SearchSpaceTooLarge(Exception):
         self.size = size
         self.limit = limit
         super().__init__(f"search space has {size} assignments, limit is {limit}")
+
+
+def fork_cpus() -> int:
+    """How many CPUs this process may spread its work over by forking: those
+    that ``os.sched_getaffinity`` allows it, or 1 where ``os.fork`` does not
+    exist or another thread is alive, which could hold a lock across a fork."""
+    if not hasattr(os, "fork") or threading.active_count() != 1:
+        return 1
+    return max(1, len(getattr(os, "sched_getaffinity", lambda pid: ())(0)))
+
+
+@contextmanager
+def forked(work: Callable[[BinaryIO], object]) -> Iterator[Optional[BinaryIO]]:
+    """The read end of a pipe that ``work`` writes in a forked child, or None
+    when no process can be forked. The child leaves through ``os._exit``, so
+    it flushes none of this process's files; leaving the block, however it
+    is left, kills the child if it still runs and reaps it."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare, such as EAGAIN
+        os.close(read_fd)
+        os.close(write_fd)
+        yield None
+        return
+    if pid == 0:  # the child; it never returns into the caller
+        code = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as out:
+                work(out)
+            code = 0
+        finally:  # skips the caller's open files and atexit hooks
+            os._exit(code)
+    try:
+        os.close(write_fd)
+        with open(read_fd, "rb") as feed:
+            yield feed
+    finally:
+        from _signal import SIGKILL  # loaded at start-up, unlike the signal module
+
+        os.kill(pid, SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def maxmin_rates(
@@ -306,6 +355,14 @@ def _contention_bounds(
     return bounds
 
 
+# A fork, with its pipe and its reaping, costs 2.8-3.6 ms in the 17 MiB
+# process of ``assign`` (Python 3.11, 2 vCPUs), and about 1 ms more when the
+# process next writes the pages it shared: the search of about 650
+# assignments of ``exhaustive-30``, at 6 us each. Two shares save half the
+# search, so they break even near 1300 assignments.
+SPLIT_MIN_SIZE = 2000
+
+
 def assign_exhaustive(
     graph: NetworkGraph, apps: Sequence[Application], limit: int = DEFAULT_EXHAUSTIVE_LIMIT
 ) -> Assignment:
@@ -329,6 +386,16 @@ def assign_exhaustive(
     pools and extends a copy of it by the next pool's flows, so that the
     contention bound reads the same sums as a whole assignment would.
 
+    From ``SPLIT_MIN_SIZE`` assignments on, the search is split into S
+    shares, S the least of ``fork_cpus()`` and the number of prefixes:
+    the pools of apps 0 and 1 (of app 0 alone if it is the only app),
+    numbered in product order. Share w takes the prefixes numbered w
+    modulo S and keeps every check and bound against its own best score;
+    S - 1 forked children search shares 1 to S - 1, and a share whose
+    child fails or dies is searched here. The greatest score wins, and
+    among equals the least pick vector, the first enumerated: the pick of
+    one search.
+
     Raises SearchSpaceTooLarge (with the assignment count) before building
     any pool when the product of per-app subset counts exceeds ``limit``.
     """
@@ -338,64 +405,98 @@ def assign_exhaustive(
     if size > limit:
         raise SearchSpaceTooLarge(size, limit)
     caps = graph.effective_capacities()
-    shares = [a.flow_weight for a in ordered]
+    phis = [a.flow_weight for a in ordered]
     # every candidate at once: no assignment's sums can then leave the float range
     flow_edges, flow_weights = {}, {}
-    for app, flows, w in zip(ordered, eligible, shares):
+    for app, flows, w in zip(ordered, eligible, phis):
         for f in flows:
             flow_edges[(app.id, f.worker)] = f.edges
             flow_weights[(app.id, f.worker)] = w
     _checked_edge_sets(flow_edges, caps, flow_weights)
     # every assignment has the same flow weights: apps in id order, pools in worker order
-    weights = [w for a, w in zip(ordered, shares) for _ in range(a.workers_needed)]
+    weights = [w for a, w in zip(ordered, phis) for _ in range(a.workers_needed)]
     options = [  # each app's pools, each with its bound and its (edge, flow weight) pairs
         [
             (p, _pool_bound(p, a.weight, caps), [(e, w) for f in p for e in f.edges])
             for p in itertools.combinations(f, a.workers_needed)
         ]
-        for a, f, w in zip(ordered, eligible, shares)
+        for a, f, w in zip(ordered, eligible, phis)
     ]
     n = len(ordered)
     tops = [max([u for _, u, _ in opts]) for opts in options]  # each app's greatest bound
-    # the prefix of apps 0..k-1: the option picked for each, their pool bounds
-    # padded with the later apps' tops, and loads[j], the W_e of apps before j
-    picks = [-1] * n
-    bounds = tops.copy()
-    loads: list[dict[int, float]] = [{} for _ in range(n + 1)]
-    best: list | None = None
-    best_score: tuple[float, ...] | None = None
-    k = 0
-    while k >= 0:
-        if k == n:  # a whole assignment; then on to the last app's next pool
-            k -= 1
-            combo = [opts[i][0] for opts, i in zip(options, picks)]
-            if best_score is not None:
-                rank = sorted(range(n), key=bounds.__getitem__)
-                contention = _contention_bounds(
-                    ordered, shares, combo, rank, loads[n], caps, best_score[0]
+    # prefix number picks[0] * stride + picks[split]: its pools for apps 0 and 1, or for app 0
+    split, stride = (1, len(options[1])) if n > 1 else (0, 0)
+
+    def search(share: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """The first best pick vector, and its score, among the prefixes
+        whose number is ``share`` modulo ``shares``."""
+        # the prefix of apps 0..k-1: the option picked for each, their pool bounds
+        # padded with the later apps' tops, and loads[j], the W_e of apps before j
+        picks = [-1] * n
+        bounds = tops.copy()
+        loads: list[dict[int, float]] = [{} for _ in range(n + 1)]
+        best: tuple[int, ...] = ()
+        best_score: tuple[float, ...] | None = None
+        k = 0
+        while k >= 0:
+            if k == n:  # a whole assignment; then on to the last app's next pool
+                k -= 1
+                combo = [opts[i][0] for opts, i in zip(options, picks)]
+                if best_score is not None:
+                    rank = sorted(range(n), key=bounds.__getitem__)
+                    contention = _contention_bounds(
+                        ordered, phis, combo, rank, loads[n], caps, best_score[0]
+                    )
+                    # a list cut short at a bound below best_score[0] sorts below it too
+                    if tuple(sorted(contention)) <= best_score:
+                        continue
+                rates = iter(progressive_fill(weights, [f.edges for p in combo for f in p], caps))
+                score = tuple(
+                    sorted(_delivered(p, rates) / a.weight for a, p in zip(ordered, combo))
                 )
-                # a list cut short at a bound below best_score[0] sorts below it too
-                if tuple(sorted(contention)) <= best_score:
+                if best_score is None or score > best_score:
+                    best, best_score = tuple(picks), score
+                continue
+            picks[k] += 1
+            if picks[k] == len(options[k]):  # back to app k - 1's next pool
+                picks[k] = -1
+                bounds[k] = tops[k]
+                k -= 1
+                continue
+            if k == split and (picks[0] * stride + picks[k]) % shares != share:
+                continue
+            _, bounds[k], pairs = options[k][picks[k]]
+            # with one pool, app k would repeat the test that app k - 1 just passed
+            if best_score is not None and len(options[k]) > 1:
+                if tuple(sorted(bounds)) <= best_score:
                     continue
-            rates = iter(progressive_fill(weights, [f.edges for p in combo for f in p], caps))
-            score = tuple(sorted(_delivered(p, rates) / a.weight for a, p in zip(ordered, combo)))
-            if best_score is None or score > best_score:
-                best, best_score = combo, score
-            continue
-        picks[k] += 1
-        if picks[k] == len(options[k]):  # back to app k - 1's next pool
-            picks[k] = -1
-            bounds[k] = tops[k]
-            k -= 1
-            continue
-        _, bounds[k], pairs = options[k][picks[k]]
-        # with one pool, app k would repeat the test that app k - 1 just passed
-        if best_score is not None and len(options[k]) > 1 and tuple(sorted(bounds)) <= best_score:
-            continue
-        load = loads[k].copy()
-        for e, w in pairs:
-            load[e] = load.get(e, 0.0) + w
-        loads[k + 1] = load
-        k += 1
-    assert best is not None, "every app has at least one eligible pool"
-    return {app.id: frozenset(f.worker for f in pool) for app, pool in zip(ordered, best)}
+            load = loads[k].copy()
+            for e, w in pairs:
+                load[e] = load.get(e, 0.0) + w
+            loads[k + 1] = load
+            k += 1
+        assert best_score is not None, "every prefix has a completion"
+        return best, best_score
+
+    def send(out: BinaryIO, share: int) -> None:  # repr gives back the same floats
+        picks, score = search(share)
+        out.write(" ".join(map(repr, picks + score)).encode() + b"\n")
+
+    prefixes = math.prod(map(len, options[:2]))
+    shares = min(fork_cpus(), prefixes) if size >= SPLIT_MIN_SIZE else 1
+    with ExitStack() as children:
+        feeds = [
+            children.enter_context(forked(lambda out, w=w: send(out, w))) for w in range(1, shares)
+        ]
+        found = [search(0)]
+        for w, feed in enumerate(feeds, 1):
+            line = feed.read() if feed is not None else b""
+            if line.endswith(b"\n"):  # the last byte the child writes
+                words = line.split()
+                found.append((tuple(map(int, words[:n])), tuple(map(float, words[n:]))))
+            else:  # the child failed or died: this process searches its share
+                found.append(search(w))
+    # the greatest score; among equals, the first in product order, as one search keeps
+    best = max(sorted(found), key=lambda pair: pair[1])[0]
+    pools = [opts[i][0] for opts, i in zip(options, best)]
+    return {app.id: frozenset(f.worker for f in pool) for app, pool in zip(ordered, pools)}

@@ -1,6 +1,9 @@
+import contextlib
 import json
+import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -14,6 +17,27 @@ from qnetfair import (
     QuantumLink,
 )
 from qnetfair.routing import eligible_flows
+
+
+@contextlib.contextmanager
+def recorded_forks():
+    """The pids of the children that os.fork makes in the block."""
+    pids, fork = [], os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    with mock.patch.object(os, "fork", recording):
+        yield pids
+
+
+def reaped(pid):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+    return True
 
 
 def line_graph(fidelities, capacity=1, gen_prob=1.0, swap_q=1.0, kinds=None):

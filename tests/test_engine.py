@@ -12,7 +12,7 @@ from unittest import mock
 
 import pytest
 
-from conftest import line_graph, shared_link_apps, shared_link_graph
+from conftest import line_graph, reaped, recorded_forks, shared_link_apps, shared_link_graph
 from gen import network_doc
 from qnetfair import (
     Application,
@@ -25,6 +25,7 @@ from qnetfair import (
     NodeKind,
     Policy,
     QuantumLink,
+    SearchSpaceTooLarge,
     SimConfig,
     Traffic,
     ValidationError,
@@ -638,31 +639,51 @@ class TestAssignmentSources:
         with pytest.raises(SearchSpaceTooLarge):
             run(scenario)
 
+    @pytest.mark.parametrize(
+        "source, searches",
+        [("given", 1), ("greedy", 1), ("exhaustive", 1), ("random", 3)],
+    )
+    def test_only_the_random_source_is_resolved_per_replication(self, source, searches):
+        # the other sources draw nothing, so three replications share one search
+        graph = NetworkGraph(
+            [Node(i, NodeKind.COMPUTATION) for i in range(4)],
+            [QuantumLink(0, (0, 1), 2), QuantumLink(1, (0, 2), 1), QuantumLink(2, (0, 3), 1)],
+        )
+        apps = [Application(0, 0, 1.0, 1, frozenset({1, 2, 3}))]
+        scenario = make_scenario(graph, apps, slots=5)
+        scenario = dataclasses.replace(scenario, given_assignment={0: frozenset({3})})
+        cfg = dataclasses.replace(scenario.config, assignment=AssignmentSource(source))
+        separate = [
+            run(scenario, dataclasses.replace(cfg, seed=replication_seed(cfg.seed, i)))
+            for i in range(3)
+        ]
+        resolve = mock.patch.object(engine, "resolve_assignment", wraps=engine.resolve_assignment)
+        solver = f"assign_{source}" if source != "given" else "resolve_assignment"
+        with resolve as resolved, mock.patch.object(
+            engine, solver, wraps=getattr(engine, solver)
+        ) as solved:
+            assert replication_runs(scenario, cfg, 3) == separate
+        assert resolved.call_count == solved.call_count == searches
+
+    @pytest.mark.parametrize("source", ["given", "exhaustive"])
+    def test_a_failing_assignment_of_replications_fails_before_any_slot(self, source):
+        graph = NetworkGraph(
+            [Node(i, NodeKind.COMPUTATION) for i in range(3)],
+            [QuantumLink(0, (0, 1), 1), QuantumLink(1, (0, 2), 1)],
+        )
+        apps = [Application(0, 0, 1.0, 1, frozenset({1, 2}))]
+        scenario = make_scenario(graph, apps, exhaustive_limit=1, slots=5)
+        cfg = dataclasses.replace(scenario.config, assignment=AssignmentSource(source))
+        error = ConfigError if source == "given" else SearchSpaceTooLarge
+        ledgers = []
+        with pytest.raises(error):
+            replication_runs(scenario, cfg, 3, on_slot=ledgers.append)
+        assert ledgers == []
+
 
 def two_cpus():
     """A CPU affinity of two CPUs, so a run that draws forks its producer on any host."""
     return mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True)
-
-
-@contextlib.contextmanager
-def recorded_forks():
-    """The pids of the children that os.fork makes in the block."""
-    pids, fork = [], os.fork
-
-    def recording():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    with mock.patch.object(os, "fork", recording):
-        yield pids
-
-
-def reaped(pid):
-    with pytest.raises(ChildProcessError):
-        os.waitpid(pid, os.WNOHANG)
-    return True
 
 
 class TestDrawProducer:

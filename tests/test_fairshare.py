@@ -1,9 +1,15 @@
+import contextlib
 import dataclasses
+import io
 import itertools
 import math
+import os
 import random
+import signal
+import threading
 import time
 from typing import Iterable, Mapping
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +18,8 @@ from conftest import (
     edges_along,
     eligible_workers,
     line_graph,
+    reaped,
+    recorded_forks,
     shared_link_apps,
     shared_link_graph,
 )
@@ -193,6 +201,65 @@ def with_swap_probs(graph, rng):
     nodes = [dataclasses.replace(n, swap_success_prob=rng.choice([0.8, 0.9, 1.0]))
              for n in graph.nodes]
     return NetworkGraph(nodes, graph.links)
+
+
+def oracle_corpus(seeds):
+    """(seed, graph, apps) of TestExhaustiveOracle's instances: below 1000,
+    one or two apps, a third of them needing pairs; from 1000, three apps
+    with pairs, swap losses and, one seed in five, weights from 1e-6 to 1e6."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        if seed < 1000:
+            make = dumbbell_instance if seed % 2 else random_assignment_instance
+            graph, apps = make(rng)
+            if seed % 3 == 0:  # larger pools, so combinations have several workers
+                apps = [
+                    dataclasses.replace(a, workers_needed=2) if len(a.candidates) > 2 else a
+                    for a in apps
+                ]
+            yield seed, graph, apps
+            continue
+        graph, apps = random_assignment_instance(rng, n_apps=3)
+        graph = with_swap_probs(graph, rng)
+        apps = [
+            dataclasses.replace(
+                a,
+                workers_needed=2 if len(a.candidates) >= 3 else a.workers_needed,
+                weight=10.0 ** rng.uniform(-6, 6) if seed % 5 == 0 else a.weight,
+            )
+            for a in apps
+        ]
+        yield seed, graph, apps
+
+
+def mirror_instance():
+    """Host 0 reaches worker 3 through repeater 1 and worker 4 through
+    repeater 2 over mirror-image links; two apps each need one worker, so
+    the assignments (3, 4) and (4, 3) are mirror images."""
+    nodes = [
+        Node(0, NodeKind.COMPUTATION),
+        Node(1, NodeKind.REPEATER, 0.9),
+        Node(2, NodeKind.REPEATER, 0.9),
+        Node(3, NodeKind.COMPUTATION),
+        Node(4, NodeKind.COMPUTATION),
+    ]
+    links = [
+        QuantumLink(0, (0, 1), 3, 0.75, 1.0),
+        QuantumLink(1, (0, 2), 3, 0.75, 1.0),
+        QuantumLink(2, (1, 3), 3, 0.75, 1.0),
+        QuantumLink(3, (2, 4), 3, 0.75, 1.0),
+    ]
+    apps = [
+        Application(0, 0, 1.0, 1, frozenset({3, 4})),
+        Application(1, 0, 2.0, 1, frozenset({3, 4})),
+    ]
+    return NetworkGraph(nodes, links), apps
+
+
+def usable_cpus(monkeypatch, n):
+    """The search sees ``n`` usable CPUs, at most 4, whatever the host has."""
+    assert 1 <= n <= 4
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 def contended_pool_instance(rng):
@@ -580,27 +647,7 @@ class TestAssignExhaustive:
         assert time.perf_counter() - start < 5.0
 
     def test_mirror_pools_tie_exactly_and_the_first_enumerated_wins(self):
-        # host 0 reaches worker 3 through repeater 1 and worker 4 through
-        # repeater 2 over mirror-image links; two apps each need one
-        # worker, so (3, 4) and (4, 3) are mirror images
-        nodes = [
-            Node(0, NodeKind.COMPUTATION),
-            Node(1, NodeKind.REPEATER, 0.9),
-            Node(2, NodeKind.REPEATER, 0.9),
-            Node(3, NodeKind.COMPUTATION),
-            Node(4, NodeKind.COMPUTATION),
-        ]
-        links = [
-            QuantumLink(0, (0, 1), 3, 0.75, 1.0),
-            QuantumLink(1, (0, 2), 3, 0.75, 1.0),
-            QuantumLink(2, (1, 3), 3, 0.75, 1.0),
-            QuantumLink(3, (2, 4), 3, 0.75, 1.0),
-        ]
-        g = NetworkGraph(nodes, links)
-        apps = [
-            Application(0, 0, 1.0, 1, frozenset({3, 4})),
-            Application(1, 0, 2.0, 1, frozenset({3, 4})),
-        ]
+        g, apps = mirror_instance()
 
         def score(w0, w1):
             pred = predicted_app_rates(g, apps, {0: frozenset({w0}), 1: frozenset({w1})})
@@ -654,32 +701,12 @@ class TestExhaustiveOracle:
         return best
 
     def test_matches_plain_enumeration(self):
-        for seed in range(60):
-            rng = random.Random(seed)
-            make = dumbbell_instance if seed % 2 else random_assignment_instance
-            graph, apps = make(rng)
-            if seed % 3 == 0:  # larger pools, so combinations have several workers
-                apps = [
-                    dataclasses.replace(a, workers_needed=2) if len(a.candidates) > 2 else a
-                    for a in apps
-                ]
+        for seed, graph, apps in oracle_corpus(range(60)):
             best = assign_exhaustive(graph, apps)
             assert best == self.enumerate_best(graph, apps) == unpruned_exhaustive(graph, apps)
 
     def test_matches_plain_enumeration_three_apps_with_pairs(self):
-        for seed in range(1000, 1200):
-            rng = random.Random(seed)
-            graph, apps = random_assignment_instance(rng, n_apps=3)
-            graph = with_swap_probs(graph, rng)
-            apps = [
-                dataclasses.replace(
-                    a,
-                    workers_needed=2 if len(a.candidates) >= 3 else a.workers_needed,
-                    # one instance in five with weights from 1e-6 to 1e6
-                    weight=10.0 ** rng.uniform(-6, 6) if seed % 5 == 0 else a.weight,
-                )
-                for a in apps
-            ]
+        for seed, graph, apps in oracle_corpus(range(1000, 1200)):
             best = assign_exhaustive(graph, apps)
             assert best == self.enumerate_best(graph, apps), seed
             assert best == unpruned_exhaustive(graph, apps), seed
@@ -750,7 +777,8 @@ class TestExhaustivePruning:
     # unpruned oracle checks the result of each seed. The counts are those of
     # the search that tested each whole assignment on its own: pruning a
     # prefix skips only assignments that test would skip, so the same ones
-    # reach the contention bound and the same ones are filled
+    # reach the contention bound and the same ones are filled. They are the
+    # counts of one process: one usable CPU keeps the search from splitting
     @pytest.mark.parametrize(
         "seed, filled, contended",
         [(1, 965, 6173), (2, 212, 9260), (3, 2484, 9260), (7, 2137, 9260)],
@@ -761,6 +789,7 @@ class TestExhaustivePruning:
             math.comb(len(eligible_flows(graph, a)), a.workers_needed) for a in apps
         )
         assert size == 21**3
+        usable_cpus(monkeypatch, 1)
         fills = count_fills(monkeypatch)
         computed = []  # the number of app bounds each _contention_bounds call returns
 
@@ -816,6 +845,7 @@ class TestExhaustivePruning:
     def test_one_fill_when_every_app_has_one_pool(self, monkeypatch):
         graph, apps = many_app_instance()
         apps = apps[:-1]  # the 1000 apps that need both of their two candidates
+        usable_cpus(monkeypatch, 1)
         fills = count_fills(monkeypatch)
         best = assign_exhaustive(graph, apps)
         assert len(fills) == 1
@@ -865,6 +895,211 @@ class TestExhaustivePruning:
             assign_exhaustive(graph, apps)
         assert str(exhaustive.value) == str(keyed.value) == message
         assert fills == []
+
+
+def star_instance(pools):
+    """One app at host 0 needing one of ``pools`` workers, each one link
+    away over a link of its own capacity."""
+    graph = NetworkGraph(
+        [Node(i, NodeKind.COMPUTATION) for i in range(pools + 1)],
+        [QuantumLink(i - 1, (0, i), i, 1.0, 1.0) for i in range(1, pools + 1)],
+    )
+    return graph, [Application(0, 0, 1.0, 1, frozenset(range(1, pools + 1)))]
+
+
+class TestForkRule:
+    """fork_cpus, the one rule of both the run's producer and the search."""
+
+    def test_the_affinity_counts_where_a_fork_is_safe(self, monkeypatch):
+        for n in (1, 2, 4):
+            usable_cpus(monkeypatch, n)
+            assert fairshare.fork_cpus() == n
+
+    @pytest.mark.parametrize("why", ["another thread", "no fork", "no affinity"])
+    def test_one_cpu_where_a_fork_is_unsafe_or_missing(self, monkeypatch, why):
+        usable_cpus(monkeypatch, 4)
+        if why == "another thread":
+            done = threading.Event()
+            thread = threading.Thread(target=done.wait)
+            thread.start()
+            try:
+                assert fairshare.fork_cpus() == 1
+            finally:
+                done.set()
+                thread.join()
+            return
+        monkeypatch.delattr(os, "fork" if why == "no fork" else "sched_getaffinity")
+        assert fairshare.fork_cpus() == 1
+
+
+class TestExhaustiveSplit:
+    """The search split into interleaved shares of prefixes, each but the
+    first in a forked child, picks what one process picks."""
+
+    @pytest.mark.parametrize("shares", [2, 3, 4])
+    def test_split_equals_one_process_on_the_oracle_corpus(self, monkeypatch, shares):
+        seeds = itertools.chain(range(60), range(1000, 1200))
+        corpus = [(graph, apps) for _, graph, apps in oracle_corpus(seeds)]
+        usable_cpus(monkeypatch, 1)
+        alone = [assign_exhaustive(graph, apps) for graph, apps in corpus]
+        usable_cpus(monkeypatch, shares)
+        monkeypatch.setattr(fairshare, "SPLIT_MIN_SIZE", 1)
+        with recorded_forks() as pids:
+            split = [assign_exhaustive(graph, apps) for graph, apps in corpus]
+        assert split == alone
+        # every instance has two prefixes or more, so each forks
+        assert len(pids) >= len(corpus) and all(map(reaped, pids))
+
+    @pytest.mark.parametrize("shares", [2, 3, 4])
+    def test_tied_optima_in_different_shares_go_to_the_first_enumerated(
+        self, monkeypatch, shares
+    ):
+        # prefixes (app 0's worker, app 1's worker) are numbered 0: (3, 3),
+        # 1: (3, 4), 2: (4, 3) and 3: (4, 4). The tied optima 1 and 2 fall in
+        # different shares; with two shares, the later one is this process's
+        g, apps = mirror_instance()
+        usable_cpus(monkeypatch, shares)
+        monkeypatch.setattr(fairshare, "SPLIT_MIN_SIZE", 1)
+        with recorded_forks() as pids:
+            assert assign_exhaustive(g, apps) == {0: frozenset({3}), 1: frozenset({4})}
+        assert len(pids) == shares - 1 and all(map(reaped, pids))
+
+    def test_a_search_too_small_to_split_forks_nothing(self, monkeypatch):
+        graph, apps = pooled_instance(random.Random(1))
+        usable_cpus(monkeypatch, 4)
+        monkeypatch.setattr(fairshare, "SPLIT_MIN_SIZE", 21**3 + 1)
+        with recorded_forks() as pids:
+            best = assign_exhaustive(graph, apps)
+        assert pids == []
+        monkeypatch.setattr(fairshare, "SPLIT_MIN_SIZE", 21**3)
+        with recorded_forks() as pids:
+            assert assign_exhaustive(graph, apps) == best
+        assert len(pids) == 3 and all(map(reaped, pids))
+
+    @pytest.mark.parametrize("cpus, pools", [(4, 2), (4, 1), (2, 3), (1, 3)])
+    def test_one_share_per_usable_cpu_and_per_prefix(self, monkeypatch, cpus, pools):
+        # a one-app search numbers app 0's pools
+        graph, apps = star_instance(pools)
+        usable_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(fairshare, "SPLIT_MIN_SIZE", 1)
+        with recorded_forks() as pids:
+            assert assign_exhaustive(graph, apps) == {0: frozenset({pools})}
+        assert len(pids) == min(cpus, pools) - 1 and all(map(reaped, pids))
+
+    def test_a_search_without_apps_has_one_prefix(self, monkeypatch):
+        usable_cpus(monkeypatch, 4)
+        monkeypatch.setattr(fairshare, "SPLIT_MIN_SIZE", 1)
+        with recorded_forks() as pids:
+            assert assign_exhaustive(line_graph([1.0]), []) == {}
+        assert pids == []
+
+    @pytest.mark.parametrize("how", ["raises", "is killed"])
+    def test_a_child_that_fails_mid_search_leaves_the_serial_answer(self, monkeypatch, how):
+        graph, apps = pooled_instance(random.Random(1))
+        usable_cpus(monkeypatch, 1)
+        alone = assign_exhaustive(graph, apps)
+        parent, calls = os.getpid(), []
+
+        def fill(*args):  # each child fails at its fifth fill
+            calls.append(None)
+            if os.getpid() != parent and len(calls) == 5:
+                if how == "raises":
+                    raise ValueError("stop")
+                os.kill(os.getpid(), signal.SIGKILL)
+            return progressive_fill(*args)
+
+        monkeypatch.setattr(fairshare, "progressive_fill", fill)
+        usable_cpus(monkeypatch, 4)
+        with recorded_forks() as pids:
+            assert assign_exhaustive(graph, apps) == alone
+        assert len(pids) == 3 and all(map(reaped, pids))
+
+    def test_an_error_in_a_childs_share_is_the_error_of_one_process(self, monkeypatch):
+        # the fill of prefix 1, (3, 4), fails wherever it runs: in one
+        # process, and in the child of share 1 of 2, after which this
+        # process searches that share itself
+        g, apps = mirror_instance()
+
+        def fill(weights, flow_edges, caps):
+            if flow_edges == [(0, 2), (1, 3)]:
+                raise ArithmeticError("no fill of (3, 4)")
+            return progressive_fill(weights, flow_edges, caps)
+
+        monkeypatch.setattr(fairshare, "progressive_fill", fill)
+        monkeypatch.setattr(fairshare, "SPLIT_MIN_SIZE", 1)
+        usable_cpus(monkeypatch, 1)
+        with pytest.raises(ArithmeticError, match=r"\(3, 4\)"):
+            assign_exhaustive(g, apps)
+        usable_cpus(monkeypatch, 2)
+        with recorded_forks() as pids, pytest.raises(ArithmeticError, match=r"\(3, 4\)"):
+            assign_exhaustive(g, apps)
+        assert len(pids) == 1 and all(map(reaped, pids))
+
+    def test_a_fork_that_fails_leaves_the_search_in_process(self, monkeypatch):
+        graph, apps = pooled_instance(random.Random(1))
+        usable_cpus(monkeypatch, 1)
+        alone = assign_exhaustive(graph, apps)
+        usable_cpus(monkeypatch, 4)
+        with mock.patch.object(os, "fork", side_effect=OSError(11, "EAGAIN")) as failing:
+            assert assign_exhaustive(graph, apps) == alone
+        assert failing.call_count == 3
+
+    @pytest.mark.parametrize("ending", ["return", "exception", "interrupt"])
+    def test_no_child_outlives_the_search(self, monkeypatch, ending):
+        graph, apps = pooled_instance(random.Random(1))
+        stop = {"exception": ValueError, "interrupt": KeyboardInterrupt}.get(ending)
+        parent, statuses, waitpid, calls = os.getpid(), [], os.waitpid, []
+
+        def fill(*args):  # this process stops at its first fill, long before any child ends
+            calls.append(None)
+            if stop is not None:
+                if os.getpid() == parent:
+                    raise stop("stop")
+                if len(calls) == 1:
+                    time.sleep(20)
+            return progressive_fill(*args)
+
+        def recording(pid, options):
+            statuses.append(waitpid(pid, options)[1])
+            return pid, statuses[-1]
+
+        monkeypatch.setattr(fairshare, "progressive_fill", fill)
+        usable_cpus(monkeypatch, 4)
+        with recorded_forks() as pids, mock.patch.object(os, "waitpid", recording):
+            if stop is None:
+                assign_exhaustive(graph, apps)
+            else:
+                with pytest.raises(stop, match="stop"):
+                    assign_exhaustive(graph, apps)
+        assert len(pids) == 3 and all(map(reaped, pids))
+        # a child that has sent its share may be killed on its way out, so
+        # only the children of a search that stopped are sure to be killed
+        killed = [os.WIFSIGNALED(s) and os.WTERMSIG(s) == signal.SIGKILL for s in statuses]
+        assert len(killed) == 3 and (stop is None or all(killed))
+
+    @pytest.mark.parametrize(
+        "shares, filled",
+        [(2, [489, 483]), (3, [329, 307, 343]), (4, [249, 266, 247, 224])],
+    )
+    def test_fills_per_share_on_the_benchmark_shape(self, monkeypatch, shares, filled):
+        # each share prunes against its own incumbent, so together they
+        # fill more than the 965 of one process
+        graph, apps = pooled_instance(random.Random(1))
+        usable_cpus(monkeypatch, shares)
+        fills = count_fills(monkeypatch)
+        children = []
+
+        @contextlib.contextmanager
+        def in_process(work):  # forked without a fork: the child's share runs here, at once
+            out, before = io.BytesIO(), len(fills)
+            work(out)
+            children.append(len(fills) - before)
+            out.seek(0)
+            yield out
+
+        monkeypatch.setattr(fairshare, "forked", in_process)
+        assert assign_exhaustive(graph, apps) == unpruned_exhaustive(graph, apps)
+        assert [len(fills) - sum(children)] + children == filled
 
 
 def _greedy_full_sort(graph, apps):

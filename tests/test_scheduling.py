@@ -823,7 +823,7 @@ class TestBenchmarkTracerContract:
         modules = [qnetfair, cli, engine, fairshare, routing, scenario_io, scheduling, validate]
         # two CPUs, so the run forks its producer on a one-CPU host too
         with tracer_module.installed(tracer, modules), \
-                mock.patch.object(engine.os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
+                mock.patch.object(fairshare.os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
             assert cli.main(
                 ["run", "--config", config, "--slots", "400", "--output-dir", str(tmp_path)]
             ) == 0

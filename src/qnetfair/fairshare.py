@@ -9,12 +9,13 @@ keyed, checked form, and ``assign_exhaustive`` checks every app's
 candidates at once as ``maxmin_rates`` would, then calls the kernel
 directly for each assignment that its two bounds cannot rule out. A
 large search is split over forked processes and merged to the pick of
-one process; ``fork_cpus`` is the one rule of when this process may
-fork, for the search and for the run's producer of draws.
+one process. For the search and the run's producer of draws, ``fork_cpus``
+is the one rule of when to fork and ``forked`` the one way to a child.
 """
 from __future__ import annotations
 
 import itertools
+import marshal
 import math
 import os
 import random
@@ -22,7 +23,7 @@ import threading
 from bisect import bisect_left, insort
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import BinaryIO, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .model import DEFAULT_EXHAUSTIVE_LIMIT, Application, Assignment, Flow, NetworkGraph
 from .routing import build_flows, eligible_flows
@@ -49,37 +50,55 @@ def fork_cpus() -> int:
 
 
 @contextmanager
-def forked(work: Callable[[BinaryIO], object]) -> Iterator[Optional[BinaryIO]]:
-    """The read end of a pipe that ``work`` writes in a forked child, or None
-    when no process can be forked. The child leaves through ``os._exit``, so
-    it flushes none of this process's files; leaving the block, however it
-    is left, kills the child if it still runs and reaps it."""
+def forked(job: Iterable) -> Iterator[Iterator]:
+    """An iterator over the values of ``job``, an iterable not yet started,
+    which a forked child makes and sends through a pipe, each as one
+    ``marshal`` record behind its 4-byte length, then a length of 0. What
+    the child does not send, as the fork failed or the child raised or died,
+    this process makes from its untouched copy of ``job``, skipping the
+    values received; it makes nothing before the first read. The child
+    leaves through ``os._exit``, so it flushes none of this process's files;
+    leaving the block, however it is left, kills the child and reaps it."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
-    except OSError:  # no process to spare, such as EAGAIN
-        os.close(read_fd)
-        os.close(write_fd)
-        yield None
-        return
+    except OSError:  # no process to spare, such as EAGAIN: as a child that sends nothing
+        pid = None
     if pid == 0:  # the child; it never returns into the caller
-        code = 1
         try:
             os.close(read_fd)
             with open(write_fd, "wb") as out:
-                work(out)
-            code = 0
+                for record in map(marshal.dumps, job):
+                    out.write(len(record).to_bytes(4, "little") + record)
+                    out.flush()  # readable before the next value is made
+                out.write(bytes(4))
+            os._exit(0)
         finally:  # skips the caller's open files and atexit hooks
-            os._exit(code)
+            os._exit(1)
     try:
         os.close(write_fd)
         with open(read_fd, "rb") as feed:
-            yield feed
+            yield _received(feed, job)
     finally:
-        from _signal import SIGKILL  # loaded at start-up, unlike the signal module
+        if pid is not None:
+            from _signal import SIGKILL  # loaded at start-up, unlike the signal module
 
-        os.kill(pid, SIGKILL)
-        os.waitpid(pid, 0)
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _received(feed: BinaryIO, job: Iterable) -> Iterator:
+    """The values that ``forked``'s child sends through ``feed``; should it
+    stop short of its end mark, then the rest of ``job``, made here."""
+    received = 0
+    while len(head := feed.read(4)) == 4:
+        if not (size := int.from_bytes(head, "little")):
+            return  # the end mark: the child sent every value
+        if len(record := feed.read(size)) < size:
+            break
+        yield marshal.loads(record)
+        received += 1
+    yield from itertools.islice(job, received, None)
 
 
 def maxmin_rates(
@@ -387,14 +406,14 @@ def assign_exhaustive(
     contention bound reads the same sums as a whole assignment would.
 
     From ``SPLIT_MIN_SIZE`` assignments on, the search is split into S
-    shares, S the least of ``fork_cpus()`` and the number of prefixes:
-    the pools of apps 0 and 1 (of app 0 alone if it is the only app),
-    numbered in product order. Share w takes the prefixes numbered w
-    modulo S and keeps every check and bound against its own best score;
-    S - 1 forked children search shares 1 to S - 1, and a share whose
-    child fails or dies is searched here. The greatest score wins, and
-    among equals the least pick vector, the first enumerated: the pick of
-    one search.
+    shares. A prefix, the pools of apps 0 and 1 (of app 0 alone if it is
+    the only app), is numbered by the sum of their indices, and S is the
+    least of ``fork_cpus()`` and the count of distinct numbers. Share w
+    takes the prefixes numbered w modulo S and keeps every check and bound
+    against its own best score; S - 1 children search shares 1 to S - 1
+    through ``forked``, which searches here a share that its child does
+    not send. The greatest score wins, and among equals the least pick
+    vector, the first enumerated: the pick of one search.
 
     Raises SearchSpaceTooLarge (with the assignment count) before building
     any pool when the product of per-app subset counts exceeds ``limit``.
@@ -424,8 +443,9 @@ def assign_exhaustive(
     ]
     n = len(ordered)
     tops = [max([u for _, u, _ in opts]) for opts in options]  # each app's greatest bound
-    # prefix number picks[0] * stride + picks[split]: its pools for apps 0 and 1, or for app 0
-    split, stride = (1, len(options[1])) if n > 1 else (0, 0)
+    # prefix number picks[0] + picks[1], or picks[0] for one app; unlike the
+    # product order's number, it aliases with no pool count modulo the shares
+    split = 1 if n > 1 else 0
 
     def search(share: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
         """The first best pick vector, and its score, among the prefixes
@@ -463,7 +483,7 @@ def assign_exhaustive(
                 bounds[k] = tops[k]
                 k -= 1
                 continue
-            if k == split and (picks[0] * stride + picks[k]) % shares != share:
+            if k == split and sum(picks[: k + 1]) % shares != share:
                 continue
             _, bounds[k], pairs = options[k][picks[k]]
             # with one pool, app k would repeat the test that app k - 1 just passed
@@ -478,24 +498,14 @@ def assign_exhaustive(
         assert best_score is not None, "every prefix has a completion"
         return best, best_score
 
-    def send(out: BinaryIO, share: int) -> None:  # repr gives back the same floats
-        picks, score = search(share)
-        out.write(" ".join(map(repr, picks + score)).encode() + b"\n")
+    def job(w: int) -> Iterator[tuple[tuple[int, ...], tuple[float, ...]]]:
+        yield search(w)
 
-    prefixes = math.prod(map(len, options[:2]))
-    shares = min(fork_cpus(), prefixes) if size >= SPLIT_MIN_SIZE else 1
+    numbers = sum([len(opts) - 1 for opts in options[:2]]) + 1
+    shares = min(fork_cpus(), numbers) if size >= SPLIT_MIN_SIZE else 1
     with ExitStack() as children:
-        feeds = [
-            children.enter_context(forked(lambda out, w=w: send(out, w))) for w in range(1, shares)
-        ]
-        found = [search(0)]
-        for w, feed in enumerate(feeds, 1):
-            line = feed.read() if feed is not None else b""
-            if line.endswith(b"\n"):  # the last byte the child writes
-                words = line.split()
-                found.append((tuple(map(int, words[:n])), tuple(map(float, words[n:]))))
-            else:  # the child failed or died: this process searches its share
-                found.append(search(w))
+        feeds = [children.enter_context(forked(job(w))) for w in range(1, shares)]
+        found = [search(0)] + [next(feed) for feed in feeds]
     # the greatest score; among equals, the first in product order, as one search keeps
     best = max(sorted(found), key=lambda pair: pair[1])[0]
     pools = [opts[i][0] for opts, i in zip(options, best)]

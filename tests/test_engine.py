@@ -694,7 +694,7 @@ class TestDrawProducer:
     def _draws(seed, links, rates, mode, slots, fork):
         sample = capacity_sampler(links, mode, random.Random(seed))
         draws = engine._slot_draws(sample, rates, random.Random(-seed), slots)
-        with engine._draw_feed(draws, slots, len(links), len(rates), fork) as feed:
+        with engine._draw_feed(draws, fork) as feed:
             return list(feed)
 
     @staticmethod
@@ -706,19 +706,20 @@ class TestDrawProducer:
 
     @classmethod
     def _cases(cls):
-        # 10 networks, each at 1, chunk - 1, chunk and chunk + 1 slots; each
-        # pair of capacity mode and traffic in turn; no links; one slot a chunk
+        # 10 networks, each at 1, chunk - 1, chunk and chunk + 1 slots, a chunk
+        # being the slots that first hold CHUNK_INTS ints; each pair of capacity
+        # mode and traffic in turn; no links; one slot a chunk
         for seed in range(10):
             rng = random.Random(seed)
             mode = list(CapacityMode)[seed % 2]
             rates = [rng.uniform(0.0, 30.0) for _ in range(rng.randint(1, 40))]
             rates = rates if seed // 2 % 2 else []
             links = cls._links(rng, rng.randint(1, 600))
-            chunk = engine.CHUNK_INTS // (len(links) + len(rates))
+            chunk = math.ceil(engine.CHUNK_INTS / (len(links) + len(rates)))
             for slots in (1, chunk - 1, chunk, chunk + 1):
                 yield seed, links, rates, mode, slots
         rates = [0.5, 3.0, 12.0]
-        yield 10, [], rates, CapacityMode.STOCHASTIC, engine.CHUNK_INTS // len(rates) + 1
+        yield 10, [], rates, CapacityMode.STOCHASTIC, math.ceil(engine.CHUNK_INTS / len(rates)) + 1
         wide = cls._links(random.Random(11), engine.CHUNK_INTS + 1)
         yield 11, wide, [], CapacityMode.STOCHASTIC, 3
 
@@ -796,10 +797,11 @@ class TestDrawProducer:
         assert os.WIFSIGNALED(statuses[0]) and os.WTERMSIG(statuses[0]) == signal.SIGKILL
         assert reaped(pids[0])
 
-    def test_a_killed_producer_fails_the_run(self):
-        # the producer runs at most a pipe's worth of slots ahead, far
-        # fewer than the run has
-        slots = []
+    def test_a_killed_producer_leaves_its_draws_to_the_run(self):
+        # the producer runs at most a pipe's worth of slots ahead, far fewer
+        # than the run has, so it is killed while it still draws; the run
+        # then makes the draws that it did not send
+        scenario, slots = self._scenario(slots=5_000), []
 
         def kill(ledger):
             slots.append(ledger.slot)
@@ -807,10 +809,28 @@ class TestDrawProducer:
                 os.kill(pids[0], signal.SIGKILL)
 
         with two_cpus(), recorded_forks() as pids:
-            with pytest.raises(RuntimeError, match="producer of capacity and arrival draws died"):
-                run(self._scenario(slots=20_000), on_slot=kill)
-        assert reaped(pids[0])
-        assert slots == list(range(len(slots))) and len(slots) < 2_000
+            killed = run(scenario, on_slot=kill)
+        assert len(pids) == 1 and reaped(pids[0])
+        assert slots == list(range(5_000))
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
+            assert killed == run(scenario)
+
+    def test_an_error_in_the_producer_is_the_runs_own(self):
+        # the 300th arrival draw fails wherever it is made: in the producer,
+        # and then in the run, which makes what the producer did not send
+        calls, poisson = [], engine.poisson_sample
+
+        def failing(lam, rng):
+            calls.append(None)
+            if len(calls) == 300:
+                raise ArithmeticError("no draw")
+            return poisson(lam, rng)
+
+        with two_cpus(), recorded_forks() as pids, \
+                mock.patch.object(engine, "poisson_sample", failing):
+            with pytest.raises(ArithmeticError, match="no draw"):
+                run(self._scenario())
+        assert len(pids) == 1 and reaped(pids[0])
 
     @pytest.mark.parametrize("why", ["one CPU", "another thread", "fork fails"])
     def test_runs_in_process_on_one_cpu_beside_a_thread_or_without_fork(self, why):

@@ -1,13 +1,14 @@
 import contextlib
 import dataclasses
-import io
 import itertools
+import marshal
 import math
 import os
 import random
 import signal
 import threading
 import time
+import types
 from typing import Iterable, Mapping
 from unittest import mock
 
@@ -232,27 +233,19 @@ def oracle_corpus(seeds):
         yield seed, graph, apps
 
 
-def mirror_instance():
-    """Host 0 reaches worker 3 through repeater 1 and worker 4 through
-    repeater 2 over mirror-image links; two apps each need one worker, so
-    the assignments (3, 4) and (4, 3) are mirror images."""
-    nodes = [
-        Node(0, NodeKind.COMPUTATION),
-        Node(1, NodeKind.REPEATER, 0.9),
-        Node(2, NodeKind.REPEATER, 0.9),
-        Node(3, NodeKind.COMPUTATION),
-        Node(4, NodeKind.COMPUTATION),
-    ]
-    links = [
-        QuantumLink(0, (0, 1), 3, 0.75, 1.0),
-        QuantumLink(1, (0, 2), 3, 0.75, 1.0),
-        QuantumLink(2, (1, 3), 3, 0.75, 1.0),
-        QuantumLink(3, (2, 4), 3, 0.75, 1.0),
-    ]
-    apps = [
-        Application(0, 0, 1.0, 1, frozenset({3, 4})),
-        Application(1, 0, 2.0, 1, frozenset({3, 4})),
-    ]
+def mirror_instance(branches=2):
+    """Host 0 reaches each worker b + branches through repeater b, for b
+    from 1 to ``branches``, over mirror-image links; two apps each need one
+    worker, and swapping two branches maps an assignment to one of the same
+    score, such as (3, 4) to (4, 3) with two branches."""
+    repeaters = range(1, branches + 1)
+    nodes = [Node(0, NodeKind.COMPUTATION)]
+    nodes += [Node(b, NodeKind.REPEATER, 0.9) for b in repeaters]
+    nodes += [Node(b + branches, NodeKind.COMPUTATION) for b in repeaters]
+    ends = [(0, b) for b in repeaters] + [(b, b + branches) for b in repeaters]
+    links = [QuantumLink(e, pair, 3, 0.75, 1.0) for e, pair in enumerate(ends)]
+    workers = frozenset(b + branches for b in repeaters)
+    apps = [Application(0, 0, 1.0, 1, workers), Application(1, 0, 2.0, 1, workers)]
     return NetworkGraph(nodes, links), apps
 
 
@@ -932,6 +925,143 @@ class TestForkRule:
         assert fairshare.fork_cpus() == 1
 
 
+# one value of each kind that a record must give back exactly
+VALUES = [
+    2**40, -(2**70), -7, 0, 5e-324, -0.0, 1e308, -math.inf,
+    [1, (2.5, [-3, ()]), []], (), ("x" * 3, [[]]),
+]
+
+
+def counted_records(monkeypatch):
+    """A list that grows by one entry per record that ``forked`` reads
+    from a child in this process."""
+    records = []
+
+    def loads(record):
+        records.append(None)
+        return marshal.loads(record)
+
+    monkeypatch.setattr(fairshare, "marshal", types.SimpleNamespace(dumps=marshal.dumps, loads=loads))
+    return records
+
+
+def waited_statuses():
+    """Patch os.waitpid to record each status it returns, in a list."""
+    statuses, waitpid = [], os.waitpid
+
+    def recording(pid, options):
+        statuses.append(waitpid(pid, options)[1])
+        return pid, statuses[-1]
+
+    return statuses, mock.patch.object(os, "waitpid", recording)
+
+
+class TestForked:
+    """forked hands back every value of a job: those its child sends, then
+    whatever the child did not send, made in this process."""
+
+    def test_values_come_back_exactly(self, monkeypatch):
+        records = counted_records(monkeypatch)
+        for job in (VALUES, []):
+            records.clear()
+            with recorded_forks() as pids, fairshare.forked(iter(job)) as values:
+                got = list(values)
+            # repr tells -0.0 from 0.0 and a tuple from a list
+            assert repr(got) == repr(job) and len(records) == len(job)
+            assert len(pids) == 1 and reaped(pids[0])
+
+    @pytest.mark.parametrize("stop", [0, 4, len(VALUES)], ids=["first", "between", "end mark"])
+    def test_a_child_killed_before_a_record_leaves_the_rest_here(self, monkeypatch, stop):
+        # the child kills itself before it sends value ``stop``, or, after
+        # the last value, before its end mark
+        parent = os.getpid()
+
+        def job():
+            for i in range(len(VALUES) + 1):
+                if i == stop and os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                if i < len(VALUES):
+                    yield VALUES[i]
+
+        records = counted_records(monkeypatch)
+        statuses, waits = waited_statuses()
+        with recorded_forks() as pids, waits, fairshare.forked(job()) as values:
+            got = list(values)
+        assert repr(got) == repr(VALUES) and len(records) == stop
+        assert os.WIFSIGNALED(statuses[0]) and os.WTERMSIG(statuses[0]) == signal.SIGKILL
+        assert len(pids) == 1 and reaped(pids[0])
+
+    def test_a_child_killed_inside_a_record_leaves_the_rest_here(self, monkeypatch):
+        # a record far larger than a pipe holds: once this process has read
+        # half of it, the child is still writing it, and is killed there
+        big = list(range(300_000))
+        job = [VALUES, big, VALUES]
+        cut = 4 + len(marshal.dumps(VALUES)) + 4 + len(marshal.dumps(big)) // 2
+
+        class Killing:  # the read end of the pipe, killing the child after ``cut`` bytes
+            def __init__(self, feed):
+                self.feed, self.left = feed, cut
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.feed.close()
+
+            def read(self, n):
+                if n <= self.left:
+                    self.left -= n
+                    return self.feed.read(n)
+                head = self.feed.read(self.left)
+                os.kill(pids[0], signal.SIGKILL)
+                self.left = math.inf
+                return head + self.feed.read(n - len(head))
+
+        def opened(fd, mode):
+            file = open(fd, mode)
+            return file if "w" in mode else Killing(file)
+
+        monkeypatch.setattr(fairshare, "open", opened, raising=False)
+        records = counted_records(monkeypatch)
+        statuses, waits = waited_statuses()
+        with recorded_forks() as pids, waits, fairshare.forked(iter(job)) as values:
+            assert list(values) == job
+        assert len(records) == 1
+        assert os.WIFSIGNALED(statuses[0]) and os.WTERMSIG(statuses[0]) == signal.SIGKILL
+        assert len(pids) == 1 and reaped(pids[0])
+
+    def test_a_child_that_raises_leaves_its_error_here(self, monkeypatch):
+        def job():
+            yield 1
+            yield 2
+            raise ValueError("no third value")
+
+        records = counted_records(monkeypatch)
+        with recorded_forks() as pids, fairshare.forked(job()) as values:
+            assert next(values) == 1 and next(values) == 2
+            with pytest.raises(ValueError, match="no third value"):
+                next(values)
+        # the child sent two records and no end mark; it may still be on its
+        # way out when this process kills it
+        assert len(records) == 2
+        assert len(pids) == 1 and reaped(pids[0])
+
+    def test_a_failed_fork_makes_nothing_before_the_first_read(self):
+        made = []
+
+        def job():
+            for value in VALUES:
+                made.append(value)
+                yield value
+
+        no_process = OSError(11, "EAGAIN")
+        with mock.patch.object(os, "fork", side_effect=no_process) as failing:
+            with fairshare.forked(job()) as values:
+                assert made == [] and failing.call_count == 1
+                assert repr(list(values)) == repr(VALUES)
+        assert repr(made) == repr(VALUES)
+
+
 class TestExhaustiveSplit:
     """The search split into interleaved shares of prefixes, each but the
     first in a forked child, picks what one process picks."""
@@ -954,14 +1084,16 @@ class TestExhaustiveSplit:
     def test_tied_optima_in_different_shares_go_to_the_first_enumerated(
         self, monkeypatch, shares
     ):
-        # prefixes (app 0's worker, app 1's worker) are numbered 0: (3, 3),
-        # 1: (3, 4), 2: (4, 3) and 3: (4, 4). The tied optima 1 and 2 fall in
-        # different shares; with two shares, the later one is this process's
-        g, apps = mirror_instance()
+        # a prefix (app 0's pick, app 1's pick) of workers 4, 5 and 6 is
+        # numbered by its sum, 0 to 4. The six tied optima, the pairs of
+        # distinct workers, have sums 1 to 3, so they fall in different
+        # shares; with two shares, (0, 2) is this process's, and the first
+        # enumerated, (0, 1), a child's
+        g, apps = mirror_instance(branches=3)
         usable_cpus(monkeypatch, shares)
         monkeypatch.setattr(fairshare, "SPLIT_MIN_SIZE", 1)
         with recorded_forks() as pids:
-            assert assign_exhaustive(g, apps) == {0: frozenset({3}), 1: frozenset({4})}
+            assert assign_exhaustive(g, apps) == {0: frozenset({4}), 1: frozenset({5})}
         assert len(pids) == shares - 1 and all(map(reaped, pids))
 
     def test_a_search_too_small_to_split_forks_nothing(self, monkeypatch):
@@ -1048,7 +1180,7 @@ class TestExhaustiveSplit:
     def test_no_child_outlives_the_search(self, monkeypatch, ending):
         graph, apps = pooled_instance(random.Random(1))
         stop = {"exception": ValueError, "interrupt": KeyboardInterrupt}.get(ending)
-        parent, statuses, waitpid, calls = os.getpid(), [], os.waitpid, []
+        parent, calls = os.getpid(), []
 
         def fill(*args):  # this process stops at its first fill, long before any child ends
             calls.append(None)
@@ -1059,13 +1191,10 @@ class TestExhaustiveSplit:
                     time.sleep(20)
             return progressive_fill(*args)
 
-        def recording(pid, options):
-            statuses.append(waitpid(pid, options)[1])
-            return pid, statuses[-1]
-
         monkeypatch.setattr(fairshare, "progressive_fill", fill)
         usable_cpus(monkeypatch, 4)
-        with recorded_forks() as pids, mock.patch.object(os, "waitpid", recording):
+        statuses, waits = waited_statuses()
+        with recorded_forks() as pids, waits:
             if stop is None:
                 assign_exhaustive(graph, apps)
             else:
@@ -1079,7 +1208,7 @@ class TestExhaustiveSplit:
 
     @pytest.mark.parametrize(
         "shares, filled",
-        [(2, [489, 483]), (3, [329, 307, 343]), (4, [249, 266, 247, 224])],
+        [(2, [489, 483]), (3, [322, 332, 325]), (4, [249, 266, 247, 224])],
     )
     def test_fills_per_share_on_the_benchmark_shape(self, monkeypatch, shares, filled):
         # each share prunes against its own incumbent, so together they
@@ -1090,12 +1219,11 @@ class TestExhaustiveSplit:
         children = []
 
         @contextlib.contextmanager
-        def in_process(work):  # forked without a fork: the child's share runs here, at once
-            out, before = io.BytesIO(), len(fills)
-            work(out)
+        def in_process(job):  # forked without a fork: the child's share runs here, at once
+            before = len(fills)
+            values = list(job)
             children.append(len(fills) - before)
-            out.seek(0)
-            yield out
+            yield iter(values)
 
         monkeypatch.setattr(fairshare, "forked", in_process)
         assert assign_exhaustive(graph, apps) == unpruned_exhaustive(graph, apps)

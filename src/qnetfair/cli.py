@@ -296,13 +296,14 @@ def _set_sweep_value(data: Any, dotted: str, raw: str) -> Any:
     the key itself may be omitted, and its type in the schema types the value."""
     parts = dotted.split(".")
     target = data.get(parts[0]) if isinstance(data, dict) else None
-    if len(parts) == 3 and parts[1].isdecimal() and isinstance(target, list):
-        target = target[int(parts[1])] if int(parts[1]) < len(target) else None
+    if len(parts) == 3 and isinstance(target, list):
+        # an index is str(i) of an entry i; int() would refuse one of over 4300 digits
+        target = next((t for i, t in enumerate(target) if str(i) == parts[1]), None)
     elif len(parts) != 2:
         target = None
     key = SCHEMA.get(parts[0], {}).get(parts[-1])
     if key is None or not isinstance(target, dict):
-        raise SweepParamError(f"unknown parameter path: {dotted}")
+        raise SweepParamError(f"unknown parameter path: {shown(dotted)}")
     if key.type in (tuple, frozenset):
         raise SweepParamError(f"{dotted}: not a sweepable numeric field")
     value: Any = raw  # an enum key takes the string

@@ -5,12 +5,12 @@ success and, in ``resolve_assignment``, assignment), seeded by hashing the
 stream label with the master seed, so one never perturbs another's draws.
 Replications are independent runs whose seeds derive from the master seed
 and the replication index, aggregated in index order. No grant changes a
-capacity or arrival draw, so a run forks one producer process that makes
-both, in the order the run would, ahead of its slot loop and sends them
-through ``fairshare.forked``: the outputs stay byte-identical. The run
-draws them itself when neither stream is drawn, when ``fork_cpus`` allows
-no fork (one CPU, another thread, no ``os.fork``) and for what the
-producer did not send. Success draws follow the grants, in the run's process.
+capacity or arrival draw, so a run that draws from either stream makes
+both, in the order it would, in a producer that ``fairshare.forked`` forks
+ahead of the slot loop: the outputs stay byte-identical. Where ``forked``
+forks no child (one CPU, another thread, no ``os.fork``), and for what the
+producer did not send, the run makes them itself, as it does when it
+draws from neither. Success draws follow the grants, in the run's process.
 
 Each slot's link capacities come from one sampler built per run. In
 stochastic mode it holds a flat list with every link's gen_success_prob
@@ -39,20 +39,13 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import gt
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
-from .fairshare import (
-    assign_exhaustive,
-    assign_greedy,
-    assign_random,
-    fork_cpus,
-    forked,
-    weighted_jain,
-)
+from .fairshare import assign_exhaustive, assign_greedy, assign_random, forked, weighted_jain
 from .model import (
     AppId,
     Assignment,
@@ -156,41 +149,28 @@ def poisson_sample(lam: float, rng: random.Random) -> int:
         k += 1
 
 
-_Draws = Iterable[tuple[list[int], list[int]]]  # per slot: capacities, arrival counts
-
-
-def _slot_draws(
-    sample_slot: Callable[[], list[int]], rates: Sequence[float], rng: random.Random, slots: int
-) -> _Draws:
-    """The draws of each slot that no grant can change: the sampled
-    capacities, and a Poisson arrival count for each of ``rates``."""
-    for _ in range(slots):
-        yield sample_slot(), [poisson_sample(lam, rng) for lam in rates]
-
-
 # A producer's record of whole slots closes at this many ints. On the mesh (9 ints a
 # slot) the loop took 0.99 us a slot from a forked feed at 1024, 1.01 at 4096 and 1.16
 # at 256; a record decodes to 19 KiB of lists, 81 KiB at 4096 (Python 3.11, 2 vCPUs).
 CHUNK_INTS = 1024
 
 
-@contextmanager
-def _draw_feed(draws: _Draws, fork: bool) -> Iterator[_Draws]:
-    """``draws`` for the slot loop; with ``fork``, a producer that ``forked``
-    forks makes them ahead of the loop and sends them in chunks of whole slots."""
-
-    def chunks() -> Iterator[list[tuple[list[int], list[int]]]]:
-        chunk, ints = [], 0
-        for slot in draws:
-            chunk.append(slot)
-            ints += len(slot[0]) + len(slot[1])
-            if ints >= CHUNK_INTS:
-                yield chunk
-                chunk, ints = [], 0
-        yield chunk
-
-    with forked(chunks()) if fork else nullcontext([draws]) as feed:
-        yield chain.from_iterable(feed)
+def _slot_draws(
+    sample_slot: Callable[[], list[int]], rates: Sequence[float], rng: random.Random, slots: int
+) -> Iterator[list[tuple[list[int], list[int]]]]:
+    """The draws of each slot that no grant can change, the sampled
+    capacities and a Poisson arrival count for each of ``rates``, in chunks
+    of whole slots. A chunk closes at the first slot that brings it to
+    ``CHUNK_INTS`` ints; the last, perhaps empty, holds the slots left."""
+    chunk, ints = [], 0
+    for _ in range(slots):
+        sampled = sample_slot()
+        chunk.append((sampled, [poisson_sample(lam, rng) for lam in rates]))
+        ints += len(sampled) + len(rates)
+        if ints >= CHUNK_INTS:
+            yield chunk
+            chunk, ints = [], 0
+    yield chunk
 
 
 def resolve_successes(
@@ -363,10 +343,10 @@ def _run(
     wait_by_app = [0] * len(state.apps)  # sum of slots from arrival to grant
     sample_slot = capacity_sampler(links, cfg.capacity_mode, rng_capacity)
     rates = [a.arrival_rate for a in state.apps] if cfg.traffic is Traffic.POISSON else []
-    draws = _slot_draws(sample_slot, rates, rng_arrival, cfg.slots)
+    chunks = _slot_draws(sample_slot, rates, rng_arrival, cfg.slots)
     drawn = cfg.capacity_mode is CapacityMode.STOCHASTIC and links or rates
-    with _draw_feed(draws, bool(drawn) and fork_cpus() > 1) as feed:
-        for slot, (sampled, counts) in enumerate(feed):
+    with forked(chunks) if drawn else nullcontext(chunks) as feed:
+        for slot, (sampled, counts) in enumerate(chain.from_iterable(feed)):
             _enqueue_arrivals(state, slot, counts)  # no counts under backlogged traffic
             result = _schedule_slot(state, sampled)
             grants = result.per_flow

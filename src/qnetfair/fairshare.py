@@ -9,8 +9,8 @@ keyed, checked form, and ``assign_exhaustive`` checks every app's
 candidates at once as ``maxmin_rates`` would, then calls the kernel
 directly for each assignment that its two bounds cannot rule out. A
 large search is split over forked processes and merged to the pick of
-one process. For the search and the run's producer of draws, ``fork_cpus``
-is the one rule of when to fork and ``forked`` the one way to a child.
+one process. ``forked`` is the one way to a child, for the search and for
+the run's producer of draws, and it forks only where ``fork_cpus`` allows.
 """
 from __future__ import annotations
 
@@ -53,15 +53,16 @@ def fork_cpus() -> int:
 def forked(job: Iterable) -> Iterator[Iterator]:
     """An iterator over the values of ``job``, an iterable not yet started,
     which a forked child makes and sends through a pipe, each as one
-    ``marshal`` record behind its 4-byte length, then a length of 0. What
-    the child does not send, as the fork failed or the child raised or died,
-    this process makes from its untouched copy of ``job``, skipping the
-    values received; it makes nothing before the first read. The child
-    leaves through ``os._exit``, so it flushes none of this process's files;
+    ``marshal`` record behind its 4-byte length, then a length of 0. Where
+    ``fork_cpus()`` is 1 it forks no child, as if the fork failed. What the
+    child does not send, as there is none or it raised or died, this
+    process makes from its untouched copy of ``job``, skipping the values
+    received; it makes nothing before the first read. The child leaves
+    through ``os._exit``, so it flushes none of this process's files;
     leaving the block, however it is left, kills the child and reaps it."""
     read_fd, write_fd = os.pipe()
     try:
-        pid = os.fork()
+        pid = os.fork() if fork_cpus() > 1 else None
     except OSError:  # no process to spare, such as EAGAIN: as a child that sends nothing
         pid = None
     if pid == 0:  # the child; it never returns into the caller
@@ -498,13 +499,10 @@ def assign_exhaustive(
         assert best_score is not None, "every prefix has a completion"
         return best, best_score
 
-    def job(w: int) -> Iterator[tuple[tuple[int, ...], tuple[float, ...]]]:
-        yield search(w)
-
     numbers = sum([len(opts) - 1 for opts in options[:2]]) + 1
     shares = min(fork_cpus(), numbers) if size >= SPLIT_MIN_SIZE else 1
     with ExitStack() as children:
-        feeds = [children.enter_context(forked(job(w))) for w in range(1, shares)]
+        feeds = [children.enter_context(forked(map(search, [w]))) for w in range(1, shares)]
         found = [search(0)] + [next(feed) for feed in feeds]
     # the greatest score; among equals, the first in product order, as one search keeps
     best = max(sorted(found), key=lambda pair: pair[1])[0]

@@ -6,8 +6,16 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Tier-1 draws the same examples on every run and keeps no example database,
+# so it replays no example that an earlier run stored; "randomized" draws
+# fresh ones, more of them, when selected with --hypothesis-profile randomized
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("randomized", max_examples=500, database=None)
+settings.load_profile("tier1")
 
 from qnetfair import (
     Application,

@@ -759,11 +759,15 @@ class TestSweepCommand:
     @pytest.mark.parametrize(
         "param, values, line",
         [
-            ("apps.0.weight.x", "1", "error: unknown parameter path: apps.0.weight.x"),
+            ("apps.0.weight.x", "1", "error: unknown parameter path: 'apps.0.weight.x'"),
+            # int() refuses an index of over 4300 digits; it must not be asked
+            ("apps." + "9" * 5000 + ".weight", "1",
+             "error: unknown parameter path: a value of 5014 characters"),
+            ("x" * 5000, "1", "error: unknown parameter path: a value of 5002 characters"),
             ("apps.0.candidates", "1", "error: apps.0.candidates: not a sweepable numeric field"),
             ("seed", ",", "error: no sweep values given"),
         ],
-        ids=["path_too_long", "id_list", "no_values"],
+        ids=["path_too_long", "index_past_int_limit", "long_path", "id_list", "no_values"],
     )
     def test_usage_error_line(self, write_scenario, tmp_path, capsys, param, values, line):
         path = write_scenario(scenario_dict())

@@ -38,7 +38,7 @@ from qnetfair import (
     stream_seed,
     validate_scenario,
 )
-from qnetfair import engine, validate
+from qnetfair import engine, fairshare, validate
 from qnetfair.engine import aggregate_metrics, capacity_sampler
 from qnetfair.routing import build_flows
 from qnetfair.scenario_io import parse_scenario
@@ -686,16 +686,28 @@ def two_cpus():
     return mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True)
 
 
+def reference_chunks(sample_slot, rates, rng, slots):
+    """Each slot's draws made on their own, then cut into chunks of whole
+    slots that close at the first slot to bring one to CHUNK_INTS ints."""
+    chunks, chunk, ints = [], [], 0
+    for _ in range(slots):
+        chunk.append((sample_slot(), [poisson_sample(lam, rng) for lam in rates]))
+        ints += len(chunk[-1][0]) + len(chunk[-1][1])
+        if ints >= engine.CHUNK_INTS:
+            chunks.append(chunk)
+            chunk, ints = [], 0
+    return chunks + [chunk]
+
+
 class TestDrawProducer:
     """A run that draws capacity or arrivals reads both from a forked
     producer when it can, and they are the draws it makes in-process."""
 
     @staticmethod
-    def _draws(seed, links, rates, mode, slots, fork):
+    def _chunks(seed, links, rates, mode, slots, make):
+        """The chunks of ``make``, called as ``_slot_draws`` is, on seeded streams."""
         sample = capacity_sampler(links, mode, random.Random(seed))
-        draws = engine._slot_draws(sample, rates, random.Random(-seed), slots)
-        with engine._draw_feed(draws, fork) as feed:
-            return list(feed)
+        return list(make(sample, rates, random.Random(-seed), slots))
 
     @staticmethod
     def _links(rng, n):
@@ -725,12 +737,40 @@ class TestDrawProducer:
 
     def test_forked_and_in_process_draws_are_equal(self):
         cases = list(self._cases())
-        assert len(cases) >= 40 and min(slots for *_, slots in cases) == 1
+        assert len(cases) == 42 and min(slots for *_, slots in cases) == 1
+
+        def sent(*args):  # the chunks that a forked producer sends
+            with two_cpus(), recorded_forks() as pids:
+                with fairshare.forked(engine._slot_draws(*args)) as feed:
+                    chunks = list(feed)
+            assert len(pids) == 1 and reaped(pids[0])
+            return chunks
+
         for seed, links, rates, mode, slots in cases:
-            alone = self._draws(seed, links, rates, mode, slots, fork=False)
-            forked = self._draws(seed, links, rates, mode, slots, fork=True)
-            assert len(alone) == slots and forked == alone, (seed, slots)
-            assert all(len(s) == len(links) and len(c) == len(rates) for s, c in forked)
+            alone = self._chunks(seed, links, rates, mode, slots, engine._slot_draws)
+            forked = self._chunks(seed, links, rates, mode, slots, sent)
+            reference = self._chunks(seed, links, rates, mode, slots, reference_chunks)
+            assert forked == alone == reference, (seed, slots)
+            draws = [slot for chunk in forked for slot in chunk]
+            assert len(draws) == slots
+            assert all(len(s) == len(links) and len(c) == len(rates) for s, c in draws)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["one under", "at", "one over"])
+    def test_a_chunk_closes_at_the_first_slot_to_reach_chunk_ints(self, offset):
+        # two arrival counts a slot, and capacity lists whose lengths bring
+        # the first slot to CHUNK_INTS + offset ints, then the next to 3 and
+        # the last to CHUNK_INTS + 2, which closes a chunk and leaves an empty one
+        rates, first = [0.5, 2.0], engine.CHUNK_INTS + offset
+        lengths = iter([first - 2, 1, engine.CHUNK_INTS])
+        chunks = engine._slot_draws(lambda: [0] * next(lengths), rates, random.Random(1), 3)
+        ints = [[len(s) + len(c) for s, c in chunk] for chunk in chunks]
+        last = engine.CHUNK_INTS + 2
+        assert ints == ([[first, 3], [last], []] if offset < 0 else [[first], [3, last], []])
+
+    def test_slots_without_draws_make_one_chunk(self):
+        sample = capacity_sampler([], CapacityMode.STOCHASTIC, random.Random(1))
+        chunks = list(engine._slot_draws(sample, [], random.Random(2), 5_000))
+        assert chunks == [[([], [])] * 5_000]
 
     @staticmethod
     def _scenario(stem="net60_poisson", slots=100):

@@ -958,7 +958,12 @@ def waited_statuses():
 
 class TestForked:
     """forked hands back every value of a job: those its child sends, then
-    whatever the child did not send, made in this process."""
+    whatever the child did not send, made in this process. Two usable CPUs
+    let it fork on any host, unless a test takes one away."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
 
     def test_values_come_back_exactly(self, monkeypatch):
         records = counted_records(monkeypatch)
@@ -1060,6 +1065,32 @@ class TestForked:
                 assert made == [] and failing.call_count == 1
                 assert repr(list(values)) == repr(VALUES)
         assert repr(made) == repr(VALUES)
+
+    @pytest.mark.parametrize("why", ["one CPU", "another thread", "no fork"])
+    def test_where_fork_cpus_is_one_the_job_runs_here(self, monkeypatch, why):
+        def job():
+            yield from VALUES
+            raise ValueError("no more values")
+
+        if why == "no fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked where fork_cpus is 1"))
+        if why == "one CPU":
+            usable_cpus(monkeypatch, 1)
+        with contextlib.ExitStack() as stack:
+            if why == "another thread":
+                done = threading.Event()
+                thread = threading.Thread(target=done.wait)
+                thread.start()
+                stack.callback(thread.join)
+                stack.callback(done.set)
+            assert fairshare.fork_cpus() == 1
+            with fairshare.forked(job()) as values:
+                got = [next(values) for _ in VALUES]
+                with pytest.raises(ValueError, match="no more values"):
+                    next(values)
+        assert repr(got) == repr(VALUES)
 
 
 class TestExhaustiveSplit:

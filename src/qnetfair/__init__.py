@@ -40,9 +40,7 @@ from .scheduling import (
     ConfigError,
     SchedulerState,
     SlotGrants,
-    enqueue_arrivals,
     policy_problems,
-    schedule_slot,
 )
 from .engine import (
     AggStat,

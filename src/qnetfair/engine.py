@@ -20,10 +20,10 @@ capacity, link by link. The tests keep the per-link trial loop as the
 reference it must equal, draw for draw. In deterministic mode it hands
 each slot a copy of one precomputed list.
 
-The sampler's lists go to the scheduler's slot kernel without the checks
-that ``schedule_slot`` makes on a caller's list: the program built them, a
-non-negative int for every link. The slot loop reads SlotGrants as the
-kernel returns them: lists by dense link id and counts by flat flow index,
+The sampler's lists go unchecked to the scheduler's private slot kernel:
+the program built them, a non-negative int for every link, and the run is
+the kernel's only caller. The slot loop reads SlotGrants as the kernel
+returns them: lists by dense link id and counts by flat flow index,
 the scheduler's numbering of flows in (app id, worker) order. Successes,
 the conservation check and the metric sums run on those indices; grants
 and successes add up per flow and fold into apps and edges after the last
@@ -238,7 +238,6 @@ class SlotLedger:
 class AppMetrics:
     grants: int
     delivered: int
-    attempts: int  # elementary link-level pairs consumed by the app's grants
     delivered_rate: float
     weighted_rate: float
     mean_latency: Optional[float]  # slots from arrival to grant; Poisson only
@@ -379,10 +378,6 @@ def _run(
         per_app[app.id] = AppMetrics(
             grants=grants,
             delivered=delivered,
-            attempts=sum(
-                count * len(edges)
-                for count, edges in zip(grants_by_flow[first:end], state.flow_edges[first:end])
-            ),
             delivered_rate=rate,
             weighted_rate=rate / app.weight,
             # a Poisson grant serves one request; int / int rounds once,

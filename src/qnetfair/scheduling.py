@@ -31,11 +31,11 @@ advances the cursor.
 
 The slot runs on dense integer indices. SchedulerState numbers the flows
 0..F-1 in (app id, worker) order and keeps per-app state in lists by app
-id, so app ids must be dense from 0 (others raise ConfigError).
-``schedule_slot`` takes the sampled capacities as a list by dense link
-id, checks that each is a non-negative int and that the list reaches
-every edge a flow crosses, and returns SlotGrants whose residual is a
-list by link id and whose grants are counted by flat flow index. A flow
+id, so app ids must be dense from 0 (others raise ConfigError). The
+run's slot loop alone calls the kernels, ``_enqueue_arrivals`` and
+``_schedule_slot``; they trust its lists (a negative capacity would
+grant forever), and ``_schedule_slot`` returns SlotGrants whose residual
+is a list by link id and whose grants count by flat flow index. A flow
 is live while every edge on it has residual >= 1: flows crossing an edge
 sampled at 0 start the slot dead, and a grant that takes an edge to 0
 kills the flows crossing it, as progressive filling freezes the flows of
@@ -192,8 +192,6 @@ class SchedulerState:
         for f, edges in enumerate(self.flow_edges):
             for e in edges:
                 self.edge_flows.setdefault(e, []).append(f)
-        # schedule_slot rejects a capacity list that ends before an edge a flow crosses
-        self.links_needed = 1 + max(self.edge_flows, default=-1)
         self.queues: dict[AppId, deque[int]] = {a: deque() for a in ids}  # arrival slots
         self.cursor = self.first_flow[:-1]  # the flow each app's next pick tries first
         self.deficit = [0.0] * len(ids)
@@ -225,26 +223,10 @@ class SchedulerState:
         return self.traffic is Traffic.BACKLOGGED or bool(self.queues[app_id])
 
 
-def enqueue_arrivals(
-    state: SchedulerState, slot: int, arrivals: Mapping[AppId, int]
-) -> None:
-    """Append new requests FIFO per app; newly backlogged apps join the
-    tail of the active ring. Poisson traffic only. An unknown app id or a
-    count not an int >= 0 (a bool too) raises ValueError, queuing nothing."""
-    if state.traffic is not Traffic.POISSON:
-        raise ConfigError("arrivals are only meaningful with Poisson traffic")
-    for app_id, count in arrivals.items():  # all checked before any is queued
-        if app_id not in state.queues:
-            raise ValueError(f"arrivals for unknown app {shown(app_id)}")
-        if count.__class__ is not int or count < 0:
-            raise ValueError(f"arrival count for app {app_id} must be an int >= 0, got {shown(count)}")
-    _enqueue_arrivals(state, slot, [arrivals.get(a, 0) for a in range(len(state.apps))])
-
-
 def _enqueue_arrivals(state: SchedulerState, slot: int, counts: list[int]) -> None:
-    """``enqueue_arrivals`` without its checks, for counts that the program
-    drew itself, such as ``engine.run``'s: an int >= 0 per app, in app-id
-    order, under Poisson traffic."""
+    """Queue ``counts[a]`` requests of ``slot`` FIFO for each app a; apps
+    newly backlogged join the tail of the ring. The counts are the run's
+    own Poisson draws, by app id, and are not checked."""
     queues, active = state.queues, state.active
     for app_id, count in enumerate(counts):
         if count:
@@ -374,29 +356,10 @@ def _fcfs_slot(state: SchedulerState, ctx: SlotGrants) -> None:
             heapq.heappush(heads, (queue[0], app_id))
 
 
-def schedule_slot(state: SchedulerState, capacities: list[int]) -> SlotGrants:
-    """Arbitrate one slot's grants against the sampled edge capacities,
-    listed by dense link id; the list itself is left unchanged.
-
-    Every grant decrements the residual of each edge on the granted
-    flow's path and consumes one pending request. On return no further
-    grant is capacity-feasible for any backlogged app.
-    """
-    if not isinstance(capacities, list):
-        raise TypeError(f"capacities must be a list by link id, got {type(capacities).__name__}")
-    # C-level scans; the generator only runs to name the offending edge
-    if not {*map(type, capacities)} <= {int} or min(capacities, default=0) < 0:
-        e = next(e for e, c in enumerate(capacities) if c.__class__ is not int or c < 0)
-        raise ValueError(f"sampled capacity of edge {e} must be a non-negative integer")
-    if len(capacities) < state.links_needed:
-        raise ValueError(f"capacity list too short: {len(capacities)} < {state.links_needed} links")
-    return _schedule_slot(state, capacities)
-
-
 def _schedule_slot(state: SchedulerState, capacities: list[int]) -> SlotGrants:
-    """``schedule_slot`` without its checks, for a list that the program
-    built itself, such as ``engine.run``'s sampled capacities: a
-    non-negative int for each link id up to ``state.links_needed``."""
+    """One slot's grants against the run's sampled capacities, a list of
+    non-negative ints by dense link id, unchecked and left unchanged. On
+    return no further grant is capacity-feasible for any backlogged app."""
     ctx = SlotGrants(
         capacities.copy(), _live=[True] * len(state.flows), _live_count=state.flow_count.copy()
     )

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import os
+import signal
 import sys
 from pathlib import Path
 from unittest import mock
@@ -25,6 +26,31 @@ from qnetfair import (
     QuantumLink,
 )
 from qnetfair.routing import eligible_flows
+
+# A test still running after this many seconds fails. The slowest takes
+# about 6 s; a slot kernel handed a list it cannot arbitrate, such as a
+# negative capacity, would grant forever and name no test.
+WATCHDOG_S = 120
+
+
+@pytest.fixture(autouse=True)
+def watchdog():
+    """Fail the test once it has run WATCHDOG_S seconds; the failure's
+    traceback runs from the test down to the line it was stuck on. The
+    timer is a signal, not a thread, so ``fork_cpus()`` still counts the
+    usable CPUs; a forked child inherits no timer."""
+    seconds = WATCHDOG_S
+
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @contextlib.contextmanager

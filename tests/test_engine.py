@@ -155,6 +155,13 @@ class TestPoissonSample:
     def test_zero_rate(self):
         assert poisson_sample(0.0, random.Random(1)) == 0
 
+    def test_zero_rate_draws_nothing(self):
+        # a zero-rate app draws nothing, so the arrivals after it do not shift
+        rng = random.Random(1)
+        before = rng.getstate()
+        poisson_sample(0.0, rng)
+        assert rng.getstate() == before
+
     def test_moments(self):
         rng = random.Random(9)
         n = 50_000
@@ -322,6 +329,17 @@ class TestRun:
             validate_scenario(scenario.graph, list(scenario.apps), cfg)
         assert want in err.value.diagnostics
 
+    def test_one_slot_of_warmup_leaves_no_window(self):
+        # 1 slot, all of it warmup: no measured slot, so no rate to divide
+        scenario = unit_pipe_scenario()
+        cfg = dataclasses.replace(scenario.config, slots=1, warmup_slots=1)
+        want = "sim.warmup: must satisfy 0 <= warmup < slots, got 1"
+        with pytest.raises(ValidationError) as err:
+            validate_scenario(scenario.graph, list(scenario.apps), cfg)
+        assert want in err.value.diagnostics
+        with pytest.raises(ConfigError, match=re.escape(want)):
+            run(scenario, cfg)
+
     def test_drr_converges_to_weighted_maxmin(self):
         scenario = make_scenario(
             shared_link_graph(6),
@@ -423,7 +441,6 @@ class TestRun:
         metrics = run(scenario)
         am = metrics.per_app[0]
         assert am.delivered <= am.grants
-        assert am.attempts == 2 * am.grants  # two elementary pairs per grant
 
     @pytest.mark.parametrize(
         "policy, traffic",
@@ -545,6 +562,28 @@ class TestReplicate:
         assert summary.n == 1
         assert summary.stats["app_0.delivered"].mean == runs[0].per_app[0].delivered
         assert summary.stats["app_0.delivered"].stddev == 0.0
+
+    def test_one_replication_by_default(self):
+        scenario = make_scenario(
+            shared_link_graph(2, gen_prob=0.5),
+            shared_link_apps([1.0]),
+            capacity_mode=CapacityMode.STOCHASTIC,
+            slots=30,
+        )
+        assert replication_runs(scenario) == [run(scenario)]
+
+    def test_two_replications_have_the_sample_stddev_of_two(self):
+        scenario = make_scenario(
+            shared_link_graph(3, gen_prob=0.5),
+            shared_link_apps([1.0]),
+            capacity_mode=CapacityMode.STOCHASTIC,
+            slots=80,
+        )
+        runs = replication_runs(scenario, n_replications=2)
+        delivered = [float(m.total_delivered) for m in runs]
+        assert delivered[0] != delivered[1]
+        stat = aggregate_metrics(runs).stats["total_delivered"]
+        assert (stat.n, stat.stddev) == (2, statistics.stdev(delivered))
 
     def test_deterministic_scenario_zero_stddev(self):
         summary = replicate(unit_pipe_scenario(), n_replications=5)
@@ -766,6 +805,15 @@ class TestDrawProducer:
         ints = [[len(s) + len(c) for s, c in chunk] for chunk in chunks]
         last = engine.CHUNK_INTS + 2
         assert ints == ([[first, 3], [last], []] if offset < 0 else [[first], [3, last], []])
+
+    def test_a_later_chunk_counts_its_ints_from_zero(self):
+        # the first slot closes a chunk at CHUNK_INTS ints; the next, one
+        # short of it, opens the second and leaves it open for a third slot
+        rates, full = [0.5, 2.0], engine.CHUNK_INTS
+        lengths = iter([full - 2, full - 3, 1])
+        chunks = engine._slot_draws(lambda: [0] * next(lengths), rates, random.Random(1), 3)
+        ints = [[len(s) + len(c) for s, c in chunk] for chunk in chunks]
+        assert ints == [[full], [full - 1, 3], []]
 
     def test_slots_without_draws_make_one_chunk(self):
         sample = capacity_sampler([], CapacityMode.STOCHASTIC, random.Random(1))

@@ -1,7 +1,7 @@
 """A command loads only the standard-library modules it uses: a run with
 one replication loads neither hashlib (and with it OpenSSL), statistics
-nor decimal. Each check runs in a fresh interpreter, since the suite has
-loaded all of them."""
+nor decimal, and no command loads a third-party module. Each check runs
+in a fresh interpreter, since the suite has loaded all of them."""
 import hashlib
 import importlib
 import json
@@ -26,12 +26,13 @@ def importable(name):
 
 
 def fresh_python(code, *args):
-    """Last stdout line, as JSON, of ``code`` run in a new interpreter."""
+    """Last stdout line, as JSON, of ``code`` run in a new interpreter from
+    the repository root."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", code, *map(str, args)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=env, timeout=120, cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -59,6 +60,31 @@ def test_run_assign_validate_load_no_heavy_module(tmp_path):
         # a Python built without the builtin sha256 takes it from hashlib
         loaded -= {"hashlib", "_hashlib"}
     assert loaded == set()
+
+
+# numpy and others may be installed, but the package declares no runtime
+# dependency. Site hooks preload some third-party modules (_distutils_hack,
+# certifi), so only modules first loaded after the snapshot count.
+THIRD_PARTY = """
+import json, sys
+before = set(sys.modules)
+from qnetfair.cli import main
+out = sys.argv[1]
+for argv in (
+    ["run", "--config", "scenarios/mesh_poisson.json", "--slots", "400", "--trace",
+     "--output-dir", out],
+    ["assign", "--config", "scenarios/mesh_poisson.json", "--solver", "exhaustive"],
+    ["sweep", "--config", "scenarios/single_bottleneck.json", "--slots", "200",
+     "--param", "policy", "--values", "RR,WRR,DRR", "--output-dir", out],
+):
+    assert main(argv) == 0, argv
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(json.dumps(sorted(loaded - set(sys.stdlib_module_names) - {"qnetfair"})))
+"""
+
+
+def test_commands_load_no_third_party_module(tmp_path):
+    assert fresh_python(THIRD_PARTY, tmp_path) == []
 
 
 LABELS = ["capacity", "arrival", "success", "assignment", "replication:0", "replication:7"]

@@ -261,6 +261,76 @@ class TestVerifySlot:
             self._run_tampered(success_hook=extra_success)
 
 
+class TestKernelInputs:
+    """The slot kernels check nothing they are handed, so the run, their
+    one caller, must hand them capacities by link id and arrival counts by
+    app id, each a non-negative int."""
+
+    @staticmethod
+    def _scenario(gen_prob=1.0, **config_overrides):
+        # line 0-1-2-3 with links listed out of id order and unequal
+        # capacities; the apps' arrival rates differ, so a count list out
+        # of id order would queue arrivals for the wrong app
+        links = [
+            QuantumLink(2, (2, 3), 2, gen_prob, 1.0),
+            QuantumLink(0, (0, 1), 3, gen_prob, 1.0),
+            QuantumLink(1, (1, 2), 1, gen_prob, 1.0),
+        ]
+        nodes = [Node(i, NodeKind.COMPUTATION) for i in range(4)]
+        apps = [
+            Application(0, 0, 1.0, 1, frozenset({3})),
+            Application(1, 1, 1.0, 1, frozenset({2}), arrival_rate=2.0),
+            Application(2, 2, 1.0, 1, frozenset({3}), arrival_rate=0.5),
+        ]
+        return make_scenario(NetworkGraph(nodes, links), apps, slots=60, **config_overrides)
+
+    @staticmethod
+    def _kernel_calls(scenario):
+        """Each slot's (capacities, counts) as the kernels received them."""
+        calls = []
+        enqueue, schedule = engine._enqueue_arrivals, engine._schedule_slot
+
+        def queued(state, slot, counts):
+            calls.append([None, list(counts)])
+            return enqueue(state, slot, counts)
+
+        def scheduled(state, capacities):
+            calls[-1][0] = capacities.copy()
+            return schedule(state, capacities)
+
+        with mock.patch.object(engine, "_enqueue_arrivals", queued), \
+                mock.patch.object(engine, "_schedule_slot", scheduled):
+            run(scenario)
+        assert len(calls) == scenario.config.slots
+        return calls
+
+    @pytest.mark.parametrize("mode", list(CapacityMode))
+    def test_capacities_are_non_negative_ints_by_link_id(self, mode):
+        gen_prob = 0.5 if mode is CapacityMode.STOCHASTIC else 1.0
+        scenario = self._scenario(gen_prob, capacity_mode=mode)
+        caps = [3, 1, 2]  # capacity_max by link id
+        seen = set()
+        for capacities, _ in self._kernel_calls(scenario):
+            assert type(capacities) is list and len(capacities) == len(caps)
+            assert all(type(c) is int and 0 <= c <= m for c, m in zip(capacities, caps))
+            seen.add(tuple(capacities))
+        if mode is CapacityMode.DETERMINISTIC:
+            assert seen == {tuple(caps)}
+        else:
+            assert len(seen) > 1  # drawn slot by slot
+
+    @pytest.mark.parametrize("traffic", list(Traffic))
+    def test_arrival_counts_are_one_per_app_in_id_order(self, traffic):
+        calls = self._kernel_calls(self._scenario(traffic=traffic))
+        counts = [c for _, c in calls]
+        if traffic is Traffic.BACKLOGGED:
+            assert counts == [[]] * len(calls)  # a backlogged run queues nothing
+            return
+        assert all(len(c) == 3 and all(type(n) is int and n >= 0 for n in c) for c in counts)
+        totals = [sum(column) for column in zip(*counts)]
+        assert totals[0] == 0 < totals[2] < totals[1]
+
+
 class TestRun:
     def test_uncontended_unit_pipe_delivers_every_slot(self):
         metrics = run(unit_pipe_scenario())

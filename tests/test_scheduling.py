@@ -137,6 +137,29 @@ class TestEnqueueArrivals:
         enqueue_arrivals(state, 3, {0: 1})
         assert list(state.queues[0]) == [0, 0, 3]
 
+    def test_counts_queue_fifo_and_join_the_ring_tail(self):
+        # against a plain model of the kernel's contract, with slots between
+        # that drain queues, so apps leave the ring and rejoin it
+        def queued(state):
+            return {a: list(q) for a, q in state.queues.items()}, list(state.active), state.head
+
+        for seed in range(40):
+            rng = random.Random(seed)
+            policy = rng.choice(list(Policy))
+            weights = [float(rng.randint(1, 3)) for _ in range(rng.randint(1, 6))]
+            state, _ = single_link_state(policy, weights, 2, Traffic.POISSON)
+            for slot in range(60):
+                counts = [rng.choice([0, 0, 0, 1, 2, rng.randint(0, 5)]) for _ in weights]
+                queues, active, head = queued(state)
+                for a, count in enumerate(counts):
+                    if count and not queues[a]:
+                        active.append(a)
+                        head = a if head is None else head
+                    queues[a] += [slot] * count
+                scheduling._enqueue_arrivals(state, slot, counts)
+                assert queued(state) == (queues, active, head), (seed, slot)
+                schedule_slot(state, [rng.randint(0, 3)])
+
     def test_backlogged_apps_always_pending(self):
         state, _ = single_link_state(Policy.RR, [1.0, 1.0], 1)
         assert state.backlogged(0) and state.backlogged(1)

@@ -7,7 +7,8 @@ computation nodes join each application's worker pool. One kernel on flow
 indices, ``progressive_fill``, does all filling; ``maxmin_rates`` is its
 keyed, checked form, and ``assign_exhaustive`` checks every app's
 candidates at once as ``maxmin_rates`` would, then calls the kernel
-directly for each assignment that its two bounds cannot rule out. A
+directly for greedy's assignment, its first incumbent, and for each
+assignment that its bounds cannot rule out against the incumbent. A
 large search is split over forked processes and merged to the pick of
 one process. ``forked`` is the one way to a child, for the search and for
 the run's producer of draws, and it forks only where ``fork_cpus`` allows.
@@ -21,6 +22,7 @@ import os
 import random
 import threading
 from bisect import bisect_left, insort
+from collections import Counter
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from typing import BinaryIO, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -329,6 +331,39 @@ def _pool_bound(pool: Sequence[Flow], weight: float, caps: Mapping[int, float]) 
     return peak / weight * (1 + 1e-9)
 
 
+def _contention_bound(
+    app: Application, share: float, pool: Sequence[Flow], load: Mapping[int, float],
+    caps: Mapping[int, float], t1: float,
+) -> float:
+    """An upper bound on the weighted delivered rate of ``app``, with flows
+    of weight ``share`` that form ``pool``, in any assignment that holds it,
+    puts W_e >= ``load[e]`` on each of its edges e and fills first to a level
+    of at least ``t1``, where an edge saturates and below which no flow
+    freezes. No edge is overloaded, so on each edge e of its path a flow f
+    gets at most cap_e - t1 * (W_e - w_f) <= cap_e - t1 * (load[e] - w_f).
+    The bound is the ``fsum`` of each flow's least such term times the
+    flow's swap probability, over the app's weight.
+
+    This holds for ``progressive_fill``'s floats, not only in exact
+    arithmetic. An edge that a freeze level leaves unsaturated has a fill
+    limit above the kernel's cut, 1e-12 * max(level, 1) past the level. Its
+    exact limit only rises as flows freeze, and the rounding of its sums
+    moves it by far less than the cut, so no later level falls below the
+    first. The rates on an edge exceed its capacity by rounding alone, of
+    relative order 1e-16 per term. Lowering t1 by a factor 1 - 1e-9 and
+    raising the result by 1 + 1e-9 leave each edge's term a slack of about
+    5e-10 * cap_e: the first factor gives it where t1 * (W_e - w_f) exceeds
+    half of cap_e, the second where it does not. The first also covers a t1
+    summed in another order than the kernel's, such as from W_e + m_e in
+    ``_level_bounds``: that costs an ulp or so, a relative 1e-16.
+    """
+    t1 *= 1 - 1e-9
+    peak = math.fsum(
+        [min([caps[e] - t1 * (load[e] - share) for e in f.edges]) * f.swap_prob for f in pool]
+    )
+    return peak / app.weight * (1 + 1e-9)
+
+
 def _contention_bounds(
     apps: Sequence[Application],
     shares: Sequence[float],
@@ -338,48 +373,37 @@ def _contention_bounds(
     caps: Mapping[int, float],
     floor: float,
 ) -> list[float]:
-    """Upper bounds on the weighted delivered rates of the apps that ``order``
-    names by index into ``apps``, their flow weights ``shares`` and their
-    ``pools``, under one assignment whose flows put weight ``load[e]`` on each
-    edge e they cross. They follow ``order`` and end after the first below ``floor``.
-
-    With W_e the flow weight crossing edge e, progressive filling first
-    saturates an edge at level t1 = min_e cap_e / W_e, and no flow freezes
-    below it, so every flow g gets at least w_g * t1. No edge is
-    overloaded, so on each edge e of its path a flow f gets at most
-    cap_e - t1 * (W_e - w_f). An app's bound is the ``fsum`` of its flows'
-    least such term times the flow's swap probability, over its weight.
-
-    This holds for ``progressive_fill``'s floats, not only in exact
-    arithmetic. An edge that a freeze level leaves unsaturated has a fill
-    limit above the kernel's cut, 1e-12 * max(level, 1) past the level. Its
-    exact limit only rises as flows freeze, and the rounding of its sums
-    moves it by far less than the cut, so no later level falls below the
-    first. The rates on an edge exceed its capacity by rounding alone, of
-    relative order 1e-16 per term. Lowering t1 by a factor 1 - 1e-9, which
-    also covers a first level summed in another order, and raising the
-    result by 1 + 1e-9 leave each edge's term a slack of about
-    5e-10 * cap_e: the first factor gives it where t1 * (W_e - w_f) exceeds
-    half of cap_e, the second where it does not.
-    """
-    t1 = min([caps[e] / total for e, total in load.items()]) * (1 - 1e-9)
+    """The ``_contention_bound`` at t1 = min_e cap_e / ``load[e]`` of each app
+    that ``order`` names by index into ``apps``, their flow weights ``shares``
+    and their ``pools``, under one assignment whose flows put weight
+    ``load[e]`` on each edge e they cross. They end after the first below ``floor``."""
+    t1 = min([caps[e] / total for e, total in load.items()])
     bounds = []
     for i in order:
-        w = shares[i]
-        peak = math.fsum(
-            [min([caps[e] - t1 * (load[e] - w) for e in f.edges]) * f.swap_prob for f in pools[i]]
-        )
-        bounds.append(peak / apps[i].weight * (1 + 1e-9))
+        bounds.append(_contention_bound(apps[i], shares[i], pools[i], load, caps, t1))
         if bounds[-1] < floor:
             break
     return bounds
 
 
-# A fork, with its pipe and its reaping, costs 2.8-3.6 ms in the 17 MiB
-# process of ``assign`` (Python 3.11, 2 vCPUs), and about 1 ms more when the
-# process next writes the pages it shared: the search of about 650
-# assignments of ``exhaustive-30``, at 6 us each. Two shares save half the
-# search, so they break even near 1300 assignments.
+def _level_bounds(
+    apps: Sequence[Application], shares: Sequence[float], pools: Sequence[Sequence[Flow]],
+    load: Mapping[int, float], reach: Mapping[int, float], caps: Mapping[int, float],
+) -> list[float]:
+    """The ``_contention_bound`` of apps 0..k-1, of flow weights ``shares``
+    and ``pools`` that put ``load[e]`` on each edge e, in every completion by
+    a pool of app k, which puts at most m_e = ``reach[e]`` on e. Its W_e is
+    at least load[e], and its first level at least t_lo = min_e cap_e /
+    (load[e] + m_e), with 0 for a missing value."""
+    t_lo = min([caps[e] / (load.get(e, 0.0) + reach.get(e, 0.0)) for e in load.keys() | reach])
+    return [_contention_bound(*args, load, caps, t_lo) for args in zip(apps, shares, pools)]
+
+
+# The pipe and the fork take 1.1-1.2 ms in a process the size of
+# ``assign``'s (Python 3.11, 2 vCPUs). The child starts its share about 2 ms
+# after the fork began, and its first search of it runs 5-20% slower than
+# a second. Split in two, a 2205-assignment cut of ``exhaustive-30`` still
+# takes 0.8 of the time of one process, so a split of 2000 assignments gains.
 SPLIT_MIN_SIZE = 2000
 
 
@@ -390,31 +414,37 @@ def assign_exhaustive(
     maximum of the ascending-sorted weighted delivered rates (those of
     ``predicted_app_rates``); among equals, the first one enumerated.
 
-    The search chooses pools app by app, in id order, from an explicit
-    stack of indices, so assignments come in ``itertools.product`` order.
-    Once a best score exists, a prefix is dropped with all its completions
-    when its chosen pools' bounds (``_pool_bound``), padded with each later
-    app's greatest pool bound, sort to a vector that does not exceed the
-    best score: every completion's sorted bounds are at most that vector
-    element by element, and each rate is at most its bound. A level whose
-    app has one pool repeats its parent's test, so it makes none. A whole
-    assignment that passes is dropped by the same rule when the bounds that
-    take its contention into account (``_contention_bounds``) do not exceed
-    the best score. They come in ascending order of pool bound and stop at
-    the first below the best score's least rate, which alone rules the
-    assignment out. Each prefix keeps the flow weight on each edge of its
-    pools and extends a copy of it by the next pool's flows, so that the
-    contention bound reads the same sums as a whole assignment would.
+    Greedy's assignment (``assign_greedy``) is filled first; every search
+    starts from its pick vector and score as the best and does not fill it
+    again. The search chooses pools app by app, in id order, from an
+    explicit stack of indices, so assignments come in ``itertools.product``
+    order. It drops a set of assignments once a vector that bounds each
+    one's sorted rates, element by element, cannot beat the best: it is
+    below the best score, or equal to it and the whole set comes after the
+    best pick in product order. A prefix bounds its completions by its
+    pools' ``_pool_bound``, padded with each later app's greatest one; a
+    level whose app has one pool would repeat its parent's test, so it makes
+    none. The pools of apps 0..n-2 bound all completions at once by their
+    ``_contention_bound`` at t_lo, the least of cap_e / W_e over the
+    prefix's edges and of cap_e / (W_e + m_e) over those of app n - 1's
+    pools, with m_e the most flow weight one of them puts on e, beside app
+    n - 1's greatest pool bound. A whole assignment is bounded by its
+    ``_contention_bounds``, in ascending order of pool bound, which stop at
+    the first below the best score's least rate. Each prefix keeps the flow
+    weight W_e on each edge of its pools and extends a copy of it by the
+    next pool's flows, so that a contention bound reads the same sums as a
+    whole assignment would. A filled score becomes the best when it is
+    greater, or equal with a smaller pick vector.
 
     From ``SPLIT_MIN_SIZE`` assignments on, the search is split into S
     shares. A prefix, the pools of apps 0 and 1 (of app 0 alone if it is
     the only app), is numbered by the sum of their indices, and S is the
     least of ``fork_cpus()`` and the count of distinct numbers. Share w
     takes the prefixes numbered w modulo S and keeps every check and bound
-    against its own best score; S - 1 children search shares 1 to S - 1
-    through ``forked``, which searches here a share that its child does
-    not send. The greatest score wins, and among equals the least pick
-    vector, the first enumerated: the pick of one search.
+    against its own best score, greedy's at first; S - 1 children search
+    shares 1 to S - 1 through ``forked``, which searches here a share that
+    its child does not send. The greatest score wins, and among equals the
+    least pick vector, the first enumerated: the pick of one search.
 
     Raises SearchSpaceTooLarge (with the assignment count) before building
     any pool when the product of per-app subset counts exceeds ``limit``.
@@ -447,36 +477,49 @@ def assign_exhaustive(
     # prefix number picks[0] + picks[1], or picks[0] for one app; unlike the
     # product order's number, it aliases with no pool count modulo the shares
     split = 1 if n > 1 else 0
+    reach: dict[int, float] = {}  # m_e: the most flow weight one pool of the last app puts on e
+    for p, _, _ in options[-1] if n else ():
+        for e, count in Counter([e for f in p for e in f.edges]).items():
+            reach[e] = max(reach.get(e, 0.0), count * phis[-1])
+
+    def scored(combo: Sequence[Sequence[Flow]]) -> tuple[float, ...]:
+        rates = iter(progressive_fill(weights, [f.edges for p in combo for f in p], caps))
+        return tuple(sorted(_delivered(p, rates) / a.weight for a, p in zip(ordered, combo)))
+
+    greedy = assign_greedy(graph, ordered)  # filled once, the best that every share starts from
+    workers = [[{f.worker for f in p} for p, _, _ in opts] for opts in options]
+    start = [sets.index(greedy[a.id]) for a, sets in zip(ordered, workers)]
+    start_score = scored([opts[i][0] for opts, i in zip(options, start)])
 
     def search(share: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
-        """The first best pick vector, and its score, among the prefixes
-        whose number is ``share`` modulo ``shares``."""
+        """The first best pick vector, and its score, among greedy's and the
+        prefixes whose number is ``share`` modulo ``shares``."""
         # the prefix of apps 0..k-1: the option picked for each, their pool bounds
         # padded with the later apps' tops, and loads[j], the W_e of apps before j
         picks = [-1] * n
         bounds = tops.copy()
         loads: list[dict[int, float]] = [{} for _ in range(n + 1)]
-        best: tuple[int, ...] = ()
-        best_score: tuple[float, ...] | None = None
+        best, best_score = start, start_score
+
+        def may_win(vec: tuple[float, ...], depth: int) -> bool:
+            # whether assignments under picks[:depth], bounded by vec, can beat the best
+            return vec > best_score or vec == best_score and picks[:depth] <= best[:depth]
+
         k = 0
         while k >= 0:
             if k == n:  # a whole assignment; then on to the last app's next pool
                 k -= 1
+                if picks == start:  # filled before the search
+                    continue
                 combo = [opts[i][0] for opts, i in zip(options, picks)]
-                if best_score is not None:
-                    rank = sorted(range(n), key=bounds.__getitem__)
-                    contention = _contention_bounds(
-                        ordered, phis, combo, rank, loads[n], caps, best_score[0]
-                    )
-                    # a list cut short at a bound below best_score[0] sorts below it too
-                    if tuple(sorted(contention)) <= best_score:
-                        continue
-                rates = iter(progressive_fill(weights, [f.edges for p in combo for f in p], caps))
-                score = tuple(
-                    sorted(_delivered(p, rates) / a.weight for a, p in zip(ordered, combo))
-                )
-                if best_score is None or score > best_score:
-                    best, best_score = tuple(picks), score
+                rank = sorted(range(n), key=bounds.__getitem__)
+                most = _contention_bounds(ordered, phis, combo, rank, loads[n], caps, best_score[0])
+                # a list cut short at a bound below best_score[0] sorts below it too
+                if not may_win(tuple(sorted(most)), n):
+                    continue
+                score = scored(combo)
+                if may_win(score, n):
+                    best, best_score = picks.copy(), score
                 continue
             picks[k] += 1
             if picks[k] == len(options[k]):  # back to app k - 1's next pool
@@ -484,20 +527,25 @@ def assign_exhaustive(
                 bounds[k] = tops[k]
                 k -= 1
                 continue
+            if k == n - 1 and picks[k] == 0 and len(options[k]) > 1:
+                prefix = [opts[i][0] for opts, i in zip(options, picks[:k])]
+                level = _level_bounds(ordered, phis, prefix, loads[k], reach, caps) + [tops[k]]
+                if not may_win(tuple(sorted(level)), k):
+                    picks[k] = -1
+                    k -= 1
+                    continue
             if k == split and sum(picks[: k + 1]) % shares != share:
                 continue
             _, bounds[k], pairs = options[k][picks[k]]
             # with one pool, app k would repeat the test that app k - 1 just passed
-            if best_score is not None and len(options[k]) > 1:
-                if tuple(sorted(bounds)) <= best_score:
-                    continue
+            if len(options[k]) > 1 and not may_win(tuple(sorted(bounds)), k + 1):
+                continue
             load = loads[k].copy()
             for e, w in pairs:
                 load[e] = load.get(e, 0.0) + w
             loads[k + 1] = load
             k += 1
-        assert best_score is not None, "every prefix has a completion"
-        return best, best_score
+        return tuple(best), best_score
 
     numbers = sum([len(opts) - 1 for opts in options[:2]]) + 1
     shares = min(fork_cpus(), numbers) if size >= SPLIT_MIN_SIZE else 1

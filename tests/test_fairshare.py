@@ -9,6 +9,7 @@ import signal
 import threading
 import time
 import types
+from collections import Counter
 from typing import Iterable, Mapping
 from unittest import mock
 
@@ -48,7 +49,13 @@ from qnetfair import (
     predicted_app_rates,
 )
 from qnetfair import fairshare
-from qnetfair.fairshare import FlowKey, _contention_bounds, _pool_bound, progressive_fill
+from qnetfair.fairshare import (
+    FlowKey,
+    _contention_bounds,
+    _level_bounds,
+    _pool_bound,
+    progressive_fill,
+)
 from qnetfair.routing import eligible_flows
 
 
@@ -736,6 +743,45 @@ class TestExhaustivePruning:
         assert max(pool_ratios) > 1 - 1e-6
         assert max(contention_ratios) > 1 - 1e-6
 
+    @pytest.mark.parametrize("extremes", [False, True], ids=["oracle_corpus", "1e-15_and_1e15"])
+    def test_the_level_bound_covers_every_completion(self, extremes):
+        # every prefix of apps 0..n-2: its level bounds against the weighted
+        # rates of predicted_app_rates under each pool of app n-1
+        if extremes:  # test_no_weighted_rate_exceeds_either_bound's instances and weights
+            corpus = []
+            for seed in range(60):
+                rng = random.Random(7000 + seed)
+                graph, apps = contended_pool_instance(rng)
+                apps = [dataclasses.replace(a, weight=rng.choice([1e-15, 1e15])) for a in apps]
+                corpus.append((graph, apps))
+        else:
+            seeds = itertools.chain(range(60), range(1000, 1200))
+            corpus = [(graph, apps) for _, graph, apps in oracle_corpus(seeds)]
+        checked = 0
+        for graph, apps in corpus:
+            apps = sorted(apps, key=lambda a: a.id)
+            caps = graph.effective_capacities()
+            *firsts, lasts = [
+                list(itertools.combinations(eligible_flows(graph, a), a.workers_needed))
+                for a in apps
+            ]
+            reach: dict[int, float] = {}  # the most flow weight one pool of app n-1 puts on e
+            for pool in lasts:
+                for e, count in Counter([e for f in pool for e in f.edges]).items():
+                    reach[e] = max(reach.get(e, 0.0), count * apps[-1].flow_weight)
+            shares = [a.flow_weight for a in apps]
+            for prefix in itertools.product(*firsts):
+                bounds = _level_bounds(apps, shares, prefix, edge_load(apps, prefix), reach, caps)
+                assert len(bounds) == len(apps) - 1
+                for pool in lasts:
+                    combo = prefix + (pool,)
+                    assignment = {a.id: frozenset(f.worker for f in p) for a, p in zip(apps, combo)}
+                    rates = predicted_app_rates(graph, apps, assignment)
+                    for app, bound in zip(apps, bounds):
+                        assert rates[app.id].weighted <= bound, (apps, app.id, combo)
+                        checked += 1
+        assert checked > 1000
+
     def test_no_weighted_rate_exceeds_its_contention_bound_with_2000_flows_on_one_edge(self):
         # every flow leaves host 0 over edge 0 to hub 1, then takes one of 40
         # spokes; weights from 1e-15 to 1e15 freeze the flows at many levels
@@ -767,14 +813,15 @@ class TestExhaustivePruning:
         assert bare < weighted <= _pool_bound(combo[0], 7.0, caps)
 
     # _pool_bound alone skips no assignment of seeds 2, 3 and 7; the
-    # unpruned oracle checks the result of each seed. The counts are those of
+    # unpruned oracle checks the result of each seed. The fills are those of
     # the search that tested each whole assignment on its own: pruning a
-    # prefix skips only assignments that test would skip, so the same ones
-    # reach the contention bound and the same ones are filled. They are the
-    # counts of one process: one usable CPU keeps the search from splitting
+    # prefix or a level skips only assignments that test would skip, so the
+    # same ones are filled, greedy's first. Fewer reach the contention bound,
+    # as the level bound skips some. They are the counts of one process: one
+    # usable CPU keeps the search from splitting
     @pytest.mark.parametrize(
         "seed, filled, contended",
-        [(1, 965, 6173), (2, 212, 9260), (3, 2484, 9260), (7, 2137, 9260)],
+        [(1, 329, 4536), (2, 160, 9260), (3, 2412, 2519), (7, 2071, 4473)],
     )
     def test_prunes_fills_on_the_benchmark_shape(self, monkeypatch, seed, filled, contended):
         graph, apps = pooled_instance(random.Random(seed))
@@ -1127,6 +1174,23 @@ class TestExhaustiveSplit:
             assert assign_exhaustive(g, apps) == {0: frozenset({4}), 1: frozenset({5})}
         assert len(pids) == shares - 1 and all(map(reaped, pids))
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("branches", [2, 3])
+    def test_a_later_tied_greedy_pick_loses_to_the_first_enumerated(
+        self, monkeypatch, branches, cpus
+    ):
+        # greedy's pick is the last of the tied optima, (4, 3) with two
+        # branches and (6, 5) with three; the first enumerated still wins
+        g, apps = mirror_instance(branches)
+        last = {0: frozenset({2 * branches}), 1: frozenset({2 * branches - 1})}
+        monkeypatch.setattr(fairshare, "assign_greedy", lambda graph, apps: last)
+        usable_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(fairshare, "SPLIT_MIN_SIZE", 1)
+        with recorded_forks() as pids:
+            best = assign_exhaustive(g, apps)
+        assert best == unpruned_exhaustive(g, apps) != last
+        assert len(pids) == cpus - 1 and all(map(reaped, pids))
+
     def test_a_search_too_small_to_split_forks_nothing(self, monkeypatch):
         graph, apps = pooled_instance(random.Random(1))
         usable_cpus(monkeypatch, 4)
@@ -1213,12 +1277,14 @@ class TestExhaustiveSplit:
         stop = {"exception": ValueError, "interrupt": KeyboardInterrupt}.get(ending)
         parent, calls = os.getpid(), []
 
-        def fill(*args):  # this process stops at its first fill, long before any child ends
+        # this process stops at its first fill after the fork, long before
+        # any child ends; the fill before it, greedy's, comes before the fork
+        def fill(*args):
             calls.append(None)
-            if stop is not None:
+            if stop is not None and len(calls) > 1:
                 if os.getpid() == parent:
                     raise stop("stop")
-                if len(calls) == 1:
+                if len(calls) == 2:
                     time.sleep(20)
             return progressive_fill(*args)
 
@@ -1239,11 +1305,11 @@ class TestExhaustiveSplit:
 
     @pytest.mark.parametrize(
         "shares, filled",
-        [(2, [489, 483]), (3, [322, 332, 325]), (4, [249, 266, 247, 224])],
+        [(2, [168, 161]), (3, [106, 115, 108]), (4, [78, 94, 90, 67])],
     )
     def test_fills_per_share_on_the_benchmark_shape(self, monkeypatch, shares, filled):
-        # each share prunes against its own incumbent, so together they
-        # fill more than the 965 of one process
+        # each share prunes against its own incumbent, greedy's at first, and
+        # this process's count holds greedy's fill; one process fills 329
         graph, apps = pooled_instance(random.Random(1))
         usable_cpus(monkeypatch, shares)
         fills = count_fills(monkeypatch)

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
@@ -24,7 +25,7 @@ from .engine import (
     resolve_assignment,
 )
 from .fairshare import SearchSpaceTooLarge, predicted_app_rates, weighted_jain
-from .model import AssignmentSource, Policy, Scenario, shown
+from .model import AppId, AssignmentSource, NodeId, Policy, Scenario, shown
 from .scenario_io import SCHEMA, ParseError, parse_scenario, read_json
 from .scheduling import ConfigError
 from .validate import ValidationError, validate_scenario
@@ -56,6 +57,10 @@ TRACE_COLUMNS = [
     "delivered",
     "residual",
 ]
+# distinct rows of each kind that a trace writer keeps formatted; a slot of
+# more rows than this would miss on each, as the row it needs next is the
+# least recently used
+_TRACE_ROW_CACHE = 4096
 # how each command that runs a solver can shrink an exhaustive search
 _TOO_LARGE_HINT = {
     "run": "raise --limit or set sim.assignment to greedy or random",
@@ -176,23 +181,28 @@ def _trace_writer(fh: TextIO, links: int) -> Callable[[SlotLedger], None]:
     """An ``on_slot`` that writes each slot's trace.csv rows to ``fh``, in
     TRACE_COLUMNS order: one edge row per link by id, of ``links`` links,
     then one flow row per granted flow by flat index, which is (app,
-    worker) order. Each run's flow cells are formatted once, when a ledger
-    brings a new ``flows``. Every cell is an int or NA, so none goes
-    through _fmt."""
-    edge_cells = [f"edge,{e}," for e in range(links)]
-    flows, flow_cells = None, []
+    worker) order. A row's text after its ``seed,slot,`` head is formatted
+    once per key, (link, sampled, residual) or ((app, worker), granted,
+    delivered), and kept in this writer's own cache of _TRACE_ROW_CACHE
+    rows of each kind, least recently used out first, so memory does not
+    grow with slots or capacities. A key names all that its text shows, so
+    a text is right for any run, whatever its seed or flow table. The keys
+    are ints, as the sampler, the kernel and resolve_successes make them:
+    True would take 1's entry. No cell goes through _fmt."""
+    @lru_cache(_TRACE_ROW_CACHE)
+    def edge_row(e: int, sampled: int, residual: int) -> str:
+        return f"edge,{e},{sampled},{sampled - residual},NA,{residual}\n"
+
+    @lru_cache(_TRACE_ROW_CACHE)
+    def flow_row(flow: tuple[AppId, NodeId], granted: int, done: int) -> str:
+        return f"flow,{flow[0]}-{flow[1]},NA,{granted},{done},NA\n"
+
+    edges = range(links)
 
     def write(ledger: SlotLedger) -> None:
-        nonlocal flows, flow_cells
-        if ledger.flows is not flows:
-            flows = ledger.flows
-            flow_cells = [f"flow,{app_id}-{worker},NA," for app_id, worker in flows]
-        granted, done = ledger.flow_grants, ledger.flow_successes
-        lines = [
-            f"{cells}{sampled},{sampled - residual},NA,{residual}\n"
-            for cells, sampled, residual in zip(edge_cells, ledger.sampled, ledger.residual)
-        ]
-        lines += [f"{flow_cells[f]}{granted[f]},{done.get(f, 0)},NA\n" for f in sorted(granted)]
+        flows, granted, done = ledger.flows, ledger.flow_grants, ledger.flow_successes
+        lines = list(map(edge_row, edges, ledger.sampled, ledger.residual))
+        lines += [flow_row(flows[f], granted[f], done.get(f, 0)) for f in sorted(granted)]
         if lines:  # a network without links may grant nothing: no rows
             head = f"{ledger.seed},{ledger.slot},"
             fh.write(head + head.join(lines))

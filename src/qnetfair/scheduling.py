@@ -322,7 +322,7 @@ def _round_robin_slot(state: SchedulerState, ctx: SlotGrants) -> None:
         for app_id in ring:
             made += _visit(state, ctx, app_id)
         fruitless = 0 if made else fruitless + 1
-        if fruitless > state.stall_guard:  # pragma: no cover - internal invariant
+        if fruitless > state.stall_guard:
             raise RuntimeError("scheduler stalled with feasible capacity")
         ring = [a for a in ring if a not in blocked and (backlogged or queues[a])]
     if state.policy is Policy.DRR:

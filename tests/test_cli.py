@@ -27,6 +27,7 @@ from qnetfair import (
     run,
     validate_scenario,
 )
+from qnetfair import cli
 from qnetfair.cli import TRACE_COLUMNS, _trace_writer, build_parser, main
 
 # a UTF-16 byte-order mark and text: not UTF-8 from the first byte
@@ -508,6 +509,56 @@ class TestRunCommand:
                 tracemalloc.stop()
         assert peaks[2000] - peaks[500] <= 100 * (2000 - 500), peaks
 
+    def test_traced_run_memory_does_not_grow_with_distinct_rows(self, write_scenario,
+                                                                 tmp_path, monkeypatch):
+        # an app's two flows cross a link of 100 pairs to a repeater that
+        # fails half its swaps, then one link each at the validation limit
+        # of 1000 pairs; every link makes half its pairs. Most slots bring
+        # edge and flow rows not seen before, while the first link keeps
+        # the grants, and so the time under tracemalloc, small. Traffic is
+        # backlogged, so no queue grows. The writer's row cache is cut to
+        # 64 rows of each kind, which the short run overfills; at its own
+        # size it would fill only after thousands of slots. Kept rows cost
+        # over 100 B a slot here. A record of draws, 342 slots of 3 ints,
+        # is the largest transient: both measured runs hold a whole one,
+        # but where the run makes its own draws (one CPU) only the long run
+        # makes a whole one after the cache is full, about 40 kB more
+        monkeypatch.setattr(cli, "_TRACE_ROW_CACHE", 64)
+        data = scenario_dict(capacity_mode="stochastic", policy="WRR")
+        data["nodes"] = [{"id": 0, "kind": "computation"},
+                         {"id": 1, "kind": "repeater", "swap_success_prob": 0.5},
+                         {"id": 2, "kind": "computation"}, {"id": 3, "kind": "computation"}]
+        data["links"] = [{"id": i, "endpoints": [min(1, i), i + 1],
+                          "capacity_max": 1000 if i else 100, "gen_success_prob": 0.5,
+                          "fidelity": 1.0} for i in range(3)]
+        data["apps"][0].update(weight=1000.0, workers_needed=2, candidates=[2, 3])
+        path = write_scenario(data)
+        peaks = {}
+        # the first run also pays what only a first run does
+        for slots in (10, 400, 1600):
+            argv = ["run", "--config", path, "--slots", str(slots), "--trace",
+                    "--output-dir", str(tmp_path / str(slots))]
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv) == 0
+                peaks[slots] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        rows = _distinct_rows((tmp_path / "400" / "trace.csv").read_text())
+        assert min(map(len, rows.values())) > 64, {k: len(v) for k, v in rows.items()}
+        assert peaks[1600] - peaks[400] <= 50 * (1600 - 400), peaks
+
+
+def _distinct_rows(trace):
+    """The distinct texts after ``seed,slot,`` of a trace's edge and flow rows."""
+    rows = {"edge": set(), "flow": set()}
+    for line in trace.splitlines():
+        if not line.startswith("seed,"):
+            _, _, kind, text = line.split(",", 3)
+            rows[kind].add(text)
+    return rows
+
 
 def _reference_trace_writer(fh, links):
     """The trace writer as it read ledgers keyed by (app, worker): one edge
@@ -534,19 +585,20 @@ def _reference_trace_writer(fh, links):
 TRACE_CASES = 64
 
 
-def _trace_case(i):
-    """Generated scenario ``i`` of the trace writer comparison. The policy
-    cycles with ``i``; bits 2, 3 and 4 turn on Poisson traffic (always on
-    under FCFS), random pools and 3 replications; capacity is stochastic
-    unless ``i`` is a multiple of 3. Apps need 1 or 2 workers, and swaps
-    fail one time in ten at every node."""
+def _trace_case(i, capacity=(1, 4), slots=30):
+    """Generated scenario ``i`` of the trace writer comparison, of ``slots``
+    slots on links whose capacity_max is drawn from the range ``capacity``.
+    The policy cycles with ``i``; bits 2, 3 and 4 turn on Poisson traffic
+    (always on under FCFS), random pools and 3 replications; capacity is
+    stochastic unless ``i`` is a multiple of 3. Apps need 1 or 2 workers,
+    and swaps fail one time in ten at every node."""
     rng = random.Random(i)
     policy = [Policy.RR, Policy.WRR, Policy.DRR, Policy.FCFS][i % 4]
     poisson = policy is Policy.FCFS or i >> 2 & 1
     stochastic = i % 3 != 0
     n = rng.randint(5, 9)
     graph = random_connected_graph(
-        rng, n, rng.randint(1, 4), (1, 4), (0.5, 0.75, 1.0) if stochastic else (1.0,), swap_q=0.9
+        rng, n, rng.randint(1, 4), capacity, (0.5, 0.75, 1.0) if stochastic else (1.0,), swap_q=0.9
     )
     apps = []
     for a in range(rng.randint(2, 5)):
@@ -557,7 +609,7 @@ def _trace_case(i):
         apps.append(Application(a, host, weight, rng.randint(1, 2), frozenset(candidates),
                                 arrival_rate=rate))
     config = SimConfig(
-        slots=30,
+        slots=slots,
         seed=i,
         policy=policy,
         warmup_slots=rng.randint(0, 5),
@@ -598,6 +650,39 @@ class TestTraceWriterOracle:
         cfg = dataclasses.replace(scenario.config, slots=60, warmup_slots=0, replications=3)
         new, ref = _traces(dataclasses.replace(scenario, config=cfg))
         assert new == ref
+
+    @pytest.mark.parametrize("i", [1, 2, 8, 25])
+    def test_rows_equal_the_reference_past_a_full_cache(self, i, monkeypatch):
+        # links of 500 to 1000 pairs a slot make more distinct rows of each
+        # kind than a cache of 64 holds, so the writer evicts rows and
+        # formats some of them again; case 25 has three replications
+        monkeypatch.setattr(cli, "_TRACE_ROW_CACHE", 64)
+        new, ref = _traces(_trace_case(i, capacity=(500, 1000), slots=100))
+        assert new == ref
+        rows = _distinct_rows(ref)
+        assert min(map(len, rows.values())) > 64, {k: len(v) for k, v in rows.items()}
+
+    def test_one_writer_over_two_runs_writes_what_two_fresh_writers_do(self):
+        # random pools under two seeds give the runs different flow tables;
+        # the shared writer's cache still holds the first run's rows when
+        # the second run starts
+        scenario = _trace_case(8)
+        links = len(scenario.graph.links)
+        shared, fresh, tables = io.StringIO(), [], []
+        write = _trace_writer(shared, links)
+        for seed in (8, 9):
+            fresh.append(io.StringIO())
+            own = _trace_writer(fresh[-1], links)
+
+            def on_slot(ledger):
+                write(ledger)
+                own(ledger)
+                if not tables or tables[-1] is not ledger.flows:
+                    tables.append(ledger.flows)
+
+            run(scenario, dataclasses.replace(scenario.config, seed=seed), on_slot=on_slot)
+        assert len(tables) == 2 and set(tables[0]) != set(tables[1])
+        assert shared.getvalue() == fresh[0].getvalue() + fresh[1].getvalue()
 
     def test_slots_without_rows_write_nothing(self, write_scenario, tmp_path):
         # a valid scenario of one node, no links and no apps

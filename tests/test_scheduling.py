@@ -899,6 +899,23 @@ class TestInvariants:
 
         assert run_once() == run_once()
 
+    def test_fruitless_passes_past_the_guard_raise(self):
+        # a visit that grants nothing and blocks no app leaves every flow
+        # live, so each pass is fruitless; the pass after stall_guard of
+        # them raises. Weights 1 and 2 at unit cost give a guard of 3
+        state, _ = single_link_state(Policy.DRR, [1.0, 2.0], 2)
+        assert state.stall_guard == 3
+        visits = []
+
+        def fruitless(state, ctx, app_id):
+            visits.append((ctx.passes, app_id))
+            return 0
+
+        with mock.patch.object(scheduling, "_visit", fruitless):
+            with pytest.raises(RuntimeError, match="^scheduler stalled with feasible capacity$"):
+                schedule_slot(state, [2])
+        assert visits == [(p, a) for p in range(1, state.stall_guard + 2) for a in (0, 1)]
+
 
 class TestDRRBoundedLag:
     """With complete passes (capacity a multiple of the quanta sum) every

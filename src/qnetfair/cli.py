@@ -57,9 +57,9 @@ TRACE_COLUMNS = [
     "delivered",
     "residual",
 ]
-# distinct rows of each kind that a trace writer keeps formatted; a slot of
-# more rows than this would miss on each, as the row it needs next is the
-# least recently used
+# the fewest distinct rows of each kind that a trace writer keeps formatted;
+# it keeps at least twice a slot's rows, since a slot of more rows than its
+# cache would miss on each, as the row it needs next is the least recently used
 _TRACE_ROW_CACHE = 4096
 # how each command that runs a solver can shrink an exhaustive search
 _TOO_LARGE_HINT = {
@@ -177,23 +177,25 @@ def _global_row(metrics: Metrics) -> list:
     ] + [em.utilization for _, em in sorted(metrics.per_edge.items())]
 
 
-def _trace_writer(fh: TextIO, links: int) -> Callable[[SlotLedger], None]:
+def _trace_writer(fh: TextIO, links: int, flows: int) -> Callable[[SlotLedger], None]:
     """An ``on_slot`` that writes each slot's trace.csv rows to ``fh``, in
     TRACE_COLUMNS order: one edge row per link by id, of ``links`` links,
     then one flow row per granted flow by flat index, which is (app,
-    worker) order. A row's text after its ``seed,slot,`` head is formatted
-    once per key, (link, sampled, residual) or ((app, worker), granted,
-    delivered), and kept in this writer's own cache of _TRACE_ROW_CACHE
-    rows of each kind, least recently used out first, so memory does not
-    grow with slots or capacities. A key names all that its text shows, so
-    a text is right for any run, whatever its seed or flow table. The keys
-    are ints, as the sampler, the kernel and resolve_successes make them:
-    True would take 1's entry. No cell goes through _fmt."""
-    @lru_cache(_TRACE_ROW_CACHE)
+    worker) order, of at most ``flows`` flows. A row's text after its
+    ``seed,slot,`` head is formatted once per key, (link, sampled,
+    residual) or ((app, worker), granted, delivered), and kept in this
+    writer's own cache for each kind, of twice a slot's rows of that kind
+    or _TRACE_ROW_CACHE, whichever is more, least recently used out
+    first, so memory does not grow with slots or capacities. A key names
+    all that its text shows, so a text is right for any run, whatever its
+    seed or flow table. The keys are ints, as the sampler, the kernel and
+    resolve_successes make them: True would take 1's entry. No cell goes
+    through _fmt."""
+    @lru_cache(max(_TRACE_ROW_CACHE, 2 * links))
     def edge_row(e: int, sampled: int, residual: int) -> str:
         return f"edge,{e},{sampled},{sampled - residual},NA,{residual}\n"
 
-    @lru_cache(_TRACE_ROW_CACHE)
+    @lru_cache(max(_TRACE_ROW_CACHE, 2 * flows))
     def flow_row(flow: tuple[AppId, NodeId], granted: int, done: int) -> str:
         return f"flow,{flow[0]}-{flow[1]},NA,{granted},{done},NA\n"
 
@@ -253,8 +255,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir = _output_dir(args)
     with _output_files(out_dir) as open_csv:
         # trace.csv is written slot by slot as the runs go; the rest after them
-        links = len(scenario.graph.links)
-        on_slot = _trace_writer(open_csv("trace.csv", TRACE_COLUMNS), links) if args.trace else None
+        on_slot = None
+        if args.trace:
+            links, flows = len(scenario.graph.links), sum(a.workers_needed for a in scenario.apps)
+            on_slot = _trace_writer(open_csv("trace.csv", TRACE_COLUMNS), links, flows)
         runs = replication_runs(
             scenario, n_replications=scenario.config.replications, on_slot=on_slot
         )

@@ -4,9 +4,11 @@ A grant reserves one EPR pair on every edge of the flow's path within the
 current slot, so contention is network-wide rather than per link. Four
 disciplines are supported:
 
-* FCFS: pending requests granted in (arrival_slot, app id) order,
-  taken from a heap of the queue heads; an app whose head is blocked is
-  dropped for the rest of the slot. Requires Poisson traffic.
+* FCFS: pending requests granted in (arrival_slot, app id) order from a
+  heap of queue heads, one visit per run of an app's requests keyed
+  before the next head, at O((apps + app switches) log apps + grants) a
+  slot; a blocked app is dropped for the rest of the slot. FCFS keeps no
+  ring. Requires Poisson traffic.
 * RR: repeated passes over the active-app ring, one grant per app per pass.
 * WRR: as RR with up to ``weight`` grants per app per pass (integer weights).
 * DRR: classic deficit round robin; each pass credits every visited app
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import filterfalse
@@ -65,7 +68,7 @@ class ConfigError(Exception):
     """Scheduler configuration the discipline cannot honor."""
 
 
-@dataclass
+@dataclass(slots=True)
 class SlotGrants:
     """Outcome of one scheduling slot, in index form."""
 
@@ -153,7 +156,8 @@ class SchedulerState:
     backlogged mode every app always has a synthetic pending request
     (queues are conceptually infinite) and the active ring is fixed; in
     Poisson mode apps join the ring when they become backlogged and leave
-    it at the end of the slot in which their queue drains.
+    it at the end of the slot in which their queue drains. FCFS keeps no
+    ring: its ``active`` stays empty and its ``head`` None.
     """
 
     def __init__(
@@ -208,7 +212,7 @@ class SchedulerState:
         self.quantum = [quantum_base * app.weight for app in self.apps if drr]
         self.deficit_cap = [q + c for q, c in zip(self.quantum, self.max_cost)]
         self.drr, self.poisson, wrr = drr, traffic is Traffic.POISSON, policy is Policy.WRR
-        # the most grants one visit may make; DRR's deficit is its only bound
+        # the most grants one visit of the ring may make; DRR's deficit is its only bound
         self.budget = [math.inf if drr else int(a.weight) if wrr else 1 for a in self.apps]
         # a DRR pass can legitimately grant nothing while deficits build up
         # toward an expensive flow, but never more often than this; an RR
@@ -219,19 +223,18 @@ class SchedulerState:
         self.active: list[AppId] = ids if traffic is Traffic.BACKLOGGED else []
         self.head: Optional[AppId] = self.active[0] if self.active else None
 
-    def backlogged(self, app_id: AppId) -> bool:
-        return self.traffic is Traffic.BACKLOGGED or bool(self.queues[app_id])
-
 
 def _enqueue_arrivals(state: SchedulerState, slot: int, counts: list[int]) -> None:
     """Queue ``counts[a]`` requests of ``slot`` FIFO for each app a; apps
-    newly backlogged join the tail of the ring. The counts are the run's
-    own Poisson draws, by app id, and are not checked."""
+    newly backlogged join the tail of the ring, which FCFS does not keep.
+    The counts are the run's own Poisson draws, by app id, and are not
+    checked."""
     queues, active = state.queues, state.active
+    ring = state.policy is not Policy.FCFS
     for app_id, count in enumerate(counts):
         if count:
             queue = queues[app_id]
-            if not queue:
+            if not queue and ring:
                 active.append(app_id)
                 if state.head is None:
                     state.head = app_id
@@ -247,12 +250,14 @@ def _saturate(state: SchedulerState, ctx: SlotGrants, e: EdgeId) -> None:
             live_count[flow_app[f]] -= 1
 
 
-def _visit(state: SchedulerState, ctx: SlotGrants, app_id: AppId) -> int:
-    """One visit of an app: up to one grant (FCFS, RR) or ``weight``
-    grants (WRR); under DRR, one quantum of credit, then grants while the
-    deficit covers the picked flow's cost. Each pick takes the app's first
-    live flow from its cursor on, in cyclic order, and moves the cursor
-    past it, before DRR compares its cost with the deficit. An app with no
+def _visit(state: SchedulerState, ctx: SlotGrants, app_id: AppId, budget: float) -> int:
+    """One visit of an app: up to ``budget`` grants. The ring passes the
+    app's ``state.budget``: 1 under RR, ``weight`` under WRR, and under
+    DRR one quantum of credit, then grants while the deficit covers the
+    picked flow's cost. FCFS passes the app's run, its requests keyed
+    before the next app's head. Each pick takes the app's first live flow
+    from its cursor on, in cyclic order, and moves the cursor past it,
+    before DRR compares its cost with the deficit. An app with no
     live flow is blocked, with its cursor unchanged and, under DRR, its
     deficit capped: one step for a visit that starts so. An emptied queue
     ends the visit and resets a DRR deficit. Returns the number of grants."""
@@ -266,7 +271,7 @@ def _visit(state: SchedulerState, ctx: SlotGrants, app_id: AppId) -> int:
     live, residual, per_flow, cursor = ctx._live, ctx.residual, ctx.per_flow, state.cursor
     flow_edges, edge_flows, flow_app = state.flow_edges, state.edge_flows, state.flow_app
     first, end = state.first_flow[app_id], state.first_flow[app_id + 1]
-    drr, budget = state.drr, state.budget[app_id]
+    drr = state.drr
     queue = state.queues[app_id] if state.poisson else None
     if drr:
         deficit, cost = state.deficit[app_id] + state.quantum[app_id], state.cost
@@ -313,14 +318,14 @@ def _round_robin_slot(state: SchedulerState, ctx: SlotGrants) -> None:
     # live flow
     i = state.active.index(state.head) if state.active else 0
     ring = state.active[i:] + state.active[:i]
-    live_count, blocked, queues = ctx._live_count, ctx.blocked, state.queues
+    live_count, blocked, queues, budget = ctx._live_count, ctx.blocked, state.queues, state.budget
     backlogged = state.traffic is Traffic.BACKLOGGED
     fruitless = 0
     while any(map(live_count.__getitem__, ring)):
         ctx.passes += 1
         made = 0
         for app_id in ring:
-            made += _visit(state, ctx, app_id)
+            made += _visit(state, ctx, app_id, budget[app_id])
         fruitless = 0 if made else fruitless + 1
         if fruitless > state.stall_guard:
             raise RuntimeError("scheduler stalled with feasible capacity")
@@ -342,16 +347,24 @@ def _round_robin_slot(state: SchedulerState, ctx: SlotGrants) -> None:
 
 def _fcfs_slot(state: SchedulerState, ctx: SlotGrants) -> None:
     # only a queue head can be granted, so a heap of heads keyed
-    # (arrival_slot, app) yields the global FCFS order
-    heads = [(q[0], a) for a, q in state.queues.items() if q]
+    # (arrival_slot, app) yields the global FCFS order; one visit grants the
+    # app's run keyed before the next head. No slot grants more than its
+    # pairs, which bounds the bisect: a shorter run only pops the app again
+    queues = state.queues
+    heads = [(q[0], a) for a, q in queues.items() if q]
     heapq.heapify(heads)
+    most = sum(ctx.residual) or 1  # a run of 1 grants or blocks even without pairs
     while heads:
         _, app_id = heapq.heappop(heads)
-        if not _visit(state, ctx, app_id):  # grants the queue head, or is blocked
-            # residuals only shrink within the slot, so the app's later
-            # requests are blocked too: it leaves the heap for this slot
+        queue = queues[app_id]
+        run = min(len(queue), most)
+        if heads:
+            slot, other = heads[0]
+            run = (bisect_left if app_id > other else bisect_right)(queue, slot, 0, run)
+        if _visit(state, ctx, app_id, run) < run:
+            # the app is blocked, and residuals only shrink within the
+            # slot, so its later requests are too: it leaves the heap
             continue
-        queue = state.queues[app_id]
         if queue:
             heapq.heappush(heads, (queue[0], app_id))
 
@@ -360,19 +373,24 @@ def _schedule_slot(state: SchedulerState, capacities: list[int]) -> SlotGrants:
     """One slot's grants against the run's sampled capacities, a list of
     non-negative ints by dense link id, unchecked and left unchanged. On
     return no further grant is capacity-feasible for any backlogged app."""
+    # every field, in order: defaults would call their factories each slot
     ctx = SlotGrants(
-        capacities.copy(), _live=[True] * len(state.flows), _live_count=state.flow_count.copy()
+        capacities.copy(), {}, [], None, 0, {}, [True] * len(state.flows), state.flow_count.copy()
     )
-    for e in filterfalse(ctx.residual.__getitem__, state.edge_flows):  # sampled at 0
-        _saturate(state, ctx, e)
+    if 0 in capacities:
+        for e in filterfalse(ctx.residual.__getitem__, state.edge_flows):  # sampled at 0
+            _saturate(state, ctx, e)
     if state.policy is Policy.FCFS:
         _fcfs_slot(state, ctx)
-    else:
-        _round_robin_slot(state, ctx)
+        return ctx
+    _round_robin_slot(state, ctx)
     if ctx.last_granted is not None:
         ring = state.active
         i = ring.index(ctx.last_granted) + 1
-        state.head = next(filter(state.backlogged, ring[i:] + ring[:i]), None)
         if state.poisson:
-            state.active = list(filter(state.queues.__getitem__, ring))  # the backlogged apps
+            backlogged = state.queues.__getitem__
+            state.head = next(filter(backlogged, ring[i:] + ring[:i]), None)
+            state.active = list(filter(backlogged, ring))
+        else:
+            state.head = ring[i % len(ring)]
     return ctx

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -621,12 +622,17 @@ def _trace_case(i, capacity=(1, 4), slots=30):
     return validate_scenario(graph, apps, config)
 
 
+def _run_size(scenario):
+    """The links of the scenario's network and the flows of each of its runs."""
+    return len(scenario.graph.links), sum(a.workers_needed for a in scenario.apps)
+
+
 def _traces(scenario, on_ledger=None):
     """trace.csv's rows from cli._trace_writer and from the reference, fed
     the same ledgers."""
-    links = len(scenario.graph.links)
+    links, flows = _run_size(scenario)
     new, ref = io.StringIO(), io.StringIO()
-    writers = [_trace_writer(new, links), _reference_trace_writer(ref, links)]
+    writers = [_trace_writer(new, links, flows), _reference_trace_writer(ref, links)]
     if on_ledger is not None:
         writers.append(on_ledger)
 
@@ -662,17 +668,58 @@ class TestTraceWriterOracle:
         rows = _distinct_rows(ref)
         assert min(map(len, rows.values())) > 64, {k: len(v) for k, v in rows.items()}
 
+    def test_run_sizes_each_cache_to_twice_a_slot_of_rows(self, write_scenario, tmp_path,
+                                                          monkeypatch):
+        # 90 links and 24 flows, more than the cache floor cut to 32: a cache
+        # of 32 edge rows would evict each row just before the next slot
+        # needs it. Each link makes its capacity_max every slot, so the edge
+        # rows of each slot are mostly the rows of the slot before
+        monkeypatch.setattr(cli, "_TRACE_ROW_CACHE", 32)
+        caches = []
+
+        def recording_lru_cache(maxsize):
+            def decorate(fn):
+                caches.append(functools.lru_cache(maxsize)(fn))
+                return caches[-1]
+            return decorate
+
+        monkeypatch.setattr(cli, "lru_cache", recording_lru_cache)
+        doc = network_doc(3)
+        doc["sim"].update(capacity_mode="deterministic", slots=60)
+        for link in doc["links"]:
+            link["gen_success_prob"] = 1.0
+        path = write_scenario(doc)
+        out = tmp_path / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", "--config", path, "--trace", "--output-dir", str(out)]) == 0
+        scenario = load_scenario(path)
+        links, flows = _run_size(scenario)
+        ref = io.StringIO(",".join(TRACE_COLUMNS) + "\n")
+        ref.seek(0, io.SEEK_END)
+        replication_runs(scenario, n_replications=1,
+                         on_slot=_reference_trace_writer(ref, links))
+        trace = (out / "trace.csv").read_text()
+        assert trace == ref.getvalue()
+        edge_row, flow_row = (cache.cache_info() for cache in caches)
+        assert (links, flows) == (90, 24)
+        assert (edge_row.maxsize, flow_row.maxsize) == (2 * links, 2 * flows)
+        # no edge row is formatted twice
+        assert edge_row.misses == len(_distinct_rows(trace)["edge"]) < edge_row.maxsize
+        # a small run keeps the floor
+        _trace_writer(io.StringIO(), 3, 2)
+        assert [cache.cache_info().maxsize for cache in caches[2:]] == [32, 32]
+
     def test_one_writer_over_two_runs_writes_what_two_fresh_writers_do(self):
         # random pools under two seeds give the runs different flow tables;
         # the shared writer's cache still holds the first run's rows when
         # the second run starts
         scenario = _trace_case(8)
-        links = len(scenario.graph.links)
+        links, flows = _run_size(scenario)
         shared, fresh, tables = io.StringIO(), [], []
-        write = _trace_writer(shared, links)
+        write = _trace_writer(shared, links, flows)
         for seed in (8, 9):
             fresh.append(io.StringIO())
-            own = _trace_writer(fresh[-1], links)
+            own = _trace_writer(fresh[-1], links, flows)
 
             def on_slot(ledger):
                 write(ledger)

@@ -139,7 +139,8 @@ class TestEnqueueArrivals:
 
     def test_counts_queue_fifo_and_join_the_ring_tail(self):
         # against a plain model of the kernel's contract, with slots between
-        # that drain queues, so apps leave the ring and rejoin it
+        # that drain queues, so apps leave the ring and rejoin it; FCFS
+        # keeps no ring
         def queued(state):
             return {a: list(q) for a, q in state.queues.items()}, list(state.active), state.head
 
@@ -152,18 +153,22 @@ class TestEnqueueArrivals:
                 counts = [rng.choice([0, 0, 0, 1, 2, rng.randint(0, 5)]) for _ in weights]
                 queues, active, head = queued(state)
                 for a, count in enumerate(counts):
-                    if count and not queues[a]:
+                    if count and not queues[a] and policy is not Policy.FCFS:
                         active.append(a)
                         head = a if head is None else head
                     queues[a] += [slot] * count
                 scheduling._enqueue_arrivals(state, slot, counts)
                 assert queued(state) == (queues, active, head), (seed, slot)
+                if policy is Policy.FCFS:
+                    assert active == [] and head is None
                 schedule_slot(state, [rng.randint(0, 3)])
 
     def test_backlogged_apps_always_pending(self):
-        state, _ = single_link_state(Policy.RR, [1.0, 1.0], 1)
-        assert state.backlogged(0) and state.backlogged(1)
+        # no request is queued, yet every app of the ring is served
+        state, _ = single_link_state(Policy.RR, [1.0, 1.0], 2)
         assert state.active == [0, 1]
+        assert per_app(state, schedule_slot(state, [2])) == {0: 1, 1: 1}
+        assert not any(state.queues.values())
 
 
 class TestPick:
@@ -182,7 +187,7 @@ class TestPick:
     def _pick(state, residual):
         """The flow one RR visit of app 0 grants, or None when it is blocked."""
         ctx = slot_ctx(state, residual)
-        if scheduling._visit(state, ctx, 0):
+        if scheduling._visit(state, ctx, 0, state.budget[0]):
             return next(iter(ctx.per_flow))
         assert ctx.blocked == {0: 0}
         return None
@@ -280,6 +285,19 @@ class TestDRR:
         assert state.deficit[0] == 0.0
         assert state.active == []
         assert state.head is None
+
+    def test_ten_credits_of_a_tenth_cover_a_unit_cost(self):
+        # ten quanta of 0.1 sum to just under 1 in floats; the slack of the
+        # deficit-vs-cost comparison lets the tenth pass grant. Without it
+        # the grant, and the slot, would wait for pass 11, still inside
+        # the stall guard of 12
+        assert sum([0.1] * 10) == 0.9999999999999999
+        state, _ = single_link_state(Policy.DRR, [0.1], 1)
+        assert (state.quantum, state.stall_guard) == ([0.1], 12)
+        result = schedule_slot(state, [1])
+        assert per_app(state, result) == {0: 1}
+        assert result.passes == 10
+        assert state.deficit[0] == 0.9999999999999999 - 1
 
     def test_blocked_deficit_capped(self):
         state, _ = single_link_state(Policy.DRR, [5.0], 1)
@@ -465,6 +483,18 @@ def _sorted_fcfs_slot(state, ctx, log):
             assert ctx.granted_requests[-1] == (app_id, arrival_slot)
 
 
+class _PickLog(dict):
+    """A slot's grants by flow that logs (app, flow) for each grant."""
+
+    def __init__(self, grants, flow_app, log):
+        super().__init__(grants)
+        self.flow_app, self.log = flow_app, log
+
+    def __setitem__(self, f, count):
+        self.log.append((self.flow_app[f], f))
+        super().__setitem__(f, count)
+
+
 class TestFCFSOracle:
     """The heap of queue heads over live flags grants exactly what the
     sorted scan over residuals grants."""
@@ -485,21 +515,54 @@ class TestFCFSOracle:
         return graph, apps, flows
 
     @staticmethod
-    def _recording_visit(log):
+    def _recording_visit(log, visits):
+        """``_visit`` logging, in order, (app, flow) for each of its picks
+        and (app, None) when it blocks the app; ``visits`` collects
+        (app, budget, grants) for each visit."""
         visit = scheduling._visit
 
-        def wrapped(state, ctx, app_id):
-            before = dict(ctx.per_flow)
-            made = visit(state, ctx, app_id)
-            # an FCFS visit grants the queue head or nothing
-            granted = [f for f, n in ctx.per_flow.items() if n != before.get(f, 0)]
-            assert made == len(granted) <= 1
-            log.append((app_id, granted[0] if granted else None))
+        def wrapped(state, ctx, app_id, budget):
+            if not isinstance(ctx.per_flow, _PickLog):
+                ctx.per_flow = _PickLog(ctx.per_flow, state.flow_app, log)
+            picks = len(log)
+            made = visit(state, ctx, app_id, budget)
+            assert made == len(log) - picks <= budget
+            assert all(a == app_id for a, _ in log[picks:])
+            if app_id in ctx.blocked:  # an app leaves the heap when blocked
+                log.append((app_id, None))
+            visits.append((app_id, budget, made))
             return made
         return wrapped
 
+    def _slot(self, states, calls, slot, arrivals, sampled, where):
+        """Queue ``arrivals`` of ``slot`` in both states, then run the slot
+        on ``sampled`` through the heap on states[0] and the sorted scan on
+        states[1], logging their picks to ``calls``, and assert that they
+        agree. Returns the heap's visits as (app, budget, grants)."""
+        visits = []
+        for state in states:
+            enqueue_arrivals(state, slot, arrivals)
+        with mock.patch.object(scheduling, "_visit", self._recording_visit(calls[0], visits)):
+            heap = schedule_slot(states[0], sampled)
+        reference = functools.partial(_sorted_fcfs_slot, log=calls[1])
+        with mock.patch.object(scheduling, "_fcfs_slot", reference):
+            ref = schedule_slot(states[1], sampled)
+        where = f"{where}, slot {slot}"
+        assert heap.granted_requests == ref.granted_requests, where
+        assert list(heap.per_flow.items()) == list(ref.per_flow.items()), where
+        assert heap.residual == ref.residual, where
+        assert calls[0] == calls[1], where
+        a, b = states
+        assert a.cursor == b.cursor, where
+        assert {k: list(q) for k, q in a.queues.items()} == {
+            k: list(q) for k, q in b.queues.items()
+        }, where
+        assert (a.active, a.head) == (b.active, b.head) == ([], None), where
+        return visits
+
     def test_matches_sorted_scan_every_slot(self):
         multi_hop = 0
+        runs = Counter()
         for seed in range(120):
             rng = random.Random(7000 + seed)
             graph, apps, flows = self._instance(rng)
@@ -515,25 +578,52 @@ class TestFCFSOracle:
                     for a in apps
                 }
                 sampled = [rng.randint(0, l.capacity_max) for l in graph.links]
-                for state in states:
-                    enqueue_arrivals(state, slot, arrivals)
-                with mock.patch.object(scheduling, "_visit", self._recording_visit(calls[0])):
-                    heap = schedule_slot(states[0], sampled)
-                reference = functools.partial(_sorted_fcfs_slot, log=calls[1])
-                with mock.patch.object(scheduling, "_fcfs_slot", reference):
-                    ref = schedule_slot(states[1], sampled)
-                where = f"seed {seed}, slot {slot}"
-                assert heap.granted_requests == ref.granted_requests, where
-                assert list(heap.per_flow.items()) == list(ref.per_flow.items()), where
-                assert heap.residual == ref.residual, where
-                assert calls[0] == calls[1], where
-                a, b = states
-                assert a.cursor == b.cursor, where
-                assert {k: list(q) for k, q in a.queues.items()} == {
-                    k: list(q) for k, q in b.queues.items()
-                }, where
-                assert (a.active, a.head) == (b.active, b.head), where
+                visits = self._slot(states, calls, slot, arrivals, sampled, f"seed {seed}")
+                for _, budget, made in visits:
+                    runs["granted a run of 2 or more"] += made > 1
+                    runs["blocked partway through a run"] += 0 < made < budget
         assert multi_hop >= 100
+        assert min(runs.values()) >= 1000, runs
+
+    # a fork of three links from the hosts' node 0: app 0 reaches worker 1
+    # over link 0 and worker 3 over links 1 and 2, app 1 worker 2 over link
+    # 1, and app 2 worker 1 over link 0. Each case is its slots' (arrivals,
+    # sampled), and the heap's visits in the last slot as (app, run, grants)
+    EDGE_CASES = {
+        # app 0's run takes its requests of slot 1 too, which come before
+        # app 1's head (1, 1), and drains its queue; app 1 is then alone
+        "tie_lower_app_popped_first": (
+            [({0: 1}, [0, 0, 0]), ({0: 2, 1: 2}, [5, 5, 5])], [(0, 3, 3), (1, 2, 2)]
+        ),
+        # app 1's run stops before its requests of slot 1, which come after
+        # app 0's head (1, 0)
+        "tie_higher_app_popped_first": (
+            [({1: 1}, [0, 0, 0]), ({0: 2, 1: 2}, [5, 5, 5])], [(1, 1, 1), (0, 2, 2), (1, 2, 2)]
+        ),
+        # app 0's two picks saturate all three links before its run of 3 ends
+        "run_blocked_partway": ([({0: 5}, [0, 0, 0]), ({1: 1}, [1, 1, 1])], [(0, 3, 2), (1, 1, 0)]),
+        "lone_app_drains": ([({0: 3}, [5, 5, 5])], [(0, 3, 3)]),
+        # the bisect looks at 4 of app 0's 200 requests, the slot's pairs:
+        # the app is popped again and then blocked
+        "queue_deeper_than_the_bisect_bound": (
+            [({0: 200}, [0, 0, 0]), ({2: 1}, [4, 0, 0])], [(0, 4, 4), (0, 4, 0), (2, 1, 0)]
+        ),
+    }
+
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_edge_cases_of_a_run(self, case):
+        slots, last_visits = self.EDGE_CASES[case]
+        nodes = [Node(i, NodeKind.COMPUTATION) for i in range(4)]
+        links = [QuantumLink(i, ends, 5, 1.0, 1.0) for i, ends in enumerate([(0, 1), (0, 2), (2, 3)])]
+        graph = NetworkGraph(nodes, links)
+        workers = [frozenset({1, 3}), frozenset({2}), frozenset({1})]
+        apps = [Application(a, 0, 1.0, len(w), w, arrival_rate=1.0) for a, w in enumerate(workers)]
+        flows = build_flows(graph, apps, dict(enumerate(workers)))
+        states = [SchedulerState(Policy.FCFS, apps, flows, Traffic.POISSON) for _ in range(2)]
+        calls = ([], [])
+        for slot, (arrivals, sampled) in enumerate(slots):
+            visits = self._slot(states, calls, slot, arrivals, sampled, case)
+        assert visits == last_visits
 
 
 def _visit_every_app_slot(state, ctx, skipped):
@@ -647,9 +737,9 @@ class TestRoundRobinOracle:
     def _counting_visit(counts):
         visit = scheduling._visit
 
-        def wrapped(state, ctx, app_id):
+        def wrapped(state, ctx, app_id, budget):
             counts[state.policy] += not ctx._live_count[app_id]
-            return visit(state, ctx, app_id)
+            return visit(state, ctx, app_id, budget)
         return wrapped
 
     def test_matches_visit_every_app_every_slot(self):
@@ -844,7 +934,7 @@ class TestPointerPersistence:
         assert state.active == [1]
         assert state.head == 1
 
-    def test_fcfs_ring_matches_rr_after_drain(self):
+    def test_fcfs_keeps_no_ring_after_drain(self):
         rings = {}
         for policy in (Policy.FCFS, Policy.RR):
             state, _ = single_link_state(policy, [1.0, 1.0, 1.0], 2, Traffic.POISSON)
@@ -852,7 +942,7 @@ class TestPointerPersistence:
             result = schedule_slot(state, [2])
             assert [app for app, _ in result.granted_requests] == [0, 1]
             rings[policy] = (state.active, state.head)
-        assert rings[Policy.FCFS] == rings[Policy.RR] == ([1, 2], 2)
+        assert rings == {Policy.FCFS: ([], None), Policy.RR: ([1, 2], 2)}
 
 
 class TestInvariants:
@@ -907,7 +997,7 @@ class TestInvariants:
         assert state.stall_guard == 3
         visits = []
 
-        def fruitless(state, ctx, app_id):
+        def fruitless(state, ctx, app_id, budget):
             visits.append((ctx.passes, app_id))
             return 0
 

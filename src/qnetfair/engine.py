@@ -24,7 +24,8 @@ The sampler's lists go unchecked to the scheduler's private slot kernel:
 the program built them, a non-negative int for every link, and the run is
 the kernel's only caller. The slot loop reads SlotGrants as the kernel
 returns them: lists by dense link id and counts by flat flow index,
-the scheduler's numbering of flows in (app id, worker) order. Successes,
+the scheduler's numbering of flows in (app id, worker) order; its visit
+step is bound to the run's lists once and to each slot's once. Successes,
 the conservation check and the metric sums run on those indices; grants
 and successes add up per flow and fold into apps and edges after the last
 slot. A run given ``on_slot`` hands it one SlotLedger per slot, once the
@@ -41,7 +42,7 @@ import math
 import random
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat, starmap
 from operator import gt
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
@@ -127,9 +128,10 @@ def capacity_sampler(
     draw = rng.random
 
     def sample() -> list[int]:
-        # p > draw() is draw() < p; iter(draw, 2.0) never ends, but map
-        # stops at the last threshold: one draw per threshold
-        hits = list(accumulate(map(gt, thresholds, iter(draw, 2.0)), initial=0))
+        # p > draw() is draw() < p; starmap calls draw() without the sentinel
+        # test of iter(draw, 2.0), and never ends, but map stops at the last
+        # threshold: one draw per threshold
+        hits = list(accumulate(map(gt, thresholds, starmap(draw, repeat(()))), initial=0))
         return [hits[end] - hits[start] for start, end in spans]
 
     return sample
@@ -179,7 +181,8 @@ def resolve_successes(
     """Sample end-to-end swap success per granted attempt.
 
     Attempts are resolved flow by flow in (app, path) order so draws do
-    not depend on the scheduler's internal grant sequence. ``rank``, each
+    not depend on the scheduler's internal grant sequence: one draw per
+    attempt of a flow with swap_prob below 1, none at 1. ``rank``, each
     flow's rank in (app, path) order, ``swap_prob``, grants and successes
     are all by flat flow index.
     """
@@ -187,7 +190,9 @@ def resolve_successes(
     draw = rng.random
     for f in sorted(grants, key=rank.__getitem__):
         count, p = grants[f], swap_prob[f]
-        if p < 1.0:
+        if p < 1.0 and count == 1:  # most granted flows: one draw, no loop
+            count = 1 if draw() < p else 0
+        elif p < 1.0:
             done = 0
             for _ in range(count):
                 done += draw() < p
@@ -273,10 +278,10 @@ def _verify_slot(
     path, must account for every pair the residual is short of the
     sample, and no residual may be negative, so no edge is over-granted."""
     grants, residual, flow_edges = result.per_flow, result.residual, state.flow_edges
+    if grants and min(grants.values()) < 0:
+        raise RuntimeError(f"slot {slot}: negative grant count")
     left = sampled.copy()
     for f, count in grants.items():
-        if count < 0:
-            raise RuntimeError(f"slot {slot}: negative grant count")
         for e in flow_edges[f]:
             left[e] -= count
     if min(residual, default=0) < 0 or left != residual:

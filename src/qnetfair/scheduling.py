@@ -43,7 +43,8 @@ sampled at 0 start the slot dead, and a grant that takes an edge to 0
 kills the flows crossing it, as progressive filling freezes the flows of
 a saturated link. A pick scans live flags, and passes run while an app
 of the ring has one. A visit to an app with no live flow costs one step:
-under DRR its credit, min(deficit + quantum, cap), and the block.
+under DRR its credit, min(deficit + quantum, cap), and the block. The
+four disciplines share one visit step, bound once a run and once a slot.
 A pending request is its arrival slot, queued FIFO per app, and a
 granted one is (app, arrival_slot).
 """
@@ -55,7 +56,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import filterfalse
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .model import AppId, Application, CostMode, EdgeId, Flow, Policy, Traffic, shown
 
@@ -212,8 +213,9 @@ class SchedulerState:
         self.quantum = [quantum_base * app.weight for app in self.apps if drr]
         self.deficit_cap = [q + c for q, c in zip(self.quantum, self.max_cost)]
         self.drr, self.poisson, wrr = drr, traffic is Traffic.POISSON, policy is Policy.WRR
-        # the most grants one visit of the ring may make; DRR's deficit is its only bound
-        self.budget = [math.inf if drr else int(a.weight) if wrr else 1 for a in self.apps]
+        # the most grants one visit of the ring may make; DRR's deficit is its only bound:
+        # no slot has 2**30 - 1 pairs, the largest int CPython compares on its fast path
+        self.budget = [2**30 - 1 if drr else int(a.weight) if wrr else 1 for a in self.apps]
         # a DRR pass can legitimately grant nothing while deficits build up
         # toward an expensive flow, but never more often than this; an RR
         # or WRR pass always grants, so its guard of 2 is never reached
@@ -222,6 +224,7 @@ class SchedulerState:
         )
         self.active: list[AppId] = ids if traffic is Traffic.BACKLOGGED else []
         self.head: Optional[AppId] = self.active[0] if self.active else None
+        self.bind_slot, self.visit = _visitor(self)  # the slot kernels' one visit step
 
 
 def _enqueue_arrivals(state: SchedulerState, slot: int, counts: list[int]) -> None:
@@ -241,73 +244,83 @@ def _enqueue_arrivals(state: SchedulerState, slot: int, counts: list[int]) -> No
             queue.extend([slot] * count)
 
 
-def _saturate(state: SchedulerState, ctx: SlotGrants, e: EdgeId) -> None:
-    """Edge ``e`` has no residual left: the live flows crossing it die."""
-    live, live_count, flow_app = ctx._live, ctx._live_count, state.flow_app
-    for f in state.edge_flows[e]:
-        if live[f]:
-            live[f] = False
-            live_count[flow_app[f]] -= 1
+def _visitor(state: SchedulerState) -> tuple[Callable, Callable]:
+    """The run's one visit step for RR, WRR, DRR and FCFS, ``visit(app_id,
+    budget)``, bound to the run's lists here and by ``bind(ctx)`` to those
+    of the slot of ``ctx``: a visit reads no attribute but ``ctx.passes``.
+    One visit of an app makes up to ``budget`` grants, at least 1. The
+    ring passes the app's ``state.budget``: 1 under RR, ``weight`` under
+    WRR, and under DRR one quantum of credit, then grants while the
+    deficit covers the picked flow's cost. FCFS passes the app's run, its
+    requests keyed before the next app's head. Each pick takes the app's
+    first live flow from its cursor on, in cyclic order, and moves the
+    cursor past it, before DRR compares its cost with the deficit. An app
+    with no live flow is blocked, with its cursor unchanged and, under
+    DRR, its deficit capped: one step for a visit that starts so. An
+    emptied queue ends the visit and resets a DRR deficit. A visit
+    returns the number of grants."""
+    cursor, flow_edges, edge_flows = state.cursor, state.flow_edges, state.edge_flows
+    flow_app, queues = state.flow_app, state.queues if state.poisson else None
+    drr, deficits, quantum, deficit_cap = state.drr, state.deficit, state.quantum, state.deficit_cap
+    cost = list(map(float, state.cost))  # as the float deficit: mixed arithmetic is slower
+    ends = zip(state.first_flow, state.first_flow[1:])  # succ[f]: the next flow of its app, cyclic
+    succ = [f + 1 if f + 1 < end else first for first, end in ends for f in range(first, end)]
+    ctx = live = live_count = residual = per_flow = blocked = granted = None
 
+    def bind(slot: SlotGrants) -> None:
+        nonlocal ctx, live, live_count, residual, per_flow, blocked, granted
+        ctx, live, live_count, residual = slot, slot._live, slot._live_count, slot.residual
+        per_flow, blocked, granted = slot.per_flow, slot.blocked, slot.granted_requests
 
-def _visit(state: SchedulerState, ctx: SlotGrants, app_id: AppId, budget: float) -> int:
-    """One visit of an app: up to ``budget`` grants. The ring passes the
-    app's ``state.budget``: 1 under RR, ``weight`` under WRR, and under
-    DRR one quantum of credit, then grants while the deficit covers the
-    picked flow's cost. FCFS passes the app's run, its requests keyed
-    before the next app's head. Each pick takes the app's first live flow
-    from its cursor on, in cyclic order, and moves the cursor past it,
-    before DRR compares its cost with the deficit. An app with no
-    live flow is blocked, with its cursor unchanged and, under DRR, its
-    deficit capped: one step for a visit that starts so. An emptied queue
-    ends the visit and resets a DRR deficit. Returns the number of grants."""
-    live_count = ctx._live_count
-    if not live_count[app_id]:
-        if state.drr:  # min(deficit + quantum, cap)
-            deficit, cap = state.deficit[app_id] + state.quantum[app_id], state.deficit_cap[app_id]
-            state.deficit[app_id] = cap if cap < deficit else deficit
-        ctx.blocked[app_id] = ctx.passes
-        return 0
-    live, residual, per_flow, cursor = ctx._live, ctx.residual, ctx.per_flow, state.cursor
-    flow_edges, edge_flows, flow_app = state.flow_edges, state.edge_flows, state.flow_app
-    first, end = state.first_flow[app_id], state.first_flow[app_id + 1]
-    drr = state.drr
-    queue = state.queues[app_id] if state.poisson else None
-    if drr:
-        deficit, cost = state.deficit[app_id] + state.quantum[app_id], state.cost
-    made = 0
-    while made < budget:
+    def visit(app_id: AppId, budget: float) -> int:
         if not live_count[app_id]:
-            if drr and state.deficit_cap[app_id] < deficit:
-                deficit = state.deficit_cap[app_id]
-            ctx.blocked[app_id] = ctx.passes
-            break
-        f = cursor[app_id]
-        while not live[f]:  # ends: the app has a live flow
-            f = f + 1 if f + 1 < end else first
-        cursor[app_id] = f + 1 if f + 1 < end else first
+            if drr:  # min(deficit + quantum, cap)
+                deficit, cap = deficits[app_id] + quantum[app_id], deficit_cap[app_id]
+                deficits[app_id] = cap if cap < deficit else deficit
+            blocked[app_id] = ctx.passes
+            return 0
+        queue = queues[app_id] if queues is not None else None
         if drr:
-            if deficit < cost[f] - _DEFICIT_EPS:
+            deficit = deficits[app_id] + quantum[app_id]
+        made = 0
+        while True:  # a compare in the loop's head would jump too far for CPython's fast path
+            if not live_count[app_id]:
+                if drr and deficit_cap[app_id] < deficit:
+                    deficit = deficit_cap[app_id]
+                blocked[app_id] = ctx.passes
                 break
-            deficit -= cost[f]
-        for e in flow_edges[f]:
-            residual[e] -= 1
-            if not residual[e]:  # _saturate(state, ctx, e), inline on this hot path
-                for g in edge_flows[e]:
-                    if live[g]:
-                        live[g] = False
-                        live_count[flow_app[g]] -= 1
-        per_flow[f] = per_flow.get(f, 0) + 1
-        ctx.last_granted = app_id
-        made += 1
-        if queue is not None:
-            ctx.granted_requests.append((app_id, queue.popleft()))
-            if not queue:
-                deficit = 0.0
+            f = cursor[app_id]
+            while not live[f]:  # ends: the app has a live flow
+                f = succ[f]
+            cursor[app_id] = succ[f]
+            if drr:
+                if deficit < cost[f] - _DEFICIT_EPS:
+                    break
+                deficit -= cost[f]
+            for e in flow_edges[f]:
+                left = residual[e] - 1
+                residual[e] = left
+                if not left:  # saturated: the live flows crossing it die
+                    for g in edge_flows[e]:
+                        if live[g]:
+                            live[g] = False
+                            live_count[flow_app[g]] -= 1
+            per_flow[f] = per_flow.get(f, 0) + 1
+            made += 1
+            if queue is not None:
+                granted.append((app_id, queue.popleft()))
+                if not queue:
+                    deficit = 0.0
+                    break
+            if made == budget:
                 break
-    if drr:
-        state.deficit[app_id] = deficit
-    return made
+        if made:
+            ctx.last_granted = app_id
+        if drr:
+            deficits[app_id] = deficit
+        return made
+
+    return bind, visit
 
 
 def _round_robin_slot(state: SchedulerState, ctx: SlotGrants) -> None:
@@ -319,13 +332,13 @@ def _round_robin_slot(state: SchedulerState, ctx: SlotGrants) -> None:
     i = state.active.index(state.head) if state.active else 0
     ring = state.active[i:] + state.active[:i]
     live_count, blocked, queues, budget = ctx._live_count, ctx.blocked, state.queues, state.budget
-    backlogged = state.traffic is Traffic.BACKLOGGED
+    backlogged, visit = state.traffic is Traffic.BACKLOGGED, state.visit
     fruitless = 0
     while any(map(live_count.__getitem__, ring)):
         ctx.passes += 1
         made = 0
         for app_id in ring:
-            made += _visit(state, ctx, app_id, budget[app_id])
+            made += visit(app_id, budget[app_id])
         fruitless = 0 if made else fruitless + 1
         if fruitless > state.stall_guard:
             raise RuntimeError("scheduler stalled with feasible capacity")
@@ -333,16 +346,17 @@ def _round_robin_slot(state: SchedulerState, ctx: SlotGrants) -> None:
     if state.policy is Policy.DRR:
         # each pass a blocked app sat out would have credited it
         # min(deficit + quantum, cap); replay those steps in the same float order
+        deficits, caps, quanta, passes = state.deficit, state.deficit_cap, state.quantum, ctx.passes
         for app_id, blocked_in in blocked.items():
-            deficit, cap = state.deficit[app_id], state.deficit_cap[app_id]
+            deficit, cap = deficits[app_id], caps[app_id]
             if deficit == cap:
                 continue  # a capped deficit stays capped
-            for _ in range(ctx.passes - blocked_in):
-                deficit += state.quantum[app_id]
+            for _ in range(passes - blocked_in):
+                deficit += quanta[app_id]
                 if deficit >= cap:
                     deficit = cap
                     break
-            state.deficit[app_id] = deficit
+            deficits[app_id] = deficit
 
 
 def _fcfs_slot(state: SchedulerState, ctx: SlotGrants) -> None:
@@ -350,18 +364,20 @@ def _fcfs_slot(state: SchedulerState, ctx: SlotGrants) -> None:
     # (arrival_slot, app) yields the global FCFS order; one visit grants the
     # app's run keyed before the next head. No slot grants more than its
     # pairs, which bounds the bisect: a shorter run only pops the app again
-    queues = state.queues
+    queues, visit = state.queues, state.visit
     heads = [(q[0], a) for a, q in queues.items() if q]
     heapq.heapify(heads)
     most = sum(ctx.residual) or 1  # a run of 1 grants or blocks even without pairs
     while heads:
-        _, app_id = heapq.heappop(heads)
+        head, app_id = heapq.heappop(heads)
         queue = queues[app_id]
         run = min(len(queue), most)
         if heads:
             slot, other = heads[0]
             run = (bisect_left if app_id > other else bisect_right)(queue, slot, 0, run)
-        if _visit(state, ctx, app_id, run) < run:
+        if not run:  # the popped head always counts: a run of 0 would spin forever
+            raise RuntimeError(f"FCFS run of 0 for app {app_id} at head {head}")
+        if visit(app_id, run) < run:
             # the app is blocked, and residuals only shrink within the
             # slot, so its later requests are too: it leaves the heap
             continue
@@ -373,13 +389,17 @@ def _schedule_slot(state: SchedulerState, capacities: list[int]) -> SlotGrants:
     """One slot's grants against the run's sampled capacities, a list of
     non-negative ints by dense link id, unchecked and left unchanged. On
     return no further grant is capacity-feasible for any backlogged app."""
+    live, live_count = [True] * len(state.flows), state.flow_count.copy()
+    if 0 in capacities:  # the flows crossing an edge sampled at 0 start the slot dead
+        edge_flows, flow_app = state.edge_flows, state.flow_app
+        for e in filterfalse(capacities.__getitem__, edge_flows):
+            for f in edge_flows[e]:
+                if live[f]:
+                    live[f] = False
+                    live_count[flow_app[f]] -= 1
     # every field, in order: defaults would call their factories each slot
-    ctx = SlotGrants(
-        capacities.copy(), {}, [], None, 0, {}, [True] * len(state.flows), state.flow_count.copy()
-    )
-    if 0 in capacities:
-        for e in filterfalse(ctx.residual.__getitem__, state.edge_flows):  # sampled at 0
-            _saturate(state, ctx, e)
+    ctx = SlotGrants(capacities.copy(), {}, [], None, 0, {}, live, live_count)
+    state.bind_slot(ctx)
     if state.policy is Policy.FCFS:
         _fcfs_slot(state, ctx)
         return ctx

@@ -7,6 +7,7 @@ import re
 import signal
 import statistics
 import threading
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -199,6 +200,38 @@ class TestResolveSuccesses:
         for seed in range(20):
             done = resolve_successes({self.KEY: 50}, random.Random(seed), *self._order(0.3))
             assert done[self.KEY] <= 50
+
+    @staticmethod
+    def _per_attempt(grants, rng, rank, swap_prob):
+        """Reference: flow by flow in rank order, one draw per granted
+        attempt of a flow whose swap_prob is below 1, none at 1."""
+        successes = {}
+        for f in sorted(grants, key=lambda f: rank[f]):
+            count, p = grants[f], swap_prob[f]
+            if p < 1.0:
+                count = sum(1 for _ in range(count) if rng.random() < p)
+            successes[f] = count
+        return successes
+
+    def test_equals_the_per_attempt_reference_draw_for_draw(self):
+        counts = Counter()
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = rng.randint(1, 8)
+            rank = rng.sample(range(n), n)
+            swap_prob = [rng.choice([0.3, 0.81, 0.99, 1.0]) for _ in range(n)]
+            granted = rng.sample(range(n), rng.randint(1, n))
+            grants = {f: rng.choice([1, 1, 1, 2, 3, 7]) for f in granted}
+            for f, count in grants.items():
+                counts[count == 1, swap_prob[f] < 1.0] += 1
+            fast, ref = random.Random(seed + 1000), random.Random(seed + 1000)
+            done = resolve_successes(grants, fast, rank, swap_prob)
+            expected = self._per_attempt(grants, ref, rank, swap_prob)
+            assert list(done.items()) == list(expected.items())
+            assert all(type(v) is int for v in done.values()), done  # True would pass for 1
+            assert fast.getstate() == ref.getstate(), seed
+        # counts of 1 and above 1, each with swap_prob below 1 and equal to 1
+        assert min(counts.values()) >= 50 and len(counts) == 4, counts
 
 
 class TestVerifySlot:

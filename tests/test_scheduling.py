@@ -1,3 +1,5 @@
+import contextlib
+import dataclasses
 import functools
 import importlib.util
 import math
@@ -10,9 +12,10 @@ from unittest import mock
 import pytest
 
 from conftest import line_graph, parking_lot, shared_link_apps, shared_link_graph
-from gen import random_connected_graph
+from gen import random_connected_graph, tree_chords_instance
 from qnetfair import (
     Application,
+    CapacityMode,
     ConfigError,
     CostMode,
     NetworkGraph,
@@ -79,6 +82,23 @@ def slot_ctx(state, residual):
     live = [fits(state, f, residual) for f in range(len(state.flows))]
     live_count = [sum(live[f] for f in app_flows(state, a)) for a in range(len(state.apps))]
     return SlotGrants(residual, _live=live, _live_count=live_count)
+
+
+@contextlib.contextmanager
+def wrapped_visits(state, wrap):
+    """In the block, each slot of ``state`` visits through what
+    ``wrap(ctx, visit)`` returns. ``wrap`` gets the slot's SlotGrants and
+    the state's own visit step before the step is bound to the slot, and
+    the kernels call whatever ``state.visit`` holds once ``state.bind_slot``
+    has run."""
+    bind, visit = state.bind_slot, state.visit
+
+    def bind_slot(ctx):
+        state.visit = wrap(ctx, visit)
+        bind(ctx)
+
+    with mock.patch.multiple(state, bind_slot=bind_slot, visit=visit):
+        yield
 
 
 def assert_conserved(sampled, result, state):
@@ -187,7 +207,8 @@ class TestPick:
     def _pick(state, residual):
         """The flow one RR visit of app 0 grants, or None when it is blocked."""
         ctx = slot_ctx(state, residual)
-        if scheduling._visit(state, ctx, 0, state.budget[0]):
+        state.bind_slot(ctx)
+        if state.visit(0, state.budget[0]):
             return next(iter(ctx.per_flow))
         assert ctx.blocked == {0: 0}
         return None
@@ -515,24 +536,24 @@ class TestFCFSOracle:
         return graph, apps, flows
 
     @staticmethod
-    def _recording_visit(log, visits):
-        """``_visit`` logging, in order, (app, flow) for each of its picks
-        and (app, None) when it blocks the app; ``visits`` collects
-        (app, budget, grants) for each visit."""
-        visit = scheduling._visit
+    def _recording_visit(state, log, visits):
+        """For ``wrapped_visits``: the visit step logging, in order, (app,
+        flow) for each of its picks and (app, None) when it blocks the app;
+        ``visits`` collects (app, budget, grants) for each visit."""
+        def wrap(ctx, visit):
+            ctx.per_flow = _PickLog(ctx.per_flow, state.flow_app, log)
 
-        def wrapped(state, ctx, app_id, budget):
-            if not isinstance(ctx.per_flow, _PickLog):
-                ctx.per_flow = _PickLog(ctx.per_flow, state.flow_app, log)
-            picks = len(log)
-            made = visit(state, ctx, app_id, budget)
-            assert made == len(log) - picks <= budget
-            assert all(a == app_id for a, _ in log[picks:])
-            if app_id in ctx.blocked:  # an app leaves the heap when blocked
-                log.append((app_id, None))
-            visits.append((app_id, budget, made))
-            return made
-        return wrapped
+            def wrapped(app_id, budget):
+                picks = len(log)
+                made = visit(app_id, budget)
+                assert made == len(log) - picks <= budget
+                assert all(a == app_id for a, _ in log[picks:])
+                if app_id in ctx.blocked:  # an app leaves the heap when blocked
+                    log.append((app_id, None))
+                visits.append((app_id, budget, made))
+                return made
+            return wrapped
+        return wrap
 
     def _slot(self, states, calls, slot, arrivals, sampled, where):
         """Queue ``arrivals`` of ``slot`` in both states, then run the slot
@@ -542,7 +563,7 @@ class TestFCFSOracle:
         visits = []
         for state in states:
             enqueue_arrivals(state, slot, arrivals)
-        with mock.patch.object(scheduling, "_visit", self._recording_visit(calls[0], visits)):
+        with wrapped_visits(states[0], self._recording_visit(states[0], calls[0], visits)):
             heap = schedule_slot(states[0], sampled)
         reference = functools.partial(_sorted_fcfs_slot, log=calls[1])
         with mock.patch.object(scheduling, "_fcfs_slot", reference):
@@ -624,6 +645,26 @@ class TestFCFSOracle:
         for slot, (arrivals, sampled) in enumerate(slots):
             visits = self._slot(states, calls, slot, arrivals, sampled, case)
         assert visits == last_visits
+
+    def test_a_run_of_zero_raises_at_once(self):
+        # a run of 0 would grant 0, which is not less than the run, so the
+        # app would go back on the heap with the same head forever
+        state, _ = single_link_state(Policy.FCFS, [1.0, 1.0], 4, Traffic.POISSON)
+        enqueue_arrivals(state, 0, {0: 2, 1: 1})
+        visits = []
+
+        def counted(ctx, visit):
+            def wrapped(app_id, budget):
+                visits.append((app_id, budget))
+                return visit(app_id, budget)
+            return wrapped
+
+        with wrapped_visits(state, counted), mock.patch.object(
+            scheduling, "bisect_left", lambda *args: 0
+        ), mock.patch.object(scheduling, "bisect_right", lambda *args: 0):
+            with pytest.raises(RuntimeError, match=r"^FCFS run of 0 for app 0 at head 0$"):
+                schedule_slot(state, [4])
+        assert visits == []
 
 
 def _visit_every_app_slot(state, ctx, skipped):
@@ -734,13 +775,36 @@ class TestRoundRobinOracle:
         return graph, apps, assignment
 
     @staticmethod
-    def _counting_visit(counts):
-        visit = scheduling._visit
+    def _counting_visit(policy, counts):
+        """For ``wrapped_visits``: the visit step counting, by policy, the
+        visits that start with no live flow."""
+        def wrap(ctx, visit):
+            def wrapped(app_id, budget):
+                counts[policy] += not ctx._live_count[app_id]
+                return visit(app_id, budget)
+            return wrapped
+        return wrap
 
-        def wrapped(state, ctx, app_id, budget):
-            counts[state.policy] += not ctx._live_count[app_id]
-            return visit(state, ctx, app_id, budget)
-        return wrapped
+    def _slot(self, states, sampled, reference, dead_visits, where):
+        """Run one slot on ``sampled`` through the kernel on states[0] and
+        ``reference`` on states[1], and assert that they agree. Returns the
+        kernel's SlotGrants."""
+        a, b = states
+        with wrapped_visits(a, self._counting_visit(a.policy, dead_visits)):
+            fast = schedule_slot(a, sampled)
+        with mock.patch.object(scheduling, "_round_robin_slot", reference):
+            ref = schedule_slot(b, sampled)
+        assert list(fast.per_flow.items()) == list(ref.per_flow.items()), where
+        assert fast.granted_requests == ref.granted_requests, where
+        assert fast.residual == ref.residual, where
+        assert fast._live == [fits(a, f, fast.residual) for f in range(len(a.flows))], where
+        assert a.deficit == b.deficit, where
+        assert a.cursor == b.cursor, where
+        assert {k: list(q) for k, q in a.queues.items()} == {
+            k: list(q) for k, q in b.queues.items()
+        }, where
+        assert (a.active, a.head) == (b.active, b.head), where
+        return fast
 
     def test_matches_visit_every_app_every_slot(self):
         skipped = Counter()
@@ -748,7 +812,6 @@ class TestRoundRobinOracle:
         # visits of the scheduler under test that start with no live flow,
         # which it ends in one step
         dead_visits = Counter()
-        counting = self._counting_visit(dead_visits)
         rejoined = 0
         # DRR apps of the ring with no flow that fits the sample and a
         # deficit below its cap: pass 1 must still credit them
@@ -783,23 +846,8 @@ class TestRoundRobinOracle:
                                     and not any(fits(a, f, sampled) for f in app_flows(a, app))
                                     for app in a.active
                                 )
-                            with mock.patch.object(scheduling, "_visit", counting):
-                                fast = schedule_slot(a, sampled)
-                            with mock.patch.object(scheduling, "_round_robin_slot", reference):
-                                ref = schedule_slot(b, sampled)
                             where = f"seed {seed}, {policy}, {cost_mode}, {traffic}, slot {slot}"
-                            assert list(fast.per_flow.items()) == list(ref.per_flow.items()), where
-                            assert fast.granted_requests == ref.granted_requests, where
-                            assert fast.residual == ref.residual, where
-                            assert fast._live == [
-                                fits(a, f, fast.residual) for f in range(len(a.flows))
-                            ], where
-                            assert a.deficit == b.deficit, where
-                            assert a.cursor == b.cursor, where
-                            assert {k: list(q) for k, q in a.queues.items()} == {
-                                k: list(q) for k, q in b.queues.items()
-                            }, where
-                            assert (a.active, a.head) == (b.active, b.head), where
+                            self._slot(states, sampled, reference, dead_visits, where)
                             rejoined += len(inactive.intersection(a.active))
                             inactive = set(range(len(a.apps))).difference(a.active)
         assert rejoined >= 500
@@ -808,6 +856,30 @@ class TestRoundRobinOracle:
         assert min(skipped[p] for p in self.POLICIES) >= 1000, skipped
         assert min(dead_visits[p] for p in self.POLICIES) >= 5000, dead_visits
         assert skipped["replay capped partway"] >= 500, skipped
+
+    def test_matches_visit_every_app_on_the_benchmark_shape(self):
+        # net500-drr's shape at 250 nodes: a tree with chords, 50 apps on
+        # greedy pools, backlogged DRR with non-integer weights and each
+        # link's capacity drawn per slot as a run draws it
+        rng = random.Random(9300)
+        graph, apps = tree_chords_instance(rng, 250, 375, 62, 50)
+        apps = [
+            dataclasses.replace(app, weight=rng.choice([0.3, 0.7, 1.3, 2.5])) for app in apps
+        ]
+        flows = build_flows(graph, apps, fairshare.assign_greedy(graph, apps))
+        states = [SchedulerState(Policy.DRR, apps, flows, Traffic.BACKLOGGED) for _ in range(2)]
+        links = sorted(graph.links, key=lambda l: l.id)
+        sample = engine.capacity_sampler(links, CapacityMode.STOCHASTIC, rng)
+        skipped, dead_visits, passes = Counter(), Counter(), []
+        reference = functools.partial(_visit_every_app_slot, skipped=skipped)
+        for slot in range(40):
+            fast = self._slot(states, sample(), reference, dead_visits, f"slot {slot}")
+            passes.append(fast.passes)
+            # every app ends the slot blocked by capacity: no flow fits
+            assert not any(fast._live), f"slot {slot}"
+        assert sum(passes) / len(passes) >= 3, passes
+        # blocked apps sit out later passes, and visits that start dead end in one step
+        assert skipped[Policy.DRR] > 0 and dead_visits[Policy.DRR] > 0, (skipped, dead_visits)
 
 
 class TestBenchmarkTracerContract:
@@ -997,11 +1069,13 @@ class TestInvariants:
         assert state.stall_guard == 3
         visits = []
 
-        def fruitless(state, ctx, app_id, budget):
-            visits.append((ctx.passes, app_id))
-            return 0
+        def fruitless(ctx, visit):
+            def wrapped(app_id, budget):
+                visits.append((ctx.passes, app_id))
+                return 0
+            return wrapped
 
-        with mock.patch.object(scheduling, "_visit", fruitless):
+        with wrapped_visits(state, fruitless):
             with pytest.raises(RuntimeError, match="^scheduler stalled with feasible capacity$"):
                 schedule_slot(state, [2])
         assert visits == [(p, a) for p in range(1, state.stall_guard + 2) for a in (0, 1)]

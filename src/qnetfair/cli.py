@@ -86,27 +86,34 @@ def _fmt(value: Any) -> str:
 def _output_files(out_dir: Path) -> Iterator[Callable[[str, Sequence[str]], TextIO]]:
     """Give the block a function that opens the CSV file ``name`` in
     ``out_dir``, made if need be, writes its header row of ``columns`` and
-    returns the open file. Every file is closed when the block ends. If
-    the block or a close fails, the files it opened and the directories
-    made for them are removed before the error propagates, so a failed
-    command leaves no partial set of outputs."""
+    returns the open file. Each file is written under the temporary name
+    ``name`` + ".tmp" and renamed to ``name`` once the block and every close
+    succeed. If the block, a close or a rename fails, the temporary files,
+    the files already renamed and the directories made for them are removed
+    before the error propagates, so a failed command leaves the outputs of
+    an earlier one as they were. The renames at the end are one file at a
+    time: a crash between two of them would still leave a mix of two sets."""
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
     opened: list[Path] = []
+    renamed = 0
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         with contextlib.ExitStack() as files:
 
             def open_csv(name: str, columns: Sequence[str]) -> TextIO:
                 path = out_dir / name
-                fh = files.enter_context(open(path, "w", encoding="utf-8"))
+                fh = files.enter_context(open(f"{path}.tmp", "w", encoding="utf-8"))
                 opened.append(path)
                 fh.write(",".join(columns) + "\n")
                 return fh
 
             yield open_csv
+        for path in opened:
+            os.replace(f"{path}.tmp", path)
+            renamed += 1
     except BaseException:
-        for p in opened:
-            p.unlink(missing_ok=True)
+        for i, path in enumerate(opened):
+            Path(path if i < renamed else f"{path}.tmp").unlink(missing_ok=True)
         for d in made:
             with contextlib.suppress(OSError):
                 d.rmdir()

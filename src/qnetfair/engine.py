@@ -7,7 +7,9 @@ Replications are independent runs whose seeds derive from the master seed
 and the replication index, aggregated in index order. No grant changes a
 capacity or arrival draw, so a run that draws from either stream makes
 both, in the order it would, in a producer that ``fairshare.forked`` forks
-ahead of the slot loop: the outputs stay byte-identical. Where ``forked``
+ahead of the slot loop: the outputs stay byte-identical. It sends them in
+chunks of the fewest whole slots to hold ``CHUNK_INTS`` ints, one count for
+the run, as a slot draws one int per link and per rate. Where ``forked``
 forks no child (one CPU, another thread, no ``os.fork``), and for what the
 producer did not send, the run makes them itself, as it does when it
 draws from neither. Success draws follow the grants, in the run's process.
@@ -42,7 +44,7 @@ import math
 import random
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat, starmap
+from itertools import accumulate, chain, islice, repeat, starmap
 from operator import gt
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
@@ -151,28 +153,22 @@ def poisson_sample(lam: float, rng: random.Random) -> int:
         k += 1
 
 
-# A producer's record of whole slots closes at this many ints. On the mesh (9 ints a
-# slot) the loop took 0.99 us a slot from a forked feed at 1024, 1.01 at 4096 and 1.16
+# A producer's record of whole slots holds at least this many ints. On the mesh (9 ints
+# a slot) the loop took 0.99 us a slot from a forked feed at 1024, 1.01 at 4096 and 1.16
 # at 256; a record decodes to 19 KiB of lists, 81 KiB at 4096 (Python 3.11, 2 vCPUs).
 CHUNK_INTS = 1024
 
 
 def _slot_draws(
-    sample_slot: Callable[[], list[int]], rates: Sequence[float], rng: random.Random, slots: int
+    sample_slot: Callable[[], list[int]], rates: Sequence[float], rng: random.Random,
+    slots: int, chunk: int,
 ) -> Iterator[list[tuple[list[int], list[int]]]]:
     """The draws of each slot that no grant can change, the sampled
     capacities and a Poisson arrival count for each of ``rates``, in chunks
-    of whole slots. A chunk closes at the first slot that brings it to
-    ``CHUNK_INTS`` ints; the last, perhaps empty, holds the slots left."""
-    chunk, ints = [], 0
-    for _ in range(slots):
-        sampled = sample_slot()
-        chunk.append((sampled, [poisson_sample(lam, rng) for lam in rates]))
-        ints += len(sampled) + len(rates)
-        if ints >= CHUNK_INTS:
-            yield chunk
-            chunk, ints = [], 0
-    yield chunk
+    of ``chunk`` slots; the last holds the slots left."""
+    draws = ((sample_slot(), [poisson_sample(lam, rng) for lam in rates]) for _ in range(slots))
+    while batch := list(islice(draws, chunk)):
+        yield batch
 
 
 def resolve_successes(
@@ -184,7 +180,7 @@ def resolve_successes(
     not depend on the scheduler's internal grant sequence: one draw per
     attempt of a flow with swap_prob below 1, none at 1. ``rank``, each
     flow's rank in (app, path) order, ``swap_prob``, grants and successes
-    are all by flat flow index.
+    are all by flat flow index; successes has exactly the keys of grants.
     """
     successes = {}
     draw = rng.random
@@ -347,7 +343,8 @@ def _run(
     wait_by_app = [0] * len(state.apps)  # sum of slots from arrival to grant
     sample_slot = capacity_sampler(links, cfg.capacity_mode, rng_capacity)
     rates = [a.arrival_rate for a in state.apps] if cfg.traffic is Traffic.POISSON else []
-    chunks = _slot_draws(sample_slot, rates, rng_arrival, cfg.slots)
+    ints = max(len(links) + len(rates), 1)
+    chunks = _slot_draws(sample_slot, rates, rng_arrival, cfg.slots, -(-CHUNK_INTS // ints))
     drawn = cfg.capacity_mode is CapacityMode.STOCHASTIC and links or rates
     with forked(chunks) if drawn else nullcontext(chunks) as feed:
         for slot, (sampled, counts) in enumerate(chain.from_iterable(feed)):
@@ -358,10 +355,9 @@ def _run(
             _verify_slot(slot, sampled, result, successes, state)
 
             if slot >= cfg.warmup_slots:
-                for f, count in grants.items():
+                for f, count in grants.items():  # successes has the same keys
                     grants_by_flow[f] += count
-                for f, done in successes.items():
-                    delivered_by_flow[f] += done
+                    delivered_by_flow[f] += successes[f]
                 for app_id, arrival_slot in result.granted_requests:
                     wait_by_app[app_id] += slot - arrival_slot
             if on_slot is not None:

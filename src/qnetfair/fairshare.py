@@ -321,16 +321,6 @@ def assign_greedy(graph: NetworkGraph, apps: Sequence[Application]) -> Assignmen
     return out
 
 
-def _pool_bound(pool: Sequence[Flow], weight: float, caps: Mapping[int, float]) -> float:
-    """An upper bound on the weighted delivered rate an app gets from this
-    pool, whatever the other pools: no flow's max-min rate exceeds its path's
-    least capacity. The factor covers the rounding of ``progressive_fill``.
-    It is ``assign_exhaustive``'s cheap first filter; ``_contention_bounds``,
-    which needs the whole assignment, is the second."""
-    peak = _delivered(pool, [min([caps[e] for e in f.edges]) for f in pool])
-    return peak / weight * (1 + 1e-9)
-
-
 def _contention_bound(
     app: Application, share: float, pool: Sequence[Flow], load: Mapping[int, float],
     caps: Mapping[int, float], t1: float,
@@ -342,7 +332,9 @@ def _contention_bound(
     freezes. No edge is overloaded, so on each edge e of its path a flow f
     gets at most cap_e - t1 * (W_e - w_f) <= cap_e - t1 * (load[e] - w_f).
     The bound is the ``fsum`` of each flow's least such term times the
-    flow's swap probability, over the app's weight.
+    flow's swap probability, over the app's weight. At t1 = 0 it holds for
+    any finite ``load`` and assignment: no flow's max-min rate exceeds its
+    path's least capacity.
 
     This holds for ``progressive_fill``'s floats, not only in exact
     arithmetic. An edge that a freeze level leaves unsaturated has a fill
@@ -354,8 +346,8 @@ def _contention_bound(
     raising the result by 1 + 1e-9 leave each edge's term a slack of about
     5e-10 * cap_e: the first factor gives it where t1 * (W_e - w_f) exceeds
     half of cap_e, the second where it does not. The first also covers a t1
-    summed in another order than the kernel's, such as from W_e + m_e in
-    ``_level_bounds``: that costs an ulp or so, a relative 1e-16.
+    summed in another order than the kernel's, such as ``assign_exhaustive``'s
+    t_lo from W_e + m_e: that costs an ulp or so, a relative 1e-16.
     """
     t1 *= 1 - 1e-9
     peak = math.fsum(
@@ -386,19 +378,6 @@ def _contention_bounds(
     return bounds
 
 
-def _level_bounds(
-    apps: Sequence[Application], shares: Sequence[float], pools: Sequence[Sequence[Flow]],
-    load: Mapping[int, float], reach: Mapping[int, float], caps: Mapping[int, float],
-) -> list[float]:
-    """The ``_contention_bound`` of apps 0..k-1, of flow weights ``shares``
-    and ``pools`` that put ``load[e]`` on each edge e, in every completion by
-    a pool of app k, which puts at most m_e = ``reach[e]`` on e. Its W_e is
-    at least load[e], and its first level at least t_lo = min_e cap_e /
-    (load[e] + m_e), with 0 for a missing value."""
-    t_lo = min([caps[e] / (load.get(e, 0.0) + reach.get(e, 0.0)) for e in load.keys() | reach])
-    return [_contention_bound(*args, load, caps, t_lo) for args in zip(apps, shares, pools)]
-
-
 # The pipe and the fork take 1.1-1.2 ms in a process the size of
 # ``assign``'s (Python 3.11, 2 vCPUs). The child starts its share about 2 ms
 # after the fork began, and its first search of it runs 5-20% slower than
@@ -421,15 +400,16 @@ def assign_exhaustive(
     order. It drops a set of assignments once a vector that bounds each
     one's sorted rates, element by element, cannot beat the best: it is
     below the best score, or equal to it and the whole set comes after the
-    best pick in product order. A prefix bounds its completions by its
-    pools' ``_pool_bound``, padded with each later app's greatest one; a
-    level whose app has one pool would repeat its parent's test, so it makes
-    none. The pools of apps 0..n-2 bound all completions at once by their
-    ``_contention_bound`` at t_lo, the least of cap_e / W_e over the
-    prefix's edges and of cap_e / (W_e + m_e) over those of app n - 1's
-    pools, with m_e the most flow weight one of them puts on e, beside app
-    n - 1's greatest pool bound. A whole assignment is bounded by its
-    ``_contention_bounds``, in ascending order of pool bound, which stop at
+    best pick in product order. Every bound is a ``_contention_bound``, at
+    one of three levels. At 0 it is a pool's bound in any assignment: a
+    prefix bounds its completions by its pools' bounds, padded with each
+    later app's greatest one; a level whose app has one pool would repeat
+    its parent's test, so it makes none. At t_lo, the least of cap_e / W_e
+    over the prefix's edges and of cap_e / (W_e + m_e) over those of app
+    n - 1's pools, with m_e the most flow weight one of them puts on e, the
+    pools of apps 0..n-2 bound all completions at once, beside app n - 1's
+    greatest pool bound. At t1, the least cap_e / W_e of a whole assignment,
+    its ``_contention_bounds``, in ascending order of pool bound, stop at
     the first below the best score's least rate. Each prefix keeps the flow
     weight W_e on each edge of its pools and extends a copy of it by the
     next pool's flows, so that a contention bound reads the same sums as a
@@ -467,7 +447,8 @@ def assign_exhaustive(
     weights = [w for a, w in zip(ordered, phis) for _ in range(a.workers_needed)]
     options = [  # each app's pools, each with its bound and its (edge, flow weight) pairs
         [
-            (p, _pool_bound(p, a.weight, caps), [(e, w) for f in p for e in f.edges])
+            # at level 0 the loads do not count: any finite ones will do
+            (p, _contention_bound(a, w, p, caps, caps, 0.0), [(e, w) for f in p for e in f.edges])
             for p in itertools.combinations(f, a.workers_needed)
         ]
         for a, f, w in zip(ordered, eligible, phis)
@@ -528,8 +509,10 @@ def assign_exhaustive(
                 k -= 1
                 continue
             if k == n - 1 and picks[k] == 0 and len(options[k]) > 1:
-                prefix = [opts[i][0] for opts, i in zip(options, picks[:k])]
-                level = _level_bounds(ordered, phis, prefix, loads[k], reach, caps) + [tops[k]]
+                load = loads[k]  # W_e of the prefix; a missing value is 0
+                t_lo = min([caps[e] / (load.get(e, 0.0) + reach.get(e, 0.0)) for e in load | reach])
+                prefix = zip(ordered, phis, [opts[i][0] for opts, i in zip(options, picks[:k])])
+                level = [_contention_bound(*args, load, caps, t_lo) for args in prefix] + [tops[k]]
                 if not may_win(tuple(sorted(level)), k):
                     picks[k] = -1
                     k -= 1

@@ -175,7 +175,6 @@ class SchedulerState:
             raise ConfigError("; ".join(problems))
 
         self.policy = policy
-        self.traffic = traffic
         self.apps = sorted(apps, key=lambda a: a.id)
         ids = [a.id for a in self.apps]
         if ids != list(range(len(ids))):
@@ -332,7 +331,7 @@ def _round_robin_slot(state: SchedulerState, ctx: SlotGrants) -> None:
     i = state.active.index(state.head) if state.active else 0
     ring = state.active[i:] + state.active[:i]
     live_count, blocked, queues, budget = ctx._live_count, ctx.blocked, state.queues, state.budget
-    backlogged, visit = state.traffic is Traffic.BACKLOGGED, state.visit
+    backlogged, visit = not state.poisson, state.visit
     fruitless = 0
     while any(map(live_count.__getitem__, ring)):
         ctx.passes += 1

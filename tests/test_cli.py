@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -463,6 +464,50 @@ class TestRunCommand:
         # directories made for it are gone
         assert not (out / "trace.csv").exists()
         assert list(tmp_path.iterdir()) == [Path(path)]
+
+    @staticmethod
+    def _files(out):
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def test_a_failed_rerun_leaves_the_previous_outputs(self, write_scenario, tmp_path):
+        # the rerun opens trace.csv, then its exhaustive search exceeds the
+        # limit of 10: the first run's three files stay, byte for byte
+        data = json.loads((ROOT / "tests" / "scenarios" / "pooled2.json").read_text())
+        data["sim"].update(assignment="exhaustive", slots=20)
+        argv = ["run", "--config", write_scenario(data), "--output-dir", str(tmp_path / "out")]
+        assert main(argv + ["--trace"]) == 0
+        before = self._files(tmp_path / "out")
+        assert sorted(before) == ["global.csv", "per_app.csv", "trace.csv"]
+        assert main(argv + ["--trace", "--limit", "10"]) == 2
+        assert self._files(tmp_path / "out") == before
+
+    def test_a_killed_rerun_leaves_the_previous_outputs(self, write_scenario, tmp_path):
+        # the rerun is killed once its trace.csv, far from done, reaches the
+        # disk under its temporary name; a later run writes over what it left
+        out = tmp_path / "out"
+        argv = ["run", "--config", write_scenario(scenario_dict()), "--output-dir", str(out)]
+        assert main(argv + ["--trace"]) == 0
+        before = self._files(out)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qnetfair.cli", *argv, "--trace", "--slots", "10000000"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
+        )
+        try:
+            partial, deadline = out / "trace.csv.tmp", time.monotonic() + 60
+            while not (partial.exists() and partial.stat().st_size):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == -9
+        assert self._files(out) == dict(before, **{"trace.csv.tmp": partial.read_bytes()})
+        assert main(argv + ["--trace"]) == 0
+        assert self._files(out) == before
 
     def test_failed_write_removes_written_csvs(self, write_scenario, tmp_path, capsys):
         # per_app.csv is written, then global.csv cannot be: a directory is in the way

@@ -233,6 +233,23 @@ class TestResolveSuccesses:
         # counts of 1 and above 1, each with swap_prob below 1 and equal to 1
         assert min(counts.values()) >= 50 and len(counts) == 4, counts
 
+    def test_successes_have_exactly_the_keys_of_the_grants(self):
+        # the run adds grants and successes up in one loop over the grants'
+        # keys: a flow whose every attempt fails keeps its key, with 0
+        cases = Counter()
+        for seed in range(200):
+            rng = random.Random(seed)
+            n = rng.randint(1, 8)
+            swap_prob = [rng.choice([0.05, 0.5, 1.0]) for _ in range(n)]
+            grants = {f: rng.choice([1, 2, 5]) for f in rng.sample(range(n), rng.randint(1, n))}
+            done = resolve_successes(grants, random.Random(-seed), list(range(n)), swap_prob)
+            assert list(done) == sorted(grants) and done.keys() == grants.keys(), seed
+            for f, count in grants.items():
+                cases[count == 1, swap_prob[f] < 1.0, done[f] == 0] += 1
+        # counts of 1 and above, each with swap_prob below 1 and equal to 1,
+        # and below 1 with and without 0 successes
+        assert len(cases) == 6 and min(cases.values()) >= 20, cases
+
 
 class TestVerifySlot:
     """engine.run checks every slot's grants against its sampled capacities."""
@@ -828,17 +845,23 @@ def two_cpus():
     return mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True)
 
 
-def reference_chunks(sample_slot, rates, rng, slots):
-    """Each slot's draws made on their own, then cut into chunks of whole
-    slots that close at the first slot to bring one to CHUNK_INTS ints."""
+def cut_at_chunk_ints(draws):
+    """Slots' draws cut into chunks of whole slots that close at the first
+    slot to bring one to CHUNK_INTS ints; the last holds the slots left."""
     chunks, chunk, ints = [], [], 0
-    for _ in range(slots):
-        chunk.append((sample_slot(), [poisson_sample(lam, rng) for lam in rates]))
-        ints += len(chunk[-1][0]) + len(chunk[-1][1])
+    for sampled, counts in draws:
+        chunk.append((sampled, counts))
+        ints += len(sampled) + len(counts)
         if ints >= engine.CHUNK_INTS:
             chunks.append(chunk)
             chunk, ints = [], 0
-    return chunks + [chunk]
+    return chunks + [chunk] * bool(chunk)
+
+
+def reference_chunks(sample_slot, rates, rng, slots):
+    """Each slot's draws made on their own, cut as ``cut_at_chunk_ints`` cuts them."""
+    draws = [(sample_slot(), [poisson_sample(lam, rng) for lam in rates]) for _ in range(slots)]
+    return cut_at_chunk_ints(draws)
 
 
 class TestDrawProducer:
@@ -881,15 +904,20 @@ class TestDrawProducer:
         cases = list(self._cases())
         assert len(cases) == 42 and min(slots for *_, slots in cases) == 1
 
-        def sent(*args):  # the chunks that a forked producer sends
-            with two_cpus(), recorded_forks() as pids:
-                with fairshare.forked(engine._slot_draws(*args)) as feed:
-                    chunks = list(feed)
-            assert len(pids) == 1 and reaped(pids[0])
-            return chunks
-
         for seed, links, rates, mode, slots in cases:
-            alone = self._chunks(seed, links, rates, mode, slots, engine._slot_draws)
+            chunk = math.ceil(engine.CHUNK_INTS / (len(links) + len(rates)))
+
+            def slot_draws(*args):  # as the run makes them, one count of slots a chunk
+                return engine._slot_draws(*args, chunk)
+
+            def sent(*args):  # the chunks that a forked producer sends
+                with two_cpus(), recorded_forks() as pids:
+                    with fairshare.forked(slot_draws(*args)) as feed:
+                        chunks = list(feed)
+                assert len(pids) == 1 and reaped(pids[0])
+                return chunks
+
+            alone = self._chunks(seed, links, rates, mode, slots, slot_draws)
             forked = self._chunks(seed, links, rates, mode, slots, sent)
             reference = self._chunks(seed, links, rates, mode, slots, reference_chunks)
             assert forked == alone == reference, (seed, slots)
@@ -897,31 +925,41 @@ class TestDrawProducer:
             assert len(draws) == slots
             assert all(len(s) == len(links) and len(c) == len(rates) for s, c in draws)
 
-    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["one under", "at", "one over"])
-    def test_a_chunk_closes_at_the_first_slot_to_reach_chunk_ints(self, offset):
-        # two arrival counts a slot, and capacity lists whose lengths bring
-        # the first slot to CHUNK_INTS + offset ints, then the next to 3 and
-        # the last to CHUNK_INTS + 2, which closes a chunk and leaves an empty one
-        rates, first = [0.5, 2.0], engine.CHUNK_INTS + offset
-        lengths = iter([first - 2, 1, engine.CHUNK_INTS])
-        chunks = engine._slot_draws(lambda: [0] * next(lengths), rates, random.Random(1), 3)
-        ints = [[len(s) + len(c) for s, c in chunk] for chunk in chunks]
-        last = engine.CHUNK_INTS + 2
-        assert ints == ([[first, 3], [last], []] if offset < 0 else [[first], [3, last], []])
+    def test_a_runs_chunks_close_at_the_first_slot_to_reach_chunk_ints(self):
+        # each slot of a run draws one int per link and, under Poisson
+        # traffic, one per app, so one count of slots a chunk keeps the rule
+        # on ints: 114 slots on the mesh (6 links, 3 apps), CHUNK_INTS on one
+        # deterministic backlogged link. A run that draws no int at all
+        # sends CHUNK_INTS slots a chunk too. One CPU: the run makes its
+        # draws in this process, where ``recorded`` sees them
+        slot_draws, sent = engine._slot_draws, []
 
-    def test_a_later_chunk_counts_its_ints_from_zero(self):
-        # the first slot closes a chunk at CHUNK_INTS ints; the next, one
-        # short of it, opens the second and leaves it open for a third slot
-        rates, full = [0.5, 2.0], engine.CHUNK_INTS
-        lengths = iter([full - 2, full - 3, 1])
-        chunks = engine._slot_draws(lambda: [0] * next(lengths), rates, random.Random(1), 3)
-        ints = [[len(s) + len(c) for s, c in chunk] for chunk in chunks]
-        assert ints == [[full], [full - 1, 3], []]
+        def recorded(*args):
+            for chunk in slot_draws(*args):
+                sent.append(chunk)
+                yield chunk
 
-    def test_slots_without_draws_make_one_chunk(self):
-        sample = capacity_sampler([], CapacityMode.STOCHASTIC, random.Random(1))
-        chunks = list(engine._slot_draws(sample, [], random.Random(2), 5_000))
-        assert chunks == [[([], [])] * 5_000]
+        mesh = load_scenario(str(GENERATED_DIR.parent.parent / "scenarios" / "mesh_poisson.json"))
+        cases = [
+            (dataclasses.replace(mesh, config=dataclasses.replace(mesh.config, slots=300)), 114),
+            (self._scenario(slots=301), None),
+            (unit_pipe_scenario(slots=2049), engine.CHUNK_INTS),
+        ]
+        empty = NetworkGraph([Node(0, NodeKind.COMPUTATION)], [])
+        nothing = validate_scenario(empty, [], SimConfig(slots=2049, seed=1, policy=Policy.RR))
+        one_cpu = mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True)
+        with one_cpu, mock.patch.object(engine, "_slot_draws", recorded):
+            for scenario, slots in cases:
+                sent.clear()
+                run(scenario)
+                draws = [slot for chunk in sent for slot in chunk]
+                assert len(draws) == scenario.config.slots
+                assert sent == cut_at_chunk_ints(draws)
+                assert slots is None or len(sent[0]) == slots
+            sent.clear()
+            run(nothing)
+        assert [len(chunk) for chunk in sent] == [engine.CHUNK_INTS] * 2 + [1]
+        assert all(slot == ([], []) for chunk in sent for slot in chunk)
 
     @staticmethod
     def _scenario(stem="net60_poisson", slots=100):

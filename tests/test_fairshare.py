@@ -51,9 +51,8 @@ from qnetfair import (
 from qnetfair import fairshare
 from qnetfair.fairshare import (
     FlowKey,
+    _contention_bound,
     _contention_bounds,
-    _level_bounds,
-    _pool_bound,
     progressive_fill,
 )
 from qnetfair.routing import eligible_flows
@@ -201,6 +200,15 @@ def contention_bounds(apps, combo, caps):
     shares = [a.weight / a.workers_needed for a in apps]
     order = range(len(apps))
     return _contention_bounds(apps, shares, combo, order, edge_load(apps, combo), caps, -math.inf)
+
+
+def pool_bound(pool, weight, caps):
+    """The bound on the weighted delivered rate that a pool gives its app in
+    any assignment, as ``assign_exhaustive`` once computed it apart from the
+    contention bound: no flow's max-min rate exceeds its path's least
+    capacity, and the factor covers the rounding of ``progressive_fill``."""
+    peak = math.fsum([min([caps[e] for e in f.edges]) * f.swap_prob for f in pool])
+    return peak / weight * (1 + 1e-9)
 
 
 def with_swap_probs(graph, rng):
@@ -713,7 +721,7 @@ class TestExhaustiveOracle:
 
     def test_matches_unpruned_on_the_benchmark_shape(self):
         # 30 nodes, 3 apps choosing 2 of 7 candidates: 9261 assignments;
-        # _pool_bound alone skips all but 85 on seed 0 and none on 2, 3 and 7
+        # the pool bound alone skips all but 85 on seed 0 and none on 2, 3 and 7
         for seed in (0, 1, 2, 3, 7):
             graph, apps = pooled_instance(random.Random(seed))
             assert assign_exhaustive(graph, apps) == unpruned_exhaustive(graph, apps), seed
@@ -735,30 +743,52 @@ class TestExhaustivePruning:
             for combo, weighted in scored_assignments(graph, apps):
                 bounds = contention_bounds(apps, combo, caps)
                 for app, pool, rate, bound in zip(apps, combo, weighted, bounds):
-                    pool_bound = _pool_bound(pool, app.weight, caps)
-                    assert rate <= pool_bound and rate <= bound, (seed, app.id)
-                    pool_ratios.append(rate / pool_bound)
+                    least = pool_bound(pool, app.weight, caps)
+                    assert rate <= least and rate <= bound, (seed, app.id)
+                    pool_ratios.append(rate / least)
                     contention_ratios.append(rate / bound)
         # an uncontended pool meets both bounds, so neither is slack
         assert max(pool_ratios) > 1 - 1e-6
         assert max(contention_ratios) > 1 - 1e-6
 
+    @staticmethod
+    def _corpus(extremes):
+        """(graph, apps) of the oracle corpus, or of
+        test_no_weighted_rate_exceeds_either_bound's instances and extreme weights."""
+        if not extremes:
+            seeds = itertools.chain(range(60), range(1000, 1200))
+            return [(graph, apps) for _, graph, apps in oracle_corpus(seeds)]
+        corpus = []
+        for seed in range(60):
+            rng = random.Random(7000 + seed)
+            graph, apps = contended_pool_instance(rng)
+            apps = [dataclasses.replace(a, weight=rng.choice([1e-15, 1e15])) for a in apps]
+            corpus.append((graph, apps))
+        return corpus
+
+    @pytest.mark.parametrize("extremes", [False, True], ids=["oracle_corpus", "1e-15_and_1e15"])
+    def test_the_contention_bound_at_level_0_is_the_pool_bound(self, extremes):
+        # bit for bit, whatever finite loads: 0.0 * x is +-0, and cap - +-0 is cap
+        checked = 0
+        for graph, apps in self._corpus(extremes):
+            caps = graph.effective_capacities()
+            loads = [caps, dict.fromkeys(caps, 0.0), dict.fromkeys(caps, 1e300)]
+            for app in apps:
+                for pool in itertools.combinations(eligible_flows(graph, app), app.workers_needed):
+                    want = pool_bound(pool, app.weight, caps).hex()
+                    for load in loads:
+                        got = _contention_bound(app, app.flow_weight, pool, load, caps, 0.0)
+                        assert got.hex() == want, (apps, app.id, pool)
+                    checked += 1
+        assert checked > 1000
+
     @pytest.mark.parametrize("extremes", [False, True], ids=["oracle_corpus", "1e-15_and_1e15"])
     def test_the_level_bound_covers_every_completion(self, extremes):
-        # every prefix of apps 0..n-2: its level bounds against the weighted
-        # rates of predicted_app_rates under each pool of app n-1
-        if extremes:  # test_no_weighted_rate_exceeds_either_bound's instances and weights
-            corpus = []
-            for seed in range(60):
-                rng = random.Random(7000 + seed)
-                graph, apps = contended_pool_instance(rng)
-                apps = [dataclasses.replace(a, weight=rng.choice([1e-15, 1e15])) for a in apps]
-                corpus.append((graph, apps))
-        else:
-            seeds = itertools.chain(range(60), range(1000, 1200))
-            corpus = [(graph, apps) for _, graph, apps in oracle_corpus(seeds)]
+        # every prefix of apps 0..n-2: its contention bounds at t_lo, the least
+        # cap_e / (W_e + m_e), against the weighted rates of
+        # predicted_app_rates under each pool of app n-1
         checked = 0
-        for graph, apps in corpus:
+        for graph, apps in self._corpus(extremes):
             apps = sorted(apps, key=lambda a: a.id)
             caps = graph.effective_capacities()
             *firsts, lasts = [
@@ -771,8 +801,12 @@ class TestExhaustivePruning:
                     reach[e] = max(reach.get(e, 0.0), count * apps[-1].flow_weight)
             shares = [a.flow_weight for a in apps]
             for prefix in itertools.product(*firsts):
-                bounds = _level_bounds(apps, shares, prefix, edge_load(apps, prefix), reach, caps)
-                assert len(bounds) == len(apps) - 1
+                load = edge_load(apps, prefix)
+                t_lo = min([caps[e] / (load.get(e, 0.0) + reach.get(e, 0.0)) for e in load | reach])
+                bounds = [
+                    _contention_bound(a, w, pool, load, caps, t_lo)
+                    for a, w, pool in zip(apps, shares, prefix)
+                ]
                 for pool in lasts:
                     combo = prefix + (pool,)
                     assignment = {a.id: frozenset(f.worker for f in p) for a, p in zip(apps, combo)}
@@ -810,9 +844,9 @@ class TestExhaustivePruning:
         caps = graph.effective_capacities()
         [(combo, [weighted])] = scored_assignments(graph, apps)
         bare = math.fsum(min(caps[e] for e in f.edges) * f.swap_prob for f in combo[0]) / 7.0
-        assert bare < weighted <= _pool_bound(combo[0], 7.0, caps)
+        assert bare < weighted <= pool_bound(combo[0], 7.0, caps)
 
-    # _pool_bound alone skips no assignment of seeds 2, 3 and 7; the
+    # the pool bound alone skips no assignment of seeds 2, 3 and 7; the
     # unpruned oracle checks the result of each seed. The fills are those of
     # the search that tested each whole assignment on its own: pruning a
     # prefix or a level skips only assignments that test would skip, so the

@@ -38,7 +38,7 @@ from pathlib import Path
 import pytest
 
 from gen import instance_doc, network_doc, pooled_instance
-from qnetfair import Policy
+from qnetfair import Policy, cli
 from qnetfair.cli import main
 from qnetfair.scenario_io import parse_scenario
 from qnetfair.scheduling import policy_problems
@@ -150,9 +150,30 @@ def test_generated_scenarios_are_reproducible(stem):
     assert (GENERATED_DIR / f"{stem}.json").read_text() == _generated_text(stem)
 
 
+def _key_checked(replication_runs, slots: list):
+    """``replication_runs`` with an ``on_slot`` that checks that each
+    ledger's successes have exactly the keys of its grants, the keys over
+    which the run adds both up, records the slot in ``slots`` and hands the
+    ledger on to the caller's ``on_slot``, if any."""
+
+    def runs(*args, on_slot=None, **kwargs):
+        def check(ledger):
+            assert ledger.flow_successes.keys() == ledger.flow_grants.keys(), ledger.slot
+            slots.append(ledger.slot)
+            if on_slot is not None:
+                on_slot(ledger)
+
+        return replication_runs(*args, on_slot=check, **kwargs)
+
+    return runs
+
+
 @pytest.mark.parametrize("case", CASES)
-def test_outputs_match_goldens(case, tmp_path):
+def test_outputs_match_goldens(case, tmp_path, monkeypatch):
+    slots = []
+    monkeypatch.setattr(cli, "replication_runs", _key_checked(cli.replication_runs, slots))
     assert compute(case, tmp_path) == _goldens()[case]
+    assert len(slots) >= SLOTS or case.startswith("assign/")
 
 
 if __name__ == "__main__":

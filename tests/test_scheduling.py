@@ -477,7 +477,7 @@ def scan_grant(state, ctx, f):
         ctx.residual[e] -= 1
     ctx.per_flow[f] = ctx.per_flow.get(f, 0) + 1
     app_id = state.flow_app[f]
-    if state.traffic is Traffic.POISSON:
+    if state.poisson:
         ctx.granted_requests.append((app_id, state.queues[app_id].popleft()))
     ctx.last_granted = app_id
 
@@ -678,7 +678,7 @@ def _visit_every_app_slot(state, ctx, skipped):
     ring = state.active[i:] + state.active[:i]
 
     def backlogged(app_id):
-        return state.traffic is Traffic.BACKLOGGED or bool(state.queues[app_id])
+        return not state.poisson or bool(state.queues[app_id])
 
     def feasible():
         return any(

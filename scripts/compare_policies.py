@@ -11,8 +11,7 @@ import statistics
 import sys
 from pathlib import Path
 
-from qnetfair import Policy, load_scenario, replication_runs
-from qnetfair.engine import window_problems
+from qnetfair import Policy, ValidationError, load_scenario, replication_runs, validate_scenario
 
 SCENARIO = Path(__file__).parent.parent / "scenarios" / "mesh_poisson.json"
 
@@ -27,9 +26,18 @@ def main() -> int:
     if args.reps < 1:
         parser.error(f"--reps: must be >= 1, got {args.reps}")
     scenario = load_scenario(args.scenario)
-    problems = window_problems(args.slots, scenario.config.warmup_slots)
-    if problems:
-        parser.error("; ".join(problems))
+    # each policy's runs take their settings from a scenario validated with them
+    scenarios = {}
+    for policy in Policy:
+        config = dataclasses.replace(
+            scenario.config, policy=policy, slots=args.slots, replications=args.reps
+        )
+        try:
+            scenarios[policy] = validate_scenario(
+                scenario.graph, scenario.apps, config, scenario.given_assignment
+            )
+        except ValidationError as err:
+            parser.error("; ".join(err.diagnostics))
     print(f"scenario: {args.scenario}")
     print(f"slots={args.slots} warmup={scenario.config.warmup_slots} reps={args.reps}")
     header = ["policy"]
@@ -37,9 +45,8 @@ def main() -> int:
     header += ["jain(weighted)", "latency(mean)"]
     print("  ".join(f"{h:>14}" for h in header))
 
-    for policy in Policy:
-        cfg = dataclasses.replace(scenario.config, policy=policy, slots=args.slots)
-        runs = replication_runs(scenario, cfg, args.reps)
+    for policy, policy_scenario in scenarios.items():
+        runs = replication_runs(policy_scenario)
         cells = [policy.value]
         for app in scenario.apps:
             rates = [m.per_app[app.id].delivered_rate for m in runs]

@@ -36,12 +36,7 @@ from .fairshare import (
     maxmin_rates,
     predicted_app_rates,
 )
-from .scheduling import (
-    ConfigError,
-    SchedulerState,
-    SlotGrants,
-    policy_problems,
-)
+from .scheduling import ConfigError, policy_problems
 from .engine import (
     AggStat,
     AppMetrics,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import os
 import sys
@@ -130,7 +129,8 @@ def _wrote(out_dir: Path, names: Sequence[str]) -> str:
 
 
 # each flag that sets a sim key, and that key
-_SIM_FLAGS = {"seed": "seed", "slots": "slots", "policy": "policy", "limit": "exhaustive_limit"}
+_SIM_FLAGS = {"seed": "seed", "slots": "slots", "policy": "policy", "limit": "exhaustive_limit",
+              "solver": "assignment"}
 
 
 def _scenario(data: Any, args: argparse.Namespace) -> Scenario:
@@ -266,9 +266,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         if args.trace:
             links, flows = len(scenario.graph.links), sum(a.workers_needed for a in scenario.apps)
             on_slot = _trace_writer(open_csv("trace.csv", TRACE_COLUMNS), links, flows)
-        runs = replication_runs(
-            scenario, n_replications=scenario.config.replications, on_slot=on_slot
-        )
+        runs = replication_runs(scenario, on_slot=on_slot)
         per_app = (r for m in runs for r in _per_app_rows(scenario, m))
         _write_rows(open_csv("per_app.csv", PER_APP_COLUMNS), per_app)
         _write_rows(open_csv("global.csv", _global_columns(scenario)), map(_global_row, runs))
@@ -279,8 +277,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_assign(args: argparse.Namespace) -> int:
     scenario = _scenario(read_json(args.config), args)
-    cfg = dataclasses.replace(scenario.config, assignment=AssignmentSource(args.solver))
-    assignment = resolve_assignment(scenario, cfg)
+    assignment = resolve_assignment(scenario, scenario.config)
     pred = predicted_app_rates(scenario.graph, scenario.apps, assignment)
     weighted = [pred[a.id].weighted for a in scenario.apps]
     min_weighted = min(weighted, default=None)  # NA without apps, as in run
@@ -356,7 +353,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         data = json.loads(json.dumps(base_data))  # fresh copy per point
         value = _set_sweep_value(data, dotted, raw_value)
         scenario = _scenario(data, args)
-        runs = replication_runs(scenario, n_replications=scenario.config.replications)
+        runs = replication_runs(scenario)
         points.append((value, scenario, runs))
 
     per_app_rows = ((v, *r) for v, sc, runs in points for m in runs for r in _per_app_rows(sc, m))
@@ -398,7 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_assign = sub.add_parser("assign", help="solve the worker assignment and report")
     add_common(p_assign)
     solvers = [s.value for s in AssignmentSource if s is not AssignmentSource.GIVEN]
-    p_assign.add_argument("--solver", choices=solvers, default="greedy")
+    p_assign.add_argument(
+        "--solver", choices=solvers, default="greedy", help="override sim.assignment"
+    )
     p_assign.add_argument("--limit", type=int, help="override sim.exhaustive_limit")
     p_assign.add_argument("--format", choices=["text", "csv"], default="text")
     p_assign.set_defaults(func=cmd_assign)

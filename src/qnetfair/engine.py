@@ -61,7 +61,6 @@ from .model import (
     Scenario,
     SimConfig,
     Traffic,
-    shown,
 )
 from .routing import build_flows
 from .scheduling import (
@@ -93,20 +92,6 @@ def stream_rng(master_seed: int, label: str) -> random.Random:
 def replication_seed(master_seed: int, index: int) -> int:
     """Seed of replication ``index``: the stream seed labelled 'replication:index'."""
     return stream_seed(master_seed, f"replication:{index}")
-
-
-def window_problems(slots: int, warmup_slots: int) -> list[str]:
-    """What keeps (slots, warmup) from leaving a non-empty measured window,
-    one diagnostic per violation. Validation reports these lines; ``run``
-    refuses to start with any of them."""
-    problems = []
-    if slots < 1:
-        problems.append(f"sim.slots: must be >= 1, got {shown(slots)}")
-    if not 0 <= warmup_slots < max(slots, 1):
-        problems.append(
-            f"sim.warmup: must satisfy 0 <= warmup < slots, got {shown(warmup_slots)}"
-        )
-    return problems
 
 
 def capacity_sampler(
@@ -289,30 +274,20 @@ def _verify_slot(
 
 
 def run(
-    scenario: Scenario,
-    config: Optional[SimConfig] = None,
-    *,
-    on_slot: Optional[Callable[[SlotLedger], None]] = None,
+    scenario: Scenario, *, on_slot: Optional[Callable[[SlotLedger], None]] = None
 ) -> Metrics:
-    """Simulate one seeded run and return its metrics.
+    """Simulate one seeded run of ``scenario.config`` and return its metrics.
 
+    The run takes every setting from the scenario, whose config
+    ``validate_scenario`` checked in full; it checks none of them again.
     Pairs not consumed in their generation slot are discarded, so sampled
     capacity is a per-slot renewable resource. Slots before warmup_slots
-    are excluded from every accumulated metric. Identical (scenario,
-    config) always produces identical Metrics. If given, ``on_slot`` is
-    called with each slot's SlotLedger, in slot order, after the slot's
+    are excluded from every accumulated metric. An identical scenario
+    always produces identical Metrics. If given, ``on_slot`` is called
+    with each slot's SlotLedger, in slot order, after the slot's
     conservation check.
     """
-    cfg = config if config is not None else scenario.config
-    return _run(scenario, cfg, _assignment(scenario, cfg), on_slot)
-
-
-def _assignment(scenario: Scenario, cfg: SimConfig) -> Assignment:
-    """``resolve_assignment``, once the run's window is known to be valid."""
-    problems = window_problems(cfg.slots, cfg.warmup_slots)
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return resolve_assignment(scenario, cfg)
+    return _run(scenario, scenario.config, resolve_assignment(scenario, scenario.config), on_slot)
 
 
 def _run(
@@ -321,7 +296,8 @@ def _run(
     assignment: Assignment,
     on_slot: Optional[Callable[[SlotLedger], None]],
 ) -> Metrics:
-    """``run`` with the pools that ``_assignment`` gave."""
+    """``run`` of ``cfg``, the scenario's config or a replication's, with
+    the pools that ``resolve_assignment`` gave."""
     rng_capacity = stream_rng(cfg.seed, "capacity")
     rng_arrival = stream_rng(cfg.seed, "arrival")
     rng_success = stream_rng(cfg.seed, "success")
@@ -421,32 +397,29 @@ class ReplicationSummary:
 
 
 def replication_runs(
-    scenario: Scenario,
-    config: Optional[SimConfig] = None,
-    n_replications: int = 1,
-    *,
-    on_slot: Optional[Callable[[SlotLedger], None]] = None,
+    scenario: Scenario, *, on_slot: Optional[Callable[[SlotLedger], None]] = None
 ) -> list[Metrics]:
-    """Independent runs in index order.
+    """The ``scenario.config.replications`` independent runs, in index order.
 
-    A single replication runs with the config's own seed, so it equals
-    ``run(scenario, config)``; the CLI outputs for ``replications == 1``
-    depend on this. With more, replication i uses replication_seed(seed, i).
-    ``on_slot`` is passed to every run, so it sees each run's slots in turn,
-    each ledger carrying its run's seed. Only the random solver draws from
-    the seed, so every other source is resolved once, for all the runs.
+    Their settings are the scenario's, checked by ``validate_scenario``;
+    only the seed differs between runs. A single replication runs with
+    the config's own seed, so it equals ``run(scenario)``; the CLI outputs
+    for ``replications == 1`` depend on this. With more, replication i uses
+    replication_seed(seed, i). ``on_slot`` is passed to every run, so it
+    sees each run's slots in turn, each ledger carrying its run's seed.
+    Only the random solver draws from the seed, so every other source is
+    resolved once, for all the runs.
     """
-    cfg = config if config is not None else scenario.config
-    if n_replications < 1:
-        raise ValueError("n_replications must be >= 1")
-    if n_replications == 1:
-        return [run(scenario, cfg, on_slot=on_slot)]
+    cfg = scenario.config
+    if cfg.replications == 1:
+        return [run(scenario, on_slot=on_slot)]
     configs = [
-        dataclasses.replace(cfg, seed=replication_seed(cfg.seed, i)) for i in range(n_replications)
+        dataclasses.replace(cfg, seed=replication_seed(cfg.seed, i))
+        for i in range(cfg.replications)
     ]
     if cfg.assignment is AssignmentSource.RANDOM:  # one draw per replication seed
-        return [run(scenario, c, on_slot=on_slot) for c in configs]
-    assignment = _assignment(scenario, cfg)
+        return [_run(scenario, c, resolve_assignment(scenario, c), on_slot) for c in configs]
+    assignment = resolve_assignment(scenario, cfg)
     return [_run(scenario, c, assignment, on_slot) for c in configs]
 
 

@@ -93,8 +93,8 @@ def policy_problems(
 ) -> list[str]:
     """What the discipline cannot honor, one diagnostic per violation.
 
-    Validation reports these lines; SchedulerState refuses to start with
-    any of them. WRR lines locate apps by their index in ``apps``.
+    Validation reports these lines. WRR lines locate apps by their index
+    in ``apps``.
     """
     problems = []
     if policy is Policy.WRR:
@@ -129,8 +129,7 @@ def quantum_problems(
     """Under DRR, one line per app (by index in ``apps``) whose quantum is not
     a finite float or lets a grant of its dearest flow, of cost
     ``max_cost[app.id]``, wait over MAX_DRR_PASSES fruitless passes; apps
-    without a cost are skipped. Validation reports these lines, and
-    SchedulerState refuses to start with any of them."""
+    without a cost are skipped. Validation reports these lines."""
     problems = []
     for i, app in enumerate(apps if policy is Policy.DRR else ()):
         if (cost := max_cost.get(app.id)) is None:
@@ -159,6 +158,10 @@ class SchedulerState:
     Poisson mode apps join the ring when they become backlogged and leave
     it at the end of the slot in which their queue drains. FCFS keeps no
     ring: its ``active`` stays empty and its ``head`` None.
+
+    The policy, traffic, quantum_base and weights are taken as the run's
+    validated scenario has them (``policy_problems``, ``quantum_problems``)
+    and not checked again; only the app ids and flows are checked here.
     """
 
     def __init__(
@@ -170,10 +173,6 @@ class SchedulerState:
         quantum_base: int = 1,
         cost_mode: CostMode = CostMode.UNIT,
     ):
-        problems = policy_problems(policy, apps, traffic, quantum_base)
-        if problems:
-            raise ConfigError("; ".join(problems))
-
         self.policy = policy
         self.apps = sorted(apps, key=lambda a: a.id)
         ids = [a.id for a in self.apps]
@@ -206,9 +205,6 @@ class SchedulerState:
         self.max_cost = [
             max(self.cost[self.first_flow[a] : self.first_flow[a + 1]]) for a in ids if drr
         ]
-        problems = quantum_problems(policy, apps, quantum_base, dict(enumerate(self.max_cost)))
-        if problems:
-            raise ConfigError("; ".join(problems))
         self.quantum = [quantum_base * app.weight for app in self.apps if drr]
         self.deficit_cap = [q + c for q, c in zip(self.quantum, self.max_cost)]
         self.drr, self.poisson, wrr = drr, traffic is Traffic.POISSON, policy is Policy.WRR

@@ -27,7 +27,6 @@ from .model import (
     WERNER_FLOOR,
     shown,
 )
-from .engine import window_problems
 from .routing import EmptyEligibleSet, eligible_flows, route
 from .scheduling import flow_cost, policy_problems, quantum_problems
 
@@ -47,6 +46,19 @@ class ValidationError(Exception):
     def __init__(self, diagnostics: Sequence[str]):
         self.diagnostics = list(diagnostics)
         super().__init__("; ".join(self.diagnostics))
+
+
+def window_problems(slots: int, warmup_slots: int) -> list[str]:
+    """What keeps (slots, warmup) from leaving a non-empty measured window,
+    one diagnostic per violation."""
+    problems = []
+    if slots < 1:
+        problems.append(f"sim.slots: must be >= 1, got {shown(slots)}")
+    if not 0 <= warmup_slots < max(slots, 1):
+        problems.append(
+            f"sim.warmup: must satisfy 0 <= warmup < slots, got {shown(warmup_slots)}"
+        )
+    return problems
 
 
 def _dense_ids(items, section: str, diags: list[str]) -> bool:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 import os
 import signal
@@ -24,6 +25,7 @@ from qnetfair import (
     Node,
     NodeKind,
     QuantumLink,
+    validate_scenario,
 )
 from qnetfair.routing import eligible_flows
 
@@ -72,6 +74,13 @@ def reaped(pid):
     with pytest.raises(ChildProcessError):
         os.waitpid(pid, os.WNOHANG)
     return True
+
+
+def revalidated(scenario, **changes):
+    """``scenario`` validated again with ``changes`` to its config: a run
+    takes its settings only from a validated scenario."""
+    config = dataclasses.replace(scenario.config, **changes)
+    return validate_scenario(scenario.graph, scenario.apps, config, scenario.given_assignment)
 
 
 def line_graph(fidelities, capacity=1, gen_prob=1.0, swap_q=1.0, kinds=None):

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import functools
 import io
 import json
@@ -15,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import scenario_dict
+from conftest import revalidated, scenario_dict
 from gen import network_doc, random_connected_graph
 from qnetfair import (
     Application,
@@ -685,7 +684,7 @@ def _traces(scenario, on_ledger=None):
         for write in writers:
             write(ledger)
 
-    replication_runs(scenario, n_replications=scenario.config.replications, on_slot=on_slot)
+    replication_runs(scenario, on_slot=on_slot)
     return new.getvalue(), ref.getvalue()
 
 
@@ -698,8 +697,7 @@ class TestTraceWriterOracle:
 
     def test_golden_random_pools_over_three_replications(self):
         scenario = load_scenario(str(ROOT / "tests" / "scenarios" / "net60_random.json"))
-        cfg = dataclasses.replace(scenario.config, slots=60, warmup_slots=0, replications=3)
-        new, ref = _traces(dataclasses.replace(scenario, config=cfg))
+        new, ref = _traces(revalidated(scenario, slots=60, warmup_slots=0, replications=3))
         assert new == ref
 
     @pytest.mark.parametrize("i", [1, 2, 8, 25])
@@ -741,8 +739,7 @@ class TestTraceWriterOracle:
         links, flows = _run_size(scenario)
         ref = io.StringIO(",".join(TRACE_COLUMNS) + "\n")
         ref.seek(0, io.SEEK_END)
-        replication_runs(scenario, n_replications=1,
-                         on_slot=_reference_trace_writer(ref, links))
+        replication_runs(scenario, on_slot=_reference_trace_writer(ref, links))
         trace = (out / "trace.csv").read_text()
         assert trace == ref.getvalue()
         edge_row, flow_row = (cache.cache_info() for cache in caches)
@@ -772,7 +769,7 @@ class TestTraceWriterOracle:
                 if not tables or tables[-1] is not ledger.flows:
                     tables.append(ledger.flows)
 
-            run(scenario, dataclasses.replace(scenario.config, seed=seed), on_slot=on_slot)
+            run(revalidated(scenario, seed=seed), on_slot=on_slot)
         assert len(tables) == 2 and set(tables[0]) != set(tables[1])
         assert shared.getvalue() == fresh[0].getvalue() + fresh[1].getvalue()
 
@@ -874,8 +871,7 @@ class TestAssignPrintsRunPools:
         scenario = load_scenario(path)
         assert scenario.config.assignment is AssignmentSource.RANDOM
         ledgers = []
-        run(scenario, dataclasses.replace(scenario.config, slots=1, warmup_slots=0),
-            on_slot=ledgers.append)
+        run(revalidated(scenario, slots=1, warmup_slots=0), on_slot=ledgers.append)
         pools = {}
         for app_id, worker in ledgers[0].flows:
             pools.setdefault(app_id, []).append(worker)

@@ -3,7 +3,6 @@ import dataclasses
 import math
 import os
 import random
-import re
 import signal
 import statistics
 import threading
@@ -13,7 +12,9 @@ from unittest import mock
 
 import pytest
 
-from conftest import line_graph, reaped, recorded_forks, shared_link_apps, shared_link_graph
+from conftest import (
+    line_graph, reaped, recorded_forks, revalidated, shared_link_apps, shared_link_graph
+)
 from gen import network_doc
 from qnetfair import (
     Application,
@@ -46,7 +47,7 @@ from qnetfair.scenario_io import parse_scenario
 from qnetfair.scheduling import SchedulerState
 
 
-def make_scenario(graph, apps, **config_overrides):
+def make_scenario(graph, apps, given=None, **config_overrides):
     base = dict(
         slots=100,
         seed=5,
@@ -55,7 +56,7 @@ def make_scenario(graph, apps, **config_overrides):
         assignment=AssignmentSource.GREEDY,
     )
     base.update(config_overrides)
-    return validate_scenario(graph, apps, SimConfig(**base))
+    return validate_scenario(graph, apps, SimConfig(**base), given)
 
 
 def unit_pipe_scenario(**overrides):
@@ -427,7 +428,7 @@ class TestRun:
     def test_on_slot_ledgers_carry_each_replication_seed(self):
         scenario = make_scenario(shared_link_graph(3), shared_link_apps([1.0]), slots=7)
         ledgers = []
-        runs = replication_runs(scenario, n_replications=3, on_slot=ledgers.append)
+        runs = replication_runs(revalidated(scenario, replications=3), on_slot=ledgers.append)
         # each run's slots in order, runs in index order, each with its own seed
         assert [(l.seed, l.slot) for l in ledgers] == [
             (m.seed, t) for m in runs for t in range(7)
@@ -435,30 +436,23 @@ class TestRun:
         assert len({m.seed for m in runs}) == 3
 
     @pytest.mark.parametrize("warmup", [100, 150])
-    def test_replaced_config_with_empty_window_rejected(self, warmup):
-        # the warmup of a dataclasses.replace'd config is checked by run
-        # itself, with validation's wording, not met as a zero division
+    def test_a_changed_config_with_an_empty_window_is_refused(self, warmup):
+        # a run takes its window only from a validated scenario, so a warmup
+        # that leaves no measured slot is refused there, not met as a zero
+        # division
         scenario = unit_pipe_scenario(warmup_slots=50)
-        cfg = dataclasses.replace(scenario.config, warmup_slots=warmup)
         want = f"sim.warmup: must satisfy 0 <= warmup < slots, got {warmup}"
-        with pytest.raises(ConfigError, match=re.escape(want)):
-            run(scenario, cfg)
-        with pytest.raises(ConfigError, match=re.escape(want)):
-            replication_runs(scenario, cfg, 3)
         with pytest.raises(ValidationError) as err:
-            validate_scenario(scenario.graph, list(scenario.apps), cfg)
-        assert want in err.value.diagnostics
+            revalidated(scenario, warmup_slots=warmup)
+        assert err.value.diagnostics == [want]
 
     def test_one_slot_of_warmup_leaves_no_window(self):
         # 1 slot, all of it warmup: no measured slot, so no rate to divide
         scenario = unit_pipe_scenario()
-        cfg = dataclasses.replace(scenario.config, slots=1, warmup_slots=1)
         want = "sim.warmup: must satisfy 0 <= warmup < slots, got 1"
         with pytest.raises(ValidationError) as err:
-            validate_scenario(scenario.graph, list(scenario.apps), cfg)
-        assert want in err.value.diagnostics
-        with pytest.raises(ConfigError, match=re.escape(want)):
-            run(scenario, cfg)
+            revalidated(scenario, slots=1, warmup_slots=1)
+        assert err.value.diagnostics == [want]
 
     def test_drr_converges_to_weighted_maxmin(self):
         scenario = make_scenario(
@@ -497,7 +491,7 @@ class TestRun:
         )
         la, lb = [], []
         run(scenario, on_slot=la.append)
-        run(scenario, dataclasses.replace(scenario.config, seed=6), on_slot=lb.append)
+        run(revalidated(scenario, seed=6), on_slot=lb.append)
         assert [l.sampled for l in la] != [l.sampled for l in lb]
 
     def test_capacity_stream_isolated_from_traffic_mode(self):
@@ -573,15 +567,14 @@ class TestRun:
         path = Path(__file__).resolve().parent.parent / "scenarios" / "parking_lot.json"
         scenario = load_scenario(str(path))
         apps = tuple(dataclasses.replace(a, arrival_rate=0.8) for a in scenario.apps)
-        unit, hops = (
-            run(
-                dataclasses.replace(scenario, apps=apps),
-                dataclasses.replace(
-                    scenario.config, policy=policy, traffic=traffic, slots=500, cost_mode=mode
-                ),
+
+        def run_with(mode):
+            config = dataclasses.replace(
+                scenario.config, policy=policy, traffic=traffic, slots=500, cost_mode=mode
             )
-            for mode in (CostMode.UNIT, CostMode.HOPS)
-        )
+            return run(validate_scenario(scenario.graph, apps, config, scenario.given_assignment))
+
+        unit, hops = (run_with(mode) for mode in (CostMode.UNIT, CostMode.HOPS))
         assert (unit == hops) is (policy is not Policy.DRR)
 
 
@@ -593,7 +586,7 @@ class TestSlotLedger:
     and ``successes`` are (app, worker) views of the flow-index dicts."""
 
     @staticmethod
-    def _watched_run(scenario, n_replications=1):
+    def _watched_run(scenario):
         # each slot's kernel state, per_flow and success dicts, as run sees them
         seen = []
         schedule_slot, resolve = engine._schedule_slot, engine.resolve_successes
@@ -611,18 +604,17 @@ class TestSlotLedger:
         ledgers = []
         with mock.patch.object(engine, "_schedule_slot", kernel), \
                 mock.patch.object(engine, "resolve_successes", successes):
-            runs = replication_runs(scenario, n_replications=n_replications, on_slot=ledgers.append)
+            runs = replication_runs(scenario, on_slot=ledgers.append)
         return runs, ledgers, seen
 
     @staticmethod
-    def _scenario(stem, slots=40):
+    def _scenario(stem, slots=40, replications=1):
         scenario = load_scenario(str(GENERATED_DIR / f"{stem}.json"))
-        cfg = dataclasses.replace(scenario.config, slots=slots, warmup_slots=0)
-        return dataclasses.replace(scenario, config=cfg)
+        return revalidated(scenario, slots=slots, warmup_slots=0, replications=replications)
 
     @pytest.mark.parametrize("stem", ["net60_random", "net60_poisson"])
     def test_views_equal_the_worker_keyed_dicts(self, stem):
-        _, ledgers, seen = self._watched_run(self._scenario(stem), n_replications=2)
+        _, ledgers, seen = self._watched_run(self._scenario(stem, replications=2))
         assert len(ledgers) == len(seen) == 80
         for ledger, (state, per_flow, done) in zip(ledgers, seen):
             # each flat flow index's (app, worker), read from the kernel's state
@@ -638,7 +630,7 @@ class TestSlotLedger:
         assert len({id(l.flow_successes) for l in ledgers}) == len(ledgers)
 
     def test_every_ledger_of_a_run_shares_one_flows(self):
-        runs, ledgers, seen = self._watched_run(self._scenario("net60_random", 10), 3)
+        runs, ledgers, seen = self._watched_run(self._scenario("net60_random", 10, 3))
         for i, m in enumerate(runs):
             run_ledgers = ledgers[10 * i : 10 * (i + 1)]
             assert {l.seed for l in run_ledgers} == {m.seed}
@@ -671,14 +663,14 @@ class TestFlowNumbering:
 
 
 def replicate(scenario, n_replications):
-    return aggregate_metrics(replication_runs(scenario, n_replications=n_replications))
+    return aggregate_metrics(replication_runs(revalidated(scenario, replications=n_replications)))
 
 
 class TestReplicate:
     def test_single_replication_equals_its_run(self):
         scenario = unit_pipe_scenario()
         summary = replicate(scenario, n_replications=1)
-        runs = replication_runs(scenario, n_replications=1)
+        runs = replication_runs(revalidated(scenario, replications=1))
         assert summary.n == 1
         assert summary.stats["app_0.delivered"].mean == runs[0].per_app[0].delivered
         assert summary.stats["app_0.delivered"].stddev == 0.0
@@ -699,7 +691,7 @@ class TestReplicate:
             capacity_mode=CapacityMode.STOCHASTIC,
             slots=80,
         )
-        runs = replication_runs(scenario, n_replications=2)
+        runs = replication_runs(revalidated(scenario, replications=2))
         delivered = [float(m.total_delivered) for m in runs]
         assert delivered[0] != delivered[1]
         stat = aggregate_metrics(runs).stats["total_delivered"]
@@ -736,7 +728,7 @@ class TestReplicate:
             traffic=Traffic.POISSON,
             slots=80,
         )
-        runs = replication_runs(scenario, n_replications=3)
+        runs = replication_runs(revalidated(scenario, replications=3))
 
         def values(key):
             head, _, attr = key.partition(".")
@@ -764,7 +756,7 @@ class TestReplicate:
             capacity_mode=CapacityMode.STOCHASTIC,
             slots=30,
         )
-        runs = replication_runs(scenario, n_replications=4)
+        runs = replication_runs(revalidated(scenario, replications=4))
         seeds = [m.seed for m in runs]
         assert seeds == [replication_seed(scenario.config.seed, i) for i in range(4)]
 
@@ -809,19 +801,17 @@ class TestAssignmentSources:
             [QuantumLink(0, (0, 1), 2), QuantumLink(1, (0, 2), 1), QuantumLink(2, (0, 3), 1)],
         )
         apps = [Application(0, 0, 1.0, 1, frozenset({1, 2, 3}))]
-        scenario = make_scenario(graph, apps, slots=5)
-        scenario = dataclasses.replace(scenario, given_assignment={0: frozenset({3})})
-        cfg = dataclasses.replace(scenario.config, assignment=AssignmentSource(source))
-        separate = [
-            run(scenario, dataclasses.replace(cfg, seed=replication_seed(cfg.seed, i)))
-            for i in range(3)
-        ]
+        scenario = make_scenario(
+            graph, apps, {0: frozenset({3})}, assignment=AssignmentSource(source), slots=5
+        )
+        seed = scenario.config.seed
+        separate = [run(revalidated(scenario, seed=replication_seed(seed, i))) for i in range(3)]
         resolve = mock.patch.object(engine, "resolve_assignment", wraps=engine.resolve_assignment)
         solver = f"assign_{source}" if source != "given" else "resolve_assignment"
         with resolve as resolved, mock.patch.object(
             engine, solver, wraps=getattr(engine, solver)
         ) as solved:
-            assert replication_runs(scenario, cfg, 3) == separate
+            assert replication_runs(revalidated(scenario, replications=3)) == separate
         assert resolved.call_count == solved.call_count == searches
 
     @pytest.mark.parametrize("source", ["given", "exhaustive"])
@@ -831,12 +821,16 @@ class TestAssignmentSources:
             [QuantumLink(0, (0, 1), 1), QuantumLink(1, (0, 2), 1)],
         )
         apps = [Application(0, 0, 1.0, 1, frozenset({1, 2}))]
-        scenario = make_scenario(graph, apps, exhaustive_limit=1, slots=5)
-        cfg = dataclasses.replace(scenario.config, assignment=AssignmentSource(source))
+        scenario = make_scenario(
+            graph, apps, {0: frozenset({1})}, assignment=AssignmentSource(source),
+            exhaustive_limit=1, slots=5, replications=3,
+        )
         error = ConfigError if source == "given" else SearchSpaceTooLarge
+        if source == "given":  # a library caller's scenario that has lost its pools
+            scenario = dataclasses.replace(scenario, given_assignment=None)
         ledgers = []
         with pytest.raises(error):
-            replication_runs(scenario, cfg, 3, on_slot=ledgers.append)
+            replication_runs(scenario, on_slot=ledgers.append)
         assert ledgers == []
 
 
@@ -941,7 +935,7 @@ class TestDrawProducer:
 
         mesh = load_scenario(str(GENERATED_DIR.parent.parent / "scenarios" / "mesh_poisson.json"))
         cases = [
-            (dataclasses.replace(mesh, config=dataclasses.replace(mesh.config, slots=300)), 114),
+            (revalidated(mesh, slots=300), 114),
             (self._scenario(slots=301), None),
             (unit_pipe_scenario(slots=2049), engine.CHUNK_INTS),
         ]
@@ -964,8 +958,7 @@ class TestDrawProducer:
     @staticmethod
     def _scenario(stem="net60_poisson", slots=100):
         scenario = load_scenario(str(GENERATED_DIR / f"{stem}.json"))
-        cfg = dataclasses.replace(scenario.config, slots=slots, warmup_slots=0)
-        return dataclasses.replace(scenario, config=cfg)
+        return revalidated(scenario, slots=slots, warmup_slots=0)
 
     def test_forks_only_when_it_draws(self):
         drawn = {

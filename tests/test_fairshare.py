@@ -390,6 +390,25 @@ class TestMaxminRates:
         assert t_star < 1.0 / 0.3
         assert rates == {0: 0.1 * t_star, 1: 0.1 * t_star, 2: 0.1 * t_star, 3: 0.3 * t_star}
 
+    @pytest.mark.parametrize(
+        "low, rel, together",
+        [
+            (1.0, 5e-13, True),  # within cut's relative 1e-12 at t = 1
+            (1.0, 2e-12, False),  # past it: a second level
+            (1e-3, 5e-13, True),  # below t = 1 the tolerance is an absolute 1e-12,
+            (1e-3, 5e-10, True),  # so a relative gap 500 times wider still freezes with it
+            (1e-3, 2e-9, False),  # 2e-12 absolute: past it
+        ],
+    )
+    def test_cut_freezes_limits_within_its_tolerance_in_one_level(self, low, rel, together):
+        # two single-flow edges of weight 1, so each edge's fill limit is its
+        # capacity: limits that cut takes as one level freeze both flows at
+        # the lower, and a second level freezes the other at its own
+        high = low * (1 + rel)
+        assert low < high
+        rates = progressive_fill([1.0, 1.0], [(0,), (1,)], {0: low, 1: high})
+        assert rates == ([low, low] if together else [low, high])
+
     def test_adding_an_app_can_raise_another_apps_delivery(self):
         # app X: flow A on edge 1 (swap 1), flow B on edges 1 and 2 (swap
         # 0.5). App Y's flow on edge 2 slows B, which frees edge 1 for A,

@@ -185,11 +185,16 @@ class TestStructuralDiagnostics:
 
 
 class TestConfigDiagnostics:
+    # validation alone checks the scheduler's rules: a run builds its
+    # SchedulerState from the validated config and does not check them again
     def test_fcfs_backlogged_rejected(self):
         diags = diags_of(
             minimal_graph(), minimal_apps(), minimal_config(policy=Policy.FCFS)
         )
-        assert any("FCFS" in d for d in diags)
+        assert diags == [
+            "sim.policy: FCFS is rejected with backlogged traffic "
+            "(always-full queues have no arrival order)"
+        ]
 
     def test_fcfs_poisson_accepted(self):
         validate_scenario(
@@ -199,9 +204,20 @@ class TestConfigDiagnostics:
         )
 
     def test_wrr_requires_integer_weights(self):
-        apps = [Application(0, 0, 1.5, 1, frozenset({1}))]
+        apps = [
+            Application(0, 0, 1.5, 1, frozenset({1})),
+            Application(1, 0, 1.0, 1, frozenset({1})),
+        ]
         diags = diags_of(minimal_graph(), apps, minimal_config(policy=Policy.WRR))
-        assert any("integer weights" in d for d in diags)
+        assert diags == ["apps[0].weight: WRR needs integer weights, got 1.5"]
+
+    @pytest.mark.parametrize("policy", [Policy.RR, Policy.DRR])
+    @pytest.mark.parametrize("quantum_base", [0, -1])
+    def test_quantum_base_must_be_positive(self, policy, quantum_base):
+        config = minimal_config(policy=policy, quantum_base=quantum_base)
+        assert diags_of(minimal_graph(), minimal_apps(), config) == [
+            f"sim.quantum_base: must be >= 1, got {quantum_base}"
+        ]
 
     def test_deterministic_capacity_must_be_integral(self):
         graph = NetworkGraph(

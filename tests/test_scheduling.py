@@ -23,8 +23,6 @@ from qnetfair import (
     NodeKind,
     Policy,
     QuantumLink,
-    SchedulerState,
-    SlotGrants,
     Traffic,
     build_flows,
     host_flows,
@@ -32,6 +30,7 @@ from qnetfair import (
 )
 import qnetfair
 from qnetfair import cli, engine, fairshare, routing, scenario_io, scheduling, validate
+from qnetfair.scheduling import SchedulerState, SlotGrants
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -119,27 +118,15 @@ def assert_work_conserving(state, residual):
             assert not fits(state, f, residual)
 
 
-class TestConfigGuards:
-    def test_fcfs_with_backlogged_rejected(self):
-        with pytest.raises(ConfigError):
-            single_link_state(Policy.FCFS, [1.0, 1.0], 1)
-
-    def test_wrr_with_non_integer_weight_rejected(self):
-        with pytest.raises(ConfigError):
-            single_link_state(Policy.WRR, [1.5, 1.0], 1)
-
-    def test_quantum_base_must_be_positive_integer(self):
-        with pytest.raises(ConfigError):
-            single_link_state(Policy.DRR, [1.0], 1, quantum_base=0)
-
+class TestQuanta:
+    # the policy and quantum rules are validation's (test_model.py's
+    # TestConfigDiagnostics and TestDRRQuantumDiagnostics)
     @pytest.mark.parametrize(
         "weight, quantum_base", [(1e-12, 1), (1.0, 10**400)], ids=["tiny_weight", "huge_base"]
     )
-    def test_drr_quantum_must_be_finite_and_bound_fruitless_passes(self, weight, quantum_base):
-        with pytest.raises(ConfigError, match=r"apps\[0\]\.weight: DRR quantum"):
-            single_link_state(Policy.DRR, [weight], 1, quantum_base=quantum_base)
+    def test_only_drr_credits_quanta(self, weight, quantum_base):
         state, _ = single_link_state(Policy.RR, [weight], 1, quantum_base=quantum_base)
-        assert state.quantum == []  # only DRR credits quanta
+        assert state.quantum == []
 
 
 class TestEnqueueArrivals:

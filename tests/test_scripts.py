@@ -23,6 +23,8 @@ def run_script(name, *args):
     "name, args, message",
     [
         ("compare_policies.py", ["--reps", "0"], "--reps: must be >= 1, got 0"),
+        # each policy's scenario is validated with the script's settings
+        ("compare_policies.py", ["--slots", "0"], "sim.slots: must be >= 1, got 0"),
         ("assignment_study.py", ["--instances", "0"], "at least 2 instances, got 0"),
         ("assignment_study.py", ["--instances", "1"], "at least 2 instances, got 1"),
     ],

@@ -26,7 +26,6 @@ from .engine import (
 from .fairshare import SearchSpaceTooLarge, predicted_app_rates, weighted_jain
 from .model import AppId, AssignmentSource, NodeId, Policy, Scenario, shown
 from .scenario_io import SCHEMA, ParseError, parse_scenario, read_json
-from .scheduling import ConfigError
 from .validate import ValidationError, validate_scenario
 
 OUTPUT_DIR_ENV = "QNETFAIR_OUTPUT_DIR"
@@ -436,7 +435,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SearchSpaceTooLarge as err:
         print(f"error: {err} ({_TOO_LARGE_HINT[args.command]})", file=sys.stderr)
         return EXIT_INVALID
-    except (ConfigError, SweepParamError) as err:
+    except SweepParamError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -15,12 +15,12 @@ producer did not send, the run makes them itself, as it does when it
 draws from neither. Success draws follow the grants, in the run's process.
 
 Each slot's link capacities come from one sampler built per run. In
-stochastic mode it holds a flat list with every link's gen_success_prob
-repeated capacity_max times, in link-id order, draws the whole list in
-one pass and sums each link's span: one Bernoulli trial per unit of
-capacity, link by link. The tests keep the per-link trial loop as the
-reference it must equal, draw for draw. In deterministic mode it hands
-each slot a copy of one precomputed list.
+stochastic mode it makes one trial of ``rng.random() < gen_success_prob``
+per unit of capacity, link by link, but draws a slot's trials as one big
+integer, a 64-bit lane each, and reads every outcome in a few big-integer
+operations. The tests keep the per-link random() loop as the reference it
+must equal, draw for draw. In deterministic mode it hands each slot a copy
+of one precomputed list.
 
 The sampler's lists go unchecked to the scheduler's private slot kernel:
 the program built them, a non-negative int for every link, and the run is
@@ -44,8 +44,7 @@ import math
 import random
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice, repeat, starmap
-from operator import gt
+from itertools import accumulate, chain, islice
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .fairshare import assign_exhaustive, assign_greedy, assign_random, forked, weighted_jain
@@ -103,22 +102,35 @@ def capacity_sampler(
     Deterministic mode gives each link round(effective_capacity), which
     validation requires to be integral, and draws nothing. Stochastic mode
     gives each link the number of successes in capacity_max independent
-    Bernoulli trials (an exact binomial sample), drawing one uniform from
-    ``rng`` per trial, link by link.
+    Bernoulli trials of ``rng.random() < gen_success_prob`` (an exact
+    binomial sample), drawn as one ``getrandbits`` of a 64-bit lane per
+    trial: the two words random() draws, the first least significant.
+    random() is m / 2**53 with m = (w1 >> 5) * 2**26 + (w2 >> 6), so it is
+    < p exactly when m <= ceil(p * 2**53) - 1 (p * 2**53 is exact). Each
+    lane takes m from 2**56 plus that bound, which leaves it in (2**56 -
+    2**53, 2**56 + 2**53): no borrow crosses a lane, and its top byte is 1
+    on success, else 0.
     """
     if mode is CapacityMode.DETERMINISTIC:
         fixed = [round(l.effective_capacity) for l in links]
         return fixed.copy
-    thresholds = [l.gen_success_prob for l in links for _ in range(l.capacity_max)]
     ends = list(accumulate(l.capacity_max for l in links))
     spans = [(end - l.capacity_max, end) for l, end in zip(links, ends)]
-    draw = rng.random
+    nbytes = 8 * ends[-1] if links else 0
+
+    def lanes(lane: Callable[[QuantumLink], int]) -> int:  # a link's lane per trial
+        trials = (lane(l).to_bytes(8, "little") * l.capacity_max for l in links)
+        return int.from_bytes(b"".join(trials), "little")
+
+    ceiling = lanes(lambda l: (1 << 56) + math.ceil(l.gen_success_prob * 2.0**53) - 1)
+    high, low = lanes(lambda l: 0xFFFF_FFE0), lanes(lambda l: 0xFFFF_FFC0 << 32)
+    draw, bits = rng.getrandbits, 8 * nbytes
 
     def sample() -> list[int]:
-        # p > draw() is draw() < p; starmap calls draw() without the sentinel
-        # test of iter(draw, 2.0), and never ends, but map stops at the last
-        # threshold: one draw per threshold
-        hits = list(accumulate(map(gt, thresholds, starmap(draw, repeat(()))), initial=0))
+        x = draw(bits)
+        # w1 >> 5 moves up to bits 26..52, w2 >> 6 down to bits 0..25
+        won = ceiling - ((x & high) << 21 | (x & low) >> 38)
+        hits = list(accumulate(won.to_bytes(nbytes, "little")[7::8], initial=0))
         return [hits[end] - hits[start] for start, end in spans]
 
     return sample

@@ -11,6 +11,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import (
     line_graph, reaped, recorded_forks, revalidated, shared_link_apps, shared_link_graph
@@ -114,8 +115,80 @@ class TestSampleCapacity:
         assert abs(mean - 2.0) <= 3 * sigma
 
 
+# gen_success_prob at the edges of random()'s 53 bits: the least float, the
+# least nonzero draw, a power of two inside the range, the greatest draw, 1.0
+EDGE_PROBS = [5e-324, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0]
+
+
+class WordStream:
+    """Given 32-bit words, drawn as random.Random draws its own: random()
+    from two words, getrandbits from whole words, the first least significant."""
+
+    def __init__(self, words):
+        self.words = iter(words)
+
+    def random(self):
+        a, b = next(self.words) >> 5, next(self.words) >> 6
+        return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
+
+    def getrandbits(self, k):
+        return sum(next(self.words) << shift for shift in range(0, k, 32))
+
+
 class TestCapacitySampler:
     """The per-run flat sampler is sample_capacity link by link, draw for draw."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_trial_wins_exactly_below_its_threshold(self, seed):
+        # capacity-1 links whose gen_success_prob is the very uniform its
+        # trial draws: random() < p fails at p and one ulp below, holds one
+        # ulp above
+        clone = random.Random(seed)
+        uniforms = [clone.random() for _ in range(200)]
+        for toward, won in ((None, 0), (1.0, 1), (0.0, 0)):
+            probs = [u if toward is None else math.nextafter(u, toward) for u in uniforms]
+            links = [QuantumLink(e, (e, e + 1), 1, p, 1.0) for e, p in enumerate(probs)]
+            rng = random.Random(seed)
+            assert capacity_sampler(links, CapacityMode.STOCHASTIC, rng)() == [won] * 200
+            assert rng.getstate() == clone.getstate()
+
+    def test_edge_probabilities_against_edge_draws(self):
+        # one capacity-1 link per edge probability, each trial drawing
+        # random() = m / 2**53 for m at both ends and about the middle,
+        # with the five and six bits random() drops all clear or all set
+        links = [QuantumLink(e, (e, e + 1), 1, p, 1.0) for e, p in enumerate(EDGE_PROBS)]
+        for m in (0, 1, 2, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1):
+            for dropped in (0, 1):
+                pair = [(m >> 26) << 5 | 31 * dropped, (m & (2**26 - 1)) << 6 | 63 * dropped]
+                sample = capacity_sampler(links, CapacityMode.STOCHASTIC, WordStream(pair * 5))
+                ref = WordStream(pair * 5)
+                expected = [int(m / 2**53 < p) for p in EDGE_PROBS]
+                assert [sample_capacity(l, CapacityMode.STOCHASTIC, ref) for l in links] == expected
+                assert sample() == expected, (m, dropped)
+
+    def test_no_links_draw_nothing(self):
+        rng = random.Random(3)
+        before = rng.getstate()
+        assert capacity_sampler([], CapacityMode.STOCHASTIC, rng)() == []
+        assert rng.getstate() == before
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, validate.MAX_CAPACITY),
+                st.one_of(st.sampled_from(EDGE_PROBS), st.floats(5e-324, 1.0)),
+            ),
+            max_size=6,
+        ),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_draws_as_sample_capacity_does(self, specs, seed):
+        links = [QuantumLink(e, (e, e + 1), cap, p, 1.0) for e, (cap, p) in enumerate(specs)]
+        fast, ref = random.Random(seed), random.Random(seed)
+        sample = capacity_sampler(links, CapacityMode.STOCHASTIC, fast)
+        for _ in range(3):
+            assert sample() == [sample_capacity(l, CapacityMode.STOCHASTIC, ref) for l in links]
+        assert fast.getstate() == ref.getstate()
 
     @pytest.mark.parametrize("mode", list(CapacityMode))
     def test_matches_sample_capacity_per_link(self, mode):

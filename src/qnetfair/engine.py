@@ -34,8 +34,7 @@ slot. A run given ``on_slot`` hands it one SlotLedger per slot, once the
 slot's conservation check has passed, and keeps none: the ledger holds the
 slot's lists and its grant and success dicts by flat flow index as they
 are, all fresh each slot, and the run's (app, worker) per flow index in one
-tuple that every ledger of the run shares. Only its ``grants`` and
-``successes`` views re-key the counts by (app, worker), when read.
+tuple that every ledger of the run shares.
 """
 from __future__ import annotations
 
@@ -212,8 +211,7 @@ def resolve_assignment(scenario: Scenario, config: SimConfig) -> Assignment:
 @dataclass(slots=True)
 class SlotLedger:
     """One slot of one run, as ``run`` hands it to ``on_slot``, in the
-    kernel's index form; ``grants`` and ``successes`` view its counts by
-    (app, worker)."""
+    kernel's index form."""
 
     seed: int  # the run's seed: the config's, or its replication's
     slot: int
@@ -222,14 +220,6 @@ class SlotLedger:
     flows: tuple[tuple[AppId, NodeId], ...]  # (app, worker) by flat flow index, one per run
     flow_grants: dict[int, int]  # flat flow index -> granted attempts
     flow_successes: dict[int, int]  # flat flow index -> successful attempts
-
-    @property
-    def grants(self) -> dict[tuple[AppId, NodeId], int]:
-        return {self.flows[f]: c for f, c in self.flow_grants.items()}
-
-    @property
-    def successes(self) -> dict[tuple[AppId, NodeId], int]:
-        return {self.flows[f]: c for f, c in self.flow_successes.items()}
 
 
 @dataclass(frozen=True)

@@ -161,10 +161,6 @@ class NetworkGraph:
     def has_node(self, node_id: NodeId) -> bool:
         return node_id in self._nodes
 
-    def neighbors(self, node_id: NodeId) -> tuple[tuple[NodeId, EdgeId], ...]:
-        """Adjacent (node, edge) pairs in ascending neighbor-id order."""
-        return self._adj.get(node_id, ())
-
     def effective_capacities(self) -> dict[EdgeId, float]:
         return {l.id: l.effective_capacity for l in self.links}
 

@@ -74,18 +74,18 @@ class SlotGrants:
     """Outcome of one scheduling slot, in index form."""
 
     residual: list[int]  # by dense link id
-    per_flow: dict[int, int] = field(default_factory=dict)  # flat flow index -> grants
+    per_flow: dict[int, int]  # flat flow index -> grants
     # (app, arrival_slot) per granted request; empty in backlogged mode
-    granted_requests: list[tuple[AppId, int]] = field(default_factory=list)
-    last_granted: Optional[AppId] = None
-    passes: int = 0  # round-robin passes started in this slot
+    granted_requests: list[tuple[AppId, int]]
+    last_granted: Optional[AppId]
+    passes: int  # round-robin passes started in this slot
     # capacity-blocked app -> the pass (0 under FCFS) in which it had no
     # live flow; residuals only shrink, so it sits out the rest of the slot
-    blocked: dict[AppId, int] = field(default_factory=dict)
+    blocked: dict[AppId, int]
     # working state of the slot, not part of the outcome: by flat flow
     # index, every edge of the flow has residual >= 1; live flows by app id
-    _live: list[bool] = field(default_factory=list, repr=False)
-    _live_count: list[int] = field(default_factory=list, repr=False)
+    _live: list[bool] = field(repr=False)
+    _live_count: list[int] = field(repr=False)
 
 
 def policy_problems(
@@ -392,7 +392,6 @@ def _schedule_slot(state: SchedulerState, capacities: list[int]) -> SlotGrants:
                 if live[f]:
                     live[f] = False
                     live_count[flow_app[f]] -= 1
-    # every field, in order: defaults would call their factories each slot
     ctx = SlotGrants(capacities.copy(), {}, [], None, 0, {}, live, live_count)
     state.bind_slot(ctx)
     if state.policy is Policy.FCFS:

@@ -83,6 +83,12 @@ def revalidated(scenario, **changes):
     return validate_scenario(scenario.graph, scenario.apps, config, scenario.given_assignment)
 
 
+def keyed(ledger, counts):
+    """A ledger's ``flow_grants`` or ``flow_successes`` re-keyed by
+    (app, worker), through the ledger's ``flows``."""
+    return {ledger.flows[f]: c for f, c in counts.items()}
+
+
 def line_graph(fidelities, capacity=1, gen_prob=1.0, swap_q=1.0, kinds=None):
     """Chain 0-1-...-n with one link per consecutive pair.
 

@@ -8,7 +8,7 @@ import random
 import statistics
 import time
 
-from conftest import parking_lot, scenario_dict, shared_link_apps, shared_link_graph
+from conftest import keyed, parking_lot, scenario_dict, shared_link_apps, shared_link_graph
 from gen import dumbbell_instance, random_maxmin_instance
 from qnetfair import (
     Application,
@@ -96,7 +96,7 @@ def test_c03_rr_short_term_fairness_every_slot():
         run(scenario, on_slot=ledgers.append)
         cum = dict.fromkeys(range(n), 0)
         for ledger in ledgers:
-            for (app, _worker), count in ledger.grants.items():
+            for (app, _worker), count in keyed(ledger, ledger.flow_grants).items():
                 cum[app] += count
             if max(cum.values()) - min(cum.values()) > 1:
                 violations += 1
@@ -120,7 +120,7 @@ def test_c04_wrr_proportionality_every_pass():
     cum = dict.fromkeys(range(3), 0)
     ok = True
     for ledger in ledgers:
-        for (app, _worker), count in ledger.grants.items():
+        for (app, _worker), count in keyed(ledger, ledger.flow_grants).items():
             cum[app] += count
         total = sum(cum.values())
         for app, w in enumerate(weights):
@@ -316,7 +316,8 @@ def test_c11_conservation_across_representative_runs():
         for ledger in ledgers:
             slots_checked += 1
             used = [0] * len(ledger.sampled)  # by link id, as the ledger's lists
-            for key, count in ledger.grants.items():
+            grants = keyed(ledger, ledger.flow_grants)
+            for key, count in grants.items():
                 for e in flow_edges[key]:
                     used[e] += count
             if len(ledger.residual) != len(ledger.sampled):
@@ -324,8 +325,8 @@ def test_c11_conservation_across_representative_runs():
             for e, sampled in enumerate(ledger.sampled):
                 if used[e] > sampled or ledger.residual[e] != sampled - used[e]:
                     violations += 1
-            for key, done in ledger.successes.items():
-                if done > ledger.grants.get(key, 0):
+            for key, done in keyed(ledger, ledger.flow_successes).items():
+                if done > grants.get(key, 0):
                     violations += 1
 
     cases = []

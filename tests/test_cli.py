@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import revalidated, scenario_dict
+from conftest import keyed, revalidated, scenario_dict
 from gen import network_doc, random_connected_graph
 from qnetfair import (
     Application,
@@ -617,10 +617,10 @@ def _reference_trace_writer(fh, links):
             f"{head}{cells}{sampled},{sampled - residual},NA,{residual}\n"
             for cells, sampled, residual in zip(edge_cells, ledger.sampled, ledger.residual)
         ]
-        done = ledger.successes
+        done = keyed(ledger, ledger.flow_successes)
         lines += [
             f"{head}flow,{app_id}-{worker},NA,{granted},{done.get((app_id, worker), 0)},NA\n"
-            for (app_id, worker), granted in sorted(ledger.grants.items())
+            for (app_id, worker), granted in sorted(keyed(ledger, ledger.flow_grants).items())
         ]
         fh.write("".join(lines))
 

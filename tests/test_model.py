@@ -151,6 +151,32 @@ class TestStructuralDiagnostics:
         diags = diags_of(graph, apps, minimal_config())
         assert any(d.startswith("nodes:") for d in diags)
 
+    @pytest.mark.parametrize(
+        "ids, line",
+        [
+            ([1, 2], "0 is missing, 2 is out of range"),
+            ([0, 2], "1 is missing, 2 is out of range"),
+            ([0, 0], "1 is missing, 0 is repeated"),
+            ([10**5000], "0 is missing, an integer of 5001 digits is out of range"),
+        ],
+        ids=["shifted", "gap", "repeated", "long"],
+    )
+    def test_app_ids_must_be_dense(self, ids, line):
+        apps = [Application(i, 0, 1.0, 1, frozenset({1})) for i in ids]
+        top = len(ids) - 1
+        assert diags_of(minimal_graph(), apps, minimal_config()) == [
+            f"apps: ids must be dense integers from 0 to {top}; {line}"
+        ]
+
+    def test_link_ids_must_be_dense(self):
+        graph = NetworkGraph(
+            [Node(i, NodeKind.COMPUTATION) for i in range(3)],
+            [QuantumLink(1, (0, 1), 1), QuantumLink(2, (1, 2), 1)],
+        )
+        assert diags_of(graph, minimal_apps(), minimal_config()) == [
+            "links: ids must be dense integers from 0 to 1; 0 is missing, 2 is out of range"
+        ]
+
     def test_duplicate_link_rejected(self):
         graph = NetworkGraph(
             [Node(0, NodeKind.COMPUTATION), Node(1, NodeKind.COMPUTATION)],

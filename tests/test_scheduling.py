@@ -80,7 +80,7 @@ def slot_ctx(state, residual):
     """SlotGrants at the start of a slot, its live flags read off ``residual``."""
     live = [fits(state, f, residual) for f in range(len(state.flows))]
     live_count = [sum(live[f] for f in app_flows(state, a)) for a in range(len(state.apps))]
-    return SlotGrants(residual, _live=live, _live_count=live_count)
+    return SlotGrants(residual, {}, [], None, 0, {}, live, live_count)
 
 
 @contextlib.contextmanager
@@ -261,6 +261,15 @@ class TestPick:
         assert str(err.value) == (
             "app ids must be dense integers from 0, got a value too long to show"
         )
+
+    def test_app_without_flows_is_named(self):
+        # validation rejects such a scenario; a hand-built one reaches here
+        graph = shared_link_graph(1)
+        apps = [Application(i, 0, 1.0, 1, frozenset({1})) for i in range(2)]
+        flows = {0: host_flows(graph, 0, [1]), 1: []}
+        with pytest.raises(ConfigError) as err:
+            SchedulerState(Policy.RR, apps, flows, Traffic.BACKLOGGED)
+        assert str(err.value) == "app 1 has no flows"
 
 
 class TestDRR:

@@ -3,12 +3,13 @@
 The weighted max-min rate vector (computed by progressive filling over a
 fluid model of the network) serves both as the oracle that scheduling
 disciplines are compared against and as the objective for choosing which
-computation nodes join each application's worker pool. One kernel on flow
-indices, ``progressive_fill``, does all filling; ``maxmin_rates`` is its
-keyed, checked form, and ``assign_exhaustive`` checks every app's
-candidates at once as ``maxmin_rates`` would, then calls the kernel
-directly for greedy's assignment, its first incumbent, and for each
-assignment that its bounds cannot rule out against the incumbent. A
+computation nodes join each application's worker pool. One kernel,
+``progressive_fill``, fills from each crossed edge's bitmask of flows;
+``maxmin_rates`` is its keyed, checked form, and ``assign_exhaustive``
+checks every app's candidates at once as ``maxmin_rates`` would, then
+calls the kernel directly, from bitmasks kept per prefix of pools, for
+greedy's assignment, its first incumbent, and for each assignment that
+its bounds cannot rule out against the incumbent. A
 large search is split over forked processes and merged to the pick of
 one process. ``forked`` is the one way to a child, for the search and for
 the run's producer of draws, and it forks only where ``fork_cpus`` allows.
@@ -115,89 +116,100 @@ def maxmin_rates(
     an edge saturates, the flows crossing it freeze at their current
     rate, and filling continues with the rest. The result satisfies the
     bottleneck property: every flow crosses a saturated edge on which its
-    weighted rate is the largest. This keyed form checks its input, then
-    ``progressive_fill`` fills with the flows numbered in iteration order.
+    weighted rate is the largest. This keyed form checks its input and
+    numbers the flows in iteration order; ``progressive_fill`` fills them
+    from each crossed edge's bitmask of flows, with a ``groups`` of its own.
     """
-    edge_sets = _checked_edge_sets(flow_edges, capacities, flow_weights)
-    rates = progressive_fill([flow_weights[f] for f in edge_sets], edge_sets.values(), capacities)
-    return dict(zip(edge_sets, rates))
+    crossing = _checked_crossing(flow_edges, capacities, flow_weights)
+    rates = progressive_fill([flow_weights[f] for f in flow_edges], crossing, capacities, {})
+    return dict(zip(flow_edges, rates))
 
 
-def _checked_edge_sets(
+def _checked_crossing(
     flow_edges: Mapping[FlowKey, Iterable[int]],
     capacities: Mapping[int, float],
     flow_weights: Mapping[FlowKey, float],
-) -> dict[FlowKey, frozenset[int]]:
-    """Each flow's set of edges, once ``progressive_fill`` is known to fill
-    them: ValueError unless every flow crosses an edge and has a positive,
-    finite weight, and every crossed edge has a positive, finite capacity,
+) -> dict[int, int]:
+    """Each crossed edge's bitmask of flows, bit i for the i-th flow of
+    ``flow_edges``, once ``progressive_fill`` is known to fill them:
+    ValueError unless every flow crosses an edge and has a positive, finite
+    weight, and every crossed edge has a positive, finite capacity,
     a finite sum of the weights that cross it, and a finite capacity over
     the least of them. A fill limit is what is left of a capacity over a
     sum of some of those weights, so every limit is then finite, for these
     flows and for any subset of them."""
-    edge_sets = {f: frozenset(edges) for f, edges in flow_edges.items()}
-    crossing: dict[int, list[float]] = {}  # each edge's flow weights, in flow order
-    for f, edges in edge_sets.items():
-        if not edges:
+    crossing: dict[int, int] = {}
+    on_edge: dict[int, list[float]] = {}  # each edge's flow weights, in flow order
+    for i, (f, edges) in enumerate(flow_edges.items()):
+        if not (edges := frozenset(edges)):
             raise ValueError(f"flow {f!r} crosses no edge")
         if not flow_weights[f] > 0:  # NaN too: it would never saturate an edge
             raise ValueError(f"flow {f!r} has non-positive weight")
         if flow_weights[f] == math.inf:  # its fill limit would be 0 or NaN
             raise ValueError(f"flow {f!r} has infinite weight")
         for e in edges:
-            crossing.setdefault(e, []).append(flow_weights[f])
-    for e, weights in crossing.items():
+            crossing[e] = crossing.get(e, 0) | 1 << i
+            on_edge.setdefault(e, []).append(flow_weights[f])
+    for e, weights in on_edge.items():
         if not capacities[e] > 0:
             raise ValueError(f"edge {e} has non-positive capacity")
         if capacities[e] == math.inf:
             raise ValueError(f"edge {e} has infinite capacity")
         if sum(weights) == math.inf or capacities[e] / min(weights) == math.inf:
             raise ValueError(f"edge {e} has a weight sum or fill limit beyond the float range")
-    return edge_sets
+    return crossing
 
 
 def progressive_fill(
-    weights: Sequence[float], flow_edges: Iterable[Iterable[int]], capacities: Mapping[int, float]
+    weights: Sequence[float], crossing: Mapping[int, int], capacities: Mapping[int, float],
+    groups: dict[int, tuple[list[int], float]],
 ) -> list[float]:
     """``maxmin_rates`` on flows 0..n-1, unchecked: every weight and every
-    crossed edge's capacity must be positive, and no flow may list an edge
-    twice. An edge's fill limit sums its live weights and frozen rates in
-    flow order, so the rates are the same floats whatever the caller's keys."""
-    on_edge: dict[int, list[int]] = {}
-    for i, edges in enumerate(flow_edges):
-        for e in edges:
-            on_edge.setdefault(e, []).append(i)
+    crossed edge's capacity must be positive. ``crossing`` maps an edge to
+    the bitmask of its flows, bit i for flow i; ``groups``, the caller's for
+    these ``weights`` alone, maps a bitmask to its flows and their weight
+    sum, in flow order, and gains those it lacks. An edge's fill limit sums
+    its live weights and frozen rates in flow order, so the rates are the
+    same floats whatever the caller's keys."""
     # of edges crossed by the same flows, only the least capacity can bind
-    tightest: dict[tuple[int, ...], float] = {}
-    for e, on in on_edge.items():
-        key = tuple(on)
-        if capacities[e] < tightest.get(key, math.inf):
-            tightest[key] = capacities[e]
+    tightest: dict[int, float] = {}
+    for e, on in crossing.items():
+        if capacities[e] < tightest.get(on, math.inf):
+            tightest[on] = capacities[e]
     rates: list = [None] * len(weights)  # None while the flow is unfrozen
-    # (fill limit, capacity, flows) of each edge with an unfrozen flow
-    limits = [(cap / sum([weights[f] for f in on]), cap, on) for on, cap in tightest.items()]
+    # (fill limit, capacity, bitmask, flows) of each edge with an unfrozen flow
+    limits = []
+    for on, cap in tightest.items():
+        if (group := groups.get(on)) is None:
+            members, rest = [], on
+            while rest:  # the lowest set bit's flow, then the rest
+                members.append((rest & -rest).bit_length() - 1)
+                rest &= rest - 1
+            group = groups[on] = (members, sum([weights[f] for f in members]))
+        limits.append((cap / group[1], cap, on, group[0]))
     while limits:
-        t_star = max(min([t for t, _, _ in limits]), 0.0)
+        t_star = max(min(limits)[0], 0.0)
         cut = t_star + 1e-12 * max(t_star, 1.0)
-        newly_frozen = set()
+        newly_frozen = 0
         unsaturated = []
         for limit in limits:
             if limit[0] > cut:
                 unsaturated.append(limit)
                 continue
-            for f in limit[2]:
+            for f in limit[3]:
                 if rates[f] is None:
                     rates[f] = weights[f] * t_star
-                    newly_frozen.add(f)
+                    newly_frozen |= 1 << f
         limits = []
-        for t, cap, on in unsaturated:
-            if newly_frozen.isdisjoint(on):  # the same sums, so the same limit
-                limits.append((t, cap, on))
+        for limit in unsaturated:
+            _, cap, on, members = limit
+            if not on & newly_frozen:  # the same sums, so the same limit
+                limits.append(limit)
                 continue
-            live_weights = [weights[f] for f in on if rates[f] is None]
+            live_weights = [weights[f] for f in members if rates[f] is None]
             if live_weights:
-                frozen_load = sum([r for f in on if (r := rates[f]) is not None])
-                limits.append(((cap - frozen_load) / sum(live_weights), cap, on))
+                frozen_load = sum([r for f in members if (r := rates[f]) is not None])
+                limits.append(((cap - frozen_load) / sum(live_weights), cap, on, members))
     return rates
 
 
@@ -413,8 +425,9 @@ def assign_exhaustive(
     the first below the best score's least rate. Each prefix keeps the flow
     weight W_e on each edge of its pools and extends a copy of it by the
     next pool's flows, so that a contention bound reads the same sums as a
-    whole assignment would. A filled score becomes the best when it is
-    greater, or equal with a smaller pick vector.
+    whole assignment would; it keeps each edge's bitmask of flows alike, so
+    a fill ORs in only the last pool's flow bits. A filled score becomes
+    the best when it is greater, or equal with a smaller pick vector.
 
     From ``SPLIT_MIN_SIZE`` assignments on, the search is split into S
     shares. A prefix, the pools of apps 0 and 1 (of app 0 alone if it is
@@ -442,16 +455,18 @@ def assign_exhaustive(
         for f in flows:
             flow_edges[(app.id, f.worker)] = f.edges
             flow_weights[(app.id, f.worker)] = w
-    _checked_edge_sets(flow_edges, caps, flow_weights)
+    _checked_crossing(flow_edges, caps, flow_weights)
     # every assignment has the same flow weights: apps in id order, pools in worker order
     weights = [w for a, w in zip(ordered, phis) for _ in range(a.workers_needed)]
-    options = [  # each app's pools, each with its bound and its (edge, flow weight) pairs
+    firsts = itertools.accumulate([a.workers_needed for a in ordered], initial=0)
+    options = [  # each app's pools, each with its bound and its (edge, flow bit) pairs
         [
             # at level 0 the loads do not count: any finite ones will do
-            (p, _contention_bound(a, w, p, caps, caps, 0.0), [(e, w) for f in p for e in f.edges])
+            (p, _contention_bound(a, w, p, caps, caps, 0.0),
+             [(e, 1 << i) for i, f in enumerate(p, first) for e in f.edges])
             for p in itertools.combinations(f, a.workers_needed)
         ]
-        for a, f, w in zip(ordered, eligible, phis)
+        for a, f, w, first in zip(ordered, eligible, phis, firsts)
     ]
     n = len(ordered)
     tops = [max([u for _, u, _ in opts]) for opts in options]  # each app's greatest bound
@@ -463,23 +478,35 @@ def assign_exhaustive(
         for e, count in Counter([e for f in p for e in f.edges]).items():
             reach[e] = max(reach.get(e, 0.0), count * phis[-1])
 
-    def scored(combo: Sequence[Sequence[Flow]]) -> tuple[float, ...]:
-        rates = iter(progressive_fill(weights, [f.edges for p in combo for f in p], caps))
+    groups: dict[int, tuple[list[int], float]] = {}  # every fill's, as they share ``weights``
+
+    def crossed(masks: dict[int, int], bits: Iterable[tuple[int, int]]) -> dict[int, int]:
+        masks = masks.copy()
+        for e, bit in bits:
+            masks[e] = masks.get(e, 0) | bit
+        return masks
+
+    def scored(combo: Sequence[Sequence[Flow]], crossing: dict[int, int]) -> tuple[float, ...]:
+        rates = iter(progressive_fill(weights, crossing, caps, groups))
         return tuple(sorted(_delivered(p, rates) / a.weight for a, p in zip(ordered, combo)))
 
     greedy = assign_greedy(graph, ordered)  # filled once, the best that every share starts from
     workers = [[{f.worker for f in p} for p, _, _ in opts] for opts in options]
     start = [sets.index(greedy[a.id]) for a, sets in zip(ordered, workers)]
-    start_score = scored([opts[i][0] for opts, i in zip(options, start)])
+    chosen = [opts[i] for opts, i in zip(options, start)]
+    crossing = crossed({}, [pair for *_, bits in chosen for pair in bits])
+    start_score = scored([p for p, _, _ in chosen], crossing)
 
     def search(share: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
         """The first best pick vector, and its score, among greedy's and the
         prefixes whose number is ``share`` modulo ``shares``."""
         # the prefix of apps 0..k-1: the option picked for each, their pool bounds
-        # padded with the later apps' tops, and loads[j], the W_e of apps before j
+        # padded with the later apps' tops, loads[j], the W_e of apps before j, and
+        # masks[j], for j < n, the bitmask of their flows on each edge
         picks = [-1] * n
         bounds = tops.copy()
         loads: list[dict[int, float]] = [{} for _ in range(n + 1)]
+        masks: list[dict[int, int]] = [{} for _ in range(n)]
         best, best_score = start, start_score
 
         def may_win(vec: tuple[float, ...], depth: int) -> bool:
@@ -498,7 +525,7 @@ def assign_exhaustive(
                 # a list cut short at a bound below best_score[0] sorts below it too
                 if not may_win(tuple(sorted(most)), n):
                     continue
-                score = scored(combo)
+                score = scored(combo, crossed(masks[k], options[k][picks[k]][2]))
                 if may_win(score, n):
                     best, best_score = picks.copy(), score
                 continue
@@ -519,14 +546,16 @@ def assign_exhaustive(
                     continue
             if k == split and sum(picks[: k + 1]) % shares != share:
                 continue
-            _, bounds[k], pairs = options[k][picks[k]]
+            _, bounds[k], bits = options[k][picks[k]]
             # with one pool, app k would repeat the test that app k - 1 just passed
             if len(options[k]) > 1 and not may_win(tuple(sorted(bounds)), k + 1):
                 continue
-            load = loads[k].copy()
-            for e, w in pairs:
+            load, w = loads[k].copy(), phis[k]
+            for e, _ in bits:
                 load[e] = load.get(e, 0.0) + w
             loads[k + 1] = load
+            if k + 1 < n:
+                masks[k + 1] = crossed(masks[k], bits)
             k += 1
         return tuple(best), best_score
 

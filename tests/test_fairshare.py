@@ -101,6 +101,66 @@ def reference_maxmin(flow_edges, capacities, flow_weights):
     return {f: rates.get(f, 0.0) for f in flows}
 
 
+def flow_list_fill(weights, flow_edges, capacities):
+    """``progressive_fill`` as it was before it took bitmasks: each flow's
+    list of edges, regrouped by the flows on each edge at every call. Kept
+    unchanged as the oracle of the bitmask kernel; no flow may list an
+    edge twice."""
+    on_edge: dict[int, list[int]] = {}
+    for i, edges in enumerate(flow_edges):
+        for e in edges:
+            on_edge.setdefault(e, []).append(i)
+    tightest: dict[tuple[int, ...], float] = {}
+    for e, on in on_edge.items():
+        key = tuple(on)
+        if capacities[e] < tightest.get(key, math.inf):
+            tightest[key] = capacities[e]
+    rates: list = [None] * len(weights)
+    limits = [(cap / sum([weights[f] for f in on]), cap, on) for on, cap in tightest.items()]
+    while limits:
+        t_star = max(min([t for t, _, _ in limits]), 0.0)
+        cut = t_star + 1e-12 * max(t_star, 1.0)
+        newly_frozen = set()
+        unsaturated = []
+        for limit in limits:
+            if limit[0] > cut:
+                unsaturated.append(limit)
+                continue
+            for f in limit[2]:
+                if rates[f] is None:
+                    rates[f] = weights[f] * t_star
+                    newly_frozen.add(f)
+        limits = []
+        for t, cap, on in unsaturated:
+            if newly_frozen.isdisjoint(on):
+                limits.append((t, cap, on))
+                continue
+            live_weights = [weights[f] for f in on if rates[f] is None]
+            if live_weights:
+                frozen_load = sum([r for f in on if (r := rates[f]) is not None])
+                limits.append(((cap - frozen_load) / sum(live_weights), cap, on))
+    return rates
+
+
+def crossing_of(flow_edges) -> dict[int, int]:
+    """``progressive_fill``'s input from each flow's edges, flows numbered in
+    order: each crossed edge's bitmask of the flows that cross it."""
+    crossing: dict[int, int] = {}
+    for i, edges in enumerate(flow_edges):
+        for e in edges:
+            crossing[e] = crossing.get(e, 0) | 1 << i
+    return crossing
+
+
+def flows_of(crossing, n) -> list[list[int]]:
+    """Each of flows 0..n-1's edges, in ``crossing``'s order: its inverse."""
+    return [[e for e, on in crossing.items() if on >> i & 1] for i in range(n)]
+
+
+def hexes(rates) -> list[str]:
+    return [r.hex() for r in rates]
+
+
 def verify_bottleneck(
     flow_edges: Mapping[FlowKey, Iterable[int]],
     capacities: Mapping[int, float],
@@ -164,7 +224,7 @@ def scored_assignments(graph, apps):
     options = [itertools.combinations(f, a.workers_needed) for a, f in zip(ordered, eligible)]
     for combo in itertools.product(*options):
         flows = [f for pool in combo for f in pool]
-        rates = progressive_fill(weights, [f.edges for f in flows], caps)
+        rates = progressive_fill(weights, crossing_of([f.edges for f in flows]), caps, {})
         delivered = iter([r * f.swap_prob for r, f in zip(rates, flows)])
         yield combo, [
             math.fsum(itertools.islice(delivered, a.workers_needed)) / a.weight for a in ordered
@@ -406,7 +466,7 @@ class TestMaxminRates:
         # the lower, and a second level freezes the other at its own
         high = low * (1 + rel)
         assert low < high
-        rates = progressive_fill([1.0, 1.0], [(0,), (1,)], {0: low, 1: high})
+        rates = progressive_fill([1.0, 1.0], {0: 0b01, 1: 0b10}, {0: low, 1: high}, {})
         assert rates == ([low, low] if together else [low, high])
 
     def test_adding_an_app_can_raise_another_apps_delivery(self):
@@ -990,6 +1050,85 @@ class TestExhaustivePruning:
         assert fills == []
 
 
+def oracle_checked(monkeypatch) -> list:
+    """The ``groups`` of each call ``fairshare`` makes to ``progressive_fill``
+    from now on, each fill checked bit for bit against ``reference_maxmin``
+    and ``flow_list_fill`` on the same flows."""
+    seen = []
+
+    def checked(weights, crossing, caps, groups):
+        rates = progressive_fill(weights, crossing, caps, groups)
+        flows = flows_of(crossing, len(weights))
+        keyed = reference_maxmin(dict(enumerate(flows)), caps, dict(enumerate(weights)))
+        assert hexes(rates) == hexes(keyed.values()) == hexes(flow_list_fill(weights, flows, caps))
+        seen.append(groups)
+        return rates
+
+    monkeypatch.setattr(fairshare, "progressive_fill", checked)
+    return seen
+
+
+@st.composite
+def shared_edge_fills(draw):
+    """(weights, flows, capacities): 1 to 8 flows over at most 4 edges, so
+    that flows share edges, each listing 1 to 4 of them, perhaps one twice;
+    weights from 1e-15 to 1e15 and capacities from 1e-3 to 1e3, each drawn
+    often from a few round values, so that fill limits tie."""
+    edges = draw(st.integers(1, 4))
+    cap = st.sampled_from([0.5, 1.0, 3.0]) | st.floats(1e-3, 1e3)
+    caps = {e: draw(cap) for e in range(edges)}
+    flow = st.lists(st.integers(0, edges - 1), min_size=1, max_size=4)
+    flows = draw(st.lists(flow, min_size=1, max_size=8))
+    weight = st.sampled_from([1e-15, 0.5, 1.0, 1e15]) | st.floats(1e-15, 1e15)
+    weights = draw(st.lists(weight, min_size=len(flows), max_size=len(flows)))
+    return weights, flows, caps
+
+
+class TestFillKernel:
+    """``progressive_fill`` on bitmasks gives the floats of the oracles,
+    ``reference_maxmin`` and the flow-list kernel, on every fill."""
+
+    @given(shared_edge_fills())
+    @settings(max_examples=200)
+    def test_matches_the_oracles_where_flows_share_edges(self, fill):
+        weights, flows, caps = fill
+        keyed = reference_maxmin(dict(enumerate(flows)), caps, dict(enumerate(weights)))
+        listed = flow_list_fill(weights, [list(dict.fromkeys(f)) for f in flows], caps)
+        groups = {}
+        rates = progressive_fill(weights, crossing_of(flows), caps, groups)
+        assert hexes(rates) == hexes(keyed.values()) == hexes(listed)
+        # a second fill reads every group sum from the first's ``groups``
+        assert hexes(progressive_fill(weights, crossing_of(flows), caps, groups)) == hexes(rates)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7])
+    def test_every_fill_of_the_benchmark_shape(self, monkeypatch, seed):
+        graph, apps = pooled_instance(random.Random(seed))
+        usable_cpus(monkeypatch, 1)
+        seen = oracle_checked(monkeypatch)
+        assign_exhaustive(graph, apps)
+        # one ``groups`` for the whole search, as every fill has the same weights
+        assert len(seen) > 100 and all(groups is seen[0] for groups in seen)
+
+    @pytest.mark.parametrize("extremes", [False, True], ids=["oracle_corpus", "1e-15_and_1e15"])
+    def test_every_fill_of_the_corpus(self, monkeypatch, extremes):
+        usable_cpus(monkeypatch, 1)
+        seen = oracle_checked(monkeypatch)
+        for graph, apps in TestExhaustivePruning._corpus(extremes):
+            assign_exhaustive(graph, apps)
+        assert len(seen) > 500
+
+    def test_maxmin_rates_carries_no_group_sums_over_to_other_weights(self):
+        # edge 0's flows A and B sum to 2 in the first call; a sum kept for the
+        # second would give edge 0 the fill limit 1 / 2, not 1 / 2.1
+        flow_edges = {"A": (0, 1), "B": (0,), "C": (1,)}
+        caps = {0: 1.0, 1: 3.0}
+        weights = [dict.fromkeys("ABC", 1.0), {"A": 0.1, "B": 2.0, "C": 0.3}]
+        first, second = [maxmin_rates(flow_edges, caps, w) for w in weights]
+        assert first != second
+        for got, w in zip([first, second], weights):
+            assert hexes(got.values()) == hexes(reference_maxmin(flow_edges, caps, w).values())
+
+
 def star_instance(pools):
     """One app at host 0 needing one of ``pools`` workers, each one link
     away over a link of its own capacity."""
@@ -1300,10 +1439,10 @@ class TestExhaustiveSplit:
         # process searches that share itself
         g, apps = mirror_instance()
 
-        def fill(weights, flow_edges, caps):
-            if flow_edges == [(0, 2), (1, 3)]:
+        def fill(weights, crossing, caps, groups):
+            if crossing == {0: 0b01, 2: 0b01, 1: 0b10, 3: 0b10}:  # flow 0 to 3, flow 1 to 4
                 raise ArithmeticError("no fill of (3, 4)")
-            return progressive_fill(weights, flow_edges, caps)
+            return progressive_fill(weights, crossing, caps, groups)
 
         monkeypatch.setattr(fairshare, "progressive_fill", fill)
         monkeypatch.setattr(fairshare, "SPLIT_MIN_SIZE", 1)

@@ -15,7 +15,9 @@ as the bundled ones do:
   ``policy`` over RR, WRR and DRR on net60 and hashes both sweep CSVs.
   ``net60_random`` also runs three replications (``r3``): each draws its
   own random pools, so one trace.csv holds the flow rows of three
-  different flow tables.
+  different flow tables. ``net60`` is also assigned by greedy and by
+  random: each prints the rates of one 24-flow fill with 10 or 11 freeze
+  levels.
 - ``pooled2`` is ``gen.pooled_instance`` seed 2, 3 apps choosing 2 of 7
   workers on 30 nodes, where the exhaustive solver's pool bound prunes no
   assignment and its contention bound prunes all but 212 of the 9261.
@@ -72,6 +74,8 @@ GENERATED_CASES = [
     "run/net60_random/DRR/r3/unit",
     "run/net60_given/DRR/r1/unit",
     "sweep/net60/policy",
+    "assign/net60/greedy",
+    "assign/net60/random",
     "assign/pooled2/exhaustive",
 ]
 GOLDENS_PATH = Path(__file__).with_name("goldens.json")
